@@ -17,8 +17,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import replace
 
 from . import diagnostics, specio
 from .data_ingest import (
@@ -49,23 +48,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: Union[str, None] = None
-    spec: Union[str, None] = None
-    spec2: Union[str, None] = None
-    out: str = "."
-    seed: int = DEFAULT_SEED
-    force: bool = False
-    policy: Union[str, None] = None
-    jacobian_adjust: bool = False
-    m_sims: int = 100
-    level: float = 0.95
-    kind: Union[str, None] = None
-    verbosity: int = 0
-
-
 def _read_text(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise DataValidationError(f"{what} file not found: {path}")
@@ -73,15 +55,15 @@ def _read_text(path: str, what: str) -> str:
         return fh.read()
 
 
-def _load_spec(path: str, config: RunConfig):
+def _load_spec(path: str, args: argparse.Namespace):
     spec = specio.parse_model_spec(specio.load_json(_read_text(path, "spec")))
-    if config.jacobian_adjust and isinstance(spec, ModelSpec):
+    if args.jacobian_adjust and isinstance(spec, ModelSpec):
         spec = replace(spec, jacobian_adjust=True)
     return spec
 
 
-def _load_table(config: RunConfig, spec):
-    text = _read_text(config.input, "input")
+def _load_table(args: argparse.Namespace, spec):
+    text = _read_text(args.input, "input")
     records = parse_mortality_csv(text.encode("utf-8"))
     strata = sorted({(r.sex, r.site) for r in records})
     if len(strata) != 1:
@@ -90,7 +72,7 @@ def _load_table(config: RunConfig, spec):
         )
     sex, site = strata[0]
     table = aggregate_cells(records, sex, site)
-    policy = config.policy or getattr(spec, "zero_policy", "add_half")
+    policy = args.policy or getattr(spec, "zero_policy", "add_half")
     table = apply_zero_policy(table, policy)
     log.info("loaded %d cells for %s/%s, zero policy %s", len(table), sex, site, policy)
     return table
@@ -102,10 +84,10 @@ def _run_model(spec, table):
     return fit_logsym(spec, table)
 
 
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, name)
-    if os.path.exists(path) and not config.force:
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    if os.path.exists(path) and not args.force:
         raise DataValidationError(f"refusing to overwrite {path}; pass --force")
     return path
 
@@ -117,62 +99,52 @@ def _write(path: str, text: str) -> None:
 
 
 def _print_fit_summary(fit_result, table) -> None:
-    rho = diagnostics.log_rate_correlation(
-        diagnostics.model_fitted_log_rate(fit_result, table), table)
-    print(f"model: {fit_result.label}")
+    summary = diagnostics._summarize(fit_result, table, fit_result.label)
+    print(f"model: {summary.label}")
     print(f"{'coefficient':<28}{'Estimate':>14}{'Std.Err':>12}")
+    for name, est, se in summary.coefficients:
+        print(f"{name:<28}{est:>14.5g}{se:>12.4g}")
+    for label, term in summary.terms.items():
+        print(f"{label:<28}lambda {term['lambda']:>10.4g}  edf {term['edf']:.3f}")
     if isinstance(fit_result, LogSymFit):
-        rows = [(f"location:{n}", e, s) for n, e, s in
-                zip(fit_result.beta_names, fit_result.beta, fit_result.beta_se)]
-        rows += [(f"dispersion:{n}", e, s) for n, e, s in
-                 zip(fit_result.gamma_names, fit_result.gamma, fit_result.gamma_se)]
-        for name, est, se in rows:
-            print(f"{name:<28}{est:>14.5g}{se:>12.4g}")
-        for label in fit_result.lam:
-            print(f"{label:<28}lambda {fit_result.lam[label]:>10.4g}"
-                  f"  edf {fit_result.edf[label]:.3f}")
-        print(f"loglik {fit_result.loglik:.4f}  AIC {fit_result.aic:.4f}  "
-              f"rho {rho:.4f}")
+        print(f"loglik {fit_result.loglik:.4f}  AIC {summary.aic:.4f}  "
+              f"rho {summary.rho:.4f}")
         print(f"converged {fit_result.converged}  iterations {fit_result.iterations}  "
               f"grad_norm {fit_result.grad_norm:.3g}")
     else:
-        for name, est, se in zip(fit_result.covariates, fit_result.beta, fit_result.se):
-            print(f"{name:<28}{est:>14.5g}{se:>12.4g}")
         print(f"loglik {fit_result.loglik:.4f}  deviance {fit_result.deviance:.4f}  "
-              f"AIC {fit_result.aic:.4f}  rho {rho:.4f}")
+              f"AIC {summary.aic:.4f}  rho {summary.rho:.4f}")
 
 
-def cmd_fit(config: RunConfig) -> int:
-    spec = _load_spec(config.spec, config)
-    table = _load_table(config, spec)
+def cmd_fit(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
+    table = _load_table(args, spec)
     result = _run_model(spec, table)
     doc = specio.fit_to_dict(result)
     if isinstance(spec, PoissonSpec):
         doc["spec"] = specio.model_spec_to_dict(spec)
-    _write(_out_path(config, "fit.json"), specio.dump_json(doc))
+    _write(_out_path(args, "fit.json"), specio.dump_json(doc))
     _print_fit_summary(result, table)
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
-def cmd_compare(config: RunConfig) -> int:
-    if not config.spec2:
+def cmd_compare(args: argparse.Namespace) -> int:
+    if not args.spec2:
         raise SpecificationError("compare needs --spec2")
-    spec_a = _load_spec(config.spec, config)
-    spec_b = _load_spec(config.spec2, config)
-    table = _load_table(config, spec_a)
-    try:
-        fit_a = _run_model(spec_a, table)
-    except ModelError as exc:
-        raise type(exc)(f"model 1 ({config.spec}): {exc}") from None
-    try:
-        fit_b = _run_model(spec_b, table)
-    except ModelError as exc:
-        raise type(exc)(f"model 2 ({config.spec2}): {exc}") from None
-    report = diagnostics.compare_models(fit_a, fit_b, table)
-    _write(_out_path(config, "comparison.json"), specio.dump_json(report.to_dict()))
-    for idx, f in ((1, fit_a), (2, fit_b)):
+    paths = (args.spec, args.spec2)
+    specs = [_load_spec(path, args) for path in paths]
+    table = _load_table(args, specs[0])
+    fits = []
+    for idx, (path, spec) in enumerate(zip(paths, specs), start=1):
+        try:
+            fits.append(_run_model(spec, table))
+        except ModelError as exc:
+            raise type(exc)(f"model {idx} ({path}): {exc}") from None
+    report = diagnostics.compare_models(*fits, table)
+    _write(_out_path(args, "comparison.json"), specio.dump_json(report.to_dict()))
+    for idx, f in enumerate(fits, start=1):
         fitted = diagnostics.model_fitted_log_rate(f, table)
-        _write(_out_path(config, f"scatter_{idx}.csv"),
+        _write(_out_path(args, f"scatter_{idx}.csv"),
                diagnostics.scatter_to_csv(table, fitted))
     print(f"preferred: {report.preferred}")
     for m in report.models:
@@ -183,44 +155,44 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_envelope(config: RunConfig) -> int:
-    spec = _load_spec(config.spec, config)
-    table = _load_table(config, spec)
+def cmd_envelope(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
+    table = _load_table(args, spec)
     result = _run_model(spec, table)
-    kind = config.kind or ("deviance" if isinstance(spec, PoissonSpec) else "location")
+    kind = args.kind or ("deviance" if isinstance(spec, PoissonSpec) else "location")
     env = diagnostics.simulated_envelope(result, table, kind,
-                                         m_sims=config.m_sims, level=config.level,
-                                         seed=config.seed)
-    _write(_out_path(config, "envelope.csv"), diagnostics.envelope_to_csv(env))
+                                         m_sims=args.m_sims, level=args.level,
+                                         seed=args.seed)
+    _write(_out_path(args, "envelope.csv"), diagnostics.envelope_to_csv(env))
     print(f"envelope kind={kind} m={env.m_sims} level={env.level} "
           f"outside {env.outside_count}/{len(env.ordered_residuals)}")
     return EXIT_OK
 
 
-def cmd_curves(config: RunConfig) -> int:
-    spec = _load_spec(config.spec, config)
+def cmd_curves(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
     if isinstance(spec, PoissonSpec):
         raise SpecificationError("curves needs a log-symmetric spec with spline terms; "
                                  "the Poisson model has no nonparametric components")
     if not (spec.location.terms or spec.dispersion.terms):
         raise SpecificationError("curves needs at least one spline term in the model spec")
-    table = _load_table(config, spec)
+    table = _load_table(args, spec)
     result = fit_logsym(spec, table)
     curves = diagnostics.all_component_curves(result)
-    _write(_out_path(config, "curves.csv"), diagnostics.curves_to_csv(curves))
+    _write(_out_path(args, "curves.csv"), diagnostics.curves_to_csv(curves))
     print(f"exported {len(curves)} component curve(s)")
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    doc = specio.load_json(_read_text(config.spec, "truth spec"))
+def cmd_simulate(args: argparse.Namespace) -> int:
+    doc = specio.load_json(_read_text(args.spec, "truth spec"))
     truth = specio.parse_truth_spec(doc)
-    sim = simulate_table(truth, config.seed)
+    sim = simulate_table(truth, args.seed)
     records = simulated_to_records(sim)
-    _write(_out_path(config, "simulated.csv"), records_to_csv(records))
+    _write(_out_path(args, "simulated.csv"), records_to_csv(records))
     truth_doc = {
         "truth": doc,
-        "seed": config.seed,
+        "seed": args.seed,
         "cells": {
             "age_mid": [c.age_mid for c in sim.table.cells],
             "period_mid": [c.period_mid for c in sim.table.cells],
@@ -229,7 +201,7 @@ def cmd_simulate(config: RunConfig) -> int:
             "expected_deaths": sim.expected,
         },
     }
-    _write(_out_path(config, "truth.json"), specio.dump_json(truth_doc))
+    _write(_out_path(args, "truth.json"), specio.dump_json(truth_doc))
     print(f"simulated {len(sim.table)} cells")
     return EXIT_OK
 
@@ -286,32 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        spec=args.spec,
-        spec2=getattr(args, "spec2", None),
-        out=args.out,
-        seed=args.seed,
-        force=args.force,
-        policy=args.policy,
-        jacobian_adjust=args.jacobian_adjust,
-        m_sims=getattr(args, "m_sims", 100),
-        level=getattr(args, "level", 0.95),
-        kind=getattr(args, "kind", None),
-        verbosity=args.verbose,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    level = logging.WARNING - 10 * min(config.verbosity, 2)
+    level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(name)s %(levelname)s %(message)s")
     try:
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command](args)
     except (DataFormatError, DataValidationError, SpecificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

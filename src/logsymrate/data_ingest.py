@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -162,8 +162,16 @@ def _as_text_lines(source) -> Iterable[str]:
     return io.StringIO(text)
 
 
-def _check_header(fields, expected, what: str):
-    fields = [f.strip() for f in (fields or [])]
+def _csv_rows(source, expected, what: str):
+    """Yield (line number, fields) for each non-blank data row of a CSV
+    whose header must be exactly ``expected``. Line numbers are 1-based
+    with the header on line 1."""
+    reader = csv.reader(_as_text_lines(source))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("empty CSV: missing header") from None
+    fields = [f.strip() for f in header]
     missing = [c for c in expected if c not in fields]
     if missing:
         raise DataFormatError(f"{what} header missing column(s): {', '.join(missing)}")
@@ -171,6 +179,14 @@ def _check_header(fields, expected, what: str):
         raise DataFormatError(
             f"{what} header must be exactly {','.join(expected)}, got {','.join(fields)}"
         )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != len(expected):
+            raise DataFormatError(
+                f"line {lineno}: expected {len(expected)} fields, got {len(row)}"
+            )
+        yield lineno, row
 
 
 def parse_mortality_csv(source, year_range=DEFAULT_YEAR_RANGE) -> list:
@@ -180,21 +196,8 @@ def parse_mortality_csv(source, year_range=DEFAULT_YEAR_RANGE) -> list:
     aggregation happens here; duplicate strata stay duplicated.
     Errors cite 1-based line numbers (header is line 1).
     """
-    reader = csv.reader(_as_text_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty CSV: missing header") from None
-    _check_header(header, MORTALITY_HEADER, "mortality CSV")
-
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
-        if len(row) != len(MORTALITY_HEADER):
-            raise DataFormatError(
-                f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}"
-            )
+    for lineno, row in _csv_rows(source, MORTALITY_HEADER, "mortality CSV"):
         sex, site, age_lo, age_hi, year, deaths, population = [f.strip() for f in row]
         try:
             age_lo_i = int(age_lo)
@@ -317,20 +320,8 @@ def table_from_csv(source, meta: Union[TableMeta, None] = None) -> ObservationTa
     log_t and log_pop are recomputed from t_value and population, which
     reproduces the original bits (same inputs, same log).
     """
-    reader = csv.reader(_as_text_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty CSV: missing header") from None
-    _check_header(header, TABLE_HEADER, "table CSV")
     cells = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
-        if len(row) != len(TABLE_HEADER):
-            raise DataFormatError(
-                f"line {lineno}: expected {len(TABLE_HEADER)} fields, got {len(row)}"
-            )
+    for lineno, row in _csv_rows(source, TABLE_HEADER, "table CSV"):
         try:
             age_mid = float(row[0])
             period_mid = float(row[1])

@@ -9,14 +9,13 @@ index), so results are identical however replicates are scheduled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy import stats
 
-from .data_ingest import ObservationTable, make_cell, observed_log_rates
+from .data_ingest import ObservationTable, _fmt, make_cell, observed_log_rates
 from .errors import (
     ComparisonError,
     EnvelopeError,
@@ -25,8 +24,8 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .logsym_family import sample_with_rng
-from .logsym_fit import LogSymFit, fit as logsym_fit_fn, fitted_log_rate, residuals, \
-    spec_with_lambdas
+from .logsym_fit import LogSymFit, _find_term, fit as logsym_fit_fn, fitted_log_rate, \
+    residuals, spec_with_lambdas
 from .poisson_glm import PoissonFit, deviance_residuals, fit_poisson, \
     fitted_log_rate_poisson
 
@@ -128,16 +127,14 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     sims = []
     failures = 0
     for i in range(m_sims):
-        try:
-            sims.append(_simulate_and_refit(fit_result, table, kind,
-                                            np.random.default_rng(seed + i)))
-            continue
-        except (ModelError, FloatingPointError, OverflowError, ValueError):
-            pass
-        try:
-            sims.append(_simulate_and_refit(fit_result, table, kind,
-                                            np.random.default_rng(seed + m_sims + i)))
-        except (ModelError, FloatingPointError, OverflowError, ValueError):
+        for rep_seed in (seed + i, seed + m_sims + i):
+            try:
+                sims.append(_simulate_and_refit(fit_result, table, kind,
+                                                np.random.default_rng(rep_seed)))
+                break
+            except (ModelError, FloatingPointError, OverflowError, ValueError):
+                pass
+        else:
             failures += 1
     if failures > 0.1 * m_sims:
         raise EnvelopeError(
@@ -283,23 +280,6 @@ def compare_models(fit_a, fit_b, table: ObservationTable) -> ComparisonReport:
                             scale_caveat=caveat, n_cells=len(table))
 
 
-def _find_term(fit_result: LogSymFit, term):
-    from .spline_bases import SplineTerm, term_label as _tl
-
-    if isinstance(term, SplineTerm):
-        for name, sub in (("location", fit_result.spec.location),
-                          ("dispersion", fit_result.spec.dispersion)):
-            if term in sub.terms:
-                term = _tl(name, term)
-                break
-    infos = {ti.label: ti for ti in fit_result.design.term_infos}
-    if term not in infos:
-        raise SpecificationError(
-            f"unknown term {term!r}; fit has {sorted(infos)}"
-        )
-    return infos[term]
-
-
 def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -> np.ndarray:
     """Centered spline component on an equally spaced covariate grid.
 
@@ -307,7 +287,7 @@ def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -
     value."""
     if grid_size < 2:
         raise SpecificationError(f"grid_size must be >= 2, got {grid_size}")
-    ti = _find_term(fit_result, term)
+    ti = _find_term(fit_result.design, term)
     grid = np.linspace(ti.block.x_min, ti.block.x_max, grid_size)
     vals = ti.block.evaluate(grid) @ fit_result.spline_coefs[ti.label]
     return np.column_stack([grid, vals])
@@ -315,7 +295,7 @@ def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -
 
 def term_values_at_observations(fit_result: LogSymFit, term) -> np.ndarray:
     """The fitted component evaluated at the training covariate values."""
-    ti = _find_term(fit_result, term)
+    ti = _find_term(fit_result.design, term)
     return ti.block.B @ fit_result.spline_coefs[ti.label]
 
 
@@ -330,9 +310,6 @@ def all_component_curves(fit_result: LogSymFit, grid_size: int = 200) -> list:
 
 # ---------------------------------------------------------------------------
 # plot-ready CSV payloads
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def envelope_to_csv(res: EnvelopeResult) -> str:

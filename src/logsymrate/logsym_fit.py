@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 import numpy as np
 from scipy import stats
@@ -49,7 +48,8 @@ from .logsym_family import (
     weight_v,
     weight_v_prime,
 )
-from .poisson_glm import check_full_rank, parametric_design
+from .poisson_glm import _jacobi_scale, _solve_equilibrated, check_full_rank, \
+    parametric_design
 from .spline_bases import SplineTerm, build_term_block, term_label
 
 DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-4, 1e8, 30))
@@ -181,6 +181,7 @@ class _Design:
     loc: _Half
     disp: _Half
     generator: GeneratorSpec
+    kappa: float
     cell_keys: tuple
 
     @property
@@ -225,10 +226,12 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
         check_full_rank(half.G, names)
     offset = table.log_pop if spec.location.use_offset else np.zeros(len(table))
     return _Design(y=table.log_t.copy(), offset=offset, loc=loc, disp=disp,
-                   generator=spec.generator, cell_keys=table.cell_keys)
+                   generator=spec.generator,
+                   kappa=dispersion_info_const(spec.generator),
+                   cell_keys=table.cell_keys)
 
 
-def _resolve_lambdas(spec: ModelSpec, lam: dict, design: _Design) -> dict:
+def _resolve_lambdas(lam: dict, design: _Design) -> dict:
     """Effective per-term lambda map; every term must end up with a value."""
     out = {}
     for ti in design.term_infos:
@@ -333,13 +336,6 @@ def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
     return H
 
 
-def _solve_spd(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.abs(np.diag(H)))
-    d[d == 0] = 1.0
-    Hs = H / d[:, None] / d[None, :]
-    return np.linalg.solve(Hs, b / d) / d
-
-
 def _halving_accept(evalf, th, direction, L_cur, max_halvings):
     """Backtrack along an ascent direction; never accept a decrease."""
     t = 1.0
@@ -352,118 +348,112 @@ def _halving_accept(evalf, th, direction, L_cur, max_halvings):
     return th, L_cur, False
 
 
-class _Engine:
-    def __init__(self, spec: ModelSpec, design: _Design, lam: dict):
-        self.spec = spec
-        self.design = design
-        self.lam = lam
-        self.gen = spec.generator
-        self.kappa = dispersion_info_const(self.gen)
+def _location_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
+    phi = np.exp(logphi)
+    z = (design.y - mu) / np.sqrt(phi)
+    v = weight_v(design.generator, _clamped_z(design.generator, z))
+    w = v / phi
+    G = design.loc.G
+    H = G.T @ (w[:, None] * G)
+    _add_penalty(H, design.loc, lam)
+    s = G.T @ (w * (design.y - mu)) - _pen_grad(design.loc, th_loc, lam)
+    try:
+        step = _solve_equilibrated(H, s)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"singular location equations: {exc}") from None
+    return _halving_accept(lambda th: _eval_objective(design, th, th_disp, lam),
+                           th_loc, step, L_cur, max_halvings)
 
-    def objective(self, th_loc, th_disp) -> float:
-        return _eval_objective(self.design, th_loc, th_disp, self.lam)
 
-    def location_step(self, th_loc, th_disp, L_cur):
-        d = self.design
-        mu, logphi = _mu_phi(d, th_loc, th_disp)
-        phi = np.exp(logphi)
-        z = (d.y - mu) / np.sqrt(phi)
-        v = weight_v(self.gen, _clamped_z(self.gen, z))
-        w = v / phi
-        H = d.loc.G.T @ (w[:, None] * d.loc.G)
-        _add_penalty(H, d.loc, self.lam)
-        s = d.loc.G.T @ (w * (d.y - mu)) - _pen_grad(d.loc, th_loc, self.lam)
-        try:
-            step = _solve_spd(H, s)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular location equations: {exc}") from None
-        return _halving_accept(lambda th: self.objective(th, th_disp),
-                               th_loc, step, L_cur, self.spec.max_halvings)
+def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
+    z = (design.y - mu) / np.exp(0.5 * logphi)
+    zc = _clamped_z(design.generator, z)
+    v = weight_v(design.generator, zc)
+    s_obs = (v * zc * zc - 1.0) / 2.0
+    G = design.disp.G
+    H = design.kappa * (G.T @ G)
+    _add_penalty(H, design.disp, lam)
+    s = G.T @ s_obs - _pen_grad(design.disp, th_disp, lam)
+    try:
+        step = _solve_equilibrated(H, s)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"singular dispersion equations: {exc}") from None
+    return _halving_accept(lambda th: _eval_objective(design, th_loc, th, lam),
+                           th_disp, step, L_cur, max_halvings)
 
-    def dispersion_step(self, th_loc, th_disp, L_cur):
-        d = self.design
-        mu, logphi = _mu_phi(d, th_loc, th_disp)
-        z = (d.y - mu) / np.exp(0.5 * logphi)
-        zc = _clamped_z(self.gen, z)
-        v = weight_v(self.gen, zc)
-        s_obs = (v * zc * zc - 1.0) / 2.0
-        H = self.kappa * (d.disp.G.T @ d.disp.G)
-        _add_penalty(H, d.disp, self.lam)
-        s = d.disp.G.T @ s_obs - _pen_grad(d.disp, th_disp, self.lam)
-        try:
-            step = _solve_spd(H, s)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular dispersion equations: {exc}") from None
-        return _halving_accept(lambda th: self.objective(th_loc, th),
-                               th_disp, step, L_cur, self.spec.max_halvings)
 
-    def raw_score_norm(self, th_loc, th_disp) -> float:
-        s_loc, s_disp = _analytic_scores(self.design, th_loc, th_disp, self.lam)
-        return float(max(np.max(np.abs(s_loc)), np.max(np.abs(s_disp))))
+def _score_norm(design: _Design, th_loc, th_disp, lam) -> float:
+    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
+    return float(max(np.max(np.abs(s_loc)), np.max(np.abs(s_disp))))
 
-    def newton_polish_step(self, th_loc, th_disp, L_cur):
-        """One guarded joint Newton step on the stacked coefficient vector,
-        used to drive the analytic score to the stationarity bound after the
-        alternating phase has flattened the objective.
 
-        Near the optimum the attainable objective gain sits below evaluation
-        roundoff, so a bitwise-monotone line search would reject the exact
-        step. A step is therefore also accepted when it shrinks the score
-        sharply while moving the objective by no more than a noise allowance
-        that is orders of magnitude below tol_loglik."""
-        d = self.design
-        n_loc = d.loc.G.shape[1]
-        score_cur = self.raw_score_norm(th_loc, th_disp)
-        s_loc, s_disp = _analytic_scores(d, th_loc, th_disp, self.lam)
-        s = np.concatenate([s_loc, s_disp])
-        try:
-            H = _observed_hessian(d, th_loc, th_disp, self.lam)
-            direction = _solve_spd(H, s)
-        except np.linalg.LinAlgError:
-            direction = None
-        if direction is None or not np.all(np.isfinite(direction)):
-            th_loc, L_cur, ok_l = self.location_step(th_loc, th_disp, L_cur)
-            th_disp, L_cur, ok_d = self.dispersion_step(th_loc, th_disp, L_cur)
-            return th_loc, th_disp, L_cur, ok_l or ok_d
-        stacked = np.concatenate([th_loc, th_disp])
-        noise = 1e-11 * (1.0 + abs(L_cur))
-        t = 1.0
-        for _ in range(self.spec.max_halvings + 1):
-            trial = stacked + t * direction
-            L_new = self.objective(trial[:n_loc], trial[n_loc:])
-            if math.isfinite(L_new):
-                if L_new >= L_cur:
-                    return trial[:n_loc], trial[n_loc:], L_new, True
-                score_new = self.raw_score_norm(trial[:n_loc], trial[n_loc:])
-                if L_new >= L_cur - noise and score_new <= 0.5 * score_cur:
-                    return trial[:n_loc], trial[n_loc:], L_new, True
-            t *= 0.5
-        return th_loc, th_disp, L_cur, False
+def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
+    """One guarded joint Newton step on the stacked coefficient vector,
+    used to drive the analytic score to the stationarity bound after the
+    alternating phase has flattened the objective.
 
-    def fd_grad_norm(self, th_loc, th_disp) -> float:
-        """Fourth-order central finite differences of the objective over
-        every coefficient. Steps are sized so each one perturbs the
-        standardized residuals by about 1e-4, which keeps the truncation
-        error of the stencil orders of magnitude below the roundoff-safe
-        range for these likelihoods."""
-        stacked = np.concatenate([th_loc, th_disp])
-        n_loc = len(th_loc)
-        scales = np.concatenate([self.design.loc.col_scale, self.design.disp.col_scale])
-        _, logphi = _mu_phi(self.design, th_loc, th_disp)
-        zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
+    Near the optimum the attainable objective gain sits below evaluation
+    roundoff, so a bitwise-monotone line search would reject the exact
+    step. A step is therefore also accepted when it shrinks the score
+    sharply while moving the objective by no more than a noise allowance
+    that is orders of magnitude below tol_loglik."""
+    n_loc = design.loc.G.shape[1]
+    score_cur = _score_norm(design, th_loc, th_disp, lam)
+    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
+    s = np.concatenate([s_loc, s_disp])
+    try:
+        H = _observed_hessian(design, th_loc, th_disp, lam)
+        direction = _solve_equilibrated(H, s)
+    except np.linalg.LinAlgError:
+        direction = None
+    if direction is None or not np.all(np.isfinite(direction)):
+        th_loc, L_cur, ok_l = _location_step(design, th_loc, th_disp, lam, L_cur,
+                                             max_halvings)
+        th_disp, L_cur, ok_d = _dispersion_step(design, th_loc, th_disp, lam, L_cur,
+                                                max_halvings)
+        return th_loc, th_disp, L_cur, ok_l or ok_d
+    stacked = np.concatenate([th_loc, th_disp])
+    noise = 1e-11 * (1.0 + abs(L_cur))
+    t = 1.0
+    for _ in range(max_halvings + 1):
+        trial = stacked + t * direction
+        L_new = _eval_objective(design, trial[:n_loc], trial[n_loc:], lam)
+        if math.isfinite(L_new):
+            if L_new >= L_cur:
+                return trial[:n_loc], trial[n_loc:], L_new, True
+            score_new = _score_norm(design, trial[:n_loc], trial[n_loc:], lam)
+            if L_new >= L_cur - noise and score_new <= 0.5 * score_cur:
+                return trial[:n_loc], trial[n_loc:], L_new, True
+        t *= 0.5
+    return th_loc, th_disp, L_cur, False
 
-        def f(vec):
-            return self.objective(vec[:n_loc], vec[n_loc:])
 
-        worst = 0.0
-        for i in range(len(stacked)):
-            h = max(zstep / max(1.0, scales[i]), 1e-9)
-            e = np.zeros_like(stacked)
-            e[i] = 1.0
-            g = (f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
-                 + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h)
-            worst = max(worst, abs(g))
-        return worst
+def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
+    """Fourth-order central finite differences of the objective over
+    every coefficient. Steps are sized so each one perturbs the
+    standardized residuals by about 1e-4, which keeps the truncation
+    error of the stencil orders of magnitude below the roundoff-safe
+    range for these likelihoods."""
+    stacked = np.concatenate([th_loc, th_disp])
+    n_loc = len(th_loc)
+    scales = np.concatenate([design.loc.col_scale, design.disp.col_scale])
+    _, logphi = _mu_phi(design, th_loc, th_disp)
+    zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
+
+    def f(vec):
+        return _eval_objective(design, vec[:n_loc], vec[n_loc:], lam)
+
+    worst = 0.0
+    for i in range(len(stacked)):
+        h = max(zstep / max(1.0, scales[i]), 1e-9)
+        e = np.zeros_like(stacked)
+        e[i] = 1.0
+        g = (f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
+             + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h)
+        worst = max(worst, abs(g))
+    return worst
 
 
 def _initial_params(design: _Design) -> tuple:
@@ -480,9 +470,9 @@ def _initial_params(design: _Design) -> tuple:
 
 
 def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
-    eng = _Engine(spec, design, lam)
+    halvings = spec.max_halvings
     th_loc, th_disp = _initial_params(design)
-    L = eng.objective(th_loc, th_disp)
+    L = _eval_objective(design, th_loc, th_disp, lam)
     if not math.isfinite(L):
         raise EvaluationError("objective not finite at the starting values")
     trace = [L]
@@ -493,8 +483,8 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
         iterations += 1
         prev_L = L
         prev = np.concatenate([th_loc, th_disp])
-        th_loc, L, _ = eng.location_step(th_loc, th_disp, L)
-        th_disp, L, _ = eng.dispersion_step(th_loc, th_disp, L)
+        th_loc, L, _ = _location_step(design, th_loc, th_disp, lam, L, halvings)
+        th_disp, L, _ = _dispersion_step(design, th_loc, th_disp, lam, L, halvings)
         trace.append(L)
         d_par = float(np.max(np.abs(np.concatenate([th_loc, th_disp]) - prev)))
         if abs(L - prev_L) <= spec.tol_loglik * (1.0 + abs(prev_L)) \
@@ -510,16 +500,17 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
         # stored trace keeps its nondecreasing guarantee: polish values are
         # appended only when they do not dip below the last entry.
         for _ in range(_MAX_POLISH_SWEEPS):
-            if eng.raw_score_norm(th_loc, th_disp) <= 0.3 * GRAD_NORM_BOUND:
+            if _score_norm(design, th_loc, th_disp, lam) <= 0.3 * GRAD_NORM_BOUND:
                 break
             iterations += 1
-            th_loc, th_disp, L, ok = eng.newton_polish_step(th_loc, th_disp, L)
+            th_loc, th_disp, L, ok = _newton_polish_step(design, th_loc, th_disp, lam,
+                                                         L, halvings)
             if L >= trace[-1]:
                 trace.append(L)
             if not ok:
                 break
 
-    grad_norm = eng.fd_grad_norm(th_loc, th_disp)
+    grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
     converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
     return _assemble_fit(spec, design, lam, th_loc, th_disp, L,
                          converged, iterations, grad_norm, tuple(trace))
@@ -539,13 +530,12 @@ def _assemble_fit(spec, design, lam, th_loc, th_disp, L, converged,
     # standard errors from the penalized observed-information blocks
     w_loc_obs = (v + 2.0 * u * vp) / phi
     w_disp_obs = u * (v + u * vp) / 2.0
-    beta_se = _block_se(design.loc, w_loc_obs, th_loc, lam)
-    gamma_se = _block_se(design.disp, w_disp_obs, th_disp, lam)
+    beta_se = _block_se(design.loc, w_loc_obs, lam)
+    gamma_se = _block_se(design.disp, w_disp_obs, lam)
 
     # effective degrees of freedom with each submodel's final weights
-    kappa = dispersion_info_const(gen)
     edf = {}
-    for half, w in ((design.loc, v / phi), (design.disp, np.full(len(z), kappa))):
+    for half, w in ((design.loc, v / phi), (design.disp, np.full(len(z), design.kappa))):
         for ti in half.terms:
             edf[ti.label] = _term_edf(ti, w, lam[ti.label])
 
@@ -576,14 +566,13 @@ def _assemble_fit(spec, design, lam, th_loc, th_disp, L, converged,
     )
 
 
-def _block_se(half: _Half, w_obs: np.ndarray, th, lam) -> np.ndarray:
+def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
     H = half.G.T @ (w_obs[:, None] * half.G)
     _add_penalty(H, half, lam)
     p = half.p_par
+    Hs, d = _jacobi_scale(H)
     try:
-        d = np.sqrt(np.abs(np.diag(H)))
-        d[d == 0] = 1.0
-        cov = np.linalg.inv(H / d[:, None] / d[None, :]) / d[:, None] / d[None, :]
+        cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
     except np.linalg.LinAlgError:
         return np.full(p, np.nan)
     with np.errstate(invalid="ignore"):
@@ -593,10 +582,7 @@ def _block_se(half: _Half, w_obs: np.ndarray, th, lam) -> np.ndarray:
 def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
     B = ti.block.B
     A = B.T @ (w[:, None] * B)
-    M = A + lam_j * ti.block.K
-    d = np.sqrt(np.abs(np.diag(M)))
-    d[d == 0] = 1.0
-    Ms = M / d[:, None] / d[None, :]
+    Ms, d = _jacobi_scale(A + lam_j * ti.block.K)
     As = A / d[:, None] / d[None, :]
     try:
         return float(np.trace(np.linalg.solve(Ms, As)))
@@ -607,11 +593,11 @@ def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
 # ---------------------------------------------------------------------------
 # public operations
 
-def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams) -> float:
-    """Sum of log densities of y minus half the log dispersions, minus the
-    quadratic roughness penalties."""
+def _evaluation_point(spec: ModelSpec, table: ObservationTable, params: FitParams):
+    """Design, coefficient vectors and lambda map at ``params``, whose
+    lengths must match the design."""
     design = _build_design(spec, table)
-    lam = _resolve_lambdas(spec, params.lam, design)
+    lam = _resolve_lambdas(params.lam, design)
     th_loc = np.asarray(params.location, dtype=float)
     th_disp = np.asarray(params.dispersion, dtype=float)
     if th_loc.shape != (design.loc.G.shape[1],) or th_disp.shape != (design.disp.G.shape[1],):
@@ -619,6 +605,13 @@ def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams
             f"parameter lengths {th_loc.shape[0]}/{th_disp.shape[0]} do not match "
             f"the design ({design.loc.G.shape[1]}/{design.disp.G.shape[1]})"
         )
+    return design, th_loc, th_disp, lam
+
+
+def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams) -> float:
+    """Sum of log densities of y minus half the log dispersions, minus the
+    quadratic roughness penalties."""
+    design, th_loc, th_disp, lam = _evaluation_point(spec, table, params)
     val = _eval_objective(design, th_loc, th_disp, lam)
     if not math.isfinite(val):
         raise EvaluationError("non-finite dispersion or location under these parameters")
@@ -627,21 +620,29 @@ def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams
 
 def penalized_score(spec: ModelSpec, table: ObservationTable, params: FitParams) -> np.ndarray:
     """Stacked analytic penalized score (location block then dispersion)."""
-    design = _build_design(spec, table)
-    lam = _resolve_lambdas(spec, params.lam, design)
-    s_loc, s_disp = _analytic_scores(
-        design, np.asarray(params.location, float),
-        np.asarray(params.dispersion, float), lam)
+    design, th_loc, th_disp, lam = _evaluation_point(spec, table, params)
+    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
     return np.concatenate([s_loc, s_disp])
 
 
-def _select_labels(spec: ModelSpec) -> list:
-    labels = []
-    for name, sub in (("location", spec.location), ("dispersion", spec.dispersion)):
-        for t in sub.terms:
-            if t.lam is None:
-                labels.append(term_label(name, t))
-    return labels
+def _find_term(design: _Design, term) -> _TermInfo:
+    """Design entry of a spline term given by its label or as a SplineTerm.
+    A SplineTerm declared in both submodels is ambiguous."""
+    found = [ti for ti in design.term_infos if term == ti.label or term == ti.term]
+    if len(found) > 1:
+        raise SpecificationError(
+            f"term {term!r} is declared in both submodels; pass one of "
+            f"{[ti.label for ti in found]}"
+        )
+    if not found:
+        raise SpecificationError(
+            f"unknown term {term!r}; fit has {sorted(ti.label for ti in design.term_infos)}"
+        )
+    return found[0]
+
+
+def _select_labels(design: _Design) -> list:
+    return [ti.label for ti in design.term_infos if ti.term.lam is None]
 
 
 def _grid_midpoint(grid) -> float:
@@ -652,7 +653,7 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
     """AIC grid search over one term, others held at their current values
     (unresolved select terms sit at the geometric grid midpoint)."""
     mid = _grid_midpoint(spec.lambda_grid)
-    base = {lab: fixed.get(lab, mid) for lab in _select_labels(spec)}
+    base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
     best_lam = None
     best_aic = math.inf
@@ -660,7 +661,7 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
         trial = dict(base)
         trial[label] = float(cand)
         try:
-            f = _fit_resolved(spec, design, _resolve_lambdas(spec, trial, design))
+            f = _fit_resolved(spec, design, _resolve_lambdas(trial, design))
         except NumericalError:
             continue
         if f.aic < best_aic - 1e-9:
@@ -678,15 +679,7 @@ def select_lambda(spec: ModelSpec, table: ObservationTable, term) -> float:
     """Grid value minimizing full-fit AIC for one term flagged for
     selection; ties break toward the larger (smoother) value."""
     design = _build_design(spec, table)
-    label = term if isinstance(term, str) else None
-    if label is None:
-        for name, sub in (("location", spec.location), ("dispersion", spec.dispersion)):
-            if term in sub.terms:
-                label = term_label(name, term)
-    known = [ti.label for ti in design.term_infos]
-    if label not in known:
-        raise SpecificationError(f"unknown term {label or term!r}; fit has {known}")
-    return _grid_select(spec, design, {}, label)
+    return _grid_select(spec, design, {}, _find_term(design, term).label)
 
 
 def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
@@ -694,9 +687,9 @@ def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
     (sequentially, in declaration order), then maximizing at fixed lambda."""
     design = _build_design(spec, table)
     lam: dict = {}
-    for label in _select_labels(spec):
+    for label in _select_labels(design):
         lam[label] = _grid_select(spec, design, lam, label)
-    return _fit_resolved(spec, design, _resolve_lambdas(spec, lam, design))
+    return _fit_resolved(spec, design, _resolve_lambdas(lam, design))
 
 
 def spec_with_lambdas(spec: ModelSpec, lam: dict) -> ModelSpec:

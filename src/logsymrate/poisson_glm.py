@@ -60,13 +60,18 @@ def check_full_rank(X: np.ndarray, names) -> None:
         )
 
 
-def _solve_equilibrated(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b with Jacobi scaling, for raw-unit design columns."""
+def _jacobi_scale(H: np.ndarray):
+    """Jacobi equilibration of a symmetric matrix built from raw-unit design
+    columns: returns (H / d d^T, d) with d = sqrt|diag H|, zeros set to 1."""
     d = np.sqrt(np.abs(np.diag(H)))
     d[d == 0] = 1.0
-    Hs = H / d[:, None] / d[None, :]
-    xs = np.linalg.solve(Hs, b / d)
-    return xs / d
+    return H / d[:, None] / d[None, :], d
+
+
+def _solve_equilibrated(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b on the Jacobi-scaled system."""
+    Hs, d = _jacobi_scale(H)
+    return np.linalg.solve(Hs, b / d) / d
 
 
 @dataclass
@@ -150,9 +155,8 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
         mu = np.exp(eta)
     dev = _poisson_deviance(y, mu)
 
-    H = X.T @ (mu[:, None] * X)
-    d = np.sqrt(np.diag(H))
-    cov = np.linalg.inv(H / d[:, None] / d[None, :]) / d[:, None] / d[None, :]
+    Hs, d = _jacobi_scale(X.T @ (mu[:, None] * X))
+    cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
     se = np.sqrt(np.diag(cov))
     ll = _poisson_loglik(y, mu)
     return PoissonFit(

@@ -14,7 +14,6 @@ the log-scale median.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -127,33 +126,27 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
     log_rate = truth.log_rate_surface()
     pop = truth.population_surface()
     meta = TableMeta(sex=truth.sex, site=truth.site)
+    expected = pop * np.exp(log_rate)
 
     if truth.noise == "poisson_counts":
-        mu = pop * np.exp(log_rate)
-        deaths = rng.poisson(mu)
-        cells = tuple(
-            make_cell(a, p, int(deaths[i]), float(deaths[i]), pop[i])
-            for i, (a, p) in enumerate(grid)
-        )
-        table = ObservationTable(cells=cells, meta=meta)
-        return SimulatedTable(table=table, log_rate=log_rate, expected=mu,
-                              phi=None, truth=truth, seed=seed)
-
-    phi = truth.phi_surface()
-    eps = sample_with_rng(truth.generator, len(grid), rng)
-    y = np.log(pop) + log_rate + np.sqrt(phi) * eps
-    t = np.exp(y)
-    if not np.all(np.isfinite(t)):
-        raise SpecificationError("simulated response overflowed; check phi and the surface")
-    deaths = np.rint(t)
-    t_value = np.maximum(deaths, 1.0) if truth.round_counts else t
+        phi = None
+        deaths = rng.poisson(expected)
+        t_value = deaths
+    else:
+        phi = truth.phi_surface()
+        eps = sample_with_rng(truth.generator, len(grid), rng)
+        y = np.log(pop) + log_rate + np.sqrt(phi) * eps
+        t = np.exp(y)
+        if not np.all(np.isfinite(t)):
+            raise SpecificationError("simulated response overflowed; check phi and the surface")
+        deaths = np.rint(t)
+        t_value = np.maximum(deaths, 1.0) if truth.round_counts else t
     cells = tuple(
         make_cell(a, p, int(deaths[i]), float(t_value[i]), pop[i])
         for i, (a, p) in enumerate(grid)
     )
     table = ObservationTable(cells=cells, meta=meta)
-    return SimulatedTable(table=table, log_rate=log_rate,
-                          expected=pop * np.exp(log_rate), phi=phi,
+    return SimulatedTable(table=table, log_rate=log_rate, expected=expected, phi=phi,
                           truth=truth, seed=seed)
 
 

@@ -15,6 +15,7 @@ from logsymrate import (
     fit_poisson,
     log_rate_correlation,
     normal_spec,
+    select_lambda,
     simulated_envelope,
 )
 from logsymrate.diagnostics import (
@@ -210,6 +211,41 @@ class TestCurves:
             sel = np.isclose(ages, x)
             assert sel.any()
             np.testing.assert_allclose(vals[sel], v, atol=1e-9)
+
+
+class TestTermLookup:
+    TERM = SplineTerm(kind="ncs", covariate="age", lam=10.0)
+    LOOKUPS = {
+        "select_lambda": lambda f, table, term: select_lambda(f.spec, table, term),
+        "export_component_curves": lambda f, table, term: export_component_curves(f, term),
+        "term_values_at_observations":
+            lambda f, table, term: term_values_at_observations(f, term),
+    }
+
+    @pytest.fixture(scope="class")
+    def both_fit(self, ltable):
+        """The same SplineTerm declared in both submodels."""
+        spec = ModelSpec(
+            generator=normal_spec(),
+            location=SubmodelSpec(covariates=("intercept", "period"), use_offset=True,
+                                  terms=(self.TERM,)),
+            dispersion=SubmodelSpec(covariates=("intercept",), terms=(self.TERM,)),
+        )
+        return fit(spec, ltable)
+
+    @pytest.mark.parametrize("lookup", sorted(LOOKUPS))
+    def test_term_in_both_submodels_is_ambiguous(self, lookup, both_fit, ltable):
+        with pytest.raises(SpecificationError,
+                           match=r"location:ncs\(age\).*dispersion:ncs\(age\)"):
+            self.LOOKUPS[lookup](both_fit, ltable, self.TERM)
+
+    def test_labels_and_single_submodel_terms_resolve(self, both_fit, sfit):
+        disp = export_component_curves(both_fit, "dispersion:ncs(age)")
+        loc = export_component_curves(both_fit, "location:ncs(age)")
+        assert not np.array_equal(disp[:, 1], loc[:, 1])
+        np.testing.assert_array_equal(
+            export_component_curves(sfit, sfit.spec.location.terms[0]),
+            export_component_curves(sfit, "location:ncs(age)"))
 
 
 class TestCsvWriters:

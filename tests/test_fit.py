@@ -264,6 +264,13 @@ class TestValidation:
         with pytest.raises(SpecificationError):
             penalized_loglik(spec, logsym_table, params)
 
+    @pytest.mark.parametrize("evaluate", [penalized_loglik, penalized_score],
+                             ids=["loglik", "score"])
+    def test_wrong_parameter_lengths(self, evaluate, logsym_table):
+        params = FitParams(location=np.zeros(2), dispersion=np.zeros(20), lam={})
+        with pytest.raises(SpecificationError, match="parameter lengths 2/20"):
+            evaluate(spline_spec(), logsym_table, params)
+
 
 class TestAcrossFamilies:
     @pytest.mark.parametrize("gen", [
