@@ -48,8 +48,10 @@ class MortalityRecord:
             )
         if self.deaths < 0:
             raise DataValidationError(f"negative death count {self.deaths}")
-        if not self.population > 0:
-            raise DataValidationError(f"population must be positive, got {self.population}")
+        if not 0 < self.population < math.inf:
+            raise DataValidationError(
+                f"population must be positive and finite, got {self.population}"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,10 @@ class ObservationCell:
 def make_cell(age_mid: float, period_mid: float, deaths_raw: int,
               t_value: float, population: float) -> ObservationCell:
     """Canonical cell constructor; recomputes both log fields."""
-    if not population > 0:
-        raise DataValidationError(f"population must be positive, got {population}")
-    if t_value < 0:
-        raise DataValidationError(f"t_value must be nonnegative, got {t_value}")
+    if not 0 < population < math.inf:
+        raise DataValidationError(f"population must be positive and finite, got {population}")
+    if not 0 <= t_value < math.inf:
+        raise DataValidationError(f"t_value must be nonnegative and finite, got {t_value}")
     log_t = math.log(t_value) if t_value > 0 else math.nan
     return ObservationCell(
         age_mid=float(age_mid),
@@ -330,7 +332,12 @@ def table_from_csv(source, meta: Union[TableMeta, None] = None) -> ObservationTa
             population = float(row[4])
         except ValueError:
             raise DataValidationError(f"line {lineno}: non-numeric field in {row}") from None
-        cells.append(make_cell(age_mid, period_mid, deaths_raw, t_value, population))
+        if not (math.isfinite(age_mid) and math.isfinite(period_mid)):
+            raise DataValidationError(f"line {lineno}: non-finite age_mid or period_mid")
+        try:
+            cells.append(make_cell(age_mid, period_mid, deaths_raw, t_value, population))
+        except DataValidationError as exc:
+            raise DataValidationError(f"line {lineno}: {exc}") from None
     return ObservationTable(cells=tuple(cells), meta=meta or TableMeta())
 
 

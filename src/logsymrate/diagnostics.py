@@ -9,7 +9,7 @@ index), so results are identical however replicates are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -24,8 +24,8 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .logsym_family import sample_with_rng
-from .logsym_fit import LogSymFit, _find_term, fit as logsym_fit_fn, fitted_log_rate, \
-    residuals, spec_with_lambdas
+from .logsym_fit import LogSymFit, _find_term, _fit_resolved as logsym_fit_fn, \
+    fitted_log_rate, residuals
 from .poisson_glm import PoissonFit, deviance_residuals, fit_poisson, \
     fitted_log_rate_poisson
 
@@ -85,8 +85,8 @@ def _table_like(table: ObservationTable, deaths_raw, t_value) -> ObservationTabl
 
 
 def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
-    """One envelope replicate: draw from the fitted model, refit the same
-    spec (smoothing parameters reused), return sorted residuals."""
+    """One envelope replicate: draw from the fitted model, refit (reusing a
+    log-symmetric fit's design and lambdas), return sorted residuals."""
     if isinstance(fit_result, LogSymFit):
         eps = sample_with_rng(fit_result.spec.generator, len(table), rng)
         y_star = fit_result.mu_hat + np.sqrt(fit_result.phi_hat) * eps
@@ -94,17 +94,15 @@ def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
         if not np.all(np.isfinite(t_star)) or np.any(t_star <= 0):
             raise EnvelopeError("simulated response left the positive range")
         sim = _table_like(table, np.rint(t_star), t_star)
-        spec = spec_with_lambdas(fit_result.spec, fit_result.lam)
-        refit = logsym_fit_fn(spec, sim)
-        if not refit.converged:
-            raise EnvelopeError("refit did not converge")
-        return np.sort(residuals(refit, sim, kind))
-    y_star = rng.poisson(fit_result.mu_hat)
-    sim = _table_like(table, y_star, y_star.astype(float))
-    refit = fit_poisson(sim, fit_result.covariates)
+        refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=sim.log_t),
+                              fit_result.lam)
+    else:
+        y_star = rng.poisson(fit_result.mu_hat)
+        sim = _table_like(table, y_star, y_star.astype(float))
+        refit = fit_poisson(sim, fit_result.covariates)
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
-    return np.sort(deviance_residuals(refit, sim))
+    return np.sort(_fit_residuals(refit, sim, kind))
 
 
 def simulated_envelope(fit_result, table: ObservationTable, kind: str,

@@ -384,15 +384,16 @@ def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings)
                            th_disp, step, L_cur, max_halvings)
 
 
-def _score_norm(design: _Design, th_loc, th_disp, lam) -> float:
-    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
+def _score_norm(s_loc, s_disp) -> float:
     return float(max(np.max(np.abs(s_loc)), np.max(np.abs(s_disp))))
 
 
-def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
+def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings,
+                        s_loc, s_disp):
     """One guarded joint Newton step on the stacked coefficient vector,
-    used to drive the analytic score to the stationarity bound after the
-    alternating phase has flattened the objective.
+    used to drive the analytic score (``s_loc``, ``s_disp`` at the current
+    point) to the stationarity bound after the alternating phase has
+    flattened the objective.
 
     Near the optimum the attainable objective gain sits below evaluation
     roundoff, so a bitwise-monotone line search would reject the exact
@@ -400,8 +401,7 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     sharply while moving the objective by no more than a noise allowance
     that is orders of magnitude below tol_loglik."""
     n_loc = design.loc.G.shape[1]
-    score_cur = _score_norm(design, th_loc, th_disp, lam)
-    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
+    score_cur = _score_norm(s_loc, s_disp)
     s = np.concatenate([s_loc, s_disp])
     try:
         H = _observed_hessian(design, th_loc, th_disp, lam)
@@ -423,7 +423,8 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
         if math.isfinite(L_new):
             if L_new >= L_cur:
                 return trial[:n_loc], trial[n_loc:], L_new, True
-            score_new = _score_norm(design, trial[:n_loc], trial[n_loc:], lam)
+            score_new = _score_norm(*_analytic_scores(design, trial[:n_loc],
+                                                      trial[n_loc:], lam))
             if L_new >= L_cur - noise and score_new <= 0.5 * score_cur:
                 return trial[:n_loc], trial[n_loc:], L_new, True
         t *= 0.5
@@ -500,11 +501,12 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
         # stored trace keeps its nondecreasing guarantee: polish values are
         # appended only when they do not dip below the last entry.
         for _ in range(_MAX_POLISH_SWEEPS):
-            if _score_norm(design, th_loc, th_disp, lam) <= 0.3 * GRAD_NORM_BOUND:
+            s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
+            if _score_norm(s_loc, s_disp) <= 0.3 * GRAD_NORM_BOUND:
                 break
             iterations += 1
             th_loc, th_disp, L, ok = _newton_polish_step(design, th_loc, th_disp, lam,
-                                                         L, halvings)
+                                                         L, halvings, s_loc, s_disp)
             if L >= trace[-1]:
                 trace.append(L)
             if not ok:

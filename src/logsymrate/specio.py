@@ -7,6 +7,7 @@ order, floats with 17 significant digits, NaN and infinities as null.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -75,6 +76,23 @@ def load_json(text):
 
 # ---------------------------------------------------------------------------
 # model specs
+
+def _parses(what: str):
+    """Conversion boundary of a spec parser: a raw conversion error from a
+    malformed field (a string where a number belongs, a number where a
+    list belongs, a missing sub-key) becomes SpecificationError."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(doc):
+            try:
+                return parse(doc)
+            except (AttributeError, KeyError, OverflowError, TypeError,
+                    ValueError) as exc:
+                raise SpecificationError(
+                    f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+        return checked
+    return wrap
+
 
 @dataclass(frozen=True)
 class PoissonSpec:
@@ -158,6 +176,7 @@ def _submodel_to_dict(sub: SubmodelSpec) -> dict:
     }
 
 
+@_parses("model spec")
 def parse_model_spec(doc):
     """Parse a model-spec document into ModelSpec or PoissonSpec."""
     if not isinstance(doc, dict):
@@ -250,6 +269,7 @@ def _tabulated(doc, what: str):
     return f
 
 
+@_parses("truth spec")
 def parse_truth_spec(doc) -> TruthSpec:
     if not isinstance(doc, dict):
         raise SpecificationError("truth spec must be a JSON object")

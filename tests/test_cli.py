@@ -134,6 +134,26 @@ class TestFit:
         assert code == 2
         assert "/nonexistent/spec.json" in capsys.readouterr().err
 
+    def test_malformed_spec_field_exits_2(self, workspace, capsys):
+        doc = dict(LOGSYM_DOC, convergence={"max_outer": "a"})
+        spec = write_doc(workspace["root"] / "malformed.json", doc)
+        code = main(["fit", "--input", workspace["input"],
+                     "--spec", spec, "--out", str(workspace["root"] / "fit_m")])
+        assert code == 2
+        assert "malformed model spec" in capsys.readouterr().err
+
+    def test_non_finite_population_exits_2(self, workspace, capsys):
+        lines = open(workspace["input"], encoding="utf-8").read().split("\n")
+        lines[3] = ",".join(lines[3].split(",")[:-1] + ["inf"])
+        bad = workspace["root"] / "inf_population.csv"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        for doc in ("logsym", "poisson"):
+            code = main(["fit", "--input", str(bad), "--spec", workspace[doc],
+                         "--out", str(workspace["root"] / f"fit_inf_{doc}")])
+            assert code == 2
+            assert "line 4: population must be positive and finite" in \
+                capsys.readouterr().err
+
     def test_nonconvergence_exits_3_but_writes(self, workspace):
         # student weights need more than one sweep
         doc = dict(LOGSYM_DOC, family={"name": "student", "nu": 5.0},

@@ -75,6 +75,17 @@ class TestParse:
             MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
                             year=2000, deaths=1, population=0.0)
 
+    @pytest.mark.parametrize("population", [b"inf", b"nan", b"-inf"])
+    def test_non_finite_population_reports_line_number(self, population):
+        bad = GOOD_CSV.replace(b",48000.5", b"," + population)
+        with pytest.raises(DataValidationError, match="line 4: population"):
+            parse_mortality_csv(bad)
+
+    def test_infinite_population_record_rejected(self):
+        with pytest.raises(DataValidationError, match="finite"):
+            MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
+                            year=2000, deaths=1, population=math.inf)
+
 
 class TestAggregate:
     def test_sums_within_cell(self):
@@ -172,6 +183,14 @@ class TestCells:
         with pytest.raises(DataValidationError):
             observed_log_rate(c)
 
+    @pytest.mark.parametrize("t_value, population", [
+        (math.inf, 60000.0), (math.nan, 60000.0),
+        (12.0, math.inf), (12.0, math.nan),
+    ])
+    def test_non_finite_values_rejected(self, t_value, population):
+        with pytest.raises(DataValidationError, match="finite"):
+            make_cell(42.0, 2001.0, 12, t_value, population)
+
     def test_table_rejects_duplicate_keys(self):
         c = make_cell(42.0, 2001.0, 1, 1.0, 10.0)
         with pytest.raises(DataValidationError):
@@ -206,6 +225,17 @@ class TestTableCsv:
         t = ObservationTable(cells=(c,), meta=TableMeta(sex="female", site="x"))
         back = table_from_csv(table_to_csv(t), meta=t.meta)
         assert back.cells[0].population == pop
+
+    @pytest.mark.parametrize("field, value", [
+        (0, "nan"), (1, "inf"), (3, "inf"), (3, "nan"), (4, "inf"),
+    ])
+    def test_non_finite_field_reports_line_number(self, field, value):
+        c = make_cell(42.0, 2001.0, 3, 3.0, 1000.0)
+        header, row, tail = table_to_csv(ObservationTable(cells=(c,))).split("\n")
+        fields = row.split(",")
+        fields[field] = value
+        with pytest.raises(DataValidationError, match="line 2"):
+            table_from_csv("\n".join([header, ",".join(fields), tail]))
 
     def test_records_to_csv_round_trip(self):
         recs = parse_mortality_csv(GOOD_CSV)

@@ -17,7 +17,9 @@ from logsymrate import (
     normal_spec,
     select_lambda,
     simulated_envelope,
+    spec_with_lambdas,
 )
+from logsymrate import diagnostics, logsym_fit
 from logsymrate.diagnostics import (
     curves_to_csv,
     envelope_to_csv,
@@ -185,6 +187,55 @@ def sfit(ltable):
                                                   basis_dim=8, lam=50.0),)),
     )
     return fit(spec, ltable)
+
+
+class TestEnvelopeRefitDesign:
+    """Envelope refits reuse the fitted design: only the response changes."""
+
+    def test_no_basis_build_or_rank_check(self, sfit, ltable, monkeypatch):
+        calls = {"build_term_block": 0, "check_full_rank": 0}
+
+        def counting(name):
+            real = getattr(logsym_fit, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(logsym_fit, name, counting(name))
+        env = simulated_envelope(sfit, ltable, "location", m_sims=3, seed=2)
+        assert env.n_failures == 0
+        assert calls == {"build_term_block": 0, "check_full_rank": 0}
+
+    def test_refit_matches_fresh_fit_bit_for_bit(self, sfit, ltable, monkeypatch):
+        sims, refits = [], []
+
+        def recording(record, real):
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                record.append(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(diagnostics, "_table_like",
+                            recording(sims, diagnostics._table_like))
+        monkeypatch.setattr(diagnostics, "logsym_fit_fn",
+                            recording(refits, diagnostics.logsym_fit_fn))
+        simulated_envelope(sfit, ltable, "dispersion", m_sims=2, seed=7)
+        assert len(sims) == len(refits) == 2
+        pinned = spec_with_lambdas(sfit.spec, sfit.lam)
+        for sim, refit in zip(sims, refits):
+            fresh = fit(pinned, sim)
+            for name in ("mu_hat", "phi_hat"):
+                assert np.array_equal(getattr(refit, name), getattr(fresh, name))
+            assert np.array_equal(refit.params.location, fresh.params.location)
+            assert np.array_equal(refit.params.dispersion, fresh.params.dispersion)
+            assert refit.params.lam == fresh.params.lam
+            for name in ("aic", "loglik", "grad_norm", "converged", "iterations",
+                         "trace"):
+                assert getattr(refit, name) == getattr(fresh, name)
 
 
 class TestCurves:

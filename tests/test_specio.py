@@ -149,6 +149,28 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match="unknown key"):
             parse_model_spec(doc)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(convergence=[1]),
+        lambda d: d["location"].update(terms=5),
+        lambda d: d["location"].update(terms=[5]),
+        lambda d: d["location"].update(covariates=5),
+        lambda d: d["family"].update(nu="a"),
+        lambda d: d.update(lambda_grid="abc"),
+        lambda d: d["dispersion"]["terms"][0].update(basis_dim="x"),
+        lambda d: d["convergence"].update(max_outer="a"),
+        lambda d: d["convergence"].update(tol_loglik="a"),
+        lambda d: d.update(lambda_grid={"lo": 1}),
+    ])
+    def test_malformed_fields_rejected(self, mutate):
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match="malformed model spec"):
+            parse_model_spec(doc)
+
+    def test_malformed_poisson_covariates_rejected(self):
+        with pytest.raises(SpecificationError, match="malformed model spec: TypeError"):
+            parse_model_spec({"model": "poisson", "covariates": 5})
+
     def test_missing_required_parts(self):
         with pytest.raises(SpecificationError):
             parse_model_spec({"model": "logsym", "family": {"name": "normal"}})
@@ -211,6 +233,18 @@ class TestTruthSpecs:
         doc = json.loads(json.dumps(TRUTH_DOC))
         doc["log_rate"]["f_age"]["x"] = [40.0, 40.0, 70.0]
         with pytest.raises(SpecificationError, match="increasing"):
+            parse_truth_spec(doc)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(ages={"min": "a", "max": 70.0, "count": 7}),
+        lambda d: d.update(periods=5),
+        lambda d: d.update(log_rate=[]),
+        lambda d: d["noise"].update(phi="a"),
+    ])
+    def test_malformed_fields_rejected(self, mutate):
+        doc = json.loads(json.dumps(TRUTH_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match="malformed truth spec"):
             parse_truth_spec(doc)
 
     def test_logsym_noise_needs_family(self):
