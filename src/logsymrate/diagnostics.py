@@ -9,6 +9,7 @@ index), so results are identical however replicates are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -64,7 +65,7 @@ def _fit_residuals(fit_result, table, kind) -> np.ndarray:
                 f"residual kind {kind!r} invalid for a log-symmetric fit; "
                 f"expected one of {LOGSYM_RESIDUAL_KINDS}"
             )
-        return residuals(fit_result, table, kind)
+        return residuals(fit_result, kind)
     if isinstance(fit_result, PoissonFit):
         if kind not in POISSON_RESIDUAL_KINDS:
             raise SpecificationError(
@@ -93,16 +94,17 @@ def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
         t_star = np.exp(y_star)
         if not np.all(np.isfinite(t_star)) or np.any(t_star <= 0):
             raise EnvelopeError("simulated response left the positive range")
-        sim = _table_like(table, np.rint(t_star), t_star)
-        refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=sim.log_t),
+        # math.log per cell, as make_cell computes log_t: np.log differs in the last bit
+        y = np.array([math.log(t) for t in t_star])
+        refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=y),
                               fit_result.lam)
     else:
         y_star = rng.poisson(fit_result.mu_hat)
-        sim = _table_like(table, y_star, y_star.astype(float))
-        refit = fit_poisson(sim, fit_result.covariates)
+        table = _table_like(table, y_star, y_star.astype(float))
+        refit = fit_poisson(table, fit_result.covariates)
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
-    return np.sort(_fit_residuals(refit, sim, kind))
+    return np.sort(_fit_residuals(refit, table, kind))
 
 
 def simulated_envelope(fit_result, table: ObservationTable, kind: str,

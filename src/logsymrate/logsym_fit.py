@@ -87,8 +87,16 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        if len(self.lambda_grid) < 1 or any(v <= 0 for v in self.lambda_grid):
-            raise SpecificationError("lambda_grid must hold positive values")
+        if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
+            raise SpecificationError("lambda_grid must hold positive finite values")
+        for name, value in (("tol_loglik", self.tol_loglik), ("tol_param", self.tol_param)):
+            if not 0 < value < math.inf:
+                raise SpecificationError(f"{name} must be positive and finite, got {value!r}")
+        for name, low in (("max_outer", 1), ("max_halvings", 0)):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= low):
+                raise SpecificationError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dispersion.use_offset:
             raise SpecificationError("the dispersion submodel takes no offset")
         for name, sub in (("location", self.location), ("dispersion", self.dispersion)):
@@ -711,15 +719,15 @@ def fitted_log_rate(fit_result: LogSymFit, table: ObservationTable) -> np.ndarra
     return fit_result.mu_hat - table.log_pop
 
 
-def residuals(fit_result: LogSymFit, table: ObservationTable, kind: str) -> np.ndarray:
-    """Quantile residuals.
+def residuals(fit_result: LogSymFit, kind: str) -> np.ndarray:
+    """Quantile residuals of the response the fit was made on.
 
     location: probit of the error CDF at z_k; dispersion: probit of the
     CDF of z^2 (which is 2 F(sqrt(u)) - 1 by symmetry). CDF values are
     clamped away from 0 and 1 before the probit map.
     """
     gen = fit_result.spec.generator
-    z = (table.log_t - fit_result.mu_hat) / np.sqrt(fit_result.phi_hat)
+    z = (fit_result.design.y - fit_result.mu_hat) / np.sqrt(fit_result.phi_hat)
     if kind == "location":
         p = cdf(gen, z)
     elif kind == "dispersion":

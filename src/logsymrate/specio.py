@@ -103,9 +103,20 @@ class PoissonSpec:
 
 
 def _check_keys(doc: dict, allowed, what: str) -> None:
+    if not isinstance(doc, dict):
+        # a conversion error: _parses reports it as a malformed spec
+        raise TypeError(f"{what} must be a JSON object")
     extras = sorted(set(doc) - set(allowed))
     if extras:
         raise SpecificationError(f"unknown key(s) in {what}: {', '.join(extras)}")
+
+
+def _flag(doc: dict, key: str, what: str) -> bool:
+    """A JSON boolean field, false when absent."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise SpecificationError(f"{what} {key} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_family(doc) -> GeneratorSpec:
@@ -158,13 +169,11 @@ def _term_to_dict(term: SplineTerm) -> dict:
 
 
 def _parse_submodel(doc, name: str) -> SubmodelSpec:
-    if not isinstance(doc, dict):
-        raise SpecificationError(f"{name} submodel must be an object")
     _check_keys(doc, {"covariates", "terms", "use_offset"}, f"{name} submodel")
     return SubmodelSpec(
         covariates=tuple(doc.get("covariates", ("intercept",))),
         terms=tuple(_parse_term(t) for t in doc.get("terms", [])),
-        use_offset=bool(doc.get("use_offset", False)),
+        use_offset=_flag(doc, "use_offset", f"{name} submodel"),
     )
 
 
@@ -194,18 +203,11 @@ def parse_model_spec(doc):
                       "jacobian_adjust", "convergence", "lambda_grid"}, "logsym spec")
     if "family" not in doc or "location" not in doc:
         raise SpecificationError("logsym spec needs family and location")
-    kwargs = {}
     conv = doc.get("convergence", {})
-    _check_keys(conv, {"tol_loglik", "tol_param", "max_outer", "max_halvings"},
-                "convergence")
-    if "tol_loglik" in conv:
-        kwargs["tol_loglik"] = float(conv["tol_loglik"])
-    if "tol_param" in conv:
-        kwargs["tol_param"] = float(conv["tol_param"])
-    if "max_outer" in conv:
-        kwargs["max_outer"] = int(conv["max_outer"])
-    if "max_halvings" in conv:
-        kwargs["max_halvings"] = int(conv["max_halvings"])
+    conv_keys = ("tol_loglik", "tol_param", "max_outer", "max_halvings")
+    _check_keys(conv, conv_keys, "convergence")
+    # ModelSpec range-checks these and keeps the two counts as ints
+    kwargs = {key: float(conv[key]) for key in conv_keys if key in conv}
     if "lambda_grid" in doc:
         grid = doc["lambda_grid"]
         if isinstance(grid, dict):
@@ -219,7 +221,7 @@ def parse_model_spec(doc):
         location=_parse_submodel(doc["location"], "location"),
         dispersion=_parse_submodel(doc.get("dispersion", {}), "dispersion"),
         zero_policy=doc.get("zero_policy", "add_half"),
-        jacobian_adjust=bool(doc.get("jacobian_adjust", False)),
+        jacobian_adjust=_flag(doc, "jacobian_adjust", "logsym spec"),
         **kwargs,
     )
 
@@ -291,7 +293,7 @@ def parse_truth_spec(doc) -> TruthSpec:
         kwargs["generator"] = _parse_family(noise["family"])
         phi = noise.get("phi", 0.05)
         kwargs["phi"] = _tabulated_age_fn(phi) if isinstance(phi, dict) else float(phi)
-        kwargs["round_counts"] = bool(noise.get("round_counts", False))
+        kwargs["round_counts"] = _flag(noise, "round_counts", "noise")
     pop = doc.get("population", 1e5)
     if isinstance(pop, list):
         pop = tuple(tuple(float(v) for v in row) for row in pop)

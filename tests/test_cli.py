@@ -142,6 +142,14 @@ class TestFit:
         assert code == 2
         assert "malformed model spec" in capsys.readouterr().err
 
+    def test_out_of_range_convergence_setting_exits_2(self, workspace, capsys):
+        doc = dict(LOGSYM_DOC, convergence={"max_outer": 0})
+        spec = write_doc(workspace["root"] / "no_sweeps.json", doc)
+        code = main(["fit", "--input", workspace["input"],
+                     "--spec", spec, "--out", str(workspace["root"] / "fit_r")])
+        assert code == 2
+        assert "max_outer must be an integer >= 1" in capsys.readouterr().err
+
     def test_non_finite_population_exits_2(self, workspace, capsys):
         lines = open(workspace["input"], encoding="utf-8").read().split("\n")
         lines[3] = ",".join(lines[3].split(",")[:-1] + ["inf"])

@@ -6,6 +6,7 @@ from scipy import stats
 
 from logsymrate import (
     ModelSpec,
+    ObservationTable,
     SplineTerm,
     SubmodelSpec,
     all_component_curves,
@@ -14,6 +15,7 @@ from logsymrate import (
     fit,
     fit_poisson,
     log_rate_correlation,
+    make_cell,
     normal_spec,
     select_lambda,
     simulated_envelope,
@@ -210,7 +212,7 @@ class TestEnvelopeRefitDesign:
         assert calls == {"build_term_block": 0, "check_full_rank": 0}
 
     def test_refit_matches_fresh_fit_bit_for_bit(self, sfit, ltable, monkeypatch):
-        sims, refits = [], []
+        draws, refits = [], []
 
         def recording(record, real):
             def wrapped(*args, **kwargs):
@@ -219,14 +221,20 @@ class TestEnvelopeRefitDesign:
                 return out
             return wrapped
 
-        monkeypatch.setattr(diagnostics, "_table_like",
-                            recording(sims, diagnostics._table_like))
+        monkeypatch.setattr(diagnostics, "sample_with_rng",
+                            recording(draws, diagnostics.sample_with_rng))
         monkeypatch.setattr(diagnostics, "logsym_fit_fn",
                             recording(refits, diagnostics.logsym_fit_fn))
         simulated_envelope(sfit, ltable, "dispersion", m_sims=2, seed=7)
-        assert len(sims) == len(refits) == 2
+        assert len(draws) == len(refits) == 2
         pinned = spec_with_lambdas(sfit.spec, sfit.lam)
-        for sim, refit in zip(sims, refits):
+        for eps, refit in zip(draws, refits):
+            t_star = np.exp(sfit.mu_hat + np.sqrt(sfit.phi_hat) * eps)
+            sim = ObservationTable(cells=tuple(
+                make_cell(c.age_mid, c.period_mid, int(np.rint(t)), float(t), c.population)
+                for c, t in zip(ltable.cells, t_star)
+            ), meta=ltable.meta)
+            assert np.array_equal(refit.design.y, sim.log_t)
             fresh = fit(pinned, sim)
             for name in ("mu_hat", "phi_hat"):
                 assert np.array_equal(getattr(refit, name), getattr(fresh, name))
@@ -236,6 +244,19 @@ class TestEnvelopeRefitDesign:
             for name in ("aic", "loglik", "grad_norm", "converged", "iterations",
                          "trace"):
                 assert getattr(refit, name) == getattr(fresh, name)
+
+    def test_no_cells_built(self, sfit, ltable, monkeypatch):
+        calls = []
+        real = diagnostics.make_cell
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "make_cell", counting)
+        env = simulated_envelope(sfit, ltable, "location", m_sims=3, seed=2)
+        assert env.n_failures == 0
+        assert calls == []
 
 
 class TestCurves:

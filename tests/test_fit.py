@@ -198,21 +198,21 @@ class TestResidualsAndSes:
         # for the normal generator the probability transform is the
         # identity on z, so the quantile residual equals z itself
         f = fit(plain_spec(), logsym_table)
-        r = residuals(f, logsym_table, "location")
+        r = residuals(f, "location")
         y = np.asarray(logsym_table.log_t)
         z = (y - f.mu_hat) / np.sqrt(f.phi_hat)
         np.testing.assert_allclose(r, z, atol=1e-9)
 
     def test_dispersion_residuals_normalish(self, logsym_table):
         f = fit(plain_spec(), logsym_table)
-        r = residuals(f, logsym_table, "dispersion")
+        r = residuals(f, "dispersion")
         assert np.all(np.isfinite(r))
         assert abs(float(np.mean(r))) < 0.3
 
     def test_unknown_kind(self, logsym_table):
         f = fit(plain_spec(), logsym_table)
         with pytest.raises(SpecificationError):
-            residuals(f, logsym_table, "pearson")
+            residuals(f, "pearson")
 
     def test_se_shapes(self, logsym_table):
         f = fit(spline_spec(), logsym_table)

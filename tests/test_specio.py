@@ -167,6 +167,51 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match="malformed model spec"):
             parse_model_spec(doc)
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["convergence"].update(tol_loglik=float("nan")), "tol_loglik"),
+        (lambda d: d["convergence"].update(tol_loglik=float("inf")), "tol_loglik"),
+        (lambda d: d["convergence"].update(tol_param=-1), "tol_param"),
+        (lambda d: d["convergence"].update(tol_param=0), "tol_param"),
+        (lambda d: d["convergence"].update(max_outer=0), "max_outer"),
+        (lambda d: d["convergence"].update(max_outer=2.7), "max_outer"),
+        (lambda d: d["convergence"].update(max_outer=float("inf")), "max_outer"),
+        (lambda d: d["convergence"].update(max_halvings=-1), "max_halvings"),
+        (lambda d: d["convergence"].update(max_halvings=float("nan")), "max_halvings"),
+        (lambda d: d.update(lambda_grid=[1.0, float("nan")]), "lambda_grid"),
+        (lambda d: d.update(lambda_grid=[float("inf")]), "lambda_grid"),
+    ])
+    def test_out_of_range_settings_rejected(self, mutate, field):
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=f"^{field} must "):
+            parse_model_spec(doc)
+
+    def test_integral_counts_kept_as_ints(self):
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        doc["convergence"].update(max_outer=1.0, max_halvings=0)
+        spec = parse_model_spec(doc)
+        assert (spec.max_outer, spec.max_halvings) == (1, 0)
+        assert type(spec.max_outer) is int and type(spec.max_halvings) is int
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda d: d["location"].update(use_offset="false"),
+         "location submodel use_offset must be true or false"),
+        (lambda d: d["dispersion"].update(use_offset=0),
+         "dispersion submodel use_offset must be true or false"),
+        (lambda d: d.update(jacobian_adjust="no"),
+         "logsym spec jacobian_adjust must be true or false"),
+        (lambda d: d.update(convergence="abc"),
+         "malformed model spec: TypeError: convergence must be a JSON object"),
+        (lambda d: d.update(location="abc"),
+         "location submodel must be a JSON object"),
+        (lambda d: d["location"].update(terms=["abc"]), "term must be a JSON object"),
+    ])
+    def test_non_boolean_flags_and_non_object_parts_rejected(self, mutate, match):
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=match):
+            parse_model_spec(doc)
+
     def test_malformed_poisson_covariates_rejected(self):
         with pytest.raises(SpecificationError, match="malformed model spec: TypeError"):
             parse_model_spec({"model": "poisson", "covariates": 5})
@@ -246,6 +291,28 @@ class TestTruthSpecs:
         mutate(doc)
         with pytest.raises(SpecificationError, match="malformed truth spec"):
             parse_truth_spec(doc)
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda d: d["noise"].update(round_counts="no"),
+         "noise round_counts must be true or false"),
+        (lambda d: d["noise"].update(round_counts=1),
+         "noise round_counts must be true or false"),
+        (lambda d: d.update(noise="abc"),
+         "malformed truth spec: TypeError: noise must be a JSON object"),
+        (lambda d: d.update(log_rate="abc"), "log_rate must be a JSON object"),
+        (lambda d: d["log_rate"].update(f_age=[1.0]), "f_age must be a JSON object"),
+    ])
+    def test_non_boolean_flags_and_non_object_parts_rejected(self, mutate, match):
+        doc = json.loads(json.dumps(TRUTH_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=match):
+            parse_truth_spec(doc)
+
+    def test_round_counts_flag(self):
+        doc = json.loads(json.dumps(TRUTH_DOC))
+        assert parse_truth_spec(doc).round_counts is False
+        doc["noise"]["round_counts"] = True
+        assert parse_truth_spec(doc).round_counts is True
 
     def test_logsym_noise_needs_family(self):
         doc = json.loads(json.dumps(TRUTH_DOC))
