@@ -33,6 +33,7 @@ from .diagnostics import (
 )
 from .errors import (
     ComparisonError,
+    ConstantCovariateError,
     DataFormatError,
     DataValidationError,
     EnvelopeError,
@@ -95,7 +96,7 @@ __all__ = [
     "ComparisonReport", "EnvelopeResult", "ModelSummary",
     "all_component_curves", "compare_models", "export_component_curves",
     "log_rate_correlation", "simulated_envelope",
-    "ComparisonError", "DataFormatError", "DataValidationError",
+    "ComparisonError", "ConstantCovariateError", "DataFormatError", "DataValidationError",
     "EnvelopeError", "EvaluationError", "ModelError", "NumericalError",
     "RankDeficiencyError", "SelectionError", "SpecificationError",
     "UndefinedCorrelationError",

@@ -194,10 +194,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "truth": doc,
         "seed": args.seed,
         "cells": {
-            "age_mid": [c.age_mid for c in sim.table.cells],
-            "period_mid": [c.period_mid for c in sim.table.cells],
+            "age_mid": sim.table.age,
+            "period_mid": sim.table.period,
             "log_rate": sim.log_rate,
-            "population": [c.population for c in sim.table.cells],
+            "population": sim.table.population,
             "expected_deaths": sim.expected,
         },
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
 import numpy as np
@@ -73,23 +73,39 @@ class ObservationCell:
     log_pop: float
 
 
+_COLUMNS = ("age", "period", "deaths", "t_value", "population")
+
+
+def _check_entries(age, period, deaths, t_value, population, where=lambda i: "") -> None:
+    """The rules every cell obeys, on float columns: raise DataValidationError
+    at the first entry that breaks one, its message prefixed by ``where(i)``."""
+    for name, col, ok, what in (
+            ("age_mid", age, np.isfinite(age), "finite"),
+            ("period_mid", period, np.isfinite(period), "finite"),
+            ("deaths", deaths, (deaths >= 0) & (deaths < math.inf) & (np.floor(deaths) == deaths),
+             "a nonnegative integer"),
+            ("population", population, (population > 0) & (population < math.inf),
+             "positive and finite"),
+            ("t_value", t_value, (t_value >= 0) & (t_value < math.inf), "nonnegative and finite")):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise DataValidationError(f"{where(bad[0])}{name} must be {what}, got {col[bad[0]]}")
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log per entry, NaN at 0. np.log differs from math.log in the
+    last bit for some inputs, and log_t has always been math.log's."""
+    return np.array([math.log(v) if v > 0 else math.nan for v in values.tolist()])
+
+
 def make_cell(age_mid: float, period_mid: float, deaths_raw: int,
               t_value: float, population: float) -> ObservationCell:
-    """Canonical cell constructor; recomputes both log fields."""
-    if not 0 < population < math.inf:
-        raise DataValidationError(f"population must be positive and finite, got {population}")
-    if not 0 <= t_value < math.inf:
-        raise DataValidationError(f"t_value must be nonnegative and finite, got {t_value}")
-    log_t = math.log(t_value) if t_value > 0 else math.nan
-    return ObservationCell(
-        age_mid=float(age_mid),
-        period_mid=float(period_mid),
-        deaths_raw=int(deaths_raw),
-        t_value=float(t_value),
-        population=float(population),
-        log_t=log_t,
-        log_pop=math.log(population),
-    )
+    """Canonical cell constructor: the row of a one-row table, so a cell
+    obeys the table's rules and carries its log fields."""
+    row = ObservationTable([age_mid], [period_mid], [deaths_raw], [t_value], [population])
+    return ObservationCell(row.age[0].item(), row.period[0].item(), int(row.deaths[0]),
+                           row.t_value[0].item(), row.population[0].item(),
+                           row.log_t[0].item(), row.log_pop[0].item())
 
 
 @dataclass(frozen=True)
@@ -100,55 +116,43 @@ class TableMeta:
     dropped: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationTable:
-    """Deterministically ordered, key-unique collection of cells."""
+    """Cells as read-only float columns, sorted by unique (age, period) key.
 
-    cells: tuple
+    Entry i of each column belongs to cell i; ``deaths`` holds the raw
+    counts. ``log_t`` (NaN where ``t_value`` is 0) and ``log_pop`` are
+    derived at construction, so ``dataclasses.replace`` derives them again.
+    """
+
+    age: np.ndarray
+    period: np.ndarray
+    deaths: np.ndarray
+    t_value: np.ndarray
+    population: np.ndarray
     meta: TableMeta = TableMeta()
+    log_t: np.ndarray = field(init=False, repr=False)
+    log_pop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        keys = [(c.age_mid, c.period_mid) for c in self.cells]
-        if len(set(keys)) != len(keys):
-            raise DataValidationError("duplicate (age_mid, period_mid) cell keys")
-        if keys != sorted(keys):
-            raise DataValidationError("cells must be sorted by (age_mid, period_mid)")
+        cols = {name: np.array(getattr(self, name), dtype=float) for name in _COLUMNS}
+        if len({col.shape for col in cols.values()}) != 1 or cols["age"].ndim != 1:
+            raise DataValidationError("table columns must be vectors of one length")
+        _check_entries(**cols)
+        a, p = cols["age"], cols["period"]
+        if not np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (p[1:] > p[:-1]))):
+            raise DataValidationError("cells must be sorted by unique (age_mid, period_mid)")
+        cols["log_t"], cols["log_pop"] = _logs(cols["t_value"]), _logs(cols["population"])
+        for name, col in cols.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    # Column views as arrays. Tables are small; building on demand is fine.
-    @property
-    def age(self) -> np.ndarray:
-        return np.array([c.age_mid for c in self.cells], dtype=float)
-
-    @property
-    def period(self) -> np.ndarray:
-        return np.array([c.period_mid for c in self.cells], dtype=float)
-
-    @property
-    def deaths(self) -> np.ndarray:
-        return np.array([c.deaths_raw for c in self.cells], dtype=float)
-
-    @property
-    def t_value(self) -> np.ndarray:
-        return np.array([c.t_value for c in self.cells], dtype=float)
-
-    @property
-    def population(self) -> np.ndarray:
-        return np.array([c.population for c in self.cells], dtype=float)
-
-    @property
-    def log_t(self) -> np.ndarray:
-        return np.array([c.log_t for c in self.cells], dtype=float)
-
-    @property
-    def log_pop(self) -> np.ndarray:
-        return np.array([c.log_pop for c in self.cells], dtype=float)
+        return len(self.age)
 
     @property
     def cell_keys(self) -> tuple:
-        return tuple((c.age_mid, c.period_mid) for c in self.cells)
+        return tuple(zip(self.age.tolist(), self.period.tolist()))
 
 
 def _as_text_lines(source) -> Iterable[str]:
@@ -251,12 +255,11 @@ def aggregate_cells(records, sex: str, site: str) -> ObservationTable:
         deaths[key] = deaths.get(key, 0) + r.deaths
         pops.setdefault(key, []).append(r.population)
 
-    cells = [
-        make_cell(age_mid=k[0], period_mid=k[1], deaths_raw=deaths[k],
-                  t_value=float(deaths[k]), population=math.fsum(pops[k]))
-        for k in sorted(deaths)
-    ]
-    return ObservationTable(cells=tuple(cells), meta=TableMeta(sex=sex, site=site))
+    keys = sorted(deaths)
+    counts = [deaths[k] for k in keys]
+    ages, periods = zip(*keys)
+    return ObservationTable(ages, periods, counts, counts, [math.fsum(pops[k]) for k in keys],
+                            meta=TableMeta(sex=sex, site=site))
 
 
 def apply_zero_policy(table: ObservationTable, policy: str) -> ObservationTable:
@@ -267,25 +270,16 @@ def apply_zero_policy(table: ObservationTable, policy: str) -> ObservationTable:
     """
     if policy not in ZERO_POLICIES:
         raise DataValidationError(f"unknown zero policy {policy!r}; expected one of {ZERO_POLICIES}")
-    cells = []
-    dropped = 0
-    for c in table.cells:
-        if policy == "drop":
-            if c.deaths_raw == 0:
-                dropped += 1
-                continue
-            cells.append(c)
-        elif policy == "add_half":
-            if c.deaths_raw == 0:
-                cells.append(make_cell(c.age_mid, c.period_mid, c.deaths_raw,
-                                       c.deaths_raw + 0.5, c.population))
-            else:
-                cells.append(c)
-        else:  # add_one applies to all cells
-            cells.append(make_cell(c.age_mid, c.period_mid, c.deaths_raw,
-                                   c.deaths_raw + 1.0, c.population))
-    meta = replace(table.meta, zero_policy=policy, dropped=table.meta.dropped + dropped)
-    return ObservationTable(cells=tuple(cells), meta=meta)
+    zero = table.deaths == 0
+    meta = replace(table.meta, zero_policy=policy)
+    if policy == "drop":
+        return ObservationTable(*(getattr(table, name)[~zero] for name in _COLUMNS),
+                                meta=replace(meta, dropped=table.meta.dropped + int(zero.sum())))
+    if policy == "add_half":
+        t_value = np.where(zero, table.deaths + 0.5, table.t_value)
+    else:  # add_one applies to all cells
+        t_value = table.deaths + 1.0
+    return replace(table, t_value=t_value, meta=meta)
 
 
 def observed_log_rate(cell: ObservationCell) -> float:
@@ -296,7 +290,9 @@ def observed_log_rate(cell: ObservationCell) -> float:
 
 
 def observed_log_rates(table: ObservationTable) -> np.ndarray:
-    return np.array([observed_log_rate(c) for c in table.cells], dtype=float)
+    if not np.all(table.t_value > 0):
+        raise DataValidationError("observed_log_rate requires t_value > 0; apply a zero policy")
+    return table.log_t - table.log_pop
 
 
 def _fmt(x: float) -> str:
@@ -306,12 +302,14 @@ def _fmt(x: float) -> str:
 
 def table_to_csv(table: ObservationTable) -> str:
     """Serialize to the table CSV schema (see TABLE_HEADER)."""
+    # log_t is NaN where t_value is 0, so is the rate
+    rate = table.log_t - table.log_pop
     lines = [",".join(TABLE_HEADER)]
-    for c in table.cells:
-        rate = observed_log_rate(c) if c.t_value > 0 else math.nan
+    for age, period, deaths, t_value, pop, r in zip(
+            table.age.tolist(), table.period.tolist(), table.deaths.astype(int).tolist(),
+            table.t_value.tolist(), table.population.tolist(), rate.tolist()):
         lines.append(",".join([
-            _fmt(c.age_mid), _fmt(c.period_mid), str(c.deaths_raw),
-            _fmt(c.t_value), _fmt(c.population), _fmt(rate),
+            _fmt(age), _fmt(period), str(deaths), _fmt(t_value), _fmt(pop), _fmt(r),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -322,23 +320,17 @@ def table_from_csv(source, meta: Union[TableMeta, None] = None) -> ObservationTa
     log_t and log_pop are recomputed from t_value and population, which
     reproduces the original bits (same inputs, same log).
     """
-    cells = []
+    linenos, rows = [], []
     for lineno, row in _csv_rows(source, TABLE_HEADER, "table CSV"):
         try:
-            age_mid = float(row[0])
-            period_mid = float(row[1])
-            deaths_raw = int(row[2])
-            t_value = float(row[3])
-            population = float(row[4])
+            rows.append([float(row[0]), float(row[1]), int(row[2]),
+                         float(row[3]), float(row[4])])
         except ValueError:
             raise DataValidationError(f"line {lineno}: non-numeric field in {row}") from None
-        if not (math.isfinite(age_mid) and math.isfinite(period_mid)):
-            raise DataValidationError(f"line {lineno}: non-finite age_mid or period_mid")
-        try:
-            cells.append(make_cell(age_mid, period_mid, deaths_raw, t_value, population))
-        except DataValidationError as exc:
-            raise DataValidationError(f"line {lineno}: {exc}") from None
-    return ObservationTable(cells=tuple(cells), meta=meta or TableMeta())
+        linenos.append(lineno)
+    cols = np.array(rows, dtype=float).reshape(-1, 5).T
+    _check_entries(*cols, where=lambda i: f"line {linenos[i]}: ")
+    return ObservationTable(*cols, meta=meta or TableMeta())
 
 
 def write_table_csv(table: ObservationTable, path) -> None:

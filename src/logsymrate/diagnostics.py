@@ -9,14 +9,14 @@ index), so results are identical however replicates are scheduled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 from scipy import stats
 
-from .data_ingest import ObservationTable, _fmt, make_cell, observed_log_rates
+from .data_ingest import ObservationTable, _fmt, _logs, observed_log_rates
+from .data_ingest import make_cell  # noqa: F401  unused; perfbench/tracer.py hooks this name
 from .errors import (
     ComparisonError,
     EnvelopeError,
@@ -76,15 +76,6 @@ def _fit_residuals(fit_result, table, kind) -> np.ndarray:
     raise SpecificationError(f"unsupported fit object {type(fit_result).__name__}")
 
 
-def _table_like(table: ObservationTable, deaths_raw, t_value) -> ObservationTable:
-    cells = tuple(
-        make_cell(c.age_mid, c.period_mid, int(deaths_raw[i]),
-                  float(t_value[i]), c.population)
-        for i, c in enumerate(table.cells)
-    )
-    return ObservationTable(cells=cells, meta=table.meta)
-
-
 def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
     """One envelope replicate: draw from the fitted model, refit (reusing a
     log-symmetric fit's design and lambdas), return sorted residuals."""
@@ -94,13 +85,11 @@ def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
         t_star = np.exp(y_star)
         if not np.all(np.isfinite(t_star)) or np.any(t_star <= 0):
             raise EnvelopeError("simulated response left the positive range")
-        # math.log per cell, as make_cell computes log_t: np.log differs in the last bit
-        y = np.array([math.log(t) for t in t_star])
-        refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=y),
+        refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=_logs(t_star)),
                               fit_result.lam)
     else:
         y_star = rng.poisson(fit_result.mu_hat)
-        table = _table_like(table, y_star, y_star.astype(float))
+        table = replace(table, deaths=y_star, t_value=y_star)
         refit = fit_poisson(table, fit_result.covariates)
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
@@ -334,8 +323,7 @@ def scatter_to_csv(table: ObservationTable, fitted_log_rates) -> str:
     observed = observed_log_rates(table)
     fitted = np.asarray(fitted_log_rates, dtype=float)
     lines = ["age_mid,period_mid,observed_log_rate,fitted_log_rate"]
-    for i, c in enumerate(table.cells):
-        lines.append(",".join([
-            _fmt(c.age_mid), _fmt(c.period_mid), _fmt(observed[i]), _fmt(fitted[i]),
-        ]))
+    for row in zip(table.age.tolist(), table.period.tolist(), observed.tolist(),
+                   fitted.tolist()):
+        lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"

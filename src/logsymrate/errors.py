@@ -39,6 +39,11 @@ class RankDeficiencyError(NumericalError):
     """Singular (penalized) normal equations."""
 
 
+class ConstantCovariateError(DataValidationError, RankDeficiencyError):
+    """A model uses age or period, and the table holds one value of it:
+    invalid input (CLI exit 2) that also makes the design rank deficient."""
+
+
 class SelectionError(NumericalError):
     """Smoothing-parameter grid search had no successful fit."""
 

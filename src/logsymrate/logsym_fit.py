@@ -48,8 +48,8 @@ from .logsym_family import (
     weight_v,
     weight_v_prime,
 )
-from .poisson_glm import _jacobi_scale, _solve_equilibrated, check_full_rank, \
-    parametric_design
+from .poisson_glm import _jacobi_scale, _solve_equilibrated, check_covariates_vary, \
+    check_full_rank, parametric_design
 from .spline_bases import SplineTerm, build_term_block, term_label
 
 DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-4, 1e8, 30))
@@ -220,11 +220,10 @@ def _build_half(name: str, sub: SubmodelSpec, table: ObservationTable) -> _Half:
 def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
     if len(table) == 0:
         raise DataValidationError("empty table")
-    t = table.t_value
-    if np.any(~(t > 0)):
-        raise DataValidationError(
-            "table has non-positive t_value cells; apply a zero policy first"
-        )
+    if np.any(table.t_value == 0):  # the table holds no negative t_value
+        raise DataValidationError("table has zero t_value cells; apply a zero policy first")
+    for sub in (spec.location, spec.dispersion):
+        check_covariates_vary(table, sub.covariates + tuple(t.covariate for t in sub.terms))
     loc = _build_half("location", spec.location, table)
     disp = _build_half("dispersion", spec.dispersion, table)
     for half in (loc, disp):

@@ -15,7 +15,8 @@ from scipy import linalg as sla
 from scipy import special
 
 from .data_ingest import ObservationTable
-from .errors import DataValidationError, RankDeficiencyError, SpecificationError
+from .errors import ConstantCovariateError, DataValidationError, RankDeficiencyError, \
+    SpecificationError
 
 PARAMETRIC_COVARIATES = ("intercept", "age", "period")
 
@@ -31,10 +32,8 @@ def parametric_design(table: ObservationTable, covariates) -> np.ndarray:
     for name in covariates:
         if name == "intercept":
             cols.append(np.ones(len(table)))
-        elif name == "age":
-            cols.append(table.age)
-        elif name == "period":
-            cols.append(table.period)
+        elif name in ("age", "period"):
+            cols.append(getattr(table, name))
         else:
             raise SpecificationError(
                 f"unknown covariate {name!r}; expected one of {PARAMETRIC_COVARIATES}"
@@ -42,6 +41,16 @@ def parametric_design(table: ObservationTable, covariates) -> np.ndarray:
     if not cols:
         raise SpecificationError("empty covariate list")
     return np.column_stack(cols)
+
+
+def check_covariates_vary(table: ObservationTable, covariates) -> None:
+    """Raise ConstantCovariateError if ``covariates`` names age or period
+    and the table holds a single value of it."""
+    for name in ("age", "period"):
+        x = getattr(table, name)
+        if name in covariates and len(x) and x.min() == x.max():
+            raise ConstantCovariateError(f"the table holds a single {name} value ({x[0]:g}); "
+                                         f"{name} cannot be a covariate")
 
 
 def check_full_rank(X: np.ndarray, names) -> None:
@@ -52,6 +61,8 @@ def check_full_rank(X: np.ndarray, names) -> None:
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(X.shape) * np.finfo(float).eps * 10 if diag[0] > 0 else 0.0
     bad = [names[piv[i]] for i in range(len(diag)) if diag[i] <= tol]
+    # more columns than rows: the rank is at most n, so pivots past n depend
+    bad += [names[j] for j in piv[len(diag):]]
     if diag[0] == 0.0:
         bad = list(names)
     if bad:
@@ -115,6 +126,7 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
     y = table.deaths
     offset = table.log_pop
     X = parametric_design(table, covariates)
+    check_covariates_vary(table, covariates)
     check_full_rank(X, covariates)
 
     mu = y + 0.5

@@ -119,6 +119,15 @@ def _flag(doc: dict, key: str, what: str) -> bool:
     return value
 
 
+def _whole(value, what: str) -> int:
+    """A count field as int: a boolean or a fraction is rejected, and a
+    non-number is a conversion error for _parses."""
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise SpecificationError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _parse_family(doc) -> GeneratorSpec:
     if not isinstance(doc, dict) or "name" not in doc:
         raise SpecificationError('family must be an object with a "name"')
@@ -152,9 +161,9 @@ def _parse_term(doc) -> SplineTerm:
         raise SpecificationError(f'term lambda must be a number or "select", got {lam!r}')
     kwargs = {}
     if "basis_dim" in doc:
-        kwargs["basis_dim"] = int(doc["basis_dim"])
+        kwargs["basis_dim"] = _whole(doc["basis_dim"], "term basis_dim")
     if "diff_order" in doc:
-        kwargs["diff_order"] = int(doc["diff_order"])
+        kwargs["diff_order"] = _whole(doc["diff_order"], "term diff_order")
     return SplineTerm(kind=doc["kind"], covariate=doc["covariate"],
                       lam=None if lam is None else float(lam), **kwargs)
 
@@ -204,16 +213,16 @@ def parse_model_spec(doc):
     if "family" not in doc or "location" not in doc:
         raise SpecificationError("logsym spec needs family and location")
     conv = doc.get("convergence", {})
-    conv_keys = ("tol_loglik", "tol_param", "max_outer", "max_halvings")
-    _check_keys(conv, conv_keys, "convergence")
-    # ModelSpec range-checks these and keeps the two counts as ints
-    kwargs = {key: float(conv[key]) for key in conv_keys if key in conv}
+    counts = ("max_outer", "max_halvings")
+    _check_keys(conv, ("tol_loglik", "tol_param") + counts, "convergence")
+    # ModelSpec range-checks these
+    kwargs = {key: _whole(v, key) if key in counts else float(v) for key, v in conv.items()}
     if "lambda_grid" in doc:
         grid = doc["lambda_grid"]
         if isinstance(grid, dict):
             _check_keys(grid, {"lo", "hi", "num"}, "lambda_grid")
             kwargs["lambda_grid"] = tuple(np.geomspace(
-                float(grid["lo"]), float(grid["hi"]), int(grid["num"])))
+                float(grid["lo"]), float(grid["hi"]), _whole(grid["num"], "lambda_grid num")))
         else:
             kwargs["lambda_grid"] = tuple(float(v) for v in grid)
     return ModelSpec(
@@ -252,7 +261,7 @@ def _parse_grid(doc, what: str) -> tuple:
     if isinstance(doc, dict):
         _check_keys(doc, {"min", "max", "count"}, what)
         return tuple(np.linspace(float(doc["min"]), float(doc["max"]),
-                                 int(doc["count"])))
+                                 _whole(doc["count"], f"{what} count")))
     return tuple(float(v) for v in doc)
 
 

@@ -19,12 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data_ingest import (
-    MortalityRecord,
-    ObservationTable,
-    TableMeta,
-    make_cell,
-)
+from .data_ingest import MortalityRecord, ObservationTable, TableMeta
 from .errors import DataValidationError, SpecificationError
 from .logsym_family import GeneratorSpec, sample_with_rng
 
@@ -141,11 +136,8 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
             raise SpecificationError("simulated response overflowed; check phi and the surface")
         deaths = np.rint(t)
         t_value = np.maximum(deaths, 1.0) if truth.round_counts else t
-    cells = tuple(
-        make_cell(a, p, int(deaths[i]), float(t_value[i]), pop[i])
-        for i, (a, p) in enumerate(grid)
-    )
-    table = ObservationTable(cells=cells, meta=meta)
+    table = ObservationTable(age=[a for a, _ in grid], period=[p for _, p in grid],
+                             deaths=deaths, t_value=t_value, population=pop, meta=meta)
     return SimulatedTable(table=table, log_rate=log_rate, expected=expected, phi=phi,
                           truth=truth, seed=seed)
 
@@ -158,23 +150,17 @@ def simulated_to_records(sim: SimulatedTable, band_width: int = 5) -> list:
     width, and periods must be whole years. Continuous t_values are
     dropped; the records carry the rounded counts.
     """
-    records = []
-    half = (band_width - 1) / 2.0
-    for c in sim.table.cells:
-        lo = c.age_mid - half
-        if abs(lo - round(lo)) > 1e-9:
-            raise DataValidationError(
-                f"age midpoint {c.age_mid} is not representable as a width-"
-                f"{band_width} integer band"
-            )
-        if abs(c.period_mid - round(c.period_mid)) > 1e-9:
-            raise DataValidationError(
-                f"period midpoint {c.period_mid} is not a whole year"
-            )
-        records.append(MortalityRecord(
-            sex=sim.truth.sex, site=sim.truth.site,
-            age_lo=int(round(lo)), age_hi=int(round(lo)) + band_width - 1,
-            year=int(round(c.period_mid)), deaths=int(c.deaths_raw),
-            population=float(c.population),
-        ))
-    return records
+    table = sim.table
+    lo = table.age - (band_width - 1) / 2.0
+    off_band = np.abs(lo - np.round(lo)) > 1e-9
+    if off_band.any():
+        raise DataValidationError(f"age midpoint {table.age[off_band][0]} is not representable "
+                                  f"as a width-{band_width} integer band")
+    year = np.round(table.period)
+    off_year = np.abs(table.period - year) > 1e-9
+    if off_year.any():
+        raise DataValidationError(
+            f"period midpoint {table.period[off_year][0]} is not a whole year")
+    return [MortalityRecord(sim.truth.sex, sim.truth.site, a, a + band_width - 1, y, d, pop)
+            for a, y, d, pop in zip(np.round(lo).astype(int).tolist(), year.astype(int).tolist(),
+                                    table.deaths.astype(int).tolist(), table.population.tolist())]

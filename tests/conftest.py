@@ -16,6 +16,14 @@ PERIODS = tuple(float(p) for p in range(1994, 2014, 2))   # 10 years
 
 LINEAR_TRUTH = dict(beta0=-24.0, beta_age=0.075, beta_period=0.006)
 
+TABLE_COLUMNS = ("age", "period", "deaths", "t_value", "population", "log_t", "log_pop")
+
+
+def same_cells(a, b):
+    """Every column of two tables equal bit for bit, NaN equal to NaN."""
+    return all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=True)
+               for c in TABLE_COLUMNS)
+
 
 def small_poisson_table(seed=9, population=200000.0):
     truth = TruthSpec(ages=AGES, periods=PERIODS, population=population,

@@ -162,6 +162,22 @@ class TestFit:
             assert "line 4: population must be positive and finite" in \
                 capsys.readouterr().err
 
+    def test_single_period_table_exits_2(self, workspace, capsys):
+        # 21 location columns on 20 rows; the rank check alone would pass it
+        truth = write_doc(workspace["root"] / "one_period_truth.json",
+                          dict(TRUTH_DOC, ages=[float(a) for a in range(40, 60)],
+                               periods=[2000.0]))
+        sim = workspace["root"] / "one_period"
+        assert main(["simulate", "--spec", truth, "--out", str(sim)]) == 0
+        doc = dict(BREAST_DOC, location={
+            "covariates": ["intercept", "period"], "use_offset": True,
+            "terms": [{"kind": "ncs", "covariate": "age", "lambda": 10.0}]})
+        spec = write_doc(workspace["root"] / "period_covariate.json", doc)
+        code = main(["fit", "--input", str(sim / "simulated.csv"), "--spec", spec,
+                     "--out", str(workspace["root"] / "fit_one_period")])
+        assert code == 2
+        assert "single period value" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3_but_writes(self, workspace):
         # student weights need more than one sweep
         doc = dict(LOGSYM_DOC, family={"name": "student", "nu": 5.0},

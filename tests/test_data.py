@@ -12,13 +12,17 @@ from logsymrate import (
     ObservationCell,
     ObservationTable,
     TableMeta,
+    TruthSpec,
     aggregate_cells,
     apply_zero_policy,
     make_cell,
+    normal_spec,
     observed_log_rate,
     parse_mortality_csv,
+    simulate_table,
 )
 from logsymrate.data_ingest import (
+    ZERO_POLICIES,
     read_table_csv,
     records_to_csv,
     table_from_csv,
@@ -26,7 +30,10 @@ from logsymrate.data_ingest import (
     write_table_csv,
 )
 from logsymrate.errors import DataFormatError, DataValidationError
+from logsymrate.logsym_family import sample_with_rng
 from logsymrate.poisson_glm import fit_poisson
+
+from .conftest import same_cells
 
 GOOD_CSV = b"""sex,site,age_lo,age_hi,year,deaths,population
 female,breast,40,44,2001,12,51000
@@ -92,10 +99,9 @@ class TestAggregate:
         recs = parse_mortality_csv(GOOD_CSV)
         table = aggregate_cells(recs, "female", "breast")
         assert len(table) == 3
-        cell = table.cells[0]
-        assert cell.age_mid == 42.0 and cell.period_mid == 2001.0
-        assert cell.deaths_raw == 15.0
-        assert cell.population == 60000.0
+        assert table.age[0] == 42.0 and table.period[0] == 2001.0
+        assert table.deaths[0] == 15.0
+        assert table.population[0] == 60000.0
 
     def test_keys_sorted(self):
         recs = parse_mortality_csv(GOOD_CSV)
@@ -107,7 +113,7 @@ class TestAggregate:
         recs.append(MortalityRecord(sex="male", site="breast", age_lo=40, age_hi=44,
                                     year=2001, deaths=2, population=1000.0))
         table = aggregate_cells(recs, "female", "breast")
-        assert table.cells[0].deaths_raw == 15.0
+        assert table.deaths[0] == 15.0
 
     def test_empty_stratum_errors(self):
         recs = parse_mortality_csv(GOOD_CSV)
@@ -121,18 +127,19 @@ class TestAggregate:
         recs = [MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44,
                                 year=2001, deaths=i, population=pops[i])
                 for i in range(6)]
-        base = aggregate_cells(recs, "female", "x").cells[0]
-        shuf = aggregate_cells([recs[i] for i in order], "female", "x").cells[0]
+        base = aggregate_cells(recs, "female", "x")
+        shuf = aggregate_cells([recs[i] for i in order], "female", "x")
         # math.fsum makes population aggregation exactly order-independent
-        assert shuf.population == base.population
-        assert shuf.deaths_raw == base.deaths_raw
+        assert shuf.population[0] == base.population[0]
+        assert shuf.deaths[0] == base.deaths[0]
 
 
 class TestZeroPolicies:
     def make(self, deaths):
-        cells = tuple(make_cell(40.0 + 5 * i, 2000.0, d, float(d), 1000.0)
-                      for i, d in enumerate(deaths))
-        return ObservationTable(cells=cells, meta=TableMeta(sex="female", site="x"))
+        n = len(deaths)
+        return ObservationTable(age=[40.0 + 5 * i for i in range(n)], period=[2000.0] * n,
+                                deaths=deaths, t_value=deaths, population=[1000.0] * n,
+                                meta=TableMeta(sex="female", site="x"))
 
     def test_drop(self):
         out = apply_zero_policy(self.make([3, 0, 5]), "drop")
@@ -141,12 +148,12 @@ class TestZeroPolicies:
 
     def test_add_half_touches_only_zeros(self):
         out = apply_zero_policy(self.make([3, 0, 5]), "add_half")
-        assert [c.t_value for c in out.cells] == [3.0, 0.5, 5.0]
-        assert [c.deaths_raw for c in out.cells] == [3.0, 0.0, 5.0]
+        assert out.t_value.tolist() == [3.0, 0.5, 5.0]
+        assert out.deaths.tolist() == [3.0, 0.0, 5.0]
 
     def test_add_one_touches_all(self):
         out = apply_zero_policy(self.make([3, 0, 5]), "add_one")
-        assert [c.t_value for c in out.cells] == [4.0, 1.0, 6.0]
+        assert out.t_value.tolist() == [4.0, 1.0, 6.0]
 
     def test_unknown_policy(self):
         with pytest.raises(DataValidationError):
@@ -192,15 +199,16 @@ class TestCells:
             make_cell(42.0, 2001.0, 12, t_value, population)
 
     def test_table_rejects_duplicate_keys(self):
-        c = make_cell(42.0, 2001.0, 1, 1.0, 10.0)
         with pytest.raises(DataValidationError):
-            ObservationTable(cells=(c, c), meta=TableMeta(sex="female", site="x"))
+            ObservationTable(age=[42.0, 42.0], period=[2001.0, 2001.0], deaths=[1, 1],
+                             t_value=[1.0, 1.0], population=[10.0, 10.0],
+                             meta=TableMeta(sex="female", site="x"))
 
     def test_table_rejects_unsorted(self):
-        a = make_cell(47.0, 2001.0, 1, 1.0, 10.0)
-        b = make_cell(42.0, 2001.0, 1, 1.0, 10.0)
         with pytest.raises(DataValidationError):
-            ObservationTable(cells=(a, b), meta=TableMeta(sex="female", site="x"))
+            ObservationTable(age=[47.0, 42.0], period=[2001.0, 2001.0], deaths=[1, 1],
+                             t_value=[1.0, 1.0], population=[10.0, 10.0],
+                             meta=TableMeta(sex="female", site="x"))
 
 
 class TestTableCsv:
@@ -208,7 +216,7 @@ class TestTableCsv:
         recs = parse_mortality_csv(GOOD_CSV)
         table = apply_zero_policy(aggregate_cells(recs, "female", "breast"), "add_half")
         back = table_from_csv(table_to_csv(table), meta=table.meta)
-        assert back.cells == table.cells
+        assert same_cells(back, table)
 
     def test_file_round_trip(self, tmp_path):
         recs = parse_mortality_csv(GOOD_CSV)
@@ -216,22 +224,23 @@ class TestTableCsv:
         path = tmp_path / "table.csv"
         write_table_csv(table, path)
         back = read_table_csv(path)
-        assert back.cells == table.cells
+        assert same_cells(back, table)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-3, 1e9, allow_nan=False))
     def test_awkward_floats_survive(self, pop):
-        c = make_cell(42.0, 2001.0, 3, 3.0, pop)
-        t = ObservationTable(cells=(c,), meta=TableMeta(sex="female", site="x"))
+        t = ObservationTable(age=[42.0], period=[2001.0], deaths=[3], t_value=[3.0],
+                             population=[pop], meta=TableMeta(sex="female", site="x"))
         back = table_from_csv(table_to_csv(t), meta=t.meta)
-        assert back.cells[0].population == pop
+        assert back.population[0] == pop
 
     @pytest.mark.parametrize("field, value", [
         (0, "nan"), (1, "inf"), (3, "inf"), (3, "nan"), (4, "inf"),
     ])
     def test_non_finite_field_reports_line_number(self, field, value):
-        c = make_cell(42.0, 2001.0, 3, 3.0, 1000.0)
-        header, row, tail = table_to_csv(ObservationTable(cells=(c,))).split("\n")
+        table = ObservationTable(age=[42.0], period=[2001.0], deaths=[3], t_value=[3.0],
+                                 population=[1000.0])
+        header, row, tail = table_to_csv(table).split("\n")
         fields = row.split(",")
         fields[field] = value
         with pytest.raises(DataValidationError, match="line 2"):
@@ -241,3 +250,97 @@ class TestTableCsv:
         recs = parse_mortality_csv(GOOD_CSV)
         again = parse_mortality_csv(records_to_csv(recs).encode())
         assert list(again) == list(recs)
+
+
+# column name -> ObservationCell field
+CELL_FIELDS = {"age": "age_mid", "period": "period_mid", "deaths": "deaths_raw",
+               "t_value": "t_value", "population": "population",
+               "log_t": "log_t", "log_pop": "log_pop"}
+# math.log gives -0.17032236569252399 here, np.log -0.17032236569252396
+LOG_BIT_PROBE = 0.8433928918354853
+
+
+def assert_matches_cells(table, cells):
+    """Each column equals the per-cell make_cell values bit for bit, and the
+    log columns equal math.log per entry (NaN at t_value 0)."""
+    assert len(table) == len(cells)
+    for column, name in CELL_FIELDS.items():
+        expected = np.array([getattr(c, name) for c in cells], dtype=float)
+        assert np.array_equal(getattr(table, column), expected, equal_nan=True), column
+    for column, name in (("log_t", "t_value"), ("log_pop", "population")):
+        expected = [math.log(getattr(c, name)) if getattr(c, name) > 0 else math.nan
+                    for c in cells]
+        assert np.array_equal(getattr(table, column), expected, equal_nan=True), column
+
+
+class TestColumnsMatchCells:
+    """The columnar table holds what a table of make_cell cells held."""
+
+    def probe_table(self):
+        t_value = [3.0, 0.0, LOG_BIT_PROBE, 0.0, 5.0]
+        cells = [make_cell(40.0 + 5 * i, 2000.0, round(t), t, 1000.0 + 0.1 * i)
+                 for i, t in enumerate(t_value)]
+        table = ObservationTable(
+            age=[c.age_mid for c in cells], period=[c.period_mid for c in cells],
+            deaths=[c.deaths_raw for c in cells], t_value=t_value,
+            population=[c.population for c in cells])
+        return table, cells
+
+    def test_aggregate_cells(self):
+        recs = parse_mortality_csv(GOOD_CSV + b"female,breast,50,54,2001,0,47000.25\n")
+        deaths, pops = {}, {}
+        for r in recs:
+            key = ((r.age_lo + r.age_hi) / 2.0, float(r.year))
+            deaths[key] = deaths.get(key, 0) + r.deaths
+            pops.setdefault(key, []).append(r.population)
+        cells = [make_cell(k[0], k[1], deaths[k], float(deaths[k]), math.fsum(pops[k]))
+                 for k in sorted(deaths)]
+        assert_matches_cells(aggregate_cells(recs, "female", "breast"), cells)
+
+    def test_probe_value_logs_with_math_log(self):
+        table, cells = self.probe_table()
+        assert math.isnan(table.log_t[1])
+        assert table.log_t[2] == math.log(LOG_BIT_PROBE)
+        assert_matches_cells(table, cells)
+
+    @pytest.mark.parametrize("policy", ZERO_POLICIES)
+    def test_zero_policies(self, policy):
+        table, cells = self.probe_table()
+        expected = []
+        for c in cells:
+            if policy == "drop" and c.deaths_raw == 0:
+                continue
+            if policy == "add_one" or (policy == "add_half" and c.deaths_raw == 0):
+                bump = 1.0 if policy == "add_one" else 0.5
+                c = make_cell(c.age_mid, c.period_mid, c.deaths_raw, c.deaths_raw + bump,
+                              c.population)
+            expected.append(c)
+        assert_matches_cells(apply_zero_policy(table, policy), expected)
+
+    def test_table_csv_round_trip(self):
+        table, cells = self.probe_table()
+        assert_matches_cells(table_from_csv(table_to_csv(table)), cells)
+
+    def test_simulate_table_continuous_noise(self):
+        truth = TruthSpec(ages=(40.0, 45.0, 50.0), periods=(2000.0, 2001.0),
+                          beta0=-20.0, beta_age=0.06, beta_period=0.0055,
+                          population=80000.0, noise="logsym", generator=normal_spec(),
+                          phi=0.05)
+        sim = simulate_table(truth, seed=11)
+        pop = truth.population_surface()
+        eps = sample_with_rng(truth.generator, len(pop), np.random.default_rng(11))
+        t = np.exp(np.log(pop) + truth.log_rate_surface() + np.sqrt(0.05) * eps)
+        cells = [make_cell(a, p, int(np.rint(ti)), float(ti), popi)
+                 for (a, p), ti, popi in zip(truth.grid(), t, pop)]
+        assert_matches_cells(sim.table, cells)
+
+    def test_columns_are_read_only_copies(self):
+        ages = np.array([40.0, 45.0])
+        table = ObservationTable(age=ages, period=[2000.0, 2000.0], deaths=[1, 2],
+                                 t_value=[1.0, 2.0], population=[10.0, 10.0])
+        ages[0] = 99.0
+        assert table.age[0] == 40.0
+        assert not hasattr(table, "cells")
+        for column in CELL_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, column)[0] = 1.0

@@ -1,5 +1,7 @@
 """Envelopes, model comparison, and component-curve export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +17,6 @@ from logsymrate import (
     fit,
     fit_poisson,
     log_rate_correlation,
-    make_cell,
     normal_spec,
     select_lambda,
     simulated_envelope,
@@ -122,7 +123,7 @@ class TestEnvelope:
 
 class TestCorrelation:
     def test_perfect_when_fitted_equals_observed(self, ltable):
-        obs = np.array([np.log(c.t_value) - c.log_pop for c in ltable.cells])
+        obs = np.log(ltable.t_value) - ltable.log_pop
         assert log_rate_correlation(obs, ltable) == pytest.approx(1.0)
 
     def test_constant_fit_is_undefined(self, ltable):
@@ -163,7 +164,10 @@ class TestCompare:
         # a fit from a table with different cell keys cannot be compared
         from logsymrate import ObservationTable
 
-        trimmed = ObservationTable(cells=ltable.cells[:-1], meta=ltable.meta)
+        trimmed = ObservationTable(
+            age=ltable.age[:-1], period=ltable.period[:-1], deaths=ltable.deaths[:-1],
+            t_value=ltable.t_value[:-1], population=ltable.population[:-1],
+            meta=ltable.meta)
         pf = fit_poisson(trimmed, ("intercept", "age", "period"))
         with pytest.raises(ComparisonError, match="cell keys"):
             compare_models(lfit, pf, ltable)
@@ -230,10 +234,7 @@ class TestEnvelopeRefitDesign:
         pinned = spec_with_lambdas(sfit.spec, sfit.lam)
         for eps, refit in zip(draws, refits):
             t_star = np.exp(sfit.mu_hat + np.sqrt(sfit.phi_hat) * eps)
-            sim = ObservationTable(cells=tuple(
-                make_cell(c.age_mid, c.period_mid, int(np.rint(t)), float(t), c.population)
-                for c, t in zip(ltable.cells, t_star)
-            ), meta=ltable.meta)
+            sim = replace(ltable, deaths=np.rint(t_star), t_value=t_star)
             assert np.array_equal(refit.design.y, sim.log_t)
             fresh = fit(pinned, sim)
             for name in ("mu_hat", "phi_hat"):
@@ -276,7 +277,7 @@ class TestCurves:
 
     def test_observation_values_match_curve(self, sfit, ltable):
         vals = term_values_at_observations(sfit, "location:ncs(age)")
-        ages = np.array([c.age_mid for c in ltable.cells])
+        ages = ltable.age
         # a 9-point grid lands exactly on the nine distinct ages
         cur = export_component_curves(sfit, "location:ncs(age)", grid_size=9)
         for x, v in cur:

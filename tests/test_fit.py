@@ -25,7 +25,7 @@ from logsymrate import (
     select_lambda,
     spec_with_lambdas,
 )
-from logsymrate.data_ingest import ObservationTable, TableMeta, make_cell
+from logsymrate.data_ingest import ObservationTable, TableMeta
 from logsymrate.errors import DataValidationError, SpecificationError
 
 from .conftest import plain_spec, small_logsym_table, small_poisson_table
@@ -64,11 +64,7 @@ class TestInvariances:
         # and leaves slopes and dispersion alone
         c = 0.7
         base = fit(plain_spec(), logsym_table)
-        shifted_cells = tuple(
-            make_cell(x.age_mid, x.period_mid, x.deaths_raw,
-                      x.t_value * np.exp(c), x.population)
-            for x in logsym_table.cells)
-        shifted = ObservationTable(cells=shifted_cells, meta=logsym_table.meta)
+        shifted = dataclasses.replace(logsym_table, t_value=logsym_table.t_value * np.exp(c))
         f2 = fit(plain_spec(), shifted)
         assert f2.beta[0] - base.beta[0] == pytest.approx(c, abs=1e-6)
         np.testing.assert_allclose(f2.beta[1:], base.beta[1:], atol=1e-7)
@@ -76,11 +72,7 @@ class TestInvariances:
 
     def test_offset_absorbs_population_scale(self, logsym_table):
         base = fit(plain_spec(), logsym_table)
-        scaled_cells = tuple(
-            make_cell(x.age_mid, x.period_mid, x.deaths_raw, x.t_value,
-                      x.population * 10.0)
-            for x in logsym_table.cells)
-        scaled = ObservationTable(cells=scaled_cells, meta=logsym_table.meta)
+        scaled = dataclasses.replace(logsym_table, population=logsym_table.population * 10.0)
         f2 = fit(plain_spec(), scaled)
         # same t with 10x population: the fitted log rate drops by log 10,
         # fitted medians of t are unchanged
@@ -252,11 +244,35 @@ class TestValidation:
                                               use_offset=True))
 
     def test_zero_counts_need_policy(self):
-        cells = tuple(make_cell(40.0 + 5 * i, 2000.0, d, float(d), 1000.0)
-                      for i, d in enumerate([3, 0, 5, 2]))
-        table = ObservationTable(cells=cells, meta=TableMeta(sex="female", site="x"))
+        deaths = [3, 0, 5, 2]
+        table = ObservationTable(age=[40.0, 45.0, 50.0, 55.0], period=[2000.0] * 4,
+                                 deaths=deaths, t_value=deaths, population=[1000.0] * 4,
+                                 meta=TableMeta(sex="female", site="x"))
         with pytest.raises(DataValidationError, match="zero policy"):
             fit(plain_spec(), table)
+
+    @pytest.mark.parametrize("covariate, location, dispersion", [
+        ("period", SubmodelSpec(("intercept", "age", "period"), use_offset=True),
+         SubmodelSpec()),
+        ("age", SubmodelSpec(("intercept", "period"),
+                             (SplineTerm(kind="ncs", covariate="age", lam=10.0),),
+                             use_offset=True),
+         SubmodelSpec()),
+        ("age", SubmodelSpec(("intercept",), use_offset=True),
+         SubmodelSpec(("intercept", "age"))),
+        ("period", SubmodelSpec(("intercept", "age"), use_offset=True),
+         SubmodelSpec(("intercept",), (SplineTerm(kind="psp", covariate="period",
+                                                  basis_dim=6, lam=10.0),))),
+    ])
+    def test_single_age_or_period_is_invalid_input(self, covariate, location, dispersion,
+                                                   logsym_table):
+        spec = ModelSpec(generator=normal_spec(), location=location, dispersion=dispersion)
+        t = logsym_table
+        keep = getattr(t, covariate) == getattr(t, covariate)[0]
+        single = ObservationTable(t.age[keep], t.period[keep], t.deaths[keep],
+                                  t.t_value[keep], t.population[keep], meta=t.meta)
+        with pytest.raises(DataValidationError, match=f"single {covariate} value"):
+            fit(spec, single)
 
     def test_missing_lambda_without_selection(self, logsym_table):
         spec = spline_spec()

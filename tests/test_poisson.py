@@ -10,10 +10,9 @@ from logsymrate import (
     deviance_residuals,
     fit_poisson,
     fitted_log_rate_poisson,
-    make_cell,
 )
-from logsymrate.errors import RankDeficiencyError
-from logsymrate.poisson_glm import parametric_design
+from logsymrate.errors import DataValidationError, RankDeficiencyError
+from logsymrate.poisson_glm import check_full_rank, parametric_design
 
 from .conftest import small_poisson_table
 
@@ -22,10 +21,9 @@ def tiny_table(deaths, pops, ages=None, periods=None):
     n = len(deaths)
     ages = ages or [40.0 + 5 * i for i in range(n)]
     periods = periods or [2000.0] * n
-    cells = tuple(make_cell(ages[i], periods[i], int(deaths[i]),
-                            float(deaths[i]), float(pops[i])) for i in range(n))
-    cells = tuple(sorted(cells, key=lambda c: (c.age_mid, c.period_mid)))
-    return ObservationTable(cells=cells, meta=TableMeta(sex="female", site="x"))
+    order = np.lexsort((periods, ages))
+    cols = [np.asarray(v, dtype=float)[order] for v in (ages, periods, deaths, deaths, pops)]
+    return ObservationTable(*cols, meta=TableMeta(sex="female", site="x"))
 
 
 class TestClosedForms:
@@ -138,6 +136,29 @@ class TestRankChecks:
                        periods=[2000.0, 2001.0, 2002.0])
         with pytest.raises(RankDeficiencyError, match="age"):
             fit_poisson(t, ("intercept", "age", "period"))
+
+    def test_collinear_columns_that_vary(self):
+        # a constant column stops at the single-value check; this reaches QR
+        t = tiny_table([3, 5, 2], [10.0, 12.0, 9.0], ages=[40.0, 45.0, 50.0],
+                       periods=[2000.0, 2005.0, 2010.0])
+        with pytest.raises(RankDeficiencyError, match="collinear") as info:
+            fit_poisson(t, ("intercept", "age", "period"))
+        assert not isinstance(info.value, DataValidationError)
+
+    def test_more_columns_than_rows(self):
+        # an economic QR of a 3 x 5 matrix has only 3 diagonal entries
+        X = np.random.default_rng(0).normal(size=(3, 5))
+        with pytest.raises(RankDeficiencyError, match="collinear"):
+            check_full_rank(X, ["a", "b", "c", "d", "e"])
+
+    @pytest.mark.parametrize("covariate, ages, periods", [
+        ("age", [50.0, 50.0, 50.0], [2000.0, 2001.0, 2002.0]),
+        ("period", [40.0, 45.0, 50.0], [2000.0, 2000.0, 2000.0]),
+    ])
+    def test_single_value_covariate_is_invalid_input(self, covariate, ages, periods):
+        t = tiny_table([3, 5, 2], [10.0, 12.0, 9.0], ages=ages, periods=periods)
+        with pytest.raises(DataValidationError, match=f"single {covariate} value"):
+            fit_poisson(t, ("intercept", covariate))
 
     def test_unknown_covariate(self):
         from logsymrate.errors import SpecificationError

@@ -321,6 +321,32 @@ class TestTruthSpecs:
             parse_truth_spec(doc)
 
 
+@pytest.mark.parametrize("parse, doc, mutate, field", [
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d["dispersion"]["terms"][0].update(basis_dim=7.5), "term basis_dim"),
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d["dispersion"]["terms"][0].update(diff_order=2.9), "term diff_order"),
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d["dispersion"]["terms"][0].update(basis_dim=True), "term basis_dim"),
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d.update(lambda_grid={"lo": 1, "hi": 10, "num": 2.7}), "lambda_grid num"),
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d["convergence"].update(max_outer=True), "max_outer"),
+    (parse_model_spec, FULL_LOGSYM_DOC,
+     lambda d: d["convergence"].update(max_halvings=False), "max_halvings"),
+    (parse_truth_spec, TRUTH_DOC,
+     lambda d: d["ages"].update(count=7.9), "ages count"),
+    (parse_truth_spec, TRUTH_DOC,
+     lambda d: d.update(periods={"min": 2000, "max": 2010, "count": True}), "periods count"),
+], ids=["basis_dim=7.5", "diff_order=2.9", "basis_dim=true", "num=2.7", "max_outer=true",
+        "max_halvings=false", "ages_count=7.9", "periods_count=true"])
+def test_counts_must_be_whole_numbers(parse, doc, mutate, field):
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    with pytest.raises(SpecificationError, match=f"^{field} must be a whole number"):
+        parse(doc)
+
+
 class TestFitSerialization:
     def test_poisson_fit_document(self):
         table = small_poisson_table(seed=5)
