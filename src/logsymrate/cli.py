@@ -5,10 +5,12 @@ raw CSVs, ``fit`` estimates one model from a spec document, ``compare``
 runs two specs side by side, ``envelope`` produces simulated residual
 envelopes, and ``curves`` exports fitted nonparametric components.
 
-Every run is reproducible: a fixed ``--seed`` (default 20130) makes all
-outputs byte-identical across reruns. Exit codes: 0 success, 2 input or
-validation problems, 3 numerical failures (including non-convergence,
-in which case fit.json is still written).
+The model spec alone sets a fit's zero policy and Jacobian adjustment.
+Every run is reproducible: ``simulate`` and ``envelope`` draw from
+``--seed`` (default 20130), and all outputs are byte-identical across
+reruns. Exit codes: 0 success, 2 input or validation problems, 3
+numerical failures (including non-convergence, in which case fit.json
+is still written).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import diagnostics, specio
 from .data_ingest import (
@@ -33,7 +34,7 @@ from .errors import (
     NumericalError,
     SpecificationError,
 )
-from .logsym_fit import LogSymFit, ModelSpec
+from .logsym_fit import LogSymFit
 from .logsym_fit import fit as fit_logsym
 from .poisson_glm import fit_poisson
 from .specio import PoissonSpec
@@ -55,25 +56,19 @@ def _read_text(path: str, what: str) -> str:
         return fh.read()
 
 
-def _load_spec(path: str, args: argparse.Namespace):
-    spec = specio.parse_model_spec(specio.load_json(_read_text(path, "spec")))
-    if args.jacobian_adjust and isinstance(spec, ModelSpec):
-        spec = replace(spec, jacobian_adjust=True)
-    return spec
+def _load_spec(path: str):
+    return specio.parse_model_spec(specio.load_json(_read_text(path, "spec")))
 
 
-def _load_table(args: argparse.Namespace, spec):
-    text = _read_text(args.input, "input")
-    records = parse_mortality_csv(text.encode("utf-8"))
+def _load_table(path: str, policy: str):
+    records = parse_mortality_csv(_read_text(path, "input"))
     strata = sorted({(r.sex, r.site) for r in records})
     if len(strata) != 1:
         raise DataValidationError(
             f"input holds {len(strata)} (sex, site) strata; provide exactly one"
         )
     sex, site = strata[0]
-    table = aggregate_cells(records, sex, site)
-    policy = args.policy or getattr(spec, "zero_policy", "add_half")
-    table = apply_zero_policy(table, policy)
+    table = apply_zero_policy(aggregate_cells(records, sex, site), policy)
     log.info("loaded %d cells for %s/%s, zero policy %s", len(table), sex, site, policy)
     return table
 
@@ -117,8 +112,8 @@ def _print_fit_summary(fit_result, table) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec, args)
-    table = _load_table(args, spec)
+    spec = _load_spec(args.spec)
+    table = _load_table(args.input, spec.zero_policy)
     result = _run_model(spec, table)
     doc = specio.fit_to_dict(result)
     if isinstance(spec, PoissonSpec):
@@ -129,11 +124,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if not args.spec2:
-        raise SpecificationError("compare needs --spec2")
     paths = (args.spec, args.spec2)
-    specs = [_load_spec(path, args) for path in paths]
-    table = _load_table(args, specs[0])
+    specs = [_load_spec(path) for path in paths]
+    policies = [spec.zero_policy for spec in specs]
+    if policies[0] != policies[1]:
+        raise SpecificationError(f"compare fits both specs on one table, but they declare "
+                                 f"zero policies {policies[0]!r} and {policies[1]!r}")
+    table = _load_table(args.input, policies[0])
     fits = []
     for idx, (path, spec) in enumerate(zip(paths, specs), start=1):
         try:
@@ -156,8 +153,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec, args)
-    table = _load_table(args, spec)
+    spec = _load_spec(args.spec)
+    table = _load_table(args.input, spec.zero_policy)
     result = _run_model(spec, table)
     kind = args.kind or ("deviance" if isinstance(spec, PoissonSpec) else "location")
     env = diagnostics.simulated_envelope(result, table, kind,
@@ -170,13 +167,13 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec, args)
+    spec = _load_spec(args.spec)
     if isinstance(spec, PoissonSpec):
         raise SpecificationError("curves needs a log-symmetric spec with spline terms; "
                                  "the Poisson model has no nonparametric components")
     if not (spec.location.terms or spec.dispersion.terms):
         raise SpecificationError("curves needs at least one spline term in the model spec")
-    table = _load_table(args, spec)
+    table = _load_table(args.input, spec.zero_policy)
     result = fit_logsym(spec, table)
     curves = diagnostics.all_component_curves(result)
     _write(_out_path(args, "curves.csv"), diagnostics.curves_to_csv(curves))
@@ -223,18 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, needs_input=True, seeded=False):
         if needs_input:
             p.add_argument("--input", required=True, help="mortality CSV path")
         p.add_argument("--spec", required=True, help="model/truth spec JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if seeded:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.add_argument("--policy", choices=["drop", "add_half", "add_one"],
-                       help="zero-count policy override")
-        p.add_argument("--jacobian-adjust", action="store_true",
-                       help="report Jacobian-adjusted AIC for log-symmetric fits")
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p_fit = sub.add_parser("fit", help="fit one model and write fit.json")
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--spec2", required=True, help="second model spec JSON path")
 
     p_env = sub.add_parser("envelope", help="simulated residual envelope")
-    add_common(p_env)
+    add_common(p_env, seeded=True)
     p_env.add_argument("--kind", choices=["location", "dispersion", "deviance"])
     p_env.add_argument("--m-sims", type=int, default=100)
     p_env.add_argument("--level", type=float, default=0.95)
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cur)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic mortality CSV")
-    add_common(p_sim, needs_input=False)
+    add_common(p_sim, needs_input=False, seeded=True)
     return parser
 
 

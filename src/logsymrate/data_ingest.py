@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
@@ -21,7 +22,7 @@ from .errors import DataFormatError, DataValidationError
 
 SEXES = ("female", "male")
 ZERO_POLICIES = ("drop", "add_half", "add_one")
-DEFAULT_YEAR_RANGE = (1900, 2100)
+YEAR_RANGE = (1900, 2100)  # admissible years of a raw record
 
 MORTALITY_HEADER = ["sex", "site", "age_lo", "age_hi", "year", "deaths", "population"]
 TABLE_HEADER = ["age_mid", "period_mid", "deaths_raw", "t_value", "population", "log_rate"]
@@ -29,7 +30,8 @@ TABLE_HEADER = ["age_mid", "period_mid", "deaths_raw", "t_value", "population", 
 
 @dataclass(frozen=True)
 class MortalityRecord:
-    """One raw stratum: sex, site, inclusive age band, year, count, exposure."""
+    """One raw stratum: sex, site, inclusive age band, year, count, exposure.
+    The band, year and count are whole numbers (not booleans), stored as int."""
 
     sex: str
     site: str
@@ -42,6 +44,14 @@ class MortalityRecord:
     def __post_init__(self):
         if self.sex not in SEXES:
             raise DataValidationError(f"unknown sex {self.sex!r}; expected one of {SEXES}")
+        for name in ("age_lo", "age_hi", "year", "deaths"):
+            value = getattr(self, name)
+            if type(value) is int:  # the CSV reader's case, kept cheap
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise DataValidationError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.age_lo > self.age_hi:
             raise DataValidationError(
                 f"age_lo {self.age_lo} exceeds age_hi {self.age_hi}"
@@ -195,7 +205,7 @@ def _csv_rows(source, expected, what: str):
         yield lineno, row
 
 
-def parse_mortality_csv(source, year_range=DEFAULT_YEAR_RANGE) -> list:
+def parse_mortality_csv(source) -> list:
     """Parse a raw mortality CSV (header ``sex,site,...,population``).
 
     Returns one ``MortalityRecord`` per data row in row order. No
@@ -224,9 +234,9 @@ def parse_mortality_csv(source, year_range=DEFAULT_YEAR_RANGE) -> list:
             raise DataValidationError(
                 f"line {lineno}: non-numeric population {population!r}"
             ) from None
-        if not (year_range[0] <= year_i <= year_range[1]):
+        if not (YEAR_RANGE[0] <= year_i <= YEAR_RANGE[1]):
             raise DataValidationError(
-                f"line {lineno}: year {year_i} outside admissible range {year_range}"
+                f"line {lineno}: year {year_i} outside admissible range {YEAR_RANGE}"
             )
         try:
             rec = MortalityRecord(sex, site, age_lo_i, age_hi_i, year_i,

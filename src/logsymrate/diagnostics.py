@@ -76,6 +76,11 @@ def _fit_residuals(fit_result, table, kind) -> np.ndarray:
     raise SpecificationError(f"unsupported fit object {type(fit_result).__name__}")
 
 
+def _check_fitted_on(fit_result, table: ObservationTable) -> None:
+    if fit_result.cell_keys != table.cell_keys:
+        raise ComparisonError("fit was produced on a different table (cell keys differ)")
+
+
 def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
     """One envelope replicate: draw from the fitted model, refit (reusing a
     log-symmetric fit's design and lambdas), return sorted residuals."""
@@ -104,12 +109,13 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     Bands are pointwise percentiles ((1 - level)/2 and (1 + level)/2)
     across simulations at each order statistic. A failed replicate is
     retried once with a fresh derived seed; more than 10% failures is an
-    error.
+    error. ``table`` must be the one the fit was made on.
     """
     if not (0.0 < level < 1.0):
         raise SpecificationError(f"level must be in (0, 1), got {level}")
     if m_sims < 1:
         raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
+    _check_fitted_on(fit_result, table)
     observed = np.sort(_fit_residuals(fit_result, table, kind))
     n = len(observed)
 
@@ -244,10 +250,7 @@ def compare_models(fit_a, fit_b, table: ObservationTable) -> ComparisonReport:
     a log-scale density AIC meets a count-mass AIC without the Jacobian
     adjustment."""
     for f in (fit_a, fit_b):
-        if f.cell_keys != table.cell_keys:
-            raise ComparisonError(
-                "fit was produced on a different table (cell keys differ)"
-            )
+        _check_fitted_on(f, table)
     label_a, label_b = fit_a.label, fit_b.label
     if label_a == label_b:
         label_a, label_b = f"{label_a}-1", f"{label_b}-2"

@@ -46,6 +46,10 @@ class GeneratorSpec:
             raise SpecificationError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
+        for name in ("nu", "zeta", "nu1", "nu2"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not math.isfinite(value)):
+                raise SpecificationError(f"family {name} must be a finite number, got {value!r}")
         if self.family == "student":
             if self.nu is None or not self.nu > 0:
                 raise SpecificationError(f"student family needs nu > 0, got {self.nu}")

@@ -156,10 +156,6 @@ class LogSymFit:
     def label(self) -> str:
         return f"logsym-{self.spec.generator.family}"
 
-    @property
-    def n_parametric(self) -> int:
-        return len(self.beta) + len(self.gamma)
-
 
 # ---------------------------------------------------------------------------
 # design assembly
@@ -204,7 +200,7 @@ def _build_half(name: str, sub: SubmodelSpec, table: ObservationTable) -> _Half:
     pos = X.shape[1]
     for t in sub.terms:
         x = table.age if t.covariate == "age" else table.period
-        block = build_term_block(t, x, center=True)
+        block = build_term_block(t, x)
         q = block.ncols
         terms.append(_TermInfo(label=term_label(name, t), term=t, block=block,
                                sl=slice(pos, pos + q)))

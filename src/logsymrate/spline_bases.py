@@ -16,6 +16,7 @@ penalty congruent.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -34,10 +35,10 @@ PSP_DEGREE = 3  # cubic B-splines throughout
 class SplineTerm:
     """Declaration of one nonparametric term.
 
-    ``lam`` is the penalty weight; ``None`` means "select on the AIC grid".
-    ``basis_dim`` and ``diff_order`` apply to psp terms only. ``knots``
-    may pin the knot vector explicitly; by default ncs knots are the
-    distinct covariate values and psp knots are equally spaced.
+    ``lam`` is the penalty weight, a positive finite number; ``None``
+    means "select on the AIC grid". ``basis_dim`` and ``diff_order`` apply
+    to psp terms only. ncs knots are the distinct covariate values and psp
+    knots are equally spaced.
     """
 
     kind: str
@@ -45,7 +46,6 @@ class SplineTerm:
     lam: Union[float, None] = None
     basis_dim: int = 23
     diff_order: int = 2
-    knots: Union[tuple, None] = None
 
     def __post_init__(self):
         if self.kind not in TERM_KINDS:
@@ -54,8 +54,8 @@ class SplineTerm:
             raise SpecificationError(
                 f"unknown covariate {self.covariate!r}; expected one of {COVARIATES}"
             )
-        if self.lam is not None and not self.lam > 0:
-            raise SpecificationError(f"smoothing parameter must be positive, got {self.lam}")
+        if self.lam is not None and (isinstance(self.lam, bool) or not 0 < self.lam < math.inf):
+            raise SpecificationError(f"term lambda must be positive and finite, got {self.lam!r}")
         if self.diff_order < 1:
             raise SpecificationError(f"diff_order must be >= 1, got {self.diff_order}")
         if self.kind == "psp" and self.basis_dim < self.diff_order + 1:
@@ -63,11 +63,6 @@ class SplineTerm:
                 f"psp basis_dim {self.basis_dim} too small for diff_order "
                 f"{self.diff_order}; need at least diff_order + 1"
             )
-        if self.knots is not None:
-            k = tuple(float(v) for v in self.knots)
-            if list(k) != sorted(k):
-                raise SpecificationError("explicit knots must be sorted")
-            object.__setattr__(self, "knots", k)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ class BasisBlock:
     knots: np.ndarray
     x_min: float
     x_max: float
-    degree: int = PSP_DEGREE
     centered: bool = False
     transform: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -111,7 +105,7 @@ class BasisBlock:
                     stacklevel=2,
                 )
             raw = BSpline.design_matrix(
-                x, self.knots, self.degree, extrapolate=True
+                x, self.knots, PSP_DEGREE, extrapolate=True
             ).toarray()
         return raw @ self.transform
 
@@ -140,7 +134,7 @@ def _ncs_eval_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ncs_build(x, knots=None) -> BasisBlock:
+def ncs_build(x) -> BasisBlock:
     """Natural-cubic-spline block with value-at-knot coefficients.
 
     The penalty is K = Q R^-1 Q^T over knot gaps h_j: column j of Q holds
@@ -150,15 +144,13 @@ def ncs_build(x, knots=None) -> BasisBlock:
     natural interpolant through (knots, a).
     """
     x = np.asarray(x, dtype=float)
-    t = np.unique(x) if knots is None else np.asarray(knots, dtype=float)
+    t = np.unique(x)
     q = len(t)
     if q < 3:
         raise SpecificationError(
             f"ncs term needs at least 3 distinct covariate values, got {q}"
         )
     h = np.diff(t)
-    if np.any(h <= 0):
-        raise SpecificationError("ncs knots must be strictly increasing")
 
     Q = np.zeros((q, q - 2))
     R = np.zeros((q - 2, q - 2))
@@ -214,7 +206,7 @@ def center_block(block: BasisBlock) -> BasisBlock:
     if norm == 0.0:
         # Constraint already holds identically; nothing to project out.
         return BasisBlock(kind=block.kind, B=block.B, K=block.K, knots=block.knots,
-                          x_min=block.x_min, x_max=block.x_max, degree=block.degree,
+                          x_min=block.x_min, x_max=block.x_max,
                           centered=True, transform=block.transform)
     v = c.copy()
     v[0] += np.copysign(norm, c[0]) if c[0] != 0 else norm
@@ -224,17 +216,17 @@ def center_block(block: BasisBlock) -> BasisBlock:
     Kc = Z.T @ block.K @ Z
     Kc = (Kc + Kc.T) / 2.0
     return BasisBlock(kind=block.kind, B=Bc, K=Kc, knots=block.knots,
-                      x_min=block.x_min, x_max=block.x_max, degree=block.degree,
+                      x_min=block.x_min, x_max=block.x_max,
                       centered=True, transform=block.transform @ Z)
 
 
-def build_term_block(term: SplineTerm, x, center: bool = True) -> BasisBlock:
-    """Build (and by default center) the block declared by ``term``."""
+def build_term_block(term: SplineTerm, x) -> BasisBlock:
+    """Build and center the block declared by ``term``."""
     if term.kind == "ncs":
-        block = ncs_build(x, knots=term.knots)
+        block = ncs_build(x)
     else:
         block = psp_build(x, basis_dim=term.basis_dim, diff_order=term.diff_order)
-    return center_block(block) if center else block
+    return center_block(block)
 
 
 def term_label(submodel: str, term: SplineTerm) -> str:

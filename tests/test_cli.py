@@ -97,6 +97,45 @@ class TestSimulate:
             (root / "sim3" / "simulated.csv").read_bytes()
 
 
+REMOVED_FLAGS = [
+    ("fit", ["--policy", "drop"]),
+    ("fit", ["--jacobian-adjust"]),
+    ("fit", ["--seed", "1"]),
+    ("compare", ["--seed", "1"]),
+    ("curves", ["--seed", "1"]),
+    ("envelope", ["--policy", "drop"]),
+    ("simulate", ["--policy", "drop"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS])
+def test_flags_that_shadow_the_spec_or_do_nothing_are_rejected(workspace, capsys,
+                                                               command, flag):
+    # the spec alone sets the zero policy and the Jacobian adjustment, and
+    # only simulate and envelope draw random numbers
+    if command == "simulate":
+        args = ["--spec", workspace["truth"]]
+    else:
+        args = ["--input", workspace["input"], "--spec", workspace["breast"]]
+    if command == "compare":
+        args += ["--spec2", workspace["poisson"]]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out", str(workspace["root"] / "flag"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def zero_input(workspace):
+    """A simulated input CSV in which many cells count zero deaths."""
+    truth = write_doc(workspace["root"] / "zero_truth.json",
+                      dict(TRUTH_DOC, population=2000.0, noise={"kind": "poisson_counts"}))
+    out = workspace["root"] / "zero_sim"
+    assert main(["simulate", "--spec", truth, "--out", str(out)]) == 0
+    return str(out / "simulated.csv")
+
+
 class TestFit:
     def test_logsym_fit(self, workspace, capsys):
         out = workspace["root"] / "fit_l"
@@ -178,6 +217,34 @@ class TestFit:
         assert code == 2
         assert "single period value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [LOGSYM_DOC, POISSON_DOC], ids=["logsym", "poisson"])
+    def test_zero_policy_comes_from_the_spec(self, workspace, zero_input, doc):
+        rows = open(zero_input, encoding="utf-8").read().strip().split("\n")[1:]
+        nonzero = sum(int(row.split(",")[5]) > 0 for row in rows)
+        assert 0 < nonzero < len(rows)
+        spec = write_doc(workspace["root"] / f"drop_{doc['model']}.json",
+                         dict(doc, zero_policy="drop"))
+        out = workspace["root"] / f"fit_drop_{doc['model']}"
+        assert main(["fit", "--input", zero_input, "--spec", spec, "--out", str(out)]) == 0
+        written = json.loads((out / "fit.json").read_text())
+        assert written["spec"]["zero_policy"] == "drop"
+        assert written["n_cells"] == nonzero
+
+    @pytest.mark.parametrize("text, field", [
+        ('"family": {"name": "student", "nu": true}', "nu"),
+        ('"family": {"name": "powerexp", "zeta": Infinity}', "zeta"),
+        ('"family": {"name": "normal"}, "dispersion": {"terms": '
+         '[{"kind": "ncs", "covariate": "age", "lambda": Infinity}]}', "lambda"),
+    ], ids=["nu-true", "zeta-inf", "lambda-inf"])
+    def test_non_finite_or_boolean_parameter_exits_2(self, workspace, capsys, text, field):
+        spec = workspace["root"] / f"bad_{field}.json"
+        spec.write_text('{"model": "logsym", "location": {"covariates": ["intercept"]}, '
+                        + text + "}", encoding="utf-8")
+        code = main(["fit", "--input", workspace["input"], "--spec", str(spec),
+                     "--out", str(workspace["root"] / f"fit_bad_{field}")])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3_but_writes(self, workspace):
         # student weights need more than one sweep
         doc = dict(LOGSYM_DOC, family={"name": "student", "nu": 5.0},
@@ -221,6 +288,18 @@ class TestCompare:
             main(["compare", "--input", workspace["input"],
                   "--spec", workspace["logsym"],
                   "--out", str(workspace["root"] / "cmp2")])
+
+    def test_zero_policies_must_agree(self, workspace, capsys):
+        # both models are fitted on one table, so one zero policy must hold
+        drop = write_doc(workspace["root"] / "poisson_drop.json",
+                         dict(POISSON_DOC, zero_policy="drop"))
+        code = main(["compare", "--input", workspace["input"],
+                     "--spec", workspace["logsym"], "--spec2", drop,
+                     "--out", str(workspace["root"] / "cmp_policy")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'add_half'" in err and "'drop'" in err
+        assert not (workspace["root"] / "cmp_policy").exists()
 
     def test_broken_second_model_is_labelled(self, workspace, capsys):
         bad = write_doc(workspace["root"] / "bad_cov.json",

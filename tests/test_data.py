@@ -72,6 +72,23 @@ class TestParse:
             MortalityRecord(sex="other", site="lung", age_lo=50, age_hi=54,
                             year=2000, deaths=1, population=100.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("age_lo", 40.5), ("age_hi", True), ("year", True), ("year", "2000"),
+        ("deaths", 2.5), ("deaths", math.nan),
+    ])
+    def test_count_fields_must_be_whole_numbers(self, field, value):
+        fields = dict(sex="female", site="x", age_lo=40, age_hi=44, year=2000,
+                      deaths=2, population=10.0)
+        fields[field] = value
+        with pytest.raises(DataValidationError, match=f"^{field} must be a whole number"):
+            MortalityRecord(**fields)
+
+    def test_whole_number_fields_stored_as_int(self):
+        rec = MortalityRecord(sex="female", site="x", age_lo=40.0, age_hi=np.int64(44),
+                              year=2000.0, deaths=2.0, population=10.0)
+        assert all(type(v) is int for v in (rec.age_lo, rec.age_hi, rec.year, rec.deaths))
+        assert records_to_csv([rec]).split("\n")[1] == "female,x,40,44,2000,2,10.0"
+
     def test_year_out_of_range(self):
         bad = GOOD_CSV.replace(b",2003,", b",1492,")
         with pytest.raises(DataValidationError):

@@ -110,6 +110,14 @@ class TestEnvelope:
         with pytest.raises(EnvelopeError):
             simulated_envelope(f, ltable, "location", m_sims=10, seed=5)
 
+    def test_other_table_rejected(self, lfit, ltable, pfit, ptable):
+        # deviance residuals would mix the other table's deaths with the
+        # fit's means, and a log-symmetric envelope would ignore the table
+        for f, table, kind in ((pfit, ptable, "deviance"), (lfit, ltable, "location")):
+            shifted = replace(table, period=table.period + 1.0)
+            with pytest.raises(ComparisonError, match="cell keys"):
+                simulated_envelope(f, shifted, kind, m_sims=2, seed=1)
+
     def test_kind_validation(self, lfit, ltable, pfit, ptable):
         with pytest.raises(SpecificationError):
             simulated_envelope(lfit, ltable, "deviance", m_sims=2, seed=1)

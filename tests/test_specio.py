@@ -186,6 +186,23 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match=f"^{field} must "):
             parse_model_spec(doc)
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["family"].update(nu=True), "nu"),
+        (lambda d: d["family"].update(nu=math.inf), "nu"),
+        (lambda d: d.update(family={"name": "powerexp", "zeta": True}), "zeta"),
+        (lambda d: d.update(family={"name": "contnormal", "nu1": True, "nu2": 2.0}), "nu1"),
+        (lambda d: d.update(family={"name": "contnormal", "nu1": 0.1, "nu2": math.inf}),
+         "nu2"),
+        (lambda d: d["location"]["terms"][0].update({"lambda": math.inf}), "lambda"),
+    ], ids=["nu-true", "nu-inf", "zeta-true", "nu1-true", "nu2-inf", "lambda-inf"])
+    def test_boolean_or_infinite_parameters_rejected(self, mutate, field):
+        # JSON true is not the number 1 (a student "nu": true would fit a
+        # Cauchy), and an infinite value leaves the objective non-finite
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=f" {field} must be "):
+            parse_model_spec(doc)
+
     def test_integral_counts_kept_as_ints(self):
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
         doc["convergence"].update(max_outer=1.0, max_halvings=0)
