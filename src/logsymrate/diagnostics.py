@@ -58,7 +58,7 @@ def reference_quantiles(n: int) -> np.ndarray:
     return stats.norm.ppf((k - 0.375) / (n + 0.25))
 
 
-def _fit_residuals(fit_result, table, kind) -> np.ndarray:
+def _fit_residuals(fit_result, kind) -> np.ndarray:
     if isinstance(fit_result, LogSymFit):
         if kind not in LOGSYM_RESIDUAL_KINDS:
             raise SpecificationError(
@@ -72,7 +72,7 @@ def _fit_residuals(fit_result, table, kind) -> np.ndarray:
                 f"residual kind {kind!r} invalid for a Poisson fit; "
                 f"expected one of {POISSON_RESIDUAL_KINDS}"
             )
-        return deviance_residuals(fit_result, table)
+        return deviance_residuals(fit_result)
     raise SpecificationError(f"unsupported fit object {type(fit_result).__name__}")
 
 
@@ -94,11 +94,11 @@ def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
                               fit_result.lam)
     else:
         y_star = rng.poisson(fit_result.mu_hat)
-        table = replace(table, deaths=y_star, t_value=y_star)
-        refit = fit_poisson(table, fit_result.covariates)
+        refit = fit_poisson(replace(table, deaths=y_star, t_value=y_star),
+                            fit_result.covariates)
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
-    return np.sort(_fit_residuals(refit, table, kind))
+    return np.sort(_fit_residuals(refit, kind))
 
 
 def simulated_envelope(fit_result, table: ObservationTable, kind: str,
@@ -116,7 +116,9 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     if m_sims < 1:
         raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
     _check_fitted_on(fit_result, table)
-    observed = np.sort(_fit_residuals(fit_result, table, kind))
+    if isinstance(fit_result, PoissonFit) and not np.array_equal(fit_result.y, table.deaths):
+        raise ComparisonError("Poisson fit was produced on other death counts")
+    observed = np.sort(_fit_residuals(fit_result, kind))
     n = len(observed)
 
     sims = []

@@ -21,6 +21,12 @@ After the stopping rules fire, a few extra sweeps run until the analytic
 penalized score is far below the documented stationarity bound, and the
 reported grad_norm is an independent fourth-order finite-difference
 check of the objective at the solution.
+
+A "select" term is resolved by refitting at each lambda of the grid and
+keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
+``grad_norm`` and the standard errors belong to the final fit at the
+selected lambdas, and a grid fit that did not converge still competes on
+its AIC.
 """
 
 from __future__ import annotations
@@ -216,6 +222,11 @@ def _build_half(name: str, sub: SubmodelSpec, table: ObservationTable) -> _Half:
 def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
     if len(table) == 0:
         raise DataValidationError("empty table")
+    if table.meta.zero_policy not in (None, spec.zero_policy):
+        raise SpecificationError(
+            f"table was built with zero policy {table.meta.zero_policy!r} but the spec "
+            f"declares {spec.zero_policy!r}"
+        )
     if np.any(table.t_value == 0):  # the table holds no negative t_value
         raise DataValidationError("table has zero t_value cells; apply a zero policy first")
     for sub in (spec.location, spec.dispersion):
@@ -473,7 +484,10 @@ def _initial_params(design: _Design) -> tuple:
     return th_loc, th_disp
 
 
-def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
+def _optimize(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
+    """Alternating sweeps, then Newton polish once the stopping rules fire.
+
+    Returns (th_loc, th_disp, criteria_met, iterations, trace)."""
     halvings = spec.max_halvings
     th_loc, th_disp = _initial_params(design)
     L = _eval_objective(design, th_loc, th_disp, lam)
@@ -514,20 +528,46 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
                 trace.append(L)
             if not ok:
                 break
-
-    grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
-    converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
-    return _assemble_fit(spec, design, lam, th_loc, th_disp, L,
-                         converged, iterations, grad_norm, tuple(trace))
+    return th_loc, th_disp, criteria_met, iterations, tuple(trace)
 
 
-def _assemble_fit(spec, design, lam, th_loc, th_disp, L, converged,
-                  iterations, grad_norm, trace) -> LogSymFit:
+def _information_criteria(spec: ModelSpec, design: _Design, lam: dict,
+                          th_loc, th_disp) -> tuple:
+    """(loglik, per-term edf, aic, aic_jacobian) at the given coefficients."""
     gen = spec.generator
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     phi = np.exp(logphi)
     z = (design.y - mu) / np.sqrt(phi)
-    zc = _clamped_z(gen, z)
+    v = weight_v(gen, _clamped_z(gen, z))
+
+    # effective degrees of freedom with each submodel's final weights
+    edf = {}
+    for half, w in ((design.loc, v / phi), (design.disp, np.full(len(z), design.kappa))):
+        for ti in half.terms:
+            edf[ti.label] = _term_edf(ti, w, lam[ti.label])
+
+    ll = float(np.sum(logpdf(gen, z)) - 0.5 * np.sum(logphi))
+    p_par = design.loc.p_par + design.disp.p_par
+    aic_unadj = -2.0 * ll + 2.0 * (p_par + sum(edf.values()))
+    aic_jacobian = aic_unadj + 2.0 * float(np.sum(design.y))
+    aic = aic_jacobian if spec.jacobian_adjust else aic_unadj
+    return ll, edf, aic, aic_jacobian
+
+
+def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
+    th_loc, th_disp, criteria_met, iterations, trace = _optimize(spec, design, lam)
+    grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
+    converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
+    return _assemble_fit(spec, design, lam, th_loc, th_disp,
+                         converged, iterations, grad_norm, trace)
+
+
+def _assemble_fit(spec, design, lam, th_loc, th_disp, converged,
+                  iterations, grad_norm, trace) -> LogSymFit:
+    gen = spec.generator
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
+    phi = np.exp(logphi)
+    zc = _clamped_z(gen, (design.y - mu) / np.sqrt(phi))
     u = zc * zc
     v = weight_v(gen, zc)
     vp = weight_v_prime(gen, u)
@@ -538,22 +578,12 @@ def _assemble_fit(spec, design, lam, th_loc, th_disp, L, converged,
     beta_se = _block_se(design.loc, w_loc_obs, lam)
     gamma_se = _block_se(design.disp, w_disp_obs, lam)
 
-    # effective degrees of freedom with each submodel's final weights
-    edf = {}
-    for half, w in ((design.loc, v / phi), (design.disp, np.full(len(z), design.kappa))):
-        for ti in half.terms:
-            edf[ti.label] = _term_edf(ti, w, lam[ti.label])
+    ll, edf, aic, aic_jacobian = _information_criteria(spec, design, lam, th_loc, th_disp)
 
     spline_coefs = {}
     for half, th in ((design.loc, th_loc), (design.disp, th_disp)):
         for ti in half.terms:
             spline_coefs[ti.label] = th[ti.sl].copy()
-
-    ll = float(np.sum(logpdf(gen, z)) - 0.5 * np.sum(logphi))
-    p_par = design.loc.p_par + design.disp.p_par
-    aic_unadj = -2.0 * ll + 2.0 * (p_par + sum(edf.values()))
-    aic_jacobian = aic_unadj + 2.0 * float(np.sum(design.y))
-    aic = aic_jacobian if spec.jacobian_adjust else aic_unadj
 
     params = FitParams(location=th_loc.copy(), dispersion=th_disp.copy(),
                        lam=dict(lam))
@@ -654,6 +684,12 @@ def _grid_midpoint(grid) -> float:
     return float(math.sqrt(grid[0] * grid[-1]))
 
 
+def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
+    """AIC of one grid fit, with no convergence verdict or standard errors."""
+    th_loc, th_disp, *_ = _optimize(spec, design, lam)
+    return _information_criteria(spec, design, lam, th_loc, th_disp)[2]
+
+
 def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> float:
     """AIC grid search over one term, others held at their current values
     (unresolved select terms sit at the geometric grid midpoint)."""
@@ -666,13 +702,13 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
         trial = dict(base)
         trial[label] = float(cand)
         try:
-            f = _fit_resolved(spec, design, _resolve_lambdas(trial, design))
+            aic = _grid_aic(spec, design, _resolve_lambdas(trial, design))
         except NumericalError:
             continue
-        if f.aic < best_aic - 1e-9:
-            best_aic = f.aic
+        if aic < best_aic - 1e-9:
+            best_aic = aic
             best_lam = float(cand)
-        elif f.aic <= best_aic + 1e-9:
+        elif aic <= best_aic + 1e-9:
             # tie within tolerance: prefer the smoother (larger) lambda
             best_lam = float(cand)
     if best_lam is None:

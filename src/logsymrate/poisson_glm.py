@@ -91,6 +91,7 @@ class PoissonFit:
     se: np.ndarray
     cov: np.ndarray
     covariates: tuple
+    y: np.ndarray
     mu_hat: np.ndarray
     deviance: float
     loglik: float
@@ -172,14 +173,15 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
     se = np.sqrt(np.diag(cov))
     ll = _poisson_loglik(y, mu)
     return PoissonFit(
-        beta=beta, se=se, cov=cov, covariates=covariates, mu_hat=mu,
+        beta=beta, se=se, cov=cov, covariates=covariates, y=y, mu_hat=mu,
         deviance=dev, loglik=ll, aic=-2.0 * ll + 2.0 * X.shape[1],
         iterations=iterations, converged=converged, cell_keys=table.cell_keys,
     )
 
 
-def deviance_residuals(fit: PoissonFit, table: ObservationTable) -> np.ndarray:
-    y = table.deaths
+def deviance_residuals(fit: PoissonFit) -> np.ndarray:
+    """Deviance residuals of the counts the fit was made on."""
+    y = fit.y
     mu = fit.mu_hat
     inner = 2.0 * (special.xlogy(y, y / mu) - (y - mu))
     return np.sign(y - mu) * np.sqrt(np.maximum(inner, 0.0))

@@ -111,12 +111,19 @@ class TestEnvelope:
             simulated_envelope(f, ltable, "location", m_sims=10, seed=5)
 
     def test_other_table_rejected(self, lfit, ltable, pfit, ptable):
-        # deviance residuals would mix the other table's deaths with the
-        # fit's means, and a log-symmetric envelope would ignore the table
+        # a Poisson replicate would refit on the other table's cells, and a
+        # log-symmetric envelope would ignore the table
         for f, table, kind in ((pfit, ptable, "deviance"), (lfit, ltable, "location")):
             shifted = replace(table, period=table.period + 1.0)
             with pytest.raises(ComparisonError, match="cell keys"):
                 simulated_envelope(f, shifted, kind, m_sims=2, seed=1)
+
+    def test_other_counts_rejected(self, pfit):
+        # same cells, other deaths: the band would be drawn around the fit's
+        # means but refitted on the other table
+        with pytest.raises(ComparisonError, match="death counts"):
+            simulated_envelope(pfit, small_poisson_table(seed=14), "deviance",
+                               m_sims=2, seed=1)
 
     def test_kind_validation(self, lfit, ltable, pfit, ptable):
         with pytest.raises(SpecificationError):

@@ -6,10 +6,12 @@ nondecreasing.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from logsymrate import logsym_fit
 from logsymrate import (
     FitParams,
     GeneratorSpec,
@@ -41,6 +43,15 @@ def spline_spec(loc_lam=10.0, disp_lam=100.0, generator=None):
                                 terms=(SplineTerm(kind="psp", covariate="age",
                                                   basis_dim=8, lam=disp_lam),)),
     )
+
+
+def select_spec(generator=None, grid=tuple(np.geomspace(1e-1, 1e5, 7))):
+    """``spline_spec`` with its location ncs(age) lambda left to selection."""
+    spec = dataclasses.replace(spline_spec(generator=generator), lambda_grid=grid)
+    return dataclasses.replace(
+        spec, location=dataclasses.replace(
+            spec.location,
+            terms=(SplineTerm(kind="ncs", covariate="age", lam=None),)))
 
 
 class TestClosedForm:
@@ -157,25 +168,48 @@ class TestSmoothing:
         assert f_smooth.aic == pytest.approx(f_par.aic, abs=0.5)
 
     def test_selection_returns_grid_point(self, logsym_table):
-        grid = tuple(np.geomspace(1e-1, 1e5, 7))
-        spec = dataclasses.replace(spline_spec(), lambda_grid=grid)
-        spec = dataclasses.replace(
-            spec, location=dataclasses.replace(
-                spec.location,
-                terms=(SplineTerm(kind="ncs", covariate="age", lam=None),)))
+        spec = select_spec()
         lam = select_lambda(spec, logsym_table, "location:ncs(age)")
-        assert lam in grid
+        assert lam in spec.lambda_grid
 
     def test_fit_resolves_select_like_manual(self, logsym_table):
-        grid = tuple(np.geomspace(1e-1, 1e5, 7))
-        spec = dataclasses.replace(spline_spec(), lambda_grid=grid)
-        spec = dataclasses.replace(
-            spec, location=dataclasses.replace(
-                spec.location,
-                terms=(SplineTerm(kind="ncs", covariate="age", lam=None),)))
+        spec = select_spec()
         lam = select_lambda(spec, logsym_table, "location:ncs(age)")
         f = fit(spec, logsym_table)
         assert f.lam["location:ncs(age)"] == lam
+
+    @pytest.mark.parametrize("gen", [normal_spec(), GeneratorSpec(family="powerexp", zeta=0.4)],
+                             ids=["normal", "powerexp"])
+    def test_grid_aic_is_the_full_fit_aic(self, gen, logsym_table):
+        # a grid fit skips the convergence verdict and the standard errors,
+        # so its AIC must still be the full fit's, and selection over it
+        # must match a loop of full fits under the same tie rule
+        spec = select_spec(generator=gen)
+        design = logsym_fit._build_design(spec, logsym_table)
+        best_lam, best_aic = None, math.inf
+        for cand in spec.lambda_grid:
+            lam = logsym_fit._resolve_lambdas({"location:ncs(age)": cand}, design)
+            aic = logsym_fit._fit_resolved(spec, design, lam).aic
+            assert logsym_fit._grid_aic(spec, design, lam) == aic
+            if aic < best_aic - 1e-9:
+                best_lam, best_aic = cand, aic
+            elif aic <= best_aic + 1e-9:
+                best_lam = cand
+        assert select_lambda(spec, logsym_table, "location:ncs(age)") == best_lam
+
+    def test_only_the_final_fit_gets_verdict_and_standard_errors(self, logsym_table,
+                                                                 monkeypatch):
+        calls = {"_fd_grad_norm": 0, "_block_se": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(logsym_fit, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(logsym_fit, name, counted)
+        spec = select_spec(grid=logsym_fit.DEFAULT_LAMBDA_GRID)
+        f = fit(spec, logsym_table)
+        assert len(spec.lambda_grid) == 30
+        assert calls == {"_fd_grad_norm": 1, "_block_se": 2}
+        assert f.beta_se.shape == f.beta.shape
 
     def test_spec_with_lambdas_pins(self, logsym_table):
         f = fit(spline_spec(), logsym_table)
@@ -250,6 +284,14 @@ class TestValidation:
                                  meta=TableMeta(sex="female", site="x"))
         with pytest.raises(DataValidationError, match="zero policy"):
             fit(plain_spec(), table)
+
+    def test_table_zero_policy_must_match_spec(self):
+        table = small_logsym_table(seed=13)
+        with pytest.raises(SpecificationError, match="'add_half'.*'drop'"):
+            fit(plain_spec(zero_policy="drop"), table)
+        # a table built without a zero policy carries none to check
+        unmarked = dataclasses.replace(table, meta=TableMeta())
+        assert fit(plain_spec(zero_policy="drop"), unmarked).converged
 
     @pytest.mark.parametrize("covariate, location, dispersion", [
         ("period", SubmodelSpec(("intercept", "age", "period"), use_offset=True),
