@@ -52,6 +52,8 @@ class MortalityRecord:
                     or not float(value).is_integer():
                 raise DataValidationError(f"{name} must be a whole number, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if not YEAR_RANGE[0] <= self.year <= YEAR_RANGE[1]:
+            raise DataValidationError(f"year {self.year} outside admissible range {YEAR_RANGE}")
         if self.age_lo > self.age_hi:
             raise DataValidationError(
                 f"age_lo {self.age_lo} exceeds age_hi {self.age_hi}"
@@ -234,10 +236,6 @@ def parse_mortality_csv(source) -> list:
             raise DataValidationError(
                 f"line {lineno}: non-numeric population {population!r}"
             ) from None
-        if not (YEAR_RANGE[0] <= year_i <= YEAR_RANGE[1]):
-            raise DataValidationError(
-                f"line {lineno}: year {year_i} outside admissible range {YEAR_RANGE}"
-            )
         try:
             rec = MortalityRecord(sex, site, age_lo_i, age_hi_i, year_i,
                                   deaths_i, population_f)

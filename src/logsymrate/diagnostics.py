@@ -5,6 +5,10 @@ reports, and nonparametric component curves.
 Everything here is plot-ready data, not plots. All simulation is driven
 by explicit seeds with per-replicate derived streams (seed + replicate
 index), so results are identical however replicates are scheduled.
+
+An envelope replicate of either model is a simulated response refit on
+the fitted design. Envelopes and comparisons take only the table a fit
+was made on: its cell keys and its response must match the fit's.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from .errors import (
 from .logsym_family import sample_with_rng
 from .logsym_fit import LogSymFit, _find_term, _fit_resolved as logsym_fit_fn, \
     fitted_log_rate, residuals
-from .poisson_glm import PoissonFit, deviance_residuals, fit_poisson, \
-    fitted_log_rate_poisson
+from .poisson_glm import PoissonFit, deviance_residuals, fitted_log_rate_poisson, irls
 
 LOGSYM_RESIDUAL_KINDS = ("location", "dispersion")
 POISSON_RESIDUAL_KINDS = ("deviance",)
@@ -79,13 +82,17 @@ def _fit_residuals(fit_result, kind) -> np.ndarray:
 def _check_fitted_on(fit_result, table: ObservationTable) -> None:
     if fit_result.cell_keys != table.cell_keys:
         raise ComparisonError("fit was produced on a different table (cell keys differ)")
+    if isinstance(fit_result, PoissonFit) and not np.array_equal(fit_result.y, table.deaths):
+        raise ComparisonError("Poisson fit was produced on other death counts")
+    if isinstance(fit_result, LogSymFit) and not np.array_equal(fit_result.design.y, table.log_t):
+        raise ComparisonError("log-symmetric fit was produced on other responses")
 
 
-def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
-    """One envelope replicate: draw from the fitted model, refit (reusing a
-    log-symmetric fit's design and lambdas), return sorted residuals."""
+def _simulate_and_refit(fit_result, kind, rng) -> np.ndarray:
+    """One envelope replicate: draw a response from the fitted model, refit it
+    on the fitted design (and lambdas), return sorted residuals."""
     if isinstance(fit_result, LogSymFit):
-        eps = sample_with_rng(fit_result.spec.generator, len(table), rng)
+        eps = sample_with_rng(fit_result.spec.generator, len(fit_result.mu_hat), rng)
         y_star = fit_result.mu_hat + np.sqrt(fit_result.phi_hat) * eps
         t_star = np.exp(y_star)
         if not np.all(np.isfinite(t_star)) or np.any(t_star <= 0):
@@ -93,9 +100,9 @@ def _simulate_and_refit(fit_result, table, kind, rng) -> np.ndarray:
         refit = logsym_fit_fn(fit_result.spec, replace(fit_result.design, y=_logs(t_star)),
                               fit_result.lam)
     else:
-        y_star = rng.poisson(fit_result.mu_hat)
-        refit = fit_poisson(replace(table, deaths=y_star, t_value=y_star),
-                            fit_result.covariates)
+        y_star = rng.poisson(fit_result.mu_hat).astype(float)
+        refit = irls(fit_result.X, fit_result.offset, y_star, fit_result.covariates,
+                     fit_result.cell_keys)
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
     return np.sort(_fit_residuals(refit, kind))
@@ -116,8 +123,6 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     if m_sims < 1:
         raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
     _check_fitted_on(fit_result, table)
-    if isinstance(fit_result, PoissonFit) and not np.array_equal(fit_result.y, table.deaths):
-        raise ComparisonError("Poisson fit was produced on other death counts")
     observed = np.sort(_fit_residuals(fit_result, kind))
     n = len(observed)
 
@@ -126,7 +131,7 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     for i in range(m_sims):
         for rep_seed in (seed + i, seed + m_sims + i):
             try:
-                sims.append(_simulate_and_refit(fit_result, table, kind,
+                sims.append(_simulate_and_refit(fit_result, kind,
                                                 np.random.default_rng(rep_seed)))
                 break
             except (ModelError, FloatingPointError, OverflowError, ValueError):

@@ -192,6 +192,7 @@ class _Design:
     disp: _Half
     generator: GeneratorSpec
     kappa: float
+    disp_info: np.ndarray  # kappa * W^T W, the unpenalized dispersion information
     cell_keys: tuple
 
     @property
@@ -239,10 +240,10 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
             names += [f"{ti.label}[{i}]" for i in range(ti.sl.stop - ti.sl.start)]
         check_full_rank(half.G, names)
     offset = table.log_pop if spec.location.use_offset else np.zeros(len(table))
+    kappa = dispersion_info_const(spec.generator)
     return _Design(y=table.log_t.copy(), offset=offset, loc=loc, disp=disp,
-                   generator=spec.generator,
-                   kappa=dispersion_info_const(spec.generator),
-                   cell_keys=table.cell_keys)
+                   generator=spec.generator, kappa=kappa,
+                   disp_info=kappa * (disp.G.T @ disp.G), cell_keys=table.cell_keys)
 
 
 def _resolve_lambdas(lam: dict, design: _Design) -> dict:
@@ -314,6 +315,13 @@ def _add_penalty(H: np.ndarray, half: _Half, lam) -> None:
         H[ti.sl, ti.sl] += lam[ti.label] * ti.block.K
 
 
+def _gram(half: _Half, w: np.ndarray, lam) -> np.ndarray:
+    """Penalized weighted Gram product G^T diag(w) G + sum_j lambda_j K_j."""
+    H = half.G.T @ (w[:, None] * half.G)
+    _add_penalty(H, half, lam)
+    return H
+
+
 def _analytic_scores(design: _Design, th_loc, th_disp, lam):
     """Penalized score vectors for both submodels at the given point."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
@@ -340,14 +348,10 @@ def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
     d_ll = (v + 2.0 * u * vp) / (sphi * sphi)
     d_ld = z * (v + u * vp) / sphi
     d_dd = u * (v + u * vp) / 2.0
-    H = np.block([
-        [X.T @ (d_ll[:, None] * X), X.T @ (d_ld[:, None] * W)],
-        [W.T @ (d_ld[:, None] * X), W.T @ (d_dd[:, None] * W)],
+    return np.block([
+        [_gram(design.loc, d_ll, lam), X.T @ (d_ld[:, None] * W)],
+        [W.T @ (d_ld[:, None] * X), _gram(design.disp, d_dd, lam)],
     ])
-    n_loc = X.shape[1]
-    _add_penalty(H[:n_loc, :n_loc], design.loc, lam)
-    _add_penalty(H[n_loc:, n_loc:], design.disp, lam)
-    return H
 
 
 def _halving_accept(evalf, th, direction, L_cur, max_halvings):
@@ -368,10 +372,8 @@ def _location_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
     z = (design.y - mu) / np.sqrt(phi)
     v = weight_v(design.generator, _clamped_z(design.generator, z))
     w = v / phi
-    G = design.loc.G
-    H = G.T @ (w[:, None] * G)
-    _add_penalty(H, design.loc, lam)
-    s = G.T @ (w * (design.y - mu)) - _pen_grad(design.loc, th_loc, lam)
+    H = _gram(design.loc, w, lam)
+    s = design.loc.G.T @ (w * (design.y - mu)) - _pen_grad(design.loc, th_loc, lam)
     try:
         step = _solve_equilibrated(H, s)
     except np.linalg.LinAlgError as exc:
@@ -386,10 +388,9 @@ def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings)
     zc = _clamped_z(design.generator, z)
     v = weight_v(design.generator, zc)
     s_obs = (v * zc * zc - 1.0) / 2.0
-    G = design.disp.G
-    H = design.kappa * (G.T @ G)
+    H = design.disp_info.copy()
     _add_penalty(H, design.disp, lam)
-    s = G.T @ s_obs - _pen_grad(design.disp, th_disp, lam)
+    s = design.disp.G.T @ s_obs - _pen_grad(design.disp, th_disp, lam)
     try:
         step = _solve_equilibrated(H, s)
     except np.linalg.LinAlgError as exc:
@@ -558,12 +559,7 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
     th_loc, th_disp, criteria_met, iterations, trace = _optimize(spec, design, lam)
     grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
     converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
-    return _assemble_fit(spec, design, lam, th_loc, th_disp,
-                         converged, iterations, grad_norm, trace)
 
-
-def _assemble_fit(spec, design, lam, th_loc, th_disp, converged,
-                  iterations, grad_norm, trace) -> LogSymFit:
     gen = spec.generator
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     phi = np.exp(logphi)
@@ -587,7 +583,6 @@ def _assemble_fit(spec, design, lam, th_loc, th_disp, converged,
 
     params = FitParams(location=th_loc.copy(), dispersion=th_disp.copy(),
                        lam=dict(lam))
-    keys = design.cell_keys
     return LogSymFit(
         spec=spec,
         beta=th_loc[:design.loc.p_par].copy(), beta_se=beta_se,
@@ -597,15 +592,13 @@ def _assemble_fit(spec, design, lam, th_loc, th_disp, converged,
         spline_coefs=spline_coefs, lam=dict(lam), edf=edf,
         mu_hat=mu, phi_hat=phi, loglik=ll, aic=aic, aic_jacobian=aic_jacobian,
         converged=converged, iterations=iterations, grad_norm=grad_norm,
-        trace=trace, cell_keys=keys, params=params, design=design,
+        trace=trace, cell_keys=design.cell_keys, params=params, design=design,
     )
 
 
 def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
-    H = half.G.T @ (w_obs[:, None] * half.G)
-    _add_penalty(H, half, lam)
     p = half.p_par
-    Hs, d = _jacobi_scale(H)
+    Hs, d = _jacobi_scale(_gram(half, w_obs, lam))
     try:
         cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
     except np.linalg.LinAlgError:
@@ -680,10 +673,6 @@ def _select_labels(design: _Design) -> list:
     return [ti.label for ti in design.term_infos if ti.term.lam is None]
 
 
-def _grid_midpoint(grid) -> float:
-    return float(math.sqrt(grid[0] * grid[-1]))
-
-
 def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
     """AIC of one grid fit, with no convergence verdict or standard errors."""
     th_loc, th_disp, *_ = _optimize(spec, design, lam)
@@ -693,7 +682,7 @@ def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
 def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> float:
     """AIC grid search over one term, others held at their current values
     (unresolved select terms sit at the geometric grid midpoint)."""
-    mid = _grid_midpoint(spec.lambda_grid)
+    mid = float(math.sqrt(spec.lambda_grid[0] * spec.lambda_grid[-1]))
     base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
     best_lam = None

@@ -4,6 +4,9 @@ The mean model is log mu = log population + X beta with X built from the
 declared covariate list (intercept, age midpoint, period midpoint, all
 untransformed). Standard errors come from the inverse Fisher information
 at convergence.
+
+``fit_poisson`` checks the table and builds the design; ``irls`` fits
+counts on a design and offset, which the fit keeps for envelope refits.
 """
 
 from __future__ import annotations
@@ -99,14 +102,12 @@ class PoissonFit:
     iterations: int
     converged: bool
     cell_keys: tuple
+    X: np.ndarray
+    offset: np.ndarray
 
     @property
     def label(self) -> str:
         return "poisson"
-
-
-def _poisson_loglik(y: np.ndarray, mu: np.ndarray) -> float:
-    return float(np.sum(special.xlogy(y, mu) - mu - special.gammaln(y + 1.0)))
 
 
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -114,22 +115,26 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
 
 
 def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period")) -> PoissonFit:
-    """IRLS fit of the offset Poisson model on the table's raw counts.
+    """IRLS fit of the offset Poisson model on the table's raw counts,
+    after checking that the covariates vary and the design has full rank."""
+    if len(table) == 0:
+        raise DataValidationError("empty table")
+    covariates = tuple(covariates)
+    X = parametric_design(table, covariates)
+    check_covariates_vary(table, covariates)
+    check_full_rank(X, covariates)
+    return irls(X, table.log_pop, table.deaths, covariates, table.cell_keys)
+
+
+def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys) -> PoissonFit:
+    """Fit the counts ``y`` on a checked full-rank design ``X`` with log
+    offset ``offset``; ``covariates`` and ``cell_keys`` label the result.
 
     Converges on relative deviance change below 1e-10 (at most 50
     iterations), then takes a few extra Newton steps so the score
     equations X^T (y - mu) = 0 hold to far better than the documented
     1e-6 * max(1, sum y) bound.
     """
-    if len(table) == 0:
-        raise DataValidationError("empty table")
-    covariates = tuple(covariates)
-    y = table.deaths
-    offset = table.log_pop
-    X = parametric_design(table, covariates)
-    check_covariates_vary(table, covariates)
-    check_full_rank(X, covariates)
-
     mu = y + 0.5
     eta = np.log(mu)
     beta = np.zeros(X.shape[1])
@@ -171,11 +176,12 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
     Hs, d = _jacobi_scale(X.T @ (mu[:, None] * X))
     cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
     se = np.sqrt(np.diag(cov))
-    ll = _poisson_loglik(y, mu)
+    ll = float(np.sum(special.xlogy(y, mu) - mu - special.gammaln(y + 1.0)))
     return PoissonFit(
         beta=beta, se=se, cov=cov, covariates=covariates, y=y, mu_hat=mu,
         deviance=dev, loglik=ll, aic=-2.0 * ll + 2.0 * X.shape[1],
-        iterations=iterations, converged=converged, cell_keys=table.cell_keys,
+        iterations=iterations, converged=converged, cell_keys=cell_keys,
+        X=X, offset=offset,
     )
 
 

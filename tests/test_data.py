@@ -94,6 +94,18 @@ class TestParse:
         with pytest.raises(DataValidationError):
             parse_mortality_csv(bad)
 
+    def test_year_range_checked_by_record(self):
+        with pytest.raises(DataValidationError,
+                           match=r"^year 1500 outside admissible range \(1900, 2100\)$"):
+            MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44, year=1500,
+                            deaths=3, population=100.0)
+
+    def test_year_range_message_in_csv(self):
+        bad = GOOD_CSV.replace(b",2001,12,", b",1500,12,")
+        with pytest.raises(DataValidationError,
+                           match=r"^line 2: year 1500 outside admissible range \(1900, 2100\)$"):
+            parse_mortality_csv(bad)
+
     def test_zero_population_rejected(self):
         with pytest.raises(DataValidationError):
             MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,

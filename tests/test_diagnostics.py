@@ -22,7 +22,7 @@ from logsymrate import (
     simulated_envelope,
     spec_with_lambdas,
 )
-from logsymrate import diagnostics, logsym_fit
+from logsymrate import diagnostics, logsym_fit, poisson_glm
 from logsymrate.diagnostics import (
     curves_to_csv,
     envelope_to_csv,
@@ -125,6 +125,13 @@ class TestEnvelope:
             simulated_envelope(pfit, small_poisson_table(seed=14), "deviance",
                                m_sims=2, seed=1)
 
+    def test_other_responses_rejected(self, lfit, ltable):
+        # same cells, other t_value: the residuals would not be the table's
+        other = replace(ltable, t_value=ltable.t_value * 1.5)
+        assert other.cell_keys == ltable.cell_keys
+        with pytest.raises(ComparisonError, match="responses"):
+            simulated_envelope(lfit, other, "location", m_sims=2, seed=1)
+
     def test_kind_validation(self, lfit, ltable, pfit, ptable):
         with pytest.raises(SpecificationError):
             simulated_envelope(lfit, ltable, "deviance", m_sims=2, seed=1)
@@ -186,6 +193,20 @@ class TestCompare:
         pf = fit_poisson(trimmed, ("intercept", "age", "period"))
         with pytest.raises(ComparisonError, match="cell keys"):
             compare_models(lfit, pf, ltable)
+
+    def test_other_counts_rejected(self, pfit):
+        # same cells, other deaths: the AIC of the seed-13 counts would be
+        # compared as if it described the seed-14 table
+        table = small_poisson_table(seed=14)
+        other = fit_poisson(table, ("intercept", "age", "period"))
+        with pytest.raises(ComparisonError, match="death counts"):
+            compare_models(pfit, other, table)
+
+    def test_other_responses_rejected(self, lfit):
+        table = small_logsym_table(seed=14)
+        other = fit(plain_spec(), table)
+        with pytest.raises(ComparisonError, match="responses"):
+            compare_models(lfit, other, table)
 
     def test_report_dict_shape(self, ltable, lfit):
         pf = fit_poisson(ltable, ("intercept", "age", "period"))
@@ -363,3 +384,34 @@ class TestCsvWriters:
         lines = text.strip().split("\n")
         assert lines[0] == "age_mid,period_mid,observed_log_rate,fitted_log_rate"
         assert len(lines) == len(ptable) + 1
+
+
+class TestPoissonReplicate:
+    """A Poisson replicate refits simulated counts on the fitted design."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23, 101])
+    def test_irls_matches_fresh_fit_bit_for_bit(self, pfit, ptable, seed):
+        y = np.random.default_rng(seed).poisson(pfit.mu_hat).astype(float)
+        refit = poisson_glm.irls(pfit.X, pfit.offset, y, pfit.covariates, pfit.cell_keys)
+        fresh = fit_poisson(replace(ptable, deaths=y, t_value=y), pfit.covariates)
+        for name in ("beta", "se", "cov", "mu_hat", "y"):
+            assert np.array_equal(getattr(refit, name), getattr(fresh, name)), name
+        for name in ("deviance", "loglik", "aic", "iterations", "converged", "cell_keys"):
+            assert getattr(refit, name) == getattr(fresh, name), name
+
+    def test_no_design_build_or_rank_check(self, pfit, ptable, monkeypatch):
+        calls = {"parametric_design": 0, "check_full_rank": 0}
+
+        def counting(name):
+            real = getattr(poisson_glm, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(poisson_glm, name, counting(name))
+        env = simulated_envelope(pfit, ptable, "deviance", m_sims=20, seed=4)
+        assert env.n_failures == 0
+        assert calls == {"parametric_design": 0, "check_full_rank": 0}
