@@ -17,6 +17,15 @@ log-likelihood and the coefficients both stabilize:
   observation.
 
 Every step is step-halved so the penalized objective never decreases.
+The objective is a function of the two linear predictors and the
+penalty. The starting point, each Newton polish trial and
+``penalized_loglik`` compute both predictors; a location halving trial
+recomputes only mu, a dispersion trial only log phi, and each point of
+the finite-difference stencil only the predictor of the submodel whose
+coefficient it moves. The predictor held is the one the same
+coefficients give, and the penalty is summed in full at every trial,
+location terms first, so every value is bit for bit the one that
+recomputing both predictors gives.
 After the stopping rules fire, a few extra sweeps run until the analytic
 penalized score is far below the documented stationarity bound, and the
 reported grad_norm is an independent fourth-order finite-difference
@@ -31,6 +40,7 @@ its AIC.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -63,6 +73,8 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
+
+log = logging.getLogger("logsymrate")
 
 
 @dataclass(frozen=True)
@@ -271,10 +283,12 @@ def _clamped_z(gen: GeneratorSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mu(design: _Design, th_loc) -> np.ndarray:
+    return design.offset + design.loc.G @ th_loc
+
+
 def _mu_phi(design: _Design, th_loc, th_disp):
-    mu = design.offset + design.loc.G @ th_loc
-    logphi = design.disp.G @ th_disp
-    return mu, logphi
+    return _mu(design, th_loc), design.disp.G @ th_disp
 
 
 def _penalty_value(design: _Design, th_loc, th_disp, lam) -> float:
@@ -286,21 +300,40 @@ def _penalty_value(design: _Design, th_loc, th_disp, lam) -> float:
     return val
 
 
+def _objective(design: _Design, mu, logphi, penalty: float) -> float:
+    """Penalized log-likelihood at the linear predictors ``mu`` and
+    ``logphi``; -inf when the point is not evaluable.
+
+    logpdf is never +inf and the penalty, a sum of nonnegative quadratic
+    forms, never -inf, so a non-finite predictor, standardized residual or
+    density leaves the sum at -inf or nan: one test on the sum rejects
+    every point that a test on each of them would. A penalty that
+    overflows scores -inf too."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = (design.y - mu) / np.exp(0.5 * logphi)
+        ll = float(np.sum(logpdf(design.generator, z)) - 0.5 * np.sum(logphi))
+    val = ll - penalty
+    return val if math.isfinite(val) else -math.inf
+
+
 def _eval_objective(design: _Design, th_loc, th_disp, lam) -> float:
-    """Penalized log-likelihood; -inf when the point is not evaluable."""
+    """The objective at coefficient vectors, both predictors computed."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logphi))):
-        return -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        sphi = np.exp(0.5 * logphi)
-        z = (design.y - mu) / sphi
-        if not np.all(np.isfinite(z)):
-            return -math.inf
-        lp = logpdf(design.generator, z)
-    if not np.all(np.isfinite(lp)):
-        return -math.inf
-    ll = float(np.sum(lp) - 0.5 * np.sum(logphi))
-    return ll - _penalty_value(design, th_loc, th_disp, lam)
+    return _objective(design, mu, logphi, _penalty_value(design, th_loc, th_disp, lam))
+
+
+def _location_objective(design: _Design, logphi, th_disp, lam):
+    """The objective as a function of the location coefficients, with the
+    dispersion predictor ``logphi`` of ``th_disp`` held."""
+    return lambda th: _objective(design, _mu(design, th), logphi,
+                                 _penalty_value(design, th, th_disp, lam))
+
+
+def _dispersion_objective(design: _Design, mu, th_loc, lam):
+    """The objective as a function of the dispersion coefficients, with the
+    location predictor ``mu`` of ``th_loc`` held."""
+    return lambda th: _objective(design, mu, design.disp.G @ th,
+                                 _penalty_value(design, th_loc, th, lam))
 
 
 def _pen_grad(half: _Half, th, lam) -> np.ndarray:
@@ -378,7 +411,7 @@ def _location_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
         step = _solve_equilibrated(H, s)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"singular location equations: {exc}") from None
-    return _halving_accept(lambda th: _eval_objective(design, th, th_disp, lam),
+    return _halving_accept(_location_objective(design, logphi, th_disp, lam),
                            th_loc, step, L_cur, max_halvings)
 
 
@@ -395,7 +428,7 @@ def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings)
         step = _solve_equilibrated(H, s)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"singular dispersion equations: {exc}") from None
-    return _halving_accept(lambda th: _eval_objective(design, th_loc, th, lam),
+    return _halving_accept(_dispersion_objective(design, mu, th_loc, lam),
                            th_disp, step, L_cur, max_halvings)
 
 
@@ -451,24 +484,23 @@ def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
     every coefficient. Steps are sized so each one perturbs the
     standardized residuals by about 1e-4, which keeps the truncation
     error of the stencil orders of magnitude below the roundoff-safe
-    range for these likelihoods."""
-    stacked = np.concatenate([th_loc, th_disp])
-    n_loc = len(th_loc)
-    scales = np.concatenate([design.loc.col_scale, design.disp.col_scale])
-    _, logphi = _mu_phi(design, th_loc, th_disp)
+    range for these likelihoods. A stencil point moves one coefficient,
+    so only the predictor of its submodel is recomputed."""
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
-
-    def f(vec):
-        return _eval_objective(design, vec[:n_loc], vec[n_loc:], lam)
-
     worst = 0.0
-    for i in range(len(stacked)):
-        h = max(zstep / max(1.0, scales[i]), 1e-9)
-        e = np.zeros_like(stacked)
-        e[i] = 1.0
-        g = (f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
-             + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h)
-        worst = max(worst, abs(g))
+    for th, scales, f in (
+            (th_loc, design.loc.col_scale, _location_objective(design, logphi, th_disp, lam)),
+            (th_disp, design.disp.col_scale, _dispersion_objective(design, mu, th_loc, lam))):
+        for i in range(len(th)):
+            h = max(zstep / max(1.0, scales[i]), 1e-9)
+            vals = []
+            for d in (-2 * h, -h, h, 2 * h):
+                trial = th.copy()
+                trial[i] += d
+                vals.append(f(trial))
+            g = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+            worst = max(worst, abs(g))
     return worst
 
 
@@ -681,7 +713,9 @@ def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
 
 def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> float:
     """AIC grid search over one term, others held at their current values
-    (unresolved select terms sit at the geometric grid midpoint)."""
+    (unresolved select terms sit at the geometric grid midpoint). Each
+    (lambda, AIC) pair is logged at DEBUG, and a winner at the smallest or
+    largest grid value draws a WARNING naming the term."""
     mid = float(math.sqrt(spec.lambda_grid[0] * spec.lambda_grid[-1]))
     base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
@@ -692,8 +726,10 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
         trial[label] = float(cand)
         try:
             aic = _grid_aic(spec, design, _resolve_lambdas(trial, design))
-        except NumericalError:
+        except NumericalError as exc:
+            log.debug("select %s: lambda %g failed: %s", label, cand, exc)
             continue
+        log.debug("select %s: lambda %g AIC %.10g", label, cand, aic)
         if aic < best_aic - 1e-9:
             best_aic = aic
             best_lam = float(cand)
@@ -702,6 +738,10 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
             best_lam = float(cand)
     if best_lam is None:
         raise SelectionError(f"no grid fit succeeded while selecting {label}")
+    edges = (min(spec.lambda_grid), max(spec.lambda_grid))
+    if edges[0] < edges[1] and best_lam in edges:
+        log.warning("select %s: lambda %g is at the edge of the grid [%g, %g]",
+                    label, best_lam, *edges)
     return best_lam
 
 

@@ -2,22 +2,28 @@
 
 The analytic score is validated against finite differences of the
 public penalized objective, and every fit's stored trace must be
-nondecreasing.
+nondecreasing. The objective evaluated at the linear predictors is held
+bit for bit to a reference that recomputes both predictors at every
+point and tests each intermediate for finiteness.
 """
 
 import dataclasses
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from logsymrate import logsym_fit
+from logsymrate import logsym_family, logsym_fit
 from logsymrate import (
     FitParams,
     GeneratorSpec,
     ModelSpec,
     SplineTerm,
     SubmodelSpec,
+    TruthSpec,
+    apply_zero_policy,
     fit,
     fitted_log_rate,
     normal_spec,
@@ -25,12 +31,20 @@ from logsymrate import (
     penalized_score,
     residuals,
     select_lambda,
+    simulate_table,
     spec_with_lambdas,
 )
 from logsymrate.data_ingest import ObservationTable, TableMeta
 from logsymrate.errors import DataValidationError, SpecificationError
 
-from .conftest import plain_spec, small_logsym_table, small_poisson_table
+from .conftest import (
+    AGES,
+    LINEAR_TRUTH,
+    PERIODS,
+    plain_spec,
+    small_logsym_table,
+    small_poisson_table,
+)
 
 
 def spline_spec(loc_lam=10.0, disp_lam=100.0, generator=None):
@@ -42,6 +56,30 @@ def spline_spec(loc_lam=10.0, disp_lam=100.0, generator=None):
         dispersion=SubmodelSpec(covariates=("intercept",),
                                 terms=(SplineTerm(kind="psp", covariate="age",
                                                   basis_dim=8, lam=disp_lam),)),
+    )
+
+
+def small_nonlinear_table(seed=9):
+    """``small_logsym_table`` with a sine wave added to the age effect."""
+    truth = TruthSpec(ages=AGES, periods=PERIODS, population=200000.0,
+                      noise="logsym", generator=normal_spec(), phi=0.04,
+                      f_age=lambda a: math.sin((a - 35.0) / 8.0), **LINEAR_TRUTH)
+    return apply_zero_policy(simulate_table(truth, seed).table, "add_half")
+
+
+def two_term_spec(generator=None):
+    """Two spline terms in each submodel, so the penalty sums four terms."""
+    return ModelSpec(
+        generator=generator or normal_spec(),
+        location=SubmodelSpec(covariates=("intercept",), use_offset=True,
+                              terms=(SplineTerm(kind="ncs", covariate="age", lam=10.0),
+                                     SplineTerm(kind="ncs", covariate="period",
+                                                lam=30.0))),
+        dispersion=SubmodelSpec(covariates=("intercept",),
+                                terms=(SplineTerm(kind="psp", covariate="age",
+                                                  basis_dim=6, lam=100.0),
+                                       SplineTerm(kind="ncs", covariate="period",
+                                                  lam=300.0))),
     )
 
 
@@ -342,3 +380,221 @@ class TestAcrossFamilies:
         f = fit(plain_spec(generator=gen), table)
         assert f.converged
         assert abs(f.beta[1] - 0.075) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation: both predictors at every point, one finiteness test
+# per intermediate, the penalty summed location terms first
+
+def _reference_objective(design, th_loc, th_disp, lam):
+    mu = design.offset + design.loc.G @ th_loc
+    logphi = design.disp.G @ th_disp
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logphi))):
+        return -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        sphi = np.exp(0.5 * logphi)
+        z = (design.y - mu) / sphi
+        if not np.all(np.isfinite(z)):
+            return -math.inf
+        lp = logsym_family.logpdf(design.generator, z)
+    if not np.all(np.isfinite(lp)):
+        return -math.inf
+    ll = float(np.sum(lp) - 0.5 * np.sum(logphi))
+    penalty = 0.0
+    for half, th in ((design.loc, th_loc), (design.disp, th_disp)):
+        for ti in half.terms:
+            a = th[ti.sl]
+            penalty += 0.5 * lam[ti.label] * float(a @ ti.block.K @ a)
+    return ll - penalty
+
+
+def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
+    stacked = np.concatenate([th_loc, th_disp])
+    n_loc = len(th_loc)
+    scales = np.concatenate([design.loc.col_scale, design.disp.col_scale])
+    logphi = design.disp.G @ th_disp
+    zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
+
+    def f(vec):
+        return _reference_objective(design, vec[:n_loc], vec[n_loc:], lam)
+
+    worst = 0.0
+    for i in range(len(stacked)):
+        h = max(zstep / max(1.0, scales[i]), 1e-9)
+        e = np.zeros_like(stacked)
+        e[i] = 1.0
+        g = (f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
+             + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h)
+        worst = max(worst, abs(g))
+    return worst
+
+
+def _halving_search(step, *args):
+    """The objective and ascent direction that ``step`` hands to its
+    halving search, captured without running the search."""
+    seen = {}
+
+    def capture(evalf, th, direction, L_cur, max_halvings):
+        seen.update(evalf=evalf, direction=direction)
+        return th, L_cur, False
+
+    with mock.patch.object(logsym_fit, "_halving_accept", capture):
+        step(*args)
+    return seen["evalf"], seen["direction"]
+
+
+def _reference_step(step, moves_location):
+    """``step`` with its halving search run on ``_reference_objective``."""
+    def reference(design, th_loc, th_disp, lam, L_cur, max_halvings):
+        _, direction = _halving_search(step, design, th_loc, th_disp, lam, L_cur,
+                                       max_halvings)
+        if moves_location:
+            def f(th):
+                return _reference_objective(design, th, th_disp, lam)
+            start = th_loc
+        else:
+            def f(th):
+                return _reference_objective(design, th_loc, th, lam)
+            start = th_disp
+        return logsym_fit._halving_accept(f, start, direction, L_cur, max_halvings)
+    return reference
+
+
+FOUR_FAMILIES = [
+    normal_spec(),
+    GeneratorSpec(family="student", nu=5.0),
+    GeneratorSpec(family="powerexp", zeta=0.4),
+    GeneratorSpec(family="contnormal", nu1=0.15, nu2=0.25),
+]
+
+
+class TestObjectiveAtPredictors:
+    @pytest.mark.parametrize("make_spec", [spline_spec, two_term_spec],
+                             ids=["one-term", "two-term"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_fit_matches_reference_bit_for_bit(self, gen, make_spec, monkeypatch):
+        table = small_logsym_table(seed=31, phi=0.04, generator=gen)
+        spec = make_spec(generator=gen)
+        f = fit(spec, table)
+        for name, reference in (
+                ("_eval_objective", _reference_objective),
+                ("_fd_grad_norm", _reference_fd_grad_norm),
+                ("_location_step", _reference_step(logsym_fit._location_step, True)),
+                ("_dispersion_step", _reference_step(logsym_fit._dispersion_step, False))):
+            monkeypatch.setattr(logsym_fit, name, reference)
+        ref = fit(spec, table)
+        assert f.trace == ref.trace
+        assert f.grad_norm == ref.grad_norm
+        assert (f.converged, f.iterations, f.aic) == (ref.converged, ref.iterations, ref.aic)
+        assert np.array_equal(f.params.location, ref.params.location)
+        assert np.array_equal(f.params.dispersion, ref.params.dispersion)
+
+    @pytest.mark.parametrize("make_spec", [spline_spec, two_term_spec],
+                             ids=["one-term", "two-term"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_steps_match_reference_bit_for_bit(self, gen, make_spec):
+        # every trial point of each halving search, accepted or not, and
+        # each step's outcome, at the start and after a few sweeps
+        table = small_logsym_table(seed=32, phi=0.04, generator=gen)
+        spec = make_spec(generator=gen)
+        design = logsym_fit._build_design(spec, table)
+        lam = logsym_fit._resolve_lambdas({}, design)
+        halvings = 8
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        L = logsym_fit._eval_objective(design, th_loc, th_disp, lam)
+        assert L == _reference_objective(design, th_loc, th_disp, lam)
+        for _ in range(4):
+            for step, moves_location in ((logsym_fit._location_step, True),
+                                         (logsym_fit._dispersion_step, False)):
+                args = (design, th_loc, th_disp, lam, L, halvings)
+                evalf, direction = _halving_search(step, *args)
+                start = th_loc if moves_location else th_disp
+                for k in range(halvings + 1):
+                    trial = start + 0.5 ** k * direction
+                    point = (trial, th_disp) if moves_location else (th_loc, trial)
+                    assert evalf(trial) == _reference_objective(design, *point, lam)
+                out = step(*args)
+                ref = _reference_step(step, moves_location)(*args)
+                assert np.array_equal(out[0], ref[0]) and out[1:] == ref[1:]
+                if moves_location:
+                    th_loc, L = out[0], out[1]
+                else:
+                    th_disp, L = out[0], out[1]
+
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_grad_norm_matches_reference_away_from_optimum(self, gen, logsym_table):
+        spec = two_term_spec(generator=gen)
+        f = fit(spec, logsym_table)
+        rng = np.random.default_rng(5)
+        th_loc = f.params.location + rng.normal(scale=1e-2, size=f.params.location.shape)
+        th_disp = f.params.dispersion + rng.normal(scale=1e-2,
+                                                   size=f.params.dispersion.shape)
+        assert logsym_fit._fd_grad_norm(f.design, th_loc, th_disp, f.lam) == \
+            _reference_fd_grad_norm(f.design, th_loc, th_disp, f.lam)
+
+    @pytest.mark.parametrize("case", ["mu overflow", "logphi +inf", "logphi underflow",
+                                      "logphi above exp range", "nan location",
+                                      "nan dispersion"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_unevaluable_points_match_reference(self, gen, case, logsym_table):
+        spec = spline_spec(generator=gen)
+        f = fit(spec, logsym_table)
+        design = f.design
+        th_loc, th_disp = f.params.location.copy(), f.params.dispersion.copy()
+        period = design.loc.par_names.index("period")
+        intercept = design.disp.par_names.index("intercept")
+        if case == "mu overflow":
+            th_loc[period] = 1e306
+        elif case == "logphi +inf":
+            th_disp[intercept] = math.inf
+        elif case == "logphi underflow":
+            th_disp[intercept] = -2000.0
+        elif case == "logphi above exp range":
+            th_disp[intercept] = 2000.0
+        elif case == "nan location":
+            th_loc[0] = math.nan
+        else:
+            th_disp[-1] = math.nan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mu, logphi = logsym_fit._mu_phi(design, th_loc, th_disp)
+            sphi = np.exp(0.5 * logphi)
+            expected = _reference_objective(design, th_loc, th_disp, f.lam)
+            got = logsym_fit._eval_objective(design, th_loc, th_disp, f.lam)
+        if case == "mu overflow":
+            assert np.all(np.isinf(mu))
+        elif case == "logphi +inf":
+            assert np.all(logphi == math.inf)
+        elif case == "logphi underflow":
+            assert np.all(sphi == 0.0)
+        elif case == "logphi above exp range":
+            # sphi overflows, z is 0 and the likelihood stays finite
+            assert np.all(sphi == math.inf) and math.isfinite(expected)
+        if case != "logphi above exp range":
+            assert expected == -math.inf
+        assert got == expected
+
+
+class TestSelectionLog:
+    SELECT_GRID = tuple(np.geomspace(1e-1, 1e5, 7))
+
+    def test_linear_truth_warns_at_the_top_edge(self, logsym_table, caplog):
+        caplog.set_level(logging.DEBUG, logger="logsymrate")
+        spec = select_spec(grid=self.SELECT_GRID)
+        lam = select_lambda(spec, logsym_table, "location:ncs(age)")
+        assert lam == self.SELECT_GRID[-1]
+        grid_lines = [r for r in caplog.records
+                      if r.levelno == logging.DEBUG and "AIC" in r.getMessage()]
+        assert len(grid_lines) == len(self.SELECT_GRID)
+        assert all(r.name == "logsymrate" for r in caplog.records)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "location:ncs(age)" in warnings[0] and "edge of the grid" in warnings[0]
+
+    def test_interior_winner_does_not_warn(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="logsymrate")
+        table = small_nonlinear_table()
+        spec = select_spec(grid=self.SELECT_GRID)
+        lam = select_lambda(spec, table, "location:ncs(age)")
+        assert self.SELECT_GRID[0] < lam < self.SELECT_GRID[-1]
+        assert sum("AIC" in r.getMessage() for r in caplog.records) == len(self.SELECT_GRID)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
