@@ -107,7 +107,10 @@ def _check_entries(age, period, deaths, t_value, population, where=lambda i: "")
 def _logs(values: np.ndarray) -> np.ndarray:
     """math.log per entry, NaN at 0. np.log differs from math.log in the
     last bit for some inputs, and log_t has always been math.log's."""
-    return np.array([math.log(v) if v > 0 else math.nan for v in values.tolist()])
+    out = np.full(len(values), math.nan)
+    pos = values > 0
+    out[pos] = np.fromiter(map(math.log, values[pos].tolist()), float)
+    return out
 
 
 def make_cell(age_mid: float, period_mid: float, deaths_raw: int,

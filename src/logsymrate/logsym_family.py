@@ -101,6 +101,17 @@ def _contnormal_parts(spec, u):
     return D, N, M, s
 
 
+@functools.lru_cache(maxsize=None)
+def _log_norm_const(spec: GeneratorSpec) -> float:
+    """log c of the student and powerexp densities, computed once per spec."""
+    if spec.family == "student":
+        return special.gammaln((spec.nu + 1.0) / 2.0) - special.gammaln(spec.nu / 2.0) \
+            - 0.5 * math.log(spec.nu * math.pi)
+    zt = spec.zeta
+    return -math.log1p(zt) - (1.0 + zt) / 2.0 * math.log(2.0) \
+        - special.gammaln((1.0 + zt) / 2.0)
+
+
 def logpdf(spec: GeneratorSpec, z):
     """Log density of the standardized error at z (vectorized)."""
     z = np.asarray(z, dtype=float)
@@ -109,14 +120,9 @@ def logpdf(spec: GeneratorSpec, z):
         return -0.5 * u - _LOG_SQRT_2PI
     if spec.family == "student":
         nu = spec.nu
-        logc = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) \
-            - 0.5 * math.log(nu * math.pi)
-        return logc - (nu + 1.0) / 2.0 * np.log1p(u / nu)
+        return _log_norm_const(spec) - (nu + 1.0) / 2.0 * np.log1p(u / nu)
     if spec.family == "powerexp":
-        zt = spec.zeta
-        logc = -math.log1p(zt) - (1.0 + zt) / 2.0 * math.log(2.0) \
-            - special.gammaln((1.0 + zt) / 2.0)
-        return logc - 0.5 * u ** (1.0 / (1.0 + zt))
+        return _log_norm_const(spec) - 0.5 * u ** (1.0 / (1.0 + spec.zeta))
     D, _, _, s = _contnormal_parts(spec, u)
     return np.log(D) + s - _LOG_SQRT_2PI
 

@@ -17,35 +17,35 @@ log-likelihood and the coefficients both stabilize:
   observation.
 
 Every step is step-halved so the penalized objective never decreases.
-The objective is a function of the two linear predictors and the
-penalty. The starting point, each Newton polish trial and
-``penalized_loglik`` compute both predictors; a location halving trial
-recomputes only mu, a dispersion trial only log phi, and each point of
-the finite-difference stencil only the predictor of the submodel whose
-coefficient it moves. The predictor held is the one the same
-coefficients give, and the penalty is summed in full at every trial,
-location terms first, so every value is bit for bit the one that
-recomputing both predictors gives.
-After the stopping rules fire, a few extra sweeps run until the analytic
-penalized score is far below the documented stationarity bound, and the
-reported grad_norm is an independent fourth-order finite-difference
-check of the objective at the solution.
+The objective depends on the coefficients through the two linear
+predictors and the term penalties. A sweep carries both predictors, each
+step handing on the one its accepted trial computed. A location trial or
+stencil point holds exp(0.5 log phi), 0.5 sum(log phi) and the dispersion
+penalties; a dispersion one holds y - mu and the location penalties. The
+penalty is summed location terms first, so every value is bit for bit the
+one that recomputing both predictors gives. Once the stopping rules fire,
+Newton polish steps run until the analytic penalized score is far below
+the stationarity bound, and the reported grad_norm is an independent
+fourth-order finite-difference check of the objective at the solution.
 
 A "select" term is resolved by refitting at each lambda of the grid and
 keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
 ``grad_norm`` and the standard errors belong to the final fit at the
 selected lambdas, and a grid fit that did not converge still competes on
-its AIC.
+its AIC. An envelope replicate keeps only its coefficients, predictors,
+iterations and convergence verdict (a final fit's rule; the stencil runs
+only when the stopping rules fired): no standard errors or AIC.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data_ingest import ObservationTable
 from .errors import (
@@ -73,6 +73,8 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # each evaluation's errstate
+_Replicate = namedtuple("_Replicate", "location dispersion mu phi converged iterations")
 
 log = logging.getLogger("logsymrate")
 
@@ -291,49 +293,59 @@ def _mu_phi(design: _Design, th_loc, th_disp):
     return _mu(design, th_loc), design.disp.G @ th_disp
 
 
-def _penalty_value(design: _Design, th_loc, th_disp, lam) -> float:
-    val = 0.0
-    for half, th in ((design.loc, th_loc), (design.disp, th_disp)):
-        for ti in half.terms:
-            a = th[ti.sl]
-            val += 0.5 * lam[ti.label] * float(a @ ti.block.K @ a)
-    return val
+def _penalties(half: _Half, th, lam) -> list:
+    """Roughness penalty of each spline term of one submodel, in order."""
+    return [0.5 * lam[ti.label] * float(th[ti.sl] @ ti.block.K @ th[ti.sl])
+            for ti in half.terms]
 
 
-def _objective(design: _Design, mu, logphi, penalty: float) -> float:
-    """Penalized log-likelihood at the linear predictors ``mu`` and
-    ``logphi``; -inf when the point is not evaluable.
-
-    logpdf is never +inf and the penalty, a sum of nonnegative quadratic
-    forms, never -inf, so a non-finite predictor, standardized residual or
-    density leaves the sum at -inf or nan: one test on the sum rejects
-    every point that a test on each of them would. A penalty that
-    overflows scores -inf too."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = (design.y - mu) / np.exp(0.5 * logphi)
-        ll = float(np.sum(logpdf(design.generator, z)) - 0.5 * np.sum(logphi))
-    val = ll - penalty
+def _objective(design: _Design, resid, sphi, half_sum, penalties) -> float:
+    """Penalized log-likelihood from y - mu, exp(0.5 log phi), 0.5 sum(log phi)
+    and the term penalties, location first; -inf when not evaluable. logpdf
+    is never +inf and the penalty never -inf, so a non-finite predictor,
+    residual, density or penalty leaves the sum at -inf or nan, and one
+    test on the sum rejects every such point."""
+    penalty = 0.0
+    for p in penalties:
+        penalty += p
+    val = float(np.add.reduce(logpdf(design.generator, resid / sphi)) - half_sum) - penalty
     return val if math.isfinite(val) else -math.inf
 
 
 def _eval_objective(design: _Design, th_loc, th_disp, lam) -> float:
     """The objective at coefficient vectors, both predictors computed."""
-    mu, logphi = _mu_phi(design, th_loc, th_disp)
-    return _objective(design, mu, logphi, _penalty_value(design, th_loc, th_disp, lam))
+    return _location_objective(design, design.disp.G @ th_disp, th_disp, lam)(th_loc)[0]
 
 
 def _location_objective(design: _Design, logphi, th_disp, lam):
-    """The objective as a function of the location coefficients, with the
-    dispersion predictor ``logphi`` of ``th_disp`` held."""
-    return lambda th: _objective(design, _mu(design, th), logphi,
-                                 _penalty_value(design, th, th_disp, lam))
+    """(objective, mu) of the location coefficients, holding exp(0.5 logphi),
+    0.5 sum(logphi) and the penalties of ``th_disp``, whose predictor is ``logphi``."""
+    with np.errstate(**_QUIET):
+        sphi = np.exp(0.5 * logphi)
+        half_sum = 0.5 * np.add.reduce(logphi)
+        held = _penalties(design.disp, th_disp, lam)
+
+    def f(th):
+        with np.errstate(**_QUIET):
+            mu = _mu(design, th)
+            return _objective(design, design.y - mu, sphi, half_sum,
+                              _penalties(design.loc, th, lam) + held), mu
+    return f
 
 
 def _dispersion_objective(design: _Design, mu, th_loc, lam):
-    """The objective as a function of the dispersion coefficients, with the
-    location predictor ``mu`` of ``th_loc`` held."""
-    return lambda th: _objective(design, mu, design.disp.G @ th,
-                                 _penalty_value(design, th_loc, th, lam))
+    """(objective, log phi) of the dispersion coefficients, holding y - mu and
+    the penalties of ``th_loc``, whose predictor is ``mu``."""
+    resid = design.y - mu
+    held = _penalties(design.loc, th_loc, lam)
+
+    def f(th):
+        with np.errstate(**_QUIET):
+            logphi = design.disp.G @ th
+            return _objective(design, resid, np.exp(0.5 * logphi),
+                              0.5 * np.add.reduce(logphi),
+                              held + _penalties(design.disp, th, lam)), logphi
+    return f
 
 
 def _pen_grad(half: _Half, th, lam) -> np.ndarray:
@@ -387,20 +399,21 @@ def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
     ])
 
 
-def _halving_accept(evalf, th, direction, L_cur, max_halvings):
-    """Backtrack along an ascent direction; never accept a decrease."""
+def _halving_accept(evalf, th, direction, L_cur, pred, max_halvings):
+    """Backtrack along an ascent direction; never accept a decrease. Returns
+    (point, objective, the point's predictor, whether a trial was accepted)."""
     t = 1.0
     for _ in range(max_halvings + 1):
         trial = th + t * direction
-        L_new = evalf(trial)
+        L_new, pred_new = evalf(trial)
         if L_new >= L_cur:
-            return trial, L_new, True
+            return trial, L_new, pred_new, True
         t *= 0.5
-    return th, L_cur, False
+    return th, L_cur, pred, False
 
 
-def _location_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
-    mu, logphi = _mu_phi(design, th_loc, th_disp)
+def _location_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
+                   max_halvings):
     phi = np.exp(logphi)
     z = (design.y - mu) / np.sqrt(phi)
     v = weight_v(design.generator, _clamped_z(design.generator, z))
@@ -412,11 +425,11 @@ def _location_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"singular location equations: {exc}") from None
     return _halving_accept(_location_objective(design, logphi, th_disp, lam),
-                           th_loc, step, L_cur, max_halvings)
+                           th_loc, step, L_cur, mu, max_halvings)
 
 
-def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings):
-    mu, logphi = _mu_phi(design, th_loc, th_disp)
+def _dispersion_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
+                     max_halvings):
     z = (design.y - mu) / np.exp(0.5 * logphi)
     zc = _clamped_z(design.generator, z)
     v = weight_v(design.generator, zc)
@@ -429,7 +442,7 @@ def _dispersion_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvings)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"singular dispersion equations: {exc}") from None
     return _halving_accept(_dispersion_objective(design, mu, th_loc, lam),
-                           th_disp, step, L_cur, max_halvings)
+                           th_disp, step, L_cur, logphi, max_halvings)
 
 
 def _score_norm(s_loc, s_disp) -> float:
@@ -457,10 +470,11 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     except np.linalg.LinAlgError:
         direction = None
     if direction is None or not np.all(np.isfinite(direction)):
-        th_loc, L_cur, ok_l = _location_step(design, th_loc, th_disp, lam, L_cur,
-                                             max_halvings)
-        th_disp, L_cur, ok_d = _dispersion_step(design, th_loc, th_disp, lam, L_cur,
-                                                max_halvings)
+        mu, logphi = _mu_phi(design, th_loc, th_disp)
+        th_loc, L_cur, mu, ok_l = _location_step(design, th_loc, th_disp, mu, logphi,
+                                                 lam, L_cur, max_halvings)
+        th_disp, L_cur, _, ok_d = _dispersion_step(design, th_loc, th_disp, mu, logphi,
+                                                   lam, L_cur, max_halvings)
         return th_loc, th_disp, L_cur, ok_l or ok_d
     stacked = np.concatenate([th_loc, th_disp])
     noise = 1e-11 * (1.0 + abs(L_cur))
@@ -484,8 +498,7 @@ def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
     every coefficient. Steps are sized so each one perturbs the
     standardized residuals by about 1e-4, which keeps the truncation
     error of the stencil orders of magnitude below the roundoff-safe
-    range for these likelihoods. A stencil point moves one coefficient,
-    so only the predictor of its submodel is recomputed."""
+    range for these likelihoods; each point runs its submodel's trial closure."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
     worst = 0.0
@@ -498,7 +511,7 @@ def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
             for d in (-2 * h, -h, h, 2 * h):
                 trial = th.copy()
                 trial[i] += d
-                vals.append(f(trial))
+                vals.append(f(trial)[0])
             g = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
             worst = max(worst, abs(g))
     return worst
@@ -529,13 +542,16 @@ def _optimize(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
     trace = [L]
     criteria_met = False
     iterations = 0
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
 
     for _ in range(spec.max_outer):
         iterations += 1
         prev_L = L
         prev = np.concatenate([th_loc, th_disp])
-        th_loc, L, _ = _location_step(design, th_loc, th_disp, lam, L, halvings)
-        th_disp, L, _ = _dispersion_step(design, th_loc, th_disp, lam, L, halvings)
+        th_loc, L, mu, _ = _location_step(design, th_loc, th_disp, mu, logphi, lam, L,
+                                          halvings)
+        th_disp, L, logphi, _ = _dispersion_step(design, th_loc, th_disp, mu, logphi, lam,
+                                                 L, halvings)
         trace.append(L)
         d_par = float(np.max(np.abs(np.concatenate([th_loc, th_disp]) - prev)))
         if abs(L - prev_L) <= spec.tol_loglik * (1.0 + abs(prev_L)) \
@@ -564,11 +580,9 @@ def _optimize(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
     return th_loc, th_disp, criteria_met, iterations, tuple(trace)
 
 
-def _information_criteria(spec: ModelSpec, design: _Design, lam: dict,
-                          th_loc, th_disp) -> tuple:
-    """(loglik, per-term edf, aic, aic_jacobian) at the given coefficients."""
+def _information_criteria(spec: ModelSpec, design: _Design, lam: dict, mu, logphi) -> tuple:
+    """(loglik, per-term edf, aic, aic_jacobian) at the given predictors."""
     gen = spec.generator
-    mu, logphi = _mu_phi(design, th_loc, th_disp)
     phi = np.exp(logphi)
     z = (design.y - mu) / np.sqrt(phi)
     v = weight_v(gen, _clamped_z(gen, z))
@@ -606,7 +620,7 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
     beta_se = _block_se(design.loc, w_loc_obs, lam)
     gamma_se = _block_se(design.disp, w_disp_obs, lam)
 
-    ll, edf, aic, aic_jacobian = _information_criteria(spec, design, lam, th_loc, th_disp)
+    ll, edf, aic, aic_jacobian = _information_criteria(spec, design, lam, mu, logphi)
 
     spline_coefs = {}
     for half, th in ((design.loc, th_loc), (design.disp, th_disp)):
@@ -626,6 +640,16 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
         converged=converged, iterations=iterations, grad_norm=grad_norm,
         trace=trace, cell_keys=design.cell_keys, params=params, design=design,
     )
+
+
+def _replicate_fit(spec: ModelSpec, design: _Design, lam: dict) -> _Replicate:
+    """What an envelope replicate keeps of a refit: the verdict of
+    ``_fit_resolved``, whose stencil runs only when the stopping rules fired,
+    and no standard errors or AIC."""
+    th_loc, th_disp, criteria_met, iterations, _ = _optimize(spec, design, lam)
+    converged = criteria_met and _fd_grad_norm(design, th_loc, th_disp, lam) <= GRAD_NORM_BOUND
+    mu, logphi = _mu_phi(design, th_loc, th_disp)
+    return _Replicate(th_loc, th_disp, mu, np.exp(logphi), bool(converged), iterations)
 
 
 def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
@@ -708,7 +732,7 @@ def _select_labels(design: _Design) -> list:
 def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
     """AIC of one grid fit, with no convergence verdict or standard errors."""
     th_loc, th_disp, *_ = _optimize(spec, design, lam)
-    return _information_criteria(spec, design, lam, th_loc, th_disp)[2]
+    return _information_criteria(spec, design, lam, *_mu_phi(design, th_loc, th_disp))[2]
 
 
 def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> float:
@@ -780,19 +804,21 @@ def fitted_log_rate(fit_result: LogSymFit, table: ObservationTable) -> np.ndarra
 
 
 def residuals(fit_result: LogSymFit, kind: str) -> np.ndarray:
-    """Quantile residuals of the response the fit was made on.
+    """Quantile residuals of the response the fit was made on."""
+    return _quantile_residuals(fit_result.spec.generator, fit_result.design.y,
+                               fit_result.mu_hat, fit_result.phi_hat, kind)
 
-    location: probit of the error CDF at z_k; dispersion: probit of the
+
+def _quantile_residuals(gen: GeneratorSpec, y, mu, phi, kind: str) -> np.ndarray:
+    """location: probit of the error CDF at z_k; dispersion: probit of the
     CDF of z^2 (which is 2 F(sqrt(u)) - 1 by symmetry). CDF values are
     clamped away from 0 and 1 before the probit map.
     """
-    gen = fit_result.spec.generator
-    z = (fit_result.design.y - fit_result.mu_hat) / np.sqrt(fit_result.phi_hat)
+    z = (y - mu) / np.sqrt(phi)
     if kind == "location":
         p = cdf(gen, z)
     elif kind == "dispersion":
         p = 2.0 * cdf(gen, np.sqrt(z * z)) - 1.0
     else:
         raise SpecificationError(f"unknown residual kind {kind!r}")
-    p = np.clip(p, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-    return stats.norm.ppf(p)
+    return special.ndtri(np.clip(p, _CDF_CLAMP, 1.0 - _CDF_CLAMP))

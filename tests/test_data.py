@@ -23,6 +23,7 @@ from logsymrate import (
 )
 from logsymrate.data_ingest import (
     ZERO_POLICIES,
+    _logs,
     read_table_csv,
     records_to_csv,
     table_from_csv,
@@ -198,6 +199,28 @@ class TestZeroPolicies:
     def test_policy_recorded(self):
         out = apply_zero_policy(self.make([1, 2]), "add_half")
         assert out.meta.zero_policy == "add_half"
+
+
+class TestLogs:
+    def test_math_log_per_entry_nan_at_zero(self):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([
+            rng.lognormal(sigma=6.0, size=3000), rng.random(1000),
+            [5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+             1.0, 0.0, 0.0],
+        ])
+        rng.shuffle(values)
+        got = _logs(values)
+        assert got.shape == values.shape and got.dtype == np.float64
+        for v, g in zip(values.tolist(), got.tolist()):
+            if v == 0.0:
+                assert math.isnan(g)
+            else:
+                assert g == math.log(v) and math.copysign(1.0, g) == math.copysign(
+                    1.0, math.log(v))
+
+    def test_empty(self):
+        assert _logs(np.array([])).shape == (0,)
 
 
 class TestCells:

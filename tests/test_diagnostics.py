@@ -1,5 +1,6 @@
 """Envelopes, model comparison, and component-curve export."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from logsymrate.errors import (
     UndefinedCorrelationError,
 )
 
-from .conftest import plain_spec, small_logsym_table, small_poisson_table
+from .conftest import ALL_GENERATORS, plain_spec, small_logsym_table, small_poisson_table
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,23 @@ def sfit(ltable):
     return fit(spec, ltable)
 
 
+@pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.label())
+def test_fit_and_envelope_leave_no_cyclic_garbage(gen, sfit, ltable):
+    spec = replace(sfit.spec, generator=gen)
+    gc.collect()
+    gc.disable()
+    try:
+        f = fit(spec, ltable)
+        assert gc.collect() == 0
+        try:
+            simulated_envelope(f, ltable, "dispersion", m_sims=5, seed=4)
+        except EnvelopeError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestEnvelopeRefitDesign:
     """Envelope refits reuse the fitted design: only the response changes."""
 
@@ -252,35 +270,64 @@ class TestEnvelopeRefitDesign:
         assert calls == {"build_term_block": 0, "check_full_rank": 0}
 
     def test_refit_matches_fresh_fit_bit_for_bit(self, sfit, ltable, monkeypatch):
-        draws, refits = [], []
+        draws, refits, sorted_resid = [], [], []
 
-        def recording(record, real):
+        def recording(record, real, with_args=False):
             def wrapped(*args, **kwargs):
                 out = real(*args, **kwargs)
-                record.append(out)
+                record.append((args, out) if with_args else out)
                 return out
             return wrapped
 
         monkeypatch.setattr(diagnostics, "sample_with_rng",
                             recording(draws, diagnostics.sample_with_rng))
         monkeypatch.setattr(diagnostics, "logsym_fit_fn",
-                            recording(refits, diagnostics.logsym_fit_fn))
+                            recording(refits, diagnostics.logsym_fit_fn, with_args=True))
+        monkeypatch.setattr(diagnostics, "_simulate_and_refit",
+                            recording(sorted_resid, diagnostics._simulate_and_refit))
         simulated_envelope(sfit, ltable, "dispersion", m_sims=2, seed=7)
-        assert len(draws) == len(refits) == 2
+        assert len(draws) == len(refits) == len(sorted_resid) == 2
         pinned = spec_with_lambdas(sfit.spec, sfit.lam)
-        for eps, refit in zip(draws, refits):
+        for eps, ((spec, design, lam), refit), resid in zip(draws, refits, sorted_resid):
             t_star = np.exp(sfit.mu_hat + np.sqrt(sfit.phi_hat) * eps)
             sim = replace(ltable, deaths=np.rint(t_star), t_value=t_star)
-            assert np.array_equal(refit.design.y, sim.log_t)
+            assert spec is sfit.spec
+            assert np.array_equal(design.y, sim.log_t)
             fresh = fit(pinned, sim)
-            for name in ("mu_hat", "phi_hat"):
-                assert np.array_equal(getattr(refit, name), getattr(fresh, name))
-            assert np.array_equal(refit.params.location, fresh.params.location)
-            assert np.array_equal(refit.params.dispersion, fresh.params.dispersion)
-            assert refit.params.lam == fresh.params.lam
-            for name in ("aic", "loglik", "grad_norm", "converged", "iterations",
-                         "trace"):
-                assert getattr(refit, name) == getattr(fresh, name)
+            assert lam == fresh.params.lam
+            assert np.array_equal(refit.location, fresh.params.location)
+            assert np.array_equal(refit.dispersion, fresh.params.dispersion)
+            assert np.array_equal(refit.mu, fresh.mu_hat)
+            assert np.array_equal(refit.phi, fresh.phi_hat)
+            assert (refit.converged, refit.iterations) == (fresh.converged, fresh.iterations)
+            assert np.array_equal(resid, np.sort(logsym_fit.residuals(fresh, "dispersion")))
+
+    def test_stopped_refit_fails_without_stencil(self, sfit, ltable, monkeypatch):
+        stencils, refits = [], []
+        real_stencil, real_refit = logsym_fit._fd_grad_norm, diagnostics.logsym_fit_fn
+
+        def stencil(*args):
+            stencils.append(args)
+            return real_stencil(*args)
+
+        def refit(*args):
+            out = real_refit(*args)
+            refits.append(out)
+            return out
+
+        monkeypatch.setattr(logsym_fit, "_fd_grad_norm", stencil)
+        monkeypatch.setattr(diagnostics, "logsym_fit_fn", refit)
+        simulated_envelope(sfit, ltable, "location", m_sims=2, seed=3)
+        assert len(stencils) == len(refits) == 2 and all(r.converged for r in refits)
+
+        stencils.clear()
+        refits.clear()
+        stopped = replace(sfit, spec=replace(sfit.spec, max_outer=1))
+        with pytest.raises(EnvelopeError, match="5 of 5"):
+            simulated_envelope(stopped, ltable, "location", m_sims=5, seed=3)
+        assert len(refits) == 10
+        assert all(r.iterations == 1 and not r.converged for r in refits)
+        assert stencils == []
 
     def test_no_cells_built(self, sfit, ltable, monkeypatch):
         calls = []

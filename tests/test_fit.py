@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from logsymrate import logsym_family, logsym_fit
 from logsymrate import (
@@ -39,6 +40,7 @@ from logsymrate.errors import DataValidationError, SpecificationError
 
 from .conftest import (
     AGES,
+    ALL_GENERATORS,
     LINEAR_TRUTH,
     PERIODS,
     plain_spec,
@@ -273,6 +275,25 @@ class TestResidualsAndSes:
         assert np.all(np.isfinite(r))
         assert abs(float(np.mean(r))) < 0.3
 
+    @pytest.mark.parametrize("kind", ["location", "dispersion"])
+    @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.label())
+    def test_probit_matches_norm_ppf_bit_for_bit(self, gen, kind, logsym_table):
+        # standardized residuals from -1e6 to 1e6 with an exact 0, so both
+        # clamp ends and p = 0.5 are reached
+        f = fit(plain_spec(generator=gen), logsym_table)
+        y, sphi = f.design.y, np.sqrt(f.phi_hat)
+        z = np.concatenate([[-1e6, 0.0, 1e6], np.linspace(-40.0, 40.0, len(y) - 3)])
+        f = dataclasses.replace(f, mu_hat=y - z * sphi)
+        z = (y - f.mu_hat) / sphi
+        if kind == "location":
+            p = logsym_family.cdf(gen, z)
+        else:
+            p = 2.0 * logsym_family.cdf(gen, np.sqrt(z * z)) - 1.0
+        p = np.clip(p, 1e-12, 1.0 - 1e-12)
+        assert p.min() == 1e-12 and p.max() == 1.0 - 1e-12
+        expected = stats.norm.ppf(p)
+        assert np.array_equal(residuals(f, kind).view(np.int64), expected.view(np.int64))
+
     def test_unknown_kind(self, logsym_table):
         f = fit(plain_spec(), logsym_table)
         with pytest.raises(SpecificationError):
@@ -429,34 +450,46 @@ def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
     return worst
 
 
-def _halving_search(step, *args):
+def _fresh_predictors(design, th_loc, th_disp):
+    return design.offset + design.loc.G @ th_loc, design.disp.G @ th_disp
+
+
+def _halving_search(step, design, th_loc, th_disp, lam, L_cur, max_halvings):
     """The objective and ascent direction that ``step`` hands to its
-    halving search, captured without running the search."""
+    halving search, captured without running the search, with the
+    predictors recomputed from the coefficients."""
     seen = {}
 
-    def capture(evalf, th, direction, L_cur, max_halvings):
+    def capture(evalf, th, direction, L_cur, pred, max_halvings):
         seen.update(evalf=evalf, direction=direction)
-        return th, L_cur, False
+        return th, L_cur, pred, False
 
     with mock.patch.object(logsym_fit, "_halving_accept", capture):
-        step(*args)
+        step(design, th_loc, th_disp, *_fresh_predictors(design, th_loc, th_disp), lam,
+             L_cur, max_halvings)
     return seen["evalf"], seen["direction"]
 
 
 def _reference_step(step, moves_location):
-    """``step`` with its halving search run on ``_reference_objective``."""
-    def reference(design, th_loc, th_disp, lam, L_cur, max_halvings):
+    """``step`` with its predictors recomputed from the coefficients, its
+    halving search run on ``_reference_objective``, and the predictor it
+    returns recomputed from the point it returns."""
+    def reference(design, th_loc, th_disp, mu, logphi, lam, L_cur, max_halvings):
         _, direction = _halving_search(step, design, th_loc, th_disp, lam, L_cur,
                                        max_halvings)
         if moves_location:
             def f(th):
-                return _reference_objective(design, th, th_disp, lam)
+                return _reference_objective(design, th, th_disp, lam), None
             start = th_loc
         else:
             def f(th):
-                return _reference_objective(design, th_loc, th, lam)
+                return _reference_objective(design, th_loc, th, lam), None
             start = th_disp
-        return logsym_fit._halving_accept(f, start, direction, L_cur, max_halvings)
+        th, L, _, ok = logsym_fit._halving_accept(f, start, direction, L_cur, None,
+                                                  max_halvings)
+        if moves_location:
+            return th, L, _fresh_predictors(design, th, th_disp)[0], ok
+        return th, L, _fresh_predictors(design, th_loc, th)[1], ok
     return reference
 
 
@@ -503,23 +536,29 @@ class TestObjectiveAtPredictors:
         th_loc, th_disp = logsym_fit._initial_params(design)
         L = logsym_fit._eval_objective(design, th_loc, th_disp, lam)
         assert L == _reference_objective(design, th_loc, th_disp, lam)
+        mu, logphi = _fresh_predictors(design, th_loc, th_disp)
         for _ in range(4):
             for step, moves_location in ((logsym_fit._location_step, True),
                                          (logsym_fit._dispersion_step, False)):
-                args = (design, th_loc, th_disp, lam, L, halvings)
-                evalf, direction = _halving_search(step, *args)
+                evalf, direction = _halving_search(step, design, th_loc, th_disp, lam, L,
+                                                   halvings)
                 start = th_loc if moves_location else th_disp
                 for k in range(halvings + 1):
                     trial = start + 0.5 ** k * direction
                     point = (trial, th_disp) if moves_location else (th_loc, trial)
-                    assert evalf(trial) == _reference_objective(design, *point, lam)
+                    value, pred = evalf(trial)
+                    assert value == _reference_objective(design, *point, lam)
+                    assert np.array_equal(
+                        pred, _fresh_predictors(design, *point)[0 if moves_location else 1])
+                args = (design, th_loc, th_disp, mu, logphi, lam, L, halvings)
                 out = step(*args)
                 ref = _reference_step(step, moves_location)(*args)
-                assert np.array_equal(out[0], ref[0]) and out[1:] == ref[1:]
+                assert np.array_equal(out[0], ref[0]) and np.array_equal(out[2], ref[2])
+                assert (out[1], out[3]) == (ref[1], ref[3])
                 if moves_location:
-                    th_loc, L = out[0], out[1]
+                    th_loc, L, mu = out[:3]
                 else:
-                    th_disp, L = out[0], out[1]
+                    th_disp, L, logphi = out[:3]
 
     @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
     def test_grad_norm_matches_reference_away_from_optimum(self, gen, logsym_table):
