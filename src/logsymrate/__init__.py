@@ -16,10 +16,7 @@ from .data_ingest import (
     aggregate_cells,
     apply_zero_policy,
     make_cell,
-    observed_log_rate,
     parse_mortality_csv,
-    read_table_csv,
-    write_table_csv,
 )
 from .diagnostics import (
     ComparisonReport,
@@ -51,7 +48,6 @@ from .logsym_family import (
     dispersion_info_const,
     logpdf,
     normal_spec,
-    sample,
     weight_v,
     weight_v_prime,
 )
@@ -91,8 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MortalityRecord", "ObservationCell", "ObservationTable", "TableMeta",
-    "aggregate_cells", "apply_zero_policy", "make_cell", "observed_log_rate",
-    "parse_mortality_csv", "read_table_csv", "write_table_csv",
+    "aggregate_cells", "apply_zero_policy", "make_cell", "parse_mortality_csv",
     "ComparisonReport", "EnvelopeResult", "ModelSummary",
     "all_component_curves", "compare_models", "export_component_curves",
     "log_rate_correlation", "simulated_envelope",
@@ -101,7 +96,7 @@ __all__ = [
     "RankDeficiencyError", "SelectionError", "SpecificationError",
     "UndefinedCorrelationError",
     "GeneratorSpec", "cdf", "dispersion_info_const", "logpdf", "normal_spec",
-    "sample", "weight_v", "weight_v_prime",
+    "weight_v", "weight_v_prime",
     "FitParams", "LogSymFit", "ModelSpec", "SubmodelSpec", "fit",
     "fitted_log_rate", "penalized_loglik", "penalized_score", "residuals",
     "select_lambda", "spec_with_lambdas",

@@ -25,7 +25,6 @@ ZERO_POLICIES = ("drop", "add_half", "add_one")
 YEAR_RANGE = (1900, 2100)  # admissible years of a raw record
 
 MORTALITY_HEADER = ["sex", "site", "age_lo", "age_hi", "year", "deaths", "population"]
-TABLE_HEADER = ["age_mid", "period_mid", "deaths_raw", "t_value", "population", "log_rate"]
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,9 @@ class ObservationCell:
 _COLUMNS = ("age", "period", "deaths", "t_value", "population")
 
 
-def _check_entries(age, period, deaths, t_value, population, where=lambda i: "") -> None:
+def _check_entries(age, period, deaths, t_value, population) -> None:
     """The rules every cell obeys, on float columns: raise DataValidationError
-    at the first entry that breaks one, its message prefixed by ``where(i)``."""
+    at the first entry that breaks one."""
     for name, col, ok, what in (
             ("age_mid", age, np.isfinite(age), "finite"),
             ("period_mid", period, np.isfinite(period), "finite"),
@@ -101,7 +100,7 @@ def _check_entries(age, period, deaths, t_value, population, where=lambda i: "")
             ("t_value", t_value, (t_value >= 0) & (t_value < math.inf), "nonnegative and finite")):
         bad = np.flatnonzero(~ok)
         if bad.size:
-            raise DataValidationError(f"{where(bad[0])}{name} must be {what}, got {col[bad[0]]}")
+            raise DataValidationError(f"{name} must be {what}, got {col[bad[0]]}")
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
@@ -183,42 +182,35 @@ def _as_text_lines(source) -> Iterable[str]:
     return io.StringIO(text)
 
 
-def _csv_rows(source, expected, what: str):
-    """Yield (line number, fields) for each non-blank data row of a CSV
-    whose header must be exactly ``expected``. Line numbers are 1-based
-    with the header on line 1."""
+def parse_mortality_csv(source) -> list:
+    """Parse a raw mortality CSV (header ``sex,site,...,population``).
+
+    Returns one ``MortalityRecord`` per data row in row order. No
+    aggregation happens here; duplicate strata stay duplicated. Blank rows
+    are skipped. Errors cite 1-based line numbers (header is line 1).
+    """
     reader = csv.reader(_as_text_lines(source))
     try:
         header = next(reader)
     except StopIteration:
         raise DataFormatError("empty CSV: missing header") from None
     fields = [f.strip() for f in header]
-    missing = [c for c in expected if c not in fields]
+    missing = [c for c in MORTALITY_HEADER if c not in fields]
     if missing:
-        raise DataFormatError(f"{what} header missing column(s): {', '.join(missing)}")
-    if fields != expected:
+        raise DataFormatError(f"mortality CSV header missing column(s): {', '.join(missing)}")
+    if fields != MORTALITY_HEADER:
         raise DataFormatError(
-            f"{what} header must be exactly {','.join(expected)}, got {','.join(fields)}"
+            f"mortality CSV header must be exactly {','.join(MORTALITY_HEADER)}, "
+            f"got {','.join(fields)}"
         )
+    records = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not f.strip() for f in row):
             continue
-        if len(row) != len(expected):
+        if len(row) != len(MORTALITY_HEADER):
             raise DataFormatError(
-                f"line {lineno}: expected {len(expected)} fields, got {len(row)}"
+                f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}"
             )
-        yield lineno, row
-
-
-def parse_mortality_csv(source) -> list:
-    """Parse a raw mortality CSV (header ``sex,site,...,population``).
-
-    Returns one ``MortalityRecord`` per data row in row order. No
-    aggregation happens here; duplicate strata stay duplicated.
-    Errors cite 1-based line numbers (header is line 1).
-    """
-    records = []
-    for lineno, row in _csv_rows(source, MORTALITY_HEADER, "mortality CSV"):
         sex, site, age_lo, age_hi, year, deaths, population = [f.strip() for f in row]
         try:
             age_lo_i = int(age_lo)
@@ -293,65 +285,16 @@ def apply_zero_policy(table: ObservationTable, policy: str) -> ObservationTable:
     return replace(table, t_value=t_value, meta=meta)
 
 
-def observed_log_rate(cell: ObservationCell) -> float:
-    """log of the observed rate, log(t_value / population)."""
-    if not cell.t_value > 0:
-        raise DataValidationError("observed_log_rate requires t_value > 0; apply a zero policy")
-    return cell.log_t - cell.log_pop
-
-
 def observed_log_rates(table: ObservationTable) -> np.ndarray:
+    """log of each cell's observed rate, log(t_value / population)."""
     if not np.all(table.t_value > 0):
-        raise DataValidationError("observed_log_rate requires t_value > 0; apply a zero policy")
+        raise DataValidationError("observed_log_rates requires t_value > 0; apply a zero policy")
     return table.log_t - table.log_pop
 
 
 def _fmt(x: float) -> str:
     # repr gives the shortest string that round-trips the double exactly
     return repr(float(x))
-
-
-def table_to_csv(table: ObservationTable) -> str:
-    """Serialize to the table CSV schema (see TABLE_HEADER)."""
-    # log_t is NaN where t_value is 0, so is the rate
-    rate = table.log_t - table.log_pop
-    lines = [",".join(TABLE_HEADER)]
-    for age, period, deaths, t_value, pop, r in zip(
-            table.age.tolist(), table.period.tolist(), table.deaths.astype(int).tolist(),
-            table.t_value.tolist(), table.population.tolist(), rate.tolist()):
-        lines.append(",".join([
-            _fmt(age), _fmt(period), str(deaths), _fmt(t_value), _fmt(pop), _fmt(r),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def table_from_csv(source, meta: Union[TableMeta, None] = None) -> ObservationTable:
-    """Parse a table CSV produced by ``table_to_csv``.
-
-    log_t and log_pop are recomputed from t_value and population, which
-    reproduces the original bits (same inputs, same log).
-    """
-    linenos, rows = [], []
-    for lineno, row in _csv_rows(source, TABLE_HEADER, "table CSV"):
-        try:
-            rows.append([float(row[0]), float(row[1]), int(row[2]),
-                         float(row[3]), float(row[4])])
-        except ValueError:
-            raise DataValidationError(f"line {lineno}: non-numeric field in {row}") from None
-        linenos.append(lineno)
-    cols = np.array(rows, dtype=float).reshape(-1, 5).T
-    _check_entries(*cols, where=lambda i: f"line {linenos[i]}: ")
-    return ObservationTable(*cols, meta=meta or TableMeta())
-
-
-def write_table_csv(table: ObservationTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(table_to_csv(table))
-
-
-def read_table_csv(path) -> ObservationTable:
-    with open(path, "rb") as fh:
-        return table_from_csv(fh)
 
 
 def records_to_csv(records) -> str:

@@ -33,6 +33,7 @@ from .logsym_fit import LogSymFit, _find_term, _quantile_residuals, fitted_log_r
 # perfbench/tracer.py hooks this name: spec first, one call per attempt, .iterations, .converged
 from .logsym_fit import _replicate_fit as logsym_fit_fn
 from .poisson_glm import PoissonFit, deviance_residuals, fitted_log_rate_poisson, irls
+from .specio import _whole
 
 LOGSYM_RESIDUAL_KINDS = ("location", "dispersion")
 POISSON_RESIDUAL_KINDS = ("deviance",)
@@ -124,6 +125,7 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     """
     if not (0.0 < level < 1.0):
         raise SpecificationError(f"level must be in (0, 1), got {level}")
+    m_sims = _whole(m_sims, "m_sims")
     if m_sims < 1:
         raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
     _check_fitted_on(fit_result, table)
@@ -288,6 +290,7 @@ def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -
 
     Returns an array of shape (grid_size, 2): covariate value, component
     value."""
+    grid_size = _whole(grid_size, "grid_size")
     if grid_size < 2:
         raise SpecificationError(f"grid_size must be >= 2, got {grid_size}")
     ti = _find_term(fit_result.design, term)

@@ -80,9 +80,12 @@ def normal_spec() -> GeneratorSpec:
     return GeneratorSpec(family="normal")
 
 
-def _contnormal_parts(spec, u):
-    """Stably evaluate the three exponential mixtures used by the
-    contaminated normal: D (density kernel), N = -2 D', M = 4 D''.
+def _contnormal_parts(spec, u, count: int):
+    """Stably evaluate the shift s and the first ``count`` of the three
+    exponential mixtures used by the contaminated normal: D (density
+    kernel), N = -2 D', M = 4 D''. The k-th is w1 nu2^k e1 + w2 e2 in the
+    shifted exponentials e1, e2, with w1 multiplied by nu2 k times in turn,
+    so each keeps the bits of the expression w1 * nu2 * ... * e1 + w2 * e2.
 
     All three are homogeneous of degree one in the shifted exponentials,
     so ratios of them (and of N^2 vs M*D) are shift-invariant.
@@ -92,13 +95,13 @@ def _contnormal_parts(spec, u):
     b = -0.5 * u
     s = np.maximum(a, b)
     e1 = np.exp(a - s)
-    e2 = np.exp(b - s)
-    w1 = nu1 * math.sqrt(nu2)
-    w2 = 1.0 - nu1
-    D = w1 * e1 + w2 * e2
-    N = w1 * nu2 * e1 + w2 * e2
-    M = w1 * nu2 * nu2 * e1 + w2 * e2
-    return D, N, M, s
+    w2_e2 = (1.0 - nu1) * np.exp(b - s)
+    w = nu1 * math.sqrt(nu2)
+    mixtures = []
+    for _ in range(count):
+        mixtures.append(w * e1 + w2_e2)
+        w *= nu2
+    return (s, *mixtures)
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,7 +126,7 @@ def logpdf(spec: GeneratorSpec, z):
         return _log_norm_const(spec) - (nu + 1.0) / 2.0 * np.log1p(u / nu)
     if spec.family == "powerexp":
         return _log_norm_const(spec) - 0.5 * u ** (1.0 / (1.0 + spec.zeta))
-    D, _, _, s = _contnormal_parts(spec, u)
+    s, D = _contnormal_parts(spec, u, 1)
     return np.log(D) + s - _LOG_SQRT_2PI
 
 
@@ -147,7 +150,7 @@ def weight_v(spec: GeneratorSpec, z):
         zt = spec.zeta
         with np.errstate(divide="ignore"):
             return (1.0 / (1.0 + zt)) * u ** (-zt / (1.0 + zt))
-    D, N, _, _ = _contnormal_parts(spec, u)
+    _, D, N = _contnormal_parts(spec, u, 2)
     return N / D
 
 
@@ -163,7 +166,7 @@ def weight_v_prime(spec: GeneratorSpec, u):
         b = zt / (1.0 + zt)
         with np.errstate(divide="ignore"):
             return -(b / (1.0 + zt)) * u ** (-b - 1.0)
-    D, N, M, _ = _contnormal_parts(spec, u)
+    _, D, N, M = _contnormal_parts(spec, u, 3)
     return (N * N - M * D) / (2.0 * D * D)
 
 
@@ -207,10 +210,6 @@ def sample_with_rng(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np
     mix = rng.random(n)
     z = rng.standard_normal(n)
     return np.where(mix < spec.nu1, z / math.sqrt(spec.nu2), z)
-
-
-def sample(spec: GeneratorSpec, n: int, seed: int) -> np.ndarray:
-    return sample_with_rng(spec, n, np.random.default_rng(seed))
 
 
 @functools.lru_cache(maxsize=None)

@@ -140,24 +140,28 @@ class ModelSpec:
 @dataclass(frozen=True)
 class FitParams:
     """Coefficients plus per-term smoothing weights; the argument of
-    ``penalized_loglik`` and ``penalized_score``."""
+    ``penalized_loglik`` and ``penalized_score``. The coefficient vectors
+    are stored as read-only float copies."""
 
     location: np.ndarray
     dispersion: np.ndarray
     lam: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("location", "dispersion"):
+            th = np.array(getattr(self, name), dtype=float)
+            th.flags.writeable = False
+            object.__setattr__(self, name, th)
+
 
 @dataclass
 class LogSymFit:
+    """A fitted model. Coefficients, names, lambdas and cell keys are read
+    from ``params`` and ``design``, so they cannot disagree with them."""
+
     spec: ModelSpec
-    beta: np.ndarray
     beta_se: np.ndarray
-    beta_names: tuple
-    gamma: np.ndarray
     gamma_se: np.ndarray
-    gamma_names: tuple
-    spline_coefs: dict
-    lam: dict
     edf: dict
     mu_hat: np.ndarray
     phi_hat: np.ndarray
@@ -168,13 +172,44 @@ class LogSymFit:
     iterations: int
     grad_norm: float
     trace: tuple
-    cell_keys: tuple
     params: FitParams
     design: "_Design"
 
     @property
     def label(self) -> str:
         return f"logsym-{self.spec.generator.family}"
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.params.location[:self.design.loc.p_par]
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.params.dispersion[:self.design.disp.p_par]
+
+    @property
+    def beta_names(self) -> tuple:
+        return self.design.loc.par_names
+
+    @property
+    def gamma_names(self) -> tuple:
+        return self.design.disp.par_names
+
+    @property
+    def spline_coefs(self) -> dict:
+        """Coefficients of each spline term, keyed by its label."""
+        return {ti.label: th[ti.sl]
+                for half, th in ((self.design.loc, self.params.location),
+                                 (self.design.disp, self.params.dispersion))
+                for ti in half.terms}
+
+    @property
+    def lam(self) -> dict:
+        return self.params.lam
+
+    @property
+    def cell_keys(self) -> tuple:
+        return self.design.cell_keys
 
 
 # ---------------------------------------------------------------------------
@@ -621,24 +656,11 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
     gamma_se = _block_se(design.disp, w_disp_obs, lam)
 
     ll, edf, aic, aic_jacobian = _information_criteria(spec, design, lam, mu, logphi)
-
-    spline_coefs = {}
-    for half, th in ((design.loc, th_loc), (design.disp, th_disp)):
-        for ti in half.terms:
-            spline_coefs[ti.label] = th[ti.sl].copy()
-
-    params = FitParams(location=th_loc.copy(), dispersion=th_disp.copy(),
-                       lam=dict(lam))
     return LogSymFit(
-        spec=spec,
-        beta=th_loc[:design.loc.p_par].copy(), beta_se=beta_se,
-        beta_names=design.loc.par_names,
-        gamma=th_disp[:design.disp.p_par].copy(), gamma_se=gamma_se,
-        gamma_names=design.disp.par_names,
-        spline_coefs=spline_coefs, lam=dict(lam), edf=edf,
+        spec=spec, beta_se=beta_se, gamma_se=gamma_se, edf=edf,
         mu_hat=mu, phi_hat=phi, loglik=ll, aic=aic, aic_jacobian=aic_jacobian,
-        converged=converged, iterations=iterations, grad_norm=grad_norm,
-        trace=trace, cell_keys=design.cell_keys, params=params, design=design,
+        converged=converged, iterations=iterations, grad_norm=grad_norm, trace=trace,
+        params=FitParams(location=th_loc, dispersion=th_disp, lam=dict(lam)), design=design,
     )
 
 
@@ -682,8 +704,7 @@ def _evaluation_point(spec: ModelSpec, table: ObservationTable, params: FitParam
     lengths must match the design."""
     design = _build_design(spec, table)
     lam = _resolve_lambdas(params.lam, design)
-    th_loc = np.asarray(params.location, dtype=float)
-    th_disp = np.asarray(params.dispersion, dtype=float)
+    th_loc, th_disp = params.location, params.dispersion
     if th_loc.shape != (design.loc.G.shape[1],) or th_disp.shape != (design.disp.G.shape[1],):
         raise SpecificationError(
             f"parameter lengths {th_loc.shape[0]}/{th_disp.shape[0]} do not match "
@@ -759,7 +780,7 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
             best_lam = float(cand)
         elif aic <= best_aic + 1e-9:
             # tie within tolerance: prefer the smoother (larger) lambda
-            best_lam = float(cand)
+            best_lam = max(best_lam, float(cand))
     if best_lam is None:
         raise SelectionError(f"no grid fit succeeded while selecting {label}")
     edges = (min(spec.lambda_grid), max(spec.lambda_grid))

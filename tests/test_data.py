@@ -1,4 +1,4 @@
-"""Ingestion, aggregation, zero policies, and the table CSV round trip."""
+"""Ingestion, aggregation, zero policies and observed log rates."""
 
 import math
 
@@ -17,24 +17,18 @@ from logsymrate import (
     apply_zero_policy,
     make_cell,
     normal_spec,
-    observed_log_rate,
     parse_mortality_csv,
     simulate_table,
 )
 from logsymrate.data_ingest import (
     ZERO_POLICIES,
     _logs,
-    read_table_csv,
+    observed_log_rates,
     records_to_csv,
-    table_from_csv,
-    table_to_csv,
-    write_table_csv,
 )
 from logsymrate.errors import DataFormatError, DataValidationError
 from logsymrate.logsym_family import sample_with_rng
 from logsymrate.poisson_glm import fit_poisson
-
-from .conftest import same_cells
 
 GOOD_CSV = b"""sex,site,age_lo,age_hi,year,deaths,population
 female,breast,40,44,2001,12,51000
@@ -122,6 +116,11 @@ class TestParse:
         with pytest.raises(DataValidationError, match="finite"):
             MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
                             year=2000, deaths=1, population=math.inf)
+
+    def test_records_to_csv_round_trip(self):
+        recs = parse_mortality_csv(GOOD_CSV)
+        again = parse_mortality_csv(records_to_csv(recs).encode())
+        assert list(again) == list(recs)
 
 
 class TestAggregate:
@@ -233,14 +232,17 @@ class TestCells:
         c = make_cell(42.0, 2001.0, 0, 0.0, 60000.0)
         assert math.isnan(c.log_t)
 
-    def test_observed_log_rate(self):
-        c = make_cell(42.0, 2001.0, 12, 12.0, 60000.0)
-        assert observed_log_rate(c) == pytest.approx(math.log(12.0 / 60000.0))
+    def test_observed_log_rates(self):
+        table = ObservationTable(age=[42.0, 47.0], period=[2001.0, 2001.0], deaths=[12, 3],
+                                 t_value=[12.0, 3.0], population=[60000.0, 500.0])
+        assert observed_log_rates(table) == pytest.approx(
+            [math.log(12.0 / 60000.0), math.log(3.0 / 500.0)])
 
-    def test_observed_log_rate_zero_errors(self):
-        c = make_cell(42.0, 2001.0, 0, 0.0, 60000.0)
-        with pytest.raises(DataValidationError):
-            observed_log_rate(c)
+    def test_observed_log_rates_zero_errors(self):
+        table = ObservationTable(age=[42.0, 47.0], period=[2001.0, 2001.0], deaths=[12, 0],
+                                 t_value=[12.0, 0.0], population=[60000.0, 500.0])
+        with pytest.raises(DataValidationError, match="observed_log_rates requires t_value > 0"):
+            observed_log_rates(table)
 
     @pytest.mark.parametrize("t_value, population", [
         (math.inf, 60000.0), (math.nan, 60000.0),
@@ -261,47 +263,6 @@ class TestCells:
             ObservationTable(age=[47.0, 42.0], period=[2001.0, 2001.0], deaths=[1, 1],
                              t_value=[1.0, 1.0], population=[10.0, 10.0],
                              meta=TableMeta(sex="female", site="x"))
-
-
-class TestTableCsv:
-    def test_round_trip_bit_exact(self):
-        recs = parse_mortality_csv(GOOD_CSV)
-        table = apply_zero_policy(aggregate_cells(recs, "female", "breast"), "add_half")
-        back = table_from_csv(table_to_csv(table), meta=table.meta)
-        assert same_cells(back, table)
-
-    def test_file_round_trip(self, tmp_path):
-        recs = parse_mortality_csv(GOOD_CSV)
-        table = aggregate_cells(recs, "female", "breast")
-        path = tmp_path / "table.csv"
-        write_table_csv(table, path)
-        back = read_table_csv(path)
-        assert same_cells(back, table)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(1e-3, 1e9, allow_nan=False))
-    def test_awkward_floats_survive(self, pop):
-        t = ObservationTable(age=[42.0], period=[2001.0], deaths=[3], t_value=[3.0],
-                             population=[pop], meta=TableMeta(sex="female", site="x"))
-        back = table_from_csv(table_to_csv(t), meta=t.meta)
-        assert back.population[0] == pop
-
-    @pytest.mark.parametrize("field, value", [
-        (0, "nan"), (1, "inf"), (3, "inf"), (3, "nan"), (4, "inf"),
-    ])
-    def test_non_finite_field_reports_line_number(self, field, value):
-        table = ObservationTable(age=[42.0], period=[2001.0], deaths=[3], t_value=[3.0],
-                                 population=[1000.0])
-        header, row, tail = table_to_csv(table).split("\n")
-        fields = row.split(",")
-        fields[field] = value
-        with pytest.raises(DataValidationError, match="line 2"):
-            table_from_csv("\n".join([header, ",".join(fields), tail]))
-
-    def test_records_to_csv_round_trip(self):
-        recs = parse_mortality_csv(GOOD_CSV)
-        again = parse_mortality_csv(records_to_csv(recs).encode())
-        assert list(again) == list(recs)
 
 
 # column name -> ObservationCell field
@@ -368,10 +329,6 @@ class TestColumnsMatchCells:
                               c.population)
             expected.append(c)
         assert_matches_cells(apply_zero_policy(table, policy), expected)
-
-    def test_table_csv_round_trip(self):
-        table, cells = self.probe_table()
-        assert_matches_cells(table_from_csv(table_to_csv(table)), cells)
 
     def test_simulate_table_continuous_noise(self):
         truth = TruthSpec(ages=(40.0, 45.0, 50.0), periods=(2000.0, 2001.0),

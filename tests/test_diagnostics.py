@@ -143,6 +143,11 @@ class TestEnvelope:
         with pytest.raises(SpecificationError):
             simulated_envelope(lfit, ltable, "location", m_sims=10, level=1.2, seed=1)
 
+    @pytest.mark.parametrize("m_sims", [True, False, 2.5, 0, -3])
+    def test_m_sims_must_be_a_positive_whole_number(self, lfit, ltable, m_sims):
+        with pytest.raises(SpecificationError, match="^m_sims must be"):
+            simulated_envelope(lfit, ltable, "location", m_sims=m_sims, seed=1)
+
 
 class TestCorrelation:
     def test_perfect_when_fitted_equals_observed(self, ltable):
@@ -348,6 +353,15 @@ class TestCurves:
         cur = export_component_curves(sfit, "location:ncs(age)")
         assert cur.shape == (200, 2)
         assert cur[0, 0] == 35.0 and cur[-1, 0] == 75.0
+
+    @pytest.mark.parametrize("grid_size", [True, 3.5, 1])
+    def test_grid_size_must_be_a_whole_number_of_at_least_2(self, sfit, grid_size):
+        with pytest.raises(SpecificationError, match="^grid_size must be"):
+            export_component_curves(sfit, "location:ncs(age)", grid_size=grid_size)
+
+    def test_whole_float_grid_size(self, sfit):
+        assert np.array_equal(export_component_curves(sfit, "location:ncs(age)", grid_size=9.0),
+                              export_component_curves(sfit, "location:ncs(age)", grid_size=9))
 
     def test_unknown_term(self, sfit):
         with pytest.raises(SpecificationError, match="location:ncs"):

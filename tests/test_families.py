@@ -2,8 +2,14 @@
 
 Scoring weights and information constants are checked by finite
 differencing and quadrature of the log-density itself, never against
-reimplementations of the same formulas.
+reimplementations of the same formulas. The one exception,
+TestContnormalBits, pins the contaminated normal's bits to the
+expressions it was evaluated with before its mixtures were formed on
+demand.
 """
+
+import math
+
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ from scipy import integrate
 
 from logsymrate import GeneratorSpec, cdf, dispersion_info_const, logpdf, normal_spec
 from logsymrate.errors import SpecificationError
-from logsymrate.logsym_family import sample, sample_with_rng, weight_v, weight_v_prime
+from logsymrate.logsym_family import sample_with_rng, weight_v, weight_v_prime
 
 from .conftest import ALL_GENERATORS
 
@@ -125,7 +131,7 @@ class TestSampling:
         # Dvoretzky-Kiefer-Wolfowitz: sup gap <= sqrt(ln(2/delta)/(2n))
         # with delta = 1e-6 and n = 20000 gives 0.019.
         n = 20000
-        draws = sample(gen, n, seed=4321)
+        draws = sample_with_rng(gen, n, np.random.default_rng(4321))
         zs = np.sort(draws)
         emp = np.arange(1, n + 1) / n
         gap = np.max(np.abs(emp - cdf(gen, zs)))
@@ -133,14 +139,46 @@ class TestSampling:
 
     def test_deterministic(self):
         g = GeneratorSpec(family="contnormal", nu1=0.2, nu2=0.3)
-        a = sample(g, 50, seed=7)
-        b = sample(g, 50, seed=7)
+        a = sample_with_rng(g, 50, np.random.default_rng(7))
+        b = sample_with_rng(g, 50, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_rng_stream_advances(self, rng):
         a = sample_with_rng(normal_spec(), 10, rng)
         b = sample_with_rng(normal_spec(), 10, rng)
         assert not np.array_equal(a, b)
+
+
+def _reference_contnormal_parts(spec, u):
+    """D, N, M and the shift s exactly as logpdf and the weights formed them
+    when every call built all three mixtures."""
+    nu1, nu2 = spec.nu1, spec.nu2
+    a = -0.5 * nu2 * u
+    b = -0.5 * u
+    s = np.maximum(a, b)
+    e1 = np.exp(a - s)
+    e2 = np.exp(b - s)
+    w1 = nu1 * math.sqrt(nu2)
+    w2 = 1.0 - nu1
+    D = w1 * e1 + w2 * e2
+    N = w1 * nu2 * e1 + w2 * e2
+    M = w1 * nu2 * nu2 * e1 + w2 * e2
+    return D, N, M, s
+
+
+class TestContnormalBits:
+    @pytest.mark.parametrize("nu1, nu2", [(0.15, 0.25), (0.2, 0.3), (0.1, 4), (0.0, 2.0),
+                                          (1.0, 0.5), (0.35, 1.0)])
+    def test_matches_reference_bit_for_bit(self, nu1, nu2):
+        gen = GeneratorSpec(family="contnormal", nu1=nu1, nu2=nu2)
+        u = np.concatenate([[0.0, 1e-300, 1e-12, 1e4], np.geomspace(1e-6, 1e3, 97),
+                            np.random.default_rng(3).exponential(4.0, 200)])
+        z = np.concatenate([np.sqrt(u), -np.sqrt(u)])
+        D, N, _, s = _reference_contnormal_parts(gen, z * z)
+        assert np.array_equal(logpdf(gen, z), np.log(D) + s - 0.5 * math.log(2.0 * math.pi))
+        assert np.array_equal(weight_v(gen, z), N / D)
+        D, N, M, _ = _reference_contnormal_parts(gen, u)
+        assert np.array_equal(weight_v_prime(gen, u), (N * N - M * D) / (2.0 * D * D))
 
 
 class TestDispersionInfo:

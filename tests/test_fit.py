@@ -306,6 +306,39 @@ class TestResidualsAndSes:
         assert np.all(f.beta_se > 0) and np.all(f.gamma_se > 0)
 
 
+class TestDerivedFields:
+    def test_fields_are_read_from_params_and_design(self, logsym_table):
+        f = fit(two_term_spec(), logsym_table)
+        loc, disp = f.params.location, f.params.dispersion
+        assert np.array_equal(f.beta, loc[:1]) and np.shares_memory(f.beta, loc)
+        assert np.array_equal(f.gamma, disp[:1]) and np.shares_memory(f.gamma, disp)
+        assert (f.beta_names, f.gamma_names) == (("intercept",), ("intercept",))
+        assert f.lam is f.params.lam and f.cell_keys == logsym_table.cell_keys
+        coefs = f.spline_coefs
+        # ncs(period) sits in both submodels: each half keeps its own slice
+        assert list(coefs) == list(f.lam) == [
+            "location:ncs(age)", "location:ncs(period)",
+            "dispersion:psp(age)", "dispersion:ncs(period)"]
+        assert np.array_equal(np.concatenate([coefs["location:ncs(age)"],
+                                              coefs["location:ncs(period)"]]), loc[1:])
+        assert np.array_equal(np.concatenate([coefs["dispersion:psp(age)"],
+                                              coefs["dispersion:ncs(period)"]]), disp[1:])
+
+    def test_coefficients_are_read_only(self, logsym_table):
+        f = fit(plain_spec(), logsym_table)
+        for th in (f.params.location, f.params.dispersion, f.beta, f.gamma):
+            with pytest.raises(ValueError, match="read-only"):
+                th[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.beta = np.zeros(3)
+
+    def test_params_hold_float_copies(self):
+        loc = np.zeros(2)
+        params = FitParams(location=loc, dispersion=[0])
+        loc[0] = 1.0
+        assert params.location[0] == 0.0 and params.dispersion.dtype == float
+
+
 class TestValidation:
     def test_intercept_required(self):
         with pytest.raises(SpecificationError):
@@ -628,6 +661,12 @@ class TestSelectionLog:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "location:ncs(age)" in warnings[0] and "edge of the grid" in warnings[0]
+
+    @pytest.mark.parametrize("grid", [(1.0, 10.0, 100.0), (100.0, 10.0, 1.0), (10.0, 100.0, 1.0)])
+    def test_tie_goes_to_the_largest_lambda_in_any_grid_order(self, logsym_table, grid,
+                                                              monkeypatch):
+        monkeypatch.setattr(logsym_fit, "_grid_aic", lambda *args: 5.0)
+        assert select_lambda(select_spec(grid=grid), logsym_table, "location:ncs(age)") == 100.0
 
     def test_interior_winner_does_not_warn(self, caplog):
         caplog.set_level(logging.DEBUG, logger="logsymrate")
