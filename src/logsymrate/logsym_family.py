@@ -88,14 +88,16 @@ def _contnormal_parts(spec, u, count: int):
     so each keeps the bits of the expression w1 * nu2 * ... * e1 + w2 * e2.
 
     All three are homogeneous of degree one in the shifted exponentials,
-    so ratios of them (and of N^2 vs M*D) are shift-invariant.
+    so ratios of them (and of N^2 vs M*D) are shift-invariant. A component
+    of weight zero (nu1 = 0 or 1) is left out, shift included, so it cannot
+    underflow the kept one or overflow against it.
     """
     nu1, nu2 = spec.nu1, spec.nu2
     a = -0.5 * nu2 * u
     b = -0.5 * u
-    s = np.maximum(a, b)
-    e1 = np.exp(a - s)
-    w2_e2 = (1.0 - nu1) * np.exp(b - s)
+    s = b if nu1 == 0.0 else a if nu1 == 1.0 else np.maximum(a, b)
+    e1 = np.exp(a - s) if nu1 > 0.0 else 0.0
+    w2_e2 = (1.0 - nu1) * np.exp(b - s) if nu1 < 1.0 else 0.0
     w = nu1 * math.sqrt(nu2)
     mixtures = []
     for _ in range(count):

@@ -19,14 +19,15 @@ log-likelihood and the coefficients both stabilize:
 Every step is step-halved so the penalized objective never decreases.
 The objective depends on the coefficients through the two linear
 predictors and the term penalties. A sweep carries both predictors, each
-step handing on the one its accepted trial computed. A location trial or
-stencil point holds exp(0.5 log phi), 0.5 sum(log phi) and the dispersion
-penalties; a dispersion one holds y - mu and the location penalties. The
-penalty is summed location terms first, so every value is bit for bit the
-one that recomputing both predictors gives. Once the stopping rules fire,
-Newton polish steps run until the analytic penalized score is far below
-the stationarity bound, and the reported grad_norm is an independent
-fourth-order finite-difference check of the objective at the solution.
+step handing on the one its accepted trial computed. A location trial
+holds exp(0.5 log phi), 0.5 sum(log phi) and the dispersion penalties; a
+dispersion one holds y - mu and the location penalties. The penalty is
+summed location terms first, so every value is bit for bit the one that
+recomputing both predictors gives. Once the stopping rules fire, Newton
+polish steps run until the analytic penalized score is far below the
+stationarity bound, and the reported grad_norm is an independent
+fourth-order finite-difference check of the objective at the solution,
+which evaluates a coefficient's four points as one block, same bits.
 
 A "select" term is resolved by refitting at each lambda of the grid and
 keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
@@ -34,7 +35,8 @@ keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
 selected lambdas, and a grid fit that did not converge still competes on
 its AIC. An envelope replicate keeps only its coefficients, predictors,
 iterations and convergence verdict (a final fit's rule; the stencil runs
-only when the stopping rules fired): no standard errors or AIC.
+only when the stopping rules fired, and stops at the first failing
+coefficient): no standard errors or AIC.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # each evaluation's errstate
+# the errstate of a halving search, a stencil or a single evaluation
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _Replicate = namedtuple("_Replicate", "location dispersion mu phi converged iterations")
 
 log = logging.getLogger("logsymrate")
@@ -328,28 +331,39 @@ def _mu_phi(design: _Design, th_loc, th_disp):
     return _mu(design, th_loc), design.disp.G @ th_disp
 
 
+def _penalty(ti: _TermInfo, th, lam) -> float:
+    """Roughness penalty of one spline term."""
+    return 0.5 * lam[ti.label] * float(th[ti.sl] @ ti.block.K @ th[ti.sl])
+
+
 def _penalties(half: _Half, th, lam) -> list:
     """Roughness penalty of each spline term of one submodel, in order."""
-    return [0.5 * lam[ti.label] * float(th[ti.sl] @ ti.block.K @ th[ti.sl])
-            for ti in half.terms]
+    return [_penalty(ti, th, lam) for ti in half.terms]
 
 
-def _objective(design: _Design, resid, sphi, half_sum, penalties) -> float:
-    """Penalized log-likelihood from y - mu, exp(0.5 log phi), 0.5 sum(log phi)
-    and the term penalties, location first; -inf when not evaluable. logpdf
-    is never +inf and the penalty never -inf, so a non-finite predictor,
-    residual, density or penalty leaves the sum at -inf or nan, and one
-    test on the sum rejects every such point."""
+def _loglik(design: _Design, resid, sphi, half_sum):
+    """Log-likelihood from y - mu, exp(0.5 log phi) and 0.5 sum(log phi), of
+    one point or of each row of a block of points; a row gets the bits of
+    its point evaluated alone."""
+    return np.add.reduce(logpdf(design.generator, resid / sphi), axis=-1) - half_sum
+
+
+def _penalized(ll, penalties) -> float:
+    """The objective: ``ll`` minus the term penalties, location first, summed
+    in order from 0.0; -inf when not evaluable. logpdf is never +inf and the
+    penalty never -inf, so a non-finite predictor, residual, density or
+    penalty leaves the value at -inf or nan, and one test rejects them all."""
     penalty = 0.0
     for p in penalties:
         penalty += p
-    val = float(np.add.reduce(logpdf(design.generator, resid / sphi)) - half_sum) - penalty
+    val = float(ll) - penalty
     return val if math.isfinite(val) else -math.inf
 
 
 def _eval_objective(design: _Design, th_loc, th_disp, lam) -> float:
     """The objective at coefficient vectors, both predictors computed."""
-    return _location_objective(design, design.disp.G @ th_disp, th_disp, lam)(th_loc)[0]
+    with np.errstate(**_QUIET):
+        return _location_objective(design, design.disp.G @ th_disp, th_disp, lam)(th_loc)[0]
 
 
 def _location_objective(design: _Design, logphi, th_disp, lam):
@@ -361,10 +375,9 @@ def _location_objective(design: _Design, logphi, th_disp, lam):
         held = _penalties(design.disp, th_disp, lam)
 
     def f(th):
-        with np.errstate(**_QUIET):
-            mu = _mu(design, th)
-            return _objective(design, design.y - mu, sphi, half_sum,
-                              _penalties(design.loc, th, lam) + held), mu
+        mu = _mu(design, th)
+        return _penalized(_loglik(design, design.y - mu, sphi, half_sum),
+                          _penalties(design.loc, th, lam) + held), mu
     return f
 
 
@@ -375,11 +388,9 @@ def _dispersion_objective(design: _Design, mu, th_loc, lam):
     held = _penalties(design.loc, th_loc, lam)
 
     def f(th):
-        with np.errstate(**_QUIET):
-            logphi = design.disp.G @ th
-            return _objective(design, resid, np.exp(0.5 * logphi),
-                              0.5 * np.add.reduce(logphi),
-                              held + _penalties(design.disp, th, lam)), logphi
+        logphi = design.disp.G @ th
+        ll = _loglik(design, resid, np.exp(0.5 * logphi), 0.5 * np.add.reduce(logphi))
+        return _penalized(ll, held + _penalties(design.disp, th, lam)), logphi
     return f
 
 
@@ -438,12 +449,13 @@ def _halving_accept(evalf, th, direction, L_cur, pred, max_halvings):
     """Backtrack along an ascent direction; never accept a decrease. Returns
     (point, objective, the point's predictor, whether a trial was accepted)."""
     t = 1.0
-    for _ in range(max_halvings + 1):
-        trial = th + t * direction
-        L_new, pred_new = evalf(trial)
-        if L_new >= L_cur:
-            return trial, L_new, pred_new, True
-        t *= 0.5
+    with np.errstate(**_QUIET):
+        for _ in range(max_halvings + 1):
+            trial = th + t * direction
+            L_new, pred_new = evalf(trial)
+            if L_new >= L_cur:
+                return trial, L_new, pred_new, True
+            t *= 0.5
     return th, L_cur, pred, False
 
 
@@ -528,27 +540,52 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     return th_loc, th_disp, L_cur, False
 
 
-def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
-    """Fourth-order central finite differences of the objective over
-    every coefficient. Steps are sized so each one perturbs the
-    standardized residuals by about 1e-4, which keeps the truncation
-    error of the stencil orders of magnitude below the roundoff-safe
-    range for these likelihoods; each point runs its submodel's trial closure."""
+def _fd_partials(design: _Design, th_loc, th_disp, lam):
+    """Yield the fourth-order central finite difference of the objective
+    along each coefficient, location coefficients first. Steps are sized so
+    each one perturbs the standardized residuals by about 1e-4, which keeps
+    the truncation error of the stencil orders of magnitude below the
+    roundoff-safe range for these likelihoods.
+
+    A coefficient's four points are one (4, n) block of predictors, one
+    matrix-vector product per row, for one ``_loglik`` call; only the owning
+    term's penalty is recomputed. Every value is bit for bit the closures'.
+    One errstate spans the stencil, the caller's work between partials too."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
+    with np.errstate(**_QUIET):
+        resid, sphi, half_sum = design.y - mu, np.exp(0.5 * logphi), 0.5 * np.add.reduce(logphi)
+        held = _penalties(design.loc, th_loc, lam) + _penalties(design.disp, th_disp, lam)
+        for half, th, first in ((design.loc, th_loc, 0),
+                                (design.disp, th_disp, len(design.loc.terms))):
+            # each spline coefficient's term, with the term's place in held
+            owner = {i: (j, ti) for j, ti in enumerate(half.terms, first)
+                     for i in range(ti.sl.start, ti.sl.stop)}
+            for i in range(len(th)):
+                h = max(zstep / max(1.0, half.col_scale[i]), 1e-9)
+                trials = [th.copy() for _ in range(4)]
+                for trial, d in zip(trials, (-2 * h, -h, h, 2 * h)):
+                    trial[i] += d
+                pred = np.stack([half.G @ trial for trial in trials])
+                if half is design.loc:
+                    ll = _loglik(design, design.y - (design.offset + pred), sphi, half_sum)
+                else:
+                    ll = _loglik(design, resid, np.exp(0.5 * pred),
+                                 0.5 * np.add.reduce(pred, axis=-1))
+                vals = []
+                for row, trial in zip(ll, trials):
+                    pens = list(held)
+                    if i in owner:
+                        pens[owner[i][0]] = _penalty(owner[i][1], trial, lam)
+                    vals.append(_penalized(row, pens))
+                yield (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+
+
+def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
+    """Largest absolute finite-difference partial (a NaN partial is passed over)."""
     worst = 0.0
-    for th, scales, f in (
-            (th_loc, design.loc.col_scale, _location_objective(design, logphi, th_disp, lam)),
-            (th_disp, design.disp.col_scale, _dispersion_objective(design, mu, th_loc, lam))):
-        for i in range(len(th)):
-            h = max(zstep / max(1.0, scales[i]), 1e-9)
-            vals = []
-            for d in (-2 * h, -h, h, 2 * h):
-                trial = th.copy()
-                trial[i] += d
-                vals.append(f(trial)[0])
-            g = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-            worst = max(worst, abs(g))
+    for g in _fd_partials(design, th_loc, th_disp, lam):
+        worst = max(worst, abs(g))
     return worst
 
 
@@ -666,10 +703,12 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
 
 def _replicate_fit(spec: ModelSpec, design: _Design, lam: dict) -> _Replicate:
     """What an envelope replicate keeps of a refit: the verdict of
-    ``_fit_resolved``, whose stencil runs only when the stopping rules fired,
-    and no standard errors or AIC."""
+    ``_fit_resolved``, and no standard errors or AIC. The stencil runs only
+    when the stopping rules fired, and stops at the first coefficient whose
+    partial exceeds the bound; a NaN partial passes, as in ``_fd_grad_norm``."""
     th_loc, th_disp, criteria_met, iterations, _ = _optimize(spec, design, lam)
-    converged = criteria_met and _fd_grad_norm(design, th_loc, th_disp, lam) <= GRAD_NORM_BOUND
+    converged = criteria_met and not any(
+        abs(g) > GRAD_NORM_BOUND for g in _fd_partials(design, th_loc, th_disp, lam))
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     return _Replicate(th_loc, th_disp, mu, np.exp(logphi), bool(converged), iterations)
 

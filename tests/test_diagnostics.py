@@ -309,7 +309,7 @@ class TestEnvelopeRefitDesign:
 
     def test_stopped_refit_fails_without_stencil(self, sfit, ltable, monkeypatch):
         stencils, refits = [], []
-        real_stencil, real_refit = logsym_fit._fd_grad_norm, diagnostics.logsym_fit_fn
+        real_stencil, real_refit = logsym_fit._fd_partials, diagnostics.logsym_fit_fn
 
         def stencil(*args):
             stencils.append(args)
@@ -320,7 +320,7 @@ class TestEnvelopeRefitDesign:
             refits.append(out)
             return out
 
-        monkeypatch.setattr(logsym_fit, "_fd_grad_norm", stencil)
+        monkeypatch.setattr(logsym_fit, "_fd_partials", stencil)
         monkeypatch.setattr(diagnostics, "logsym_fit_fn", refit)
         simulated_envelope(sfit, ltable, "location", m_sims=2, seed=3)
         assert len(stencils) == len(refits) == 2 and all(r.converged for r in refits)

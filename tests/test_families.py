@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from logsymrate import GeneratorSpec, cdf, dispersion_info_const, logpdf, normal_spec
 from logsymrate.errors import SpecificationError
@@ -179,6 +179,35 @@ class TestContnormalBits:
         assert np.array_equal(weight_v(gen, z), N / D)
         D, N, M, _ = _reference_contnormal_parts(gen, u)
         assert np.array_equal(weight_v_prime(gen, u), (N * N - M * D) / (2.0 * D * D))
+
+
+class TestContnormalZeroWeight:
+    # A component with weight zero must not set the shift. Out to
+    # u = 1e4 its exponential would otherwise underflow the kept one's, or
+    # overflow against it, and logpdf would take log 0.
+    Z = np.array([0.0, 0.5, -3.0, 20.0, 60.0, -100.0])
+
+    @pytest.mark.parametrize("nu2", [0.5, 4.0])
+    def test_no_contamination_is_the_normal(self, nu2):
+        gen = GeneratorSpec(family="contnormal", nu1=0.0, nu2=nu2)
+        np.testing.assert_allclose(logpdf(gen, self.Z), logpdf(normal_spec(), self.Z),
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("nu2", [2.0, 0.25])
+    def test_full_contamination_is_the_scaled_normal(self, nu2):
+        gen = GeneratorSpec(family="contnormal", nu1=1.0, nu2=nu2)
+        np.testing.assert_allclose(logpdf(gen, self.Z),
+                                   stats.norm.logpdf(self.Z, scale=1.0 / math.sqrt(nu2)),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("nu1, nu2", [(0.0, 0.5), (0.0, 4.0), (1.0, 2.0), (1.0, 0.25)])
+    def test_weights_stay_finite(self, nu1, nu2):
+        gen = GeneratorSpec(family="contnormal", nu1=nu1, nu2=nu2)
+        v = weight_v(gen, self.Z)
+        vp = weight_v_prime(gen, self.Z * self.Z)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(vp))
+        np.testing.assert_allclose(v, 1.0 if nu1 == 0.0 else nu2, rtol=1e-15)
+        assert np.all(vp == 0.0)
 
 
 class TestDispersionInfo:

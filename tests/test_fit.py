@@ -462,7 +462,7 @@ def _reference_objective(design, th_loc, th_disp, lam):
     return ll - penalty
 
 
-def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
+def _reference_fd_partials(design, th_loc, th_disp, lam):
     stacked = np.concatenate([th_loc, th_disp])
     n_loc = len(th_loc)
     scales = np.concatenate([design.loc.col_scale, design.disp.col_scale])
@@ -472,13 +472,19 @@ def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
     def f(vec):
         return _reference_objective(design, vec[:n_loc], vec[n_loc:], lam)
 
-    worst = 0.0
+    partials = []
     for i in range(len(stacked)):
         h = max(zstep / max(1.0, scales[i]), 1e-9)
         e = np.zeros_like(stacked)
         e[i] = 1.0
-        g = (f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
-             + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h)
+        partials.append((f(stacked - 2 * h * e) - 8.0 * f(stacked - h * e)
+                         + 8.0 * f(stacked + h * e) - f(stacked + 2 * h * e)) / (12.0 * h))
+    return partials
+
+
+def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
+    worst = 0.0
+    for g in _reference_fd_partials(design, th_loc, th_disp, lam):
         worst = max(worst, abs(g))
     return worst
 
@@ -644,6 +650,85 @@ class TestObjectiveAtPredictors:
         if case != "logphi above exp range":
             assert expected == -math.inf
         assert got == expected
+
+
+def mid_logsym_table(seed, generator):
+    """A 782-cell table: 23 ages x 34 periods."""
+    truth = TruthSpec(ages=tuple(float(a) for a in range(50, 73)),
+                      periods=tuple(float(p) for p in range(1980, 2014)),
+                      population=1e5, noise="logsym", generator=generator, phi=0.03,
+                      **LINEAR_TRUTH)
+    return apply_zero_policy(simulate_table(truth, seed).table, "add_half")
+
+
+def _design_and_lam(spec, table):
+    design = logsym_fit._build_design(spec, table)
+    return design, logsym_fit._resolve_lambdas({}, design)
+
+
+def _counted_partials(monkeypatch):
+    """Record every partial that ``_fd_partials`` hands to its caller."""
+    seen = []
+    real = logsym_fit._fd_partials
+
+    def partials(*args):
+        for g in real(*args):
+            seen.append(g)
+            yield g
+    monkeypatch.setattr(logsym_fit, "_fd_partials", partials)
+    return seen
+
+
+class TestBatchedStencil:
+    @pytest.mark.parametrize("make_spec", [spline_spec, two_term_spec],
+                             ids=["one-term", "two-term"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_partials_match_reference_at_782_cells(self, gen, make_spec):
+        # parametric coefficients belong to no term, so both penalty paths run
+        spec = make_spec(generator=gen)
+        design, lam = _design_and_lam(spec, mid_logsym_table(41, gen))
+        assert len(design.y) == 782
+        th_loc, th_disp, *_ = logsym_fit._optimize(dataclasses.replace(spec, max_outer=6),
+                                                   design, lam)
+        got = list(logsym_fit._fd_partials(design, th_loc, th_disp, lam))
+        ref = _reference_fd_partials(design, th_loc, th_disp, lam)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam) == \
+            _reference_fd_grad_norm(design, th_loc, th_disp, lam)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("gen, converges", [
+        (normal_spec(), True), (GeneratorSpec(family="powerexp", zeta=0.4), False)],
+        ids=["normal", "powerexp"])
+    def test_replicate_verdict_stops_at_first_failing_partial(self, gen, converges, seed,
+                                                              monkeypatch):
+        spec = spline_spec(generator=gen)
+        design, lam = _design_and_lam(spec, mid_logsym_table(seed, gen))
+        th_loc, th_disp, criteria_met, *_ = logsym_fit._optimize(spec, design, lam)
+        grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
+        seen = _counted_partials(monkeypatch)
+        rep = logsym_fit._replicate_fit(spec, design, lam)
+        assert criteria_met
+        assert rep.converged == (grad_norm <= logsym_fit.GRAD_NORM_BOUND) == converges
+        n_coef = len(th_loc) + len(th_disp)
+        if converges:
+            assert len(seen) == n_coef
+        else:
+            assert 0 < len(seen) < n_coef and abs(seen[-1]) > logsym_fit.GRAD_NORM_BOUND
+        assert np.array_equal(rep.location, th_loc) and np.array_equal(rep.dispersion, th_disp)
+
+    @pytest.mark.parametrize("partials, converged", [([math.nan, 0.0], True),
+                                                     ([math.nan, 2e-4], False)],
+                             ids=["nan-then-pass", "nan-then-fail"])
+    def test_nan_partial_is_passed_over(self, partials, converged, logsym_table,
+                                        monkeypatch):
+        spec = plain_spec()
+        design, lam = _design_and_lam(spec, logsym_table)
+        monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
+        assert logsym_fit._replicate_fit(spec, design, lam).converged is converged
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
+        assert (grad_norm <= logsym_fit.GRAD_NORM_BOUND) is converged
 
 
 class TestSelectionLog:
