@@ -9,6 +9,7 @@ and component-curve export.
 """
 
 from .data_ingest import (
+    MortalityColumns,
     MortalityRecord,
     ObservationCell,
     ObservationTable,
@@ -86,7 +87,7 @@ from .synthetic import SimulatedTable, TruthSpec, simulate_table, simulated_to_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "MortalityRecord", "ObservationCell", "ObservationTable", "TableMeta",
+    "MortalityColumns", "MortalityRecord", "ObservationCell", "ObservationTable", "TableMeta",
     "aggregate_cells", "apply_zero_policy", "make_cell", "parse_mortality_csv",
     "ComparisonReport", "EnvelopeResult", "ModelSummary",
     "all_component_curves", "compare_models", "export_component_curves",

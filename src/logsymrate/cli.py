@@ -62,7 +62,7 @@ def _load_spec(path: str):
 
 def _load_table(path: str, policy: str):
     records = parse_mortality_csv(_read_text(path, "input"))
-    strata = sorted({(r.sex, r.site) for r in records})
+    strata = sorted(set(zip(records.sex, records.site)))
     if len(strata) != 1:
         raise DataValidationError(
             f"input holds {len(strata)} (sex, site) strata; provide exactly one"

@@ -1,7 +1,8 @@
 """Ingestion of raw mortality records into observation tables.
 
 The raw unit is a ``MortalityRecord`` (one sex/site/age-band/year stratum
-as it appears in a registry extract). Records are aggregated into an
+as it appears in a registry extract); a CSV is read as ``MortalityColumns``,
+its records as columns. Records are aggregated into an
 ``ObservationTable`` of unique (age midpoint, period midpoint) cells, a
 zero-count policy makes every cell's count strictly positive, and the
 table is then shared read-only by both fitting engines.
@@ -13,6 +14,7 @@ import csv
 import io
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
@@ -25,6 +27,9 @@ ZERO_POLICIES = ("drop", "add_half", "add_one")
 YEAR_RANGE = (1900, 2100)  # admissible years of a raw record
 
 MORTALITY_HEADER = ["sex", "site", "age_lo", "age_hi", "year", "deaths", "population"]
+_WHOLE_FIELDS = ("age_lo", "age_hi", "year", "deaths")
+# a whole number has at most 18 digits, so it and the sum of two fit an int64
+_WHOLE_LIMIT = 10 ** 18
 
 
 @dataclass(frozen=True)
@@ -43,14 +48,16 @@ class MortalityRecord:
     def __post_init__(self):
         if self.sex not in SEXES:
             raise DataValidationError(f"unknown sex {self.sex!r}; expected one of {SEXES}")
-        for name in ("age_lo", "age_hi", "year", "deaths"):
+        for name in _WHOLE_FIELDS:
             value = getattr(self, name)
-            if type(value) is int:  # the CSV reader's case, kept cheap
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not float(value).is_integer():
-                raise DataValidationError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                        or not float(value).is_integer():
+                    raise DataValidationError(f"{name} must be a whole number, got {value!r}")
+                value = int(value)
+                object.__setattr__(self, name, value)
+            if abs(value) >= _WHOLE_LIMIT:
+                raise DataValidationError(f"{name} must have at most 18 digits, got {value}")
         if not YEAR_RANGE[0] <= self.year <= YEAR_RANGE[1]:
             raise DataValidationError(f"year {self.year} outside admissible range {YEAR_RANGE}")
         if self.age_lo > self.age_hi:
@@ -63,6 +70,107 @@ class MortalityRecord:
             raise DataValidationError(
                 f"population must be positive and finite, got {self.population}"
             )
+
+
+def _grammar(field: str):
+    """A number grammar as (one field, fields joined by newlines): ASCII
+    only, case-insensitive."""
+    flags = re.ASCII | re.IGNORECASE
+    return re.compile(field, flags), re.compile(f"(?:{field})(?:\n(?:{field}))*", flags)
+
+
+# CSV number fields: a whole number is up to 18 ASCII digits, a real a float()
+# literal without "_" separators.
+_WHOLE = _grammar(r"[+-]?[0-9]{1,18}")
+_REAL = _grammar(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)")
+
+
+def _first_bad(grammar, *cols) -> int:
+    """Index of the first row at which a column breaks ``grammar``, or the
+    row count. A column is one regex scan, field by field only if it fails."""
+    one, joined = grammar
+    bad = len(cols[0])
+    for col in cols:
+        text = "\n".join(col)
+        if not (col and joined.fullmatch(text) and text.count("\n") == len(col) - 1):
+            bad = min(bad, next((i for i, f in enumerate(col) if not one.fullmatch(f)), bad))
+    return bad
+
+
+@dataclass(frozen=True, eq=False)
+class MortalityColumns:
+    """Raw records as columns; row i is record i.
+
+    ``sex`` and ``site`` are tuples of str, the band, year and deaths
+    read-only int64 arrays and ``population`` a read-only float array. The
+    rows obey ``MortalityRecord``'s rules, checked at construction; with
+    ``lines``, an error names the row's CSV line. Indexing or iterating
+    gives ``MortalityRecord`` objects.
+    """
+
+    sex: tuple
+    site: tuple
+    age_lo: np.ndarray
+    age_hi: np.ndarray
+    year: np.ndarray
+    deaths: np.ndarray
+    population: np.ndarray
+    lines: Union[tuple, None] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sex", tuple(self.sex))
+        object.__setattr__(self, "site", tuple(self.site))
+        n = len(self.sex)
+        for name in _WHOLE_FIELDS + ("population",):
+            col, whole = np.asarray(getattr(self, name)), name != "population"
+            if col.shape != (n,) or len(self.site) != n:
+                raise DataValidationError("record columns must be vectors of one length")
+            if whole and col.size and col.dtype.kind not in "iu":
+                raise DataValidationError(f"{name} must be whole numbers, got dtype {col.dtype}")
+            col = col.astype(np.int64 if whole else float)  # a copy, so read-only is ours
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        sexes = np.array([s in SEXES for s in self.sex], dtype=bool)
+        y, lo, hi = self.year, self.age_lo, self.age_hi
+        # MortalityRecord's checks, in its order
+        checks = (
+            (~sexes, lambda i: f"unknown sex {self.sex[i]!r}; expected one of {SEXES}"),
+            *(((getattr(self, name) >= _WHOLE_LIMIT) | (getattr(self, name) <= -_WHOLE_LIMIT),
+               lambda i, name=name: f"{name} must have at most 18 digits, "
+                                    f"got {getattr(self, name)[i]}") for name in _WHOLE_FIELDS),
+            ((y < YEAR_RANGE[0]) | (y > YEAR_RANGE[1]),
+             lambda i: f"year {y[i]} outside admissible range {YEAR_RANGE}"),
+            (lo > hi, lambda i: f"age_lo {lo[i]} exceeds age_hi {hi[i]}"),
+            (self.deaths < 0, lambda i: f"negative death count {self.deaths[i]}"),
+            (~((self.population > 0) & (self.population < math.inf)),
+             lambda i: f"population must be positive and finite, got {self.population[i]}"),
+        )
+        wrong = np.zeros(n, dtype=bool)
+        for mask, _ in checks:
+            wrong |= mask
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            where = f"line {self.lines[i]}: " if self.lines is not None else ""
+            raise DataValidationError(where + next(msg(i) for mask, msg in checks if mask[i]))
+
+    @classmethod
+    def from_records(cls, records) -> "MortalityColumns":
+        rows = [(r.sex, r.site, r.age_lo, r.age_hi, r.year, r.deaths, r.population)
+                for r in records]
+        sex, site, *nums = zip(*rows) if rows else [()] * len(MORTALITY_HEADER)
+        return cls(sex, site, *(np.array(c, dtype=np.int64) for c in nums[:4]),
+                   np.array(nums[4], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.sex)
+
+    def __getitem__(self, i: int) -> MortalityRecord:
+        return MortalityRecord(self.sex[i], self.site[i], *(int(getattr(self, name)[i])
+                                                           for name in _WHOLE_FIELDS),
+                               float(self.population[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -182,12 +290,15 @@ def _as_text_lines(source) -> Iterable[str]:
     return io.StringIO(text)
 
 
-def parse_mortality_csv(source) -> list:
+def parse_mortality_csv(source) -> MortalityColumns:
     """Parse a raw mortality CSV (header ``sex,site,...,population``).
 
-    Returns one ``MortalityRecord`` per data row in row order. No
+    Returns the data rows as ``MortalityColumns``, in row order. No
     aggregation happens here; duplicate strata stay duplicated. Blank rows
-    are skipped. Errors cite 1-based line numbers (header is line 1).
+    are skipped. A whole number is an optional sign and 1 to 18 ASCII
+    digits; a population is a ``float()`` literal in ASCII without ``_``
+    separators. Errors cite 1-based line numbers (header is line 1), and
+    the first bad line is the one reported.
     """
     reader = csv.reader(_as_text_lines(source))
     try:
@@ -203,65 +314,78 @@ def parse_mortality_csv(source) -> list:
             f"mortality CSV header must be exactly {','.join(MORTALITY_HEADER)}, "
             f"got {','.join(fields)}"
         )
-    records = []
+    rows, lines, short = [], [], None
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not f.strip() for f in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(MORTALITY_HEADER):
-            raise DataFormatError(
-                f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}"
-            )
-        sex, site, age_lo, age_hi, year, deaths, population = [f.strip() for f in row]
-        try:
-            age_lo_i = int(age_lo)
-            age_hi_i = int(age_hi)
-            year_i = int(year)
-        except ValueError:
-            raise DataValidationError(
-                f"line {lineno}: non-integer age band or year "
-                f"({age_lo!r}, {age_hi!r}, {year!r})"
-            ) from None
-        try:
-            deaths_i = int(deaths)
-        except ValueError:
-            raise DataValidationError(f"line {lineno}: non-numeric deaths {deaths!r}") from None
-        try:
-            population_f = float(population)
-        except ValueError:
-            raise DataValidationError(
-                f"line {lineno}: non-numeric population {population!r}"
-            ) from None
-        try:
-            rec = MortalityRecord(sex, site, age_lo_i, age_hi_i, year_i,
-                                  deaths_i, population_f)
-        except DataValidationError as exc:
-            raise DataValidationError(f"line {lineno}: {exc}") from None
-        records.append(rec)
+            short = DataFormatError(
+                f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}")
+            break  # the rows above it are checked first
+        rows.append(row)
+        lines.append(lineno)
+    cols = [list(map(str.strip, col)) for col in zip(*rows)] or [[]] * len(MORTALITY_HEADER)
+    sex, site, age_lo, age_hi, year, deaths, population = cols
+    # the first row whose number fields break the grammar ends the parse;
+    # the rows above it are checked first
+    bad = min(_first_bad(_WHOLE, age_lo, age_hi, year), _first_bad(_WHOLE, deaths),
+              _first_bad(_REAL, population))
+    ints = [np.fromiter(map(int, col[:bad]), np.int64, bad)
+            for col in (age_lo, age_hi, year, deaths)]
+    records = MortalityColumns(sex[:bad], site[:bad], *ints,
+                               np.fromiter(map(float, population[:bad]), float, bad),
+                               lines=tuple(lines[:bad]))
+    if bad < len(rows):
+        where = f"line {lines[bad]}"
+        if not all(_WHOLE[0].fullmatch(col[bad]) for col in (age_lo, age_hi, year)):
+            raise DataValidationError(f"{where}: non-integer age band or year "
+                                      f"({age_lo[bad]!r}, {age_hi[bad]!r}, {year[bad]!r})")
+        if not _WHOLE[0].fullmatch(deaths[bad]):
+            raise DataValidationError(f"{where}: non-numeric deaths {deaths[bad]!r}")
+        raise DataValidationError(f"{where}: non-numeric population {population[bad]!r}")
+    if short is not None:
+        raise short
     return records
 
 
 def aggregate_cells(records, sex: str, site: str) -> ObservationTable:
     """Aggregate records for one (sex, site) into an ObservationTable.
 
-    Cells are keyed by (age midpoint, year); deaths and population are
-    summed over duplicate keys. Population sums use ``math.fsum`` so the
-    result is independent of record order.
+    ``records`` is ``MortalityColumns`` or an iterable of ``MortalityRecord``.
+    Cells are keyed by (age midpoint, year) and sorted by that key; deaths
+    (as exact integers) and population are summed over duplicate keys.
+    Population sums use ``math.fsum`` so the result is independent of
+    record order. Records whose age bands differ but share a midpoint and
+    a year raise DataValidationError: a cell has one age band.
     """
-    selected = [r for r in records if r.sex == sex and r.site == site]
-    if not selected:
+    if not isinstance(records, MortalityColumns):
+        records = MortalityColumns.from_records(records)
+    keep = np.array([a == sex and b == site for a, b in zip(records.sex, records.site)],
+                    dtype=bool)
+    if not keep.any():
         raise DataValidationError(f"no records for sex={sex!r}, site={site!r}")
 
-    deaths: dict = {}
-    pops: dict = {}
-    for r in selected:
-        key = ((r.age_lo + r.age_hi) / 2.0, float(r.year))
-        deaths[key] = deaths.get(key, 0) + r.deaths
-        pops.setdefault(key, []).append(r.population)
-
-    keys = sorted(deaths)
-    counts = [deaths[k] for k in keys]
-    ages, periods = zip(*keys)
-    return ObservationTable(ages, periods, counts, counts, [math.fsum(pops[k]) for k in keys],
+    lo, hi, year = records.age_lo[keep], records.age_hi[keep], records.year[keep]
+    mid = (lo + hi) / 2.0
+    order = np.lexsort((lo, year, mid))
+    lo, hi, year, mid = lo[order], hi[order], year[order], mid[order]
+    deaths, pops = records.deaths[keep][order], records.population[keep][order]
+    same = (mid[1:] == mid[:-1]) & (year[1:] == year[:-1])
+    clash = np.flatnonzero(same & (lo[1:] != lo[:-1]))
+    if clash.size:
+        i = clash[0]
+        raise DataValidationError(
+            f"age bands {lo[i]}-{hi[i]} and {lo[i + 1]}-{hi[i + 1]} in {year[i]} share "
+            f"the midpoint {mid[i]:g}; records of one cell need one age band")
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = deaths[starts].astype(float)
+    pop = pops[starts]
+    ends = np.append(starts[1:], len(mid))
+    for g in np.flatnonzero(ends - starts > 1).tolist():
+        s, e = starts[g], ends[g]
+        counts[g] = sum(deaths[s:e].tolist())  # exact, then rounded once
+        pop[g] = math.fsum(pops[s:e].tolist())
+    return ObservationTable(mid[starts], year[starts].astype(float), counts, counts, pop,
                             meta=TableMeta(sex=sex, site=site))
 
 

@@ -286,11 +286,14 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
         check_covariates_vary(table, sub.covariates + tuple(t.covariate for t in sub.terms))
     loc = _build_half("location", spec.location, table)
     disp = _build_half("dispersion", spec.dispersion, table)
-    for half in (loc, disp):
+    for half, sub in ((loc, spec.location), (disp, spec.dispersion)):
         names = list(half.par_names)
         for ti in half.terms:
             names += [f"{ti.label}[{i}]" for i in range(ti.sl.stop - ti.sl.start)]
-        check_full_rank(half.G, names)
+        used = {c for c in sub.covariates if c != "intercept"} | {t.covariate for t in sub.terms}
+        # a row of G is a function of the covariates it uses, and the table's
+        # (age, period) keys are unique, so only a one-covariate half repeats rows
+        check_full_rank(half.G, names, getattr(table, used.pop()) if len(used) == 1 else None)
     offset = table.log_pop if spec.location.use_offset else np.zeros(len(table))
     kappa = dispersion_info_const(spec.generator)
     return _Design(y=table.log_t.copy(), offset=offset, loc=loc, disp=disp,

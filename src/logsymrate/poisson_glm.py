@@ -56,18 +56,38 @@ def check_covariates_vary(table: ObservationTable, covariates) -> None:
                                          f"{name} cannot be a covariate")
 
 
-def check_full_rank(X: np.ndarray, names) -> None:
-    """Raise RankDeficiencyError naming the dependent columns, if any."""
+def _dependent_columns(A: np.ndarray, n: int, names) -> list:
+    """Names of the columns that a pivoted QR of the column-scaled A finds
+    dependent; n is the row count of the design A stands for. The QR is
+    done in place and forms R and the pivots only."""
+    _, R, piv = sla.qr(A, mode="raw", pivoting=True, overwrite_a=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0:
+        return list(names)
+    tol = diag[0] * max(n, A.shape[1]) * np.finfo(float).eps * 10
+    # more columns than rows: the rank is at most n, so pivots past n depend
+    return [names[piv[i]] for i in range(len(diag)) if diag[i] <= tol] + \
+        [names[j] for j in piv[len(diag):]]
+
+
+def check_full_rank(X: np.ndarray, names, row_key=None) -> None:
+    """Raise RankDeficiencyError naming the dependent columns, if any.
+
+    ``row_key`` says that rows of X with equal keys are equal. The QR then
+    runs on the distinct rows scaled by sqrt(multiplicity), which have X's
+    Gram matrix, so its rank and column norms; only a design found
+    deficient there is checked on every row, which names the columns.
+    """
     scale = np.max(np.abs(X), axis=0)
     scale[scale == 0] = 1.0
-    _, R, piv = sla.qr(X / scale, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag[0] * max(X.shape) * np.finfo(float).eps * 10 if diag[0] > 0 else 0.0
-    bad = [names[piv[i]] for i in range(len(diag)) if diag[i] <= tol]
-    # more columns than rows: the rank is at most n, so pivots past n depend
-    bad += [names[j] for j in piv[len(diag):]]
-    if diag[0] == 0.0:
-        bad = list(names)
+    if row_key is not None:
+        _, first, counts = np.unique(row_key, return_index=True, return_counts=True)
+        A = np.divide(X[first], scale, order="F")
+        A *= np.sqrt(counts)[:, None]
+        if not _dependent_columns(A, len(X), names):
+            return
+    # the scaled copy is laid out as LAPACK works, so the QR copies nothing
+    bad = _dependent_columns(np.divide(X, scale, order="F"), len(X), names)
     if bad:
         raise RankDeficiencyError(
             f"design is rank deficient; collinear column(s): {', '.join(sorted(bad))}"

@@ -6,7 +6,8 @@ values, the penalty is the integrated squared second derivative of the
 natural cubic interpolant, assembled from the banded Q/R matrices built
 out of knot gaps. ``psp`` is the P-spline setup: a cubic B-spline basis on
 equally spaced knots with a discrete difference penalty on adjacent
-coefficients.
+coefficients. Both evaluate the basis once per distinct covariate value
+and gather the rows, which gives the bits of evaluating every row.
 
 Blocks are centered against the submodel intercept before fitting: the
 basis is reparameterized onto an orthonormal complement of the
@@ -143,8 +144,7 @@ def ncs_build(x) -> BasisBlock:
     a^T K a then equals the integrated squared second derivative of the
     natural interpolant through (knots, a).
     """
-    x = np.asarray(x, dtype=float)
-    t = np.unique(x)
+    t, idx = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     q = len(t)
     if q < 3:
         raise SpecificationError(
@@ -164,19 +164,19 @@ def ncs_build(x) -> BasisBlock:
     K = Q @ np.linalg.solve(R, Q.T)
     K = (K + K.T) / 2.0
 
-    B = _ncs_eval_matrix(t, x)
+    B = _ncs_eval_matrix(t, t)[idx]
     return BasisBlock(kind="ncs", B=B, K=K, knots=t,
                       x_min=float(t[0]), x_max=float(t[-1]))
 
 
 def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     """P-spline block: cubic B-splines, difference penalty K = D^T D."""
-    x = np.asarray(x, dtype=float)
+    u, idx = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     if basis_dim < diff_order + 1:
         raise SpecificationError(
             f"psp basis_dim {basis_dim} too small for diff_order {diff_order}"
         )
-    x_min, x_max = float(np.min(x)), float(np.max(x))
+    x_min, x_max = float(u[0]), float(u[-1])
     if not x_max > x_min:
         raise SpecificationError("psp term needs a non-degenerate covariate range")
 
@@ -186,7 +186,7 @@ def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     h = (x_max - x_min) / nseg
     t = x_min + h * np.arange(-PSP_DEGREE, nseg + PSP_DEGREE + 1)
 
-    B = BSpline.design_matrix(x, t, PSP_DEGREE, extrapolate=True).toarray()
+    B = BSpline.design_matrix(u, t, PSP_DEGREE, extrapolate=True).toarray()[idx]
     D = np.diff(np.eye(basis_dim), n=diff_order, axis=0)
     K = D.T @ D
     return BasisBlock(kind="psp", B=B, K=K, knots=t, x_min=x_min, x_max=x_max)

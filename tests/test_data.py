@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsymrate import (
+    MortalityColumns,
     MortalityRecord,
     ObservationCell,
     ObservationTable,
@@ -123,6 +124,84 @@ class TestParse:
         assert list(again) == list(recs)
 
 
+def row_csv(age_lo="40", age_hi="44", year="2001", deaths="12", population="51000"):
+    fields = ["female", "breast", age_lo, age_hi, year, deaths, population]
+    quoted = [f'"{f}"' if "," in f or "\n" in f else f for f in fields]
+    return GOOD_CSV + ",".join(quoted).encode() + b"\n"
+
+
+class TestNumberGrammar:
+    """One grammar for the CSV number fields: ASCII digits, no "_"
+    separators, at most 18 digits in a whole number."""
+
+    @pytest.mark.parametrize("field", ["age_lo", "age_hi", "year", "deaths"])
+    @pytest.mark.parametrize("text", ["4_5", "\u0664\u0665", "\uff14\uff15", "4.5", "45.0",
+                                      "1e2", "", "+-4", "1234567890123456789", "4\n5"])
+    def test_rejected_whole_numbers_name_the_line(self, field, text):
+        with pytest.raises(DataValidationError, match=r"^line 6: non-"):
+            parse_mortality_csv(row_csv(**{field: text}))
+
+    @pytest.mark.parametrize("text", ["51_000", "5\u0661000", "\uff15\uff11\uff10", "0x10",
+                                      "1e", ".", "inf5", "", "1,5", "5\n1"])
+    def test_rejected_populations_name_the_line(self, text):
+        with pytest.raises(DataValidationError, match=r"^line 6: non-numeric population"):
+            parse_mortality_csv(row_csv(population=text))
+
+    @pytest.mark.parametrize("text", ["45", "+45", "045", " 45 ", "000000000000000045",
+                                      "999999999999999999"])
+    def test_whole_number_forms_read_as_int(self, text):
+        assert parse_mortality_csv(row_csv(deaths=text))[4].deaths == int(text)
+
+    @pytest.mark.parametrize("text", ["51000", "48000.5", "47000.25", "1e+16", "1.5E-3",
+                                      ".5", "5.", "+7", " 12.5 ", "5e-324"])
+    def test_real_forms_read_as_float(self, text):
+        assert parse_mortality_csv(row_csv(population=text))[4].population == float(text)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "NaN"])
+    def test_non_finite_populations_parse_then_fail_the_rule(self, text):
+        with pytest.raises(DataValidationError, match="^line 6: population must be positive"):
+            parse_mortality_csv(row_csv(population=text))
+
+    def test_first_bad_line_wins(self):
+        # a rule broken on line 4 is reported before a grammar error on line 6
+        bad = row_csv(deaths="1_2").replace(b",48000.5", b",-3")
+        with pytest.raises(DataValidationError, match="^line 4: population"):
+            parse_mortality_csv(bad)
+        short = GOOD_CSV.replace(b",2003,9,52000", b",2003,9") + b"female,breast,1_0,1,2,3,4\n"
+        with pytest.raises(DataFormatError, match="^line 5: expected 7 fields"):
+            parse_mortality_csv(short)
+
+    def test_record_holds_whole_numbers_to_18_digits(self):
+        with pytest.raises(DataValidationError, match="^deaths must have at most 18 digits"):
+            MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44, year=2000,
+                            deaths=10 ** 18, population=10.0)
+
+
+class TestColumns:
+    def test_columns_and_records_agree(self):
+        recs = parse_mortality_csv(GOOD_CSV)
+        assert isinstance(recs, MortalityColumns)
+        again = MortalityColumns.from_records(list(recs))
+        for name in ("sex", "site", "age_lo", "age_hi", "year", "deaths", "population"):
+            assert np.array_equal(getattr(again, name), getattr(recs, name))
+        assert recs.deaths.dtype == np.int64 and not recs.deaths.flags.writeable
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sex", "other", "unknown sex 'other'"),
+        ("year", 1500, r"year 1500 outside admissible range \(1900, 2100\)"),
+        ("age_lo", 50, "age_lo 50 exceeds age_hi 44"),
+        ("deaths", -1, "negative death count -1"),
+        ("population", 0.0, "population must be positive and finite, got 0.0"),
+        ("deaths", 2.5, "deaths must be whole numbers"),
+    ])
+    def test_record_rules_hold_for_columns(self, field, value, message):
+        cols = dict(sex=["female"] * 2, site=["x"] * 2, age_lo=[40, 40], age_hi=[44, 44],
+                    year=[2000, 2001], deaths=[1, 2], population=[10.0, 20.0])
+        cols[field] = [cols[field][0], value]
+        with pytest.raises(DataValidationError, match=f"^{message}"):
+            MortalityColumns(**cols)
+
+
 class TestAggregate:
     def test_sums_within_cell(self):
         recs = parse_mortality_csv(GOOD_CSV)
@@ -148,6 +227,28 @@ class TestAggregate:
         recs = parse_mortality_csv(GOOD_CSV)
         with pytest.raises(DataValidationError):
             aggregate_cells(recs, "male", "breast")
+
+    def test_bands_sharing_a_midpoint_are_refused(self):
+        recs = [MortalityRecord("female", "x", 40, 44, 2000, 5, 1000.0),
+                MortalityRecord("female", "x", 42, 42, 2000, 7, 300.0),
+                MortalityRecord("female", "x", 42, 42, 2001, 7, 300.0)]
+        with pytest.raises(DataValidationError,
+                           match=r"^age bands 40-44 and 42-42 in 2000 share the midpoint 42"):
+            aggregate_cells(recs, "female", "x")
+
+    def test_duplicate_records_of_one_stratum_add_up(self):
+        recs = [MortalityRecord("female", "x", 40, 44, 2000, 5, 1000.0),
+                MortalityRecord("female", "x", 40, 44, 2000, 7, 300.0),
+                MortalityRecord("female", "x", 42, 42, 2001, 1, 10.0)]
+        table = aggregate_cells(recs, "female", "x")
+        assert table.cell_keys == ((42.0, 2000.0), (42.0, 2001.0))
+        assert table.deaths.tolist() == [12.0, 1.0]
+        assert table.population.tolist() == [1300.0, 10.0]
+
+    def test_death_sums_are_exact_integers(self):
+        big = 2 ** 53 + 1  # not a float; a float sum would round each addend
+        recs = [MortalityRecord("female", "x", 40, 44, 2000, big, 1.0)] * 3
+        assert aggregate_cells(recs, "female", "x").deaths[0] == float(3 * big)
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(range(6)))

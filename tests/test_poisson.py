@@ -1,18 +1,27 @@
 """Poisson log-linear rate model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy import stats
 
 from logsymrate import (
     ObservationTable,
+    SplineTerm,
     TableMeta,
+    apply_zero_policy,
+    build_term_block,
     deviance_residuals,
     fit_poisson,
     fitted_log_rate_poisson,
 )
+from logsymrate import poisson_glm
 from logsymrate.errors import DataValidationError, RankDeficiencyError
+from logsymrate.logsym_fit import _build_design
 from logsymrate.poisson_glm import check_full_rank, parametric_design
+from logsymrate.specio import parse_model_spec
 
 from .conftest import small_poisson_table
 
@@ -164,3 +173,99 @@ class TestRankChecks:
         from logsymrate.errors import SpecificationError
         with pytest.raises(SpecificationError):
             fit_poisson(small_poisson_table(), ("intercept", "cohort"))
+
+
+def every_row_flags(X, names):
+    """The oracle: the names an economic pivoted QR of every row flags."""
+    scale = np.max(np.abs(X), axis=0)
+    scale[scale == 0] = 1.0
+    _, R, piv = sla.qr(X / scale, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0:
+        return sorted(names)
+    tol = diag[0] * max(X.shape) * np.finfo(float).eps * 10
+    return sorted([names[piv[i]] for i in range(len(diag)) if diag[i] <= tol]
+                  + [names[j] for j in piv[len(diag):]])
+
+
+def flags_of(call):
+    try:
+        call()
+    except RankDeficiencyError as exc:
+        return sorted(str(exc).split("collinear column(s): ")[1].split(", "))
+    return []
+
+
+def distinct_row_flags(X, names, x):
+    """What the check flags when it knows that X's rows are equal where x is."""
+    return flags_of(lambda: check_full_rank(X, names, row_key=x))
+
+
+def spline_design(term, x, extra=()):
+    """[intercept | centered block | extra columns of the block], row per x."""
+    block = build_term_block(term, x)
+    G = np.column_stack([np.ones(len(x)), block.B] + [block.B[:, j] for j in extra])
+    names = ["intercept"] + [f"b[{j}]" for j in range(block.ncols)] + [f"dup{j}" for j in extra]
+    return G, names
+
+
+class TestDistinctRowRankCheck:
+    """On designs whose rows repeat with one covariate, the check on the
+    distinct rows scaled by sqrt(multiplicity) flags what a QR of every
+    row flags."""
+
+    X_REPEATED = np.repeat(np.arange(40.0, 60.0), 6)
+
+    def test_full_rank_flags_nothing(self):
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), self.X_REPEATED)
+        assert every_row_flags(G, names) == distinct_row_flags(G, names, self.X_REPEATED) == []
+
+    def test_full_rank_design_is_checked_on_its_distinct_rows(self):
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), self.X_REPEATED)
+        with mock.patch.object(poisson_glm, "_dependent_columns",
+                               wraps=poisson_glm._dependent_columns) as spy:
+            check_full_rank(G, names, row_key=self.X_REPEATED)
+        assert [c.args[0].shape for c in spy.call_args_list] == [(20, G.shape[1])]
+        assert spy.call_args_list[0].args[1] == len(G)  # the tolerance's n
+
+    def test_duplicated_column(self):
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), self.X_REPEATED, extra=(3,))
+        expected = every_row_flags(G, names)
+        assert expected and distinct_row_flags(G, names, self.X_REPEATED) == expected
+
+    @pytest.mark.parametrize("x", [
+        np.repeat([40.0, 41.0, 43.0], [2, 1, 1]),          # p > n
+        np.repeat([40.0, 45.0, 50.0, 55.0], 5),            # distinct rows < p <= n
+    ])
+    def test_more_columns_than_distinct_rows(self, x):
+        G, names = spline_design(SplineTerm("psp", "age", 1.0, basis_dim=10), x)
+        expected = every_row_flags(G, names)
+        assert expected and distinct_row_flags(G, names, x) == expected
+
+    def test_block_constant_on_the_rows(self):
+        block = build_term_block(SplineTerm("psp", "age", 1.0, basis_dim=8),
+                                 np.arange(40.0, 60.0))
+        x = np.full(12, 47.0)
+        G = np.column_stack([np.ones(len(x)), block.evaluate(x)])
+        names = ["intercept"] + [f"b[{j}]" for j in range(block.ncols)]
+        expected = every_row_flags(G, names)
+        assert expected and distinct_row_flags(G, names, x) == expected
+
+    def test_dispersion_half_after_drop(self):
+        # zero cells dropped leave 4 ages, each in several periods, against
+        # a 10-column psp block in the dispersion half
+        ages, periods = np.meshgrid(np.arange(40.0, 52.0), np.arange(2000.0, 2006.0),
+                                    indexing="ij")
+        deaths = np.where(np.isin(ages, [40.0, 43.0, 47.0, 51.0]), 7.0, 0.0)
+        table = apply_zero_policy(ObservationTable(
+            ages.ravel(), periods.ravel(), deaths.ravel(), deaths.ravel(),
+            np.full(ages.size, 1000.0)), "drop")
+        spec = parse_model_spec({
+            "model": "logsym", "family": {"name": "normal"}, "zero_policy": "drop",
+            "location": {"covariates": ["intercept", "period"]},
+            "dispersion": {"covariates": ["intercept"], "terms": [
+                {"kind": "psp", "covariate": "age", "basis_dim": 10, "lambda": 1.0}]}})
+        G, names = spline_design(spec.dispersion.terms[0], table.age)
+        names = ["intercept"] + [f"dispersion:psp(age)[{j}]" for j in range(len(names) - 1)]
+        expected = every_row_flags(G, names)
+        assert expected and flags_of(lambda: _build_design(spec, table)) == expected

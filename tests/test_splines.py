@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, CubicSpline
 
 from logsymrate import SplineTerm, build_term_block, center_block
 from logsymrate.errors import SpecificationError
-from logsymrate.spline_bases import ncs_build, psp_build, term_label
+from logsymrate.spline_bases import (
+    PSP_DEGREE,
+    BasisBlock,
+    _ncs_eval_matrix,
+    ncs_build,
+    psp_build,
+    term_label,
+)
 
 
 def ncs_quadrature_energy(knots, a):
@@ -190,3 +197,36 @@ def test_affine_coefficients_cost_nothing_property(c0, c1):
     a = c0 + c1 * knots
     scale = max(1.0, abs(c0), abs(c1)) ** 2
     assert abs(float(a @ blk.K @ a)) <= 1e-8 * scale
+
+
+class TestDistinctValueEvaluation:
+    """A basis is evaluated once per distinct covariate value and gathered.
+    The oracle evaluates every row, as the bases did before."""
+
+    # a 91-age x 80-period table in key order: age repeats, period cycles
+    AGES = np.repeat(np.arange(0.0, 91.0), 80)
+    PERIODS = np.tile(np.arange(1940.0, 2020.0), 91)
+
+    @staticmethod
+    def every_row(block, x):
+        if block.kind == "ncs":
+            return _ncs_eval_matrix(block.knots, x)
+        return BSpline.design_matrix(x, block.knots, PSP_DEGREE, extrapolate=True).toarray()
+
+    @pytest.mark.parametrize("term", [SplineTerm("ncs", "age", 1.0),
+                                      SplineTerm("psp", "age", 1.0, basis_dim=10),
+                                      SplineTerm("psp", "age", 1.0, basis_dim=23, diff_order=3)])
+    @pytest.mark.parametrize("covariate", ["AGES", "PERIODS"])
+    def test_bit_identical_to_every_row(self, term, covariate):
+        x = getattr(self, covariate)
+        assert len(x) == 7280
+        built = ncs_build(x) if term.kind == "ncs" else psp_build(x, term.basis_dim,
+                                                                  term.diff_order)
+        oracle = BasisBlock(kind=built.kind, B=self.every_row(built, x), K=built.K,
+                            knots=built.knots, x_min=float(np.min(x)),
+                            x_max=float(np.max(x)))
+        assert np.array_equal(built.B, oracle.B)
+        assert (built.x_min, built.x_max) == (oracle.x_min, oracle.x_max)
+        centered, expected = build_term_block(term, x), center_block(oracle)
+        for name in ("B", "K", "transform"):
+            assert np.array_equal(getattr(centered, name), getattr(expected, name)), name
