@@ -72,29 +72,19 @@ class MortalityRecord:
             )
 
 
-def _grammar(field: str):
-    """A number grammar as (one field, fields joined by newlines): ASCII
-    only, case-insensitive."""
-    flags = re.ASCII | re.IGNORECASE
-    return re.compile(field, flags), re.compile(f"(?:{field})(?:\n(?:{field}))*", flags)
+# CSV number fields, ASCII only and case-insensitive: a whole number is up to 18
+# digits, a real a float() literal without "_" separators. Each string has one
+# parse, so a failed match does not backtrack over the ways to split its digits.
+_WHOLE = re.compile(r"[+-]?[0-9]{1,18}", re.ASCII)
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+                   re.ASCII | re.IGNORECASE)
 
 
-# CSV number fields: a whole number is up to 18 ASCII digits, a real a float()
-# literal without "_" separators.
-_WHOLE = _grammar(r"[+-]?[0-9]{1,18}")
-_REAL = _grammar(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)")
-
-
-def _first_bad(grammar, *cols) -> int:
-    """Index of the first row at which a column breaks ``grammar``, or the
-    row count. A column is one regex scan, field by field only if it fails."""
-    one, joined = grammar
-    bad = len(cols[0])
-    for col in cols:
-        text = "\n".join(col)
-        if not (col and joined.fullmatch(text) and text.count("\n") == len(col) - 1):
-            bad = min(bad, next((i for i, f in enumerate(col) if not one.fullmatch(f)), bad))
-    return bad
+def _first_bad(pattern, *cols) -> int:
+    """Index of the first row at which a column's field breaks ``pattern``,
+    or the row count."""
+    return min(next((i for i, f in enumerate(col) if not pattern.fullmatch(f)), len(col))
+               for col in cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,10 +327,10 @@ def parse_mortality_csv(source) -> MortalityColumns:
                                lines=tuple(lines[:bad]))
     if bad < len(rows):
         where = f"line {lines[bad]}"
-        if not all(_WHOLE[0].fullmatch(col[bad]) for col in (age_lo, age_hi, year)):
+        if not all(_WHOLE.fullmatch(col[bad]) for col in (age_lo, age_hi, year)):
             raise DataValidationError(f"{where}: non-integer age band or year "
                                       f"({age_lo[bad]!r}, {age_hi[bad]!r}, {year[bad]!r})")
-        if not _WHOLE[0].fullmatch(deaths[bad]):
+        if not _WHOLE.fullmatch(deaths[bad]):
             raise DataValidationError(f"{where}: non-numeric deaths {deaths[bad]!r}")
         raise DataValidationError(f"{where}: non-numeric population {population[bad]!r}")
     if short is not None:

@@ -1,12 +1,16 @@
 """Ingestion, aggregation, zero policies and observed log rates."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logsymrate
 from logsymrate import (
     MortalityColumns,
     MortalityRecord,
@@ -161,6 +165,35 @@ class TestNumberGrammar:
     def test_non_finite_populations_parse_then_fail_the_rule(self, text):
         with pytest.raises(DataValidationError, match="^line 6: population must be positive"):
             parse_mortality_csv(row_csv(population=text))
+
+    @pytest.mark.parametrize("field, text, message", [
+        ("population", "n/a", "non-numeric population"),
+        ("population", "51,000", "non-numeric population"),
+        ("deaths", "5x", "non-numeric deaths"),
+    ])
+    def test_bad_last_row_of_a_long_table_fails_at_once(self, field, text, message):
+        # integer populations over many rows, then one bad field: the scan
+        # must not backtrack over the rows above it. It runs in a child
+        # process, so a hang fails at the timeout instead of stalling the suite.
+        rows = ["sex,site,age_lo,age_hi,year,deaths,population"]
+        rows += [f"female,breast,40,44,{1950 + i % 100},{i % 50},{51000 + i}"
+                 for i in range(400)]
+        last = dict(deaths="7", population="52000")
+        last[field] = text
+        rows.append(",".join(["female", "breast", "40", "44", "2001", last["deaths"],
+                              f'"{last["population"]}"']))
+        script = ("import sys\n"
+                  "from logsymrate import parse_mortality_csv\n"
+                  "from logsymrate.errors import DataValidationError\n"
+                  "try:\n"
+                  "    parse_mortality_csv(sys.stdin.read())\n"
+                  "except DataValidationError as e:\n"
+                  "    print(e)\n")
+        src = os.path.dirname(os.path.dirname(logsymrate.__file__))
+        done = subprocess.run([sys.executable, "-c", script], input="\n".join(rows) + "\n",
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == f"line 402: {message} {text!r}"
 
     def test_first_bad_line_wins(self):
         # a rule broken on line 4 is reported before a grammar error on line 6
