@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data_ingest import ObservationTable, _fmt, _logs, observed_log_rates
 from .data_ingest import make_cell  # noqa: F401  unused; perfbench/tracer.py hooks this name
@@ -60,7 +60,7 @@ class EnvelopeResult:
 def reference_quantiles(n: int) -> np.ndarray:
     """Normal order-statistic plotting positions, (k - 0.375)/(n + 0.25)."""
     k = np.arange(1, n + 1)
-    return stats.norm.ppf((k - 0.375) / (n + 0.25))
+    return special.ndtri((k - 0.375) / (n + 0.25))
 
 
 def _fit_residuals(fit_result, kind) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import SpecificationError
 
@@ -183,7 +183,7 @@ def cdf(spec: GeneratorSpec, z):
     if spec.family == "normal":
         return special.ndtr(z)
     if spec.family == "student":
-        return stats.t.cdf(z, df=spec.nu)
+        return special.stdtr(spec.nu, z)
     if spec.family == "powerexp":
         zt = spec.zeta
         tail = special.gammainc((1.0 + zt) / 2.0, 0.5 * np.abs(z) ** (2.0 / (1.0 + zt)))

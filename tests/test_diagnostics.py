@@ -64,10 +64,13 @@ def pfit(ptable):
 
 class TestReferenceQuantiles:
     def test_blom_positions(self):
-        n = 17
-        k = np.arange(1, n + 1)
-        oracle = stats.norm.ppf((k - 0.375) / (n + 0.25))
-        np.testing.assert_allclose(reference_quantiles(n), oracle, atol=1e-12)
+        # bit for bit with stats.norm.ppf, which wraps special.ndtri; odd n
+        # puts p = 0.5 exactly in the middle, where both give +0.0
+        for n in range(1, 1201):
+            k = np.arange(1, n + 1)
+            oracle = stats.norm.ppf((k - 0.375) / (n + 0.25))
+            assert reference_quantiles(n).tobytes() == oracle.tobytes(), n
+        assert reference_quantiles(3)[1].tobytes() == np.float64(0.0).tobytes()
 
     def test_symmetric_and_monotone(self):
         q = reference_quantiles(40)

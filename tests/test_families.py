@@ -2,10 +2,11 @@
 
 Scoring weights and information constants are checked by finite
 differencing and quadrature of the log-density itself, never against
-reimplementations of the same formulas. The one exception,
-TestContnormalBits, pins the contaminated normal's bits to the
-expressions it was evaluated with before its mixtures were formed on
-demand.
+reimplementations of the same formulas. Two exceptions pin bits:
+TestContnormalBits holds the contaminated normal to the expressions it
+was evaluated with before its mixtures were formed on demand, and
+TestStudentCdfBits holds the Student-t CDF to ``scipy.stats.t.cdf``,
+whose ``scipy.special.stdtr`` it calls directly.
 """
 
 import math
@@ -179,6 +180,28 @@ class TestContnormalBits:
         assert np.array_equal(weight_v(gen, z), N / D)
         D, N, M, _ = _reference_contnormal_parts(gen, u)
         assert np.array_equal(weight_v_prime(gen, u), (N * N - M * D) / (2.0 * D * D))
+
+
+class TestStudentCdfBits:
+    # the rv_continuous wrapper's argument masks and "* 1.0 + 0.0" leave
+    # stdtr's bits as they are, signed zeros, infinities and NaN included
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324]
+
+    @pytest.mark.parametrize("nu", [1.0, 2.5, 5.0, 30.0, 1e6])
+    def test_matches_scipy_stats_bit_for_bit(self, nu):
+        gen = GeneratorSpec(family="student", nu=nu)
+        z = np.concatenate([self.EDGES, np.linspace(-40.0, 40.0, 8001),
+                            np.geomspace(1e-300, 1e300, 2001),
+                            -np.geomspace(1e-300, 1e300, 2001),
+                            np.random.default_rng(5).standard_t(nu, 5000)])
+        assert cdf(gen, z).tobytes() == stats.t.cdf(z, df=nu).tobytes()
+
+    @pytest.mark.parametrize("z", [0.3, -0.0, np.inf])
+    def test_zero_dim_input(self, z):
+        gen = GeneratorSpec(family="student", nu=5.0)
+        ours, oracle = cdf(gen, np.array(z)), stats.t.cdf(np.array(z), df=5.0)
+        assert type(ours) is type(oracle) and np.shape(ours) == ()
+        assert ours.tobytes() == oracle.tobytes()
 
 
 class TestContnormalZeroWeight:

@@ -436,6 +436,53 @@ class TestAcrossFamilies:
         assert abs(f.beta[1] - 0.075) < 0.02
 
 
+def _zeroed_counts_table(zero):
+    """The 90-cell Poisson-count table, seed 9, with the cells in ``zero``
+    set to zero deaths and no zero policy applied yet."""
+    truth = TruthSpec(ages=AGES, periods=PERIODS, population=200000.0,
+                      noise="poisson_counts", **LINEAR_TRUTH)
+    raw = simulate_table(truth, 9).table
+    deaths = np.where(zero(raw), 0.0, raw.deaths)
+    return dataclasses.replace(raw, deaths=deaths, t_value=deaths)
+
+
+class TestEdgeInputs:
+    """Outcomes pinned for gaps left by ``drop`` and for many zero counts."""
+
+    DROP_SPEC = ModelSpec(
+        generator=normal_spec(),
+        location=SubmodelSpec(covariates=("intercept", "period"), use_offset=True,
+                              terms=(SplineTerm(kind="ncs", covariate="age", lam=10.0),)),
+        dispersion=SubmodelSpec(covariates=("intercept",)),
+        zero_policy="drop",
+    )
+
+    @pytest.mark.parametrize("zero, cells", [
+        (lambda t: np.arange(len(t)) % 7 == 0, 77),   # ragged grid
+        (lambda t: t.period == PERIODS[3], 81),       # a whole period
+        (lambda t: t.age == AGES[4], 80),             # a whole age
+    ], ids=["ragged", "whole-period", "whole-age"])
+    def test_gaps_left_by_drop_fit(self, zero, cells):
+        table = apply_zero_policy(_zeroed_counts_table(zero), "drop")
+        assert len(table) == cells and table.meta.dropped == 90 - cells
+        assert fit(self.DROP_SPEC, table).converged
+
+    def test_drop_to_two_ages_is_too_few_for_ncs(self):
+        table = apply_zero_policy(
+            _zeroed_counts_table(lambda t: ~np.isin(t.age, AGES[:2])), "drop")
+        with pytest.raises(SpecificationError,
+                           match="ncs term needs at least 3 distinct covariate values, got 2"):
+            fit(self.DROP_SPEC, table)
+
+    @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.label())
+    def test_half_the_cells_at_zero_under_add_half(self, gen):
+        # log 0.5 in 43 of 90 cells forms a heavy lower tail
+        zero = np.random.default_rng(3).random(90) < 0.5
+        table = apply_zero_policy(_zeroed_counts_table(lambda t: zero), "add_half")
+        assert np.count_nonzero(table.t_value == 0.5) == 43
+        assert fit(plain_spec(generator=gen), table).converged
+
+
 # ---------------------------------------------------------------------------
 # reference evaluation: both predictors at every point, one finiteness test
 # per intermediate, the penalty summed location terms first

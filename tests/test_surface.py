@@ -1,11 +1,15 @@
-"""The package's exported names and the call sites the benchmark hooks.
+"""The package's exported names, its import graph and the call sites the
+benchmark hooks.
 
-A rename or deletion in ``src/`` that breaks either fails here, not only in
+A change in ``src/`` that breaks any of them fails here, not only in
 the benchmark's own self-test.
 """
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import logsymrate
@@ -39,3 +43,17 @@ def test_every_imported_public_name_is_exported():
     public = [name for name, value in vars(logsymrate).items()
               if not name.startswith("_") and not inspect.ismodule(value)]
     assert sorted(public) == sorted(set(logsymrate.__all__) - {"__version__"})
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.4 s and 17 MB per process; the package uses
+    # the scipy.special functions its distributions wrap. A fresh
+    # interpreter, since the test suite itself imports scipy.stats.
+    script = ("import sys\n"
+              "import logsymrate, logsymrate.cli, logsymrate.diagnostics\n"
+              "print('scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(logsymrate.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
