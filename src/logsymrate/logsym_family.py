@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import SpecificationError
 
@@ -220,8 +220,10 @@ def dispersion_info_const(spec: GeneratorSpec) -> float:
     information for log phi.
 
     Closed forms: normal 1/2; student (3(nu+1)/(nu+3) - 1)/4; powerexp
-    1/(2(1+zeta)). The contaminated normal falls back to one-time
-    quadrature.
+    1/(2(1+zeta)). The contaminated normal falls back to quadrature, once
+    per spec. scipy.integrate is imported there, so a process that fits no
+    contaminated normal never loads it, nor scipy.optimize and
+    scipy.sparse, which it pulls in.
     """
     if spec.family == "normal":
         return 0.5
@@ -230,6 +232,7 @@ def dispersion_info_const(spec: GeneratorSpec) -> float:
         return (3.0 * (nu + 1.0) / (nu + 3.0) - 1.0) / 4.0
     if spec.family == "powerexp":
         return 1.0 / (2.0 * (1.0 + spec.zeta))
+    from scipy import integrate
 
     def integrand(z):
         return weight_v(spec, z) ** 2 * z ** 4 * pdf(spec, z)

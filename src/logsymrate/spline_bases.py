@@ -9,6 +9,11 @@ equally spaced knots with a discrete difference penalty on adjacent
 coefficients. Both evaluate the basis once per distinct covariate value
 and gather the rows, which gives the bits of evaluating every row.
 
+The evaluators are numpy in the operation order of the scipy.interpolate
+calls they replace, whose bits they give without loading that module:
+B-spline rows by the Cox-de Boor recursion of ``BSpline.design_matrix``,
+and the natural cubic spline as ``CubicSpline`` builds and evaluates it.
+
 Blocks are centered against the submodel intercept before fitting: the
 basis is reparameterized onto an orthonormal complement of the
 "sum of fitted values" functional, which drops one column and keeps the
@@ -18,12 +23,13 @@ penalty congruent.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import BSpline, CubicSpline
+from scipy import linalg
 
 from .errors import SpecificationError
 
@@ -55,8 +61,11 @@ class SplineTerm:
             raise SpecificationError(
                 f"unknown covariate {self.covariate!r}; expected one of {COVARIATES}"
             )
-        if self.lam is not None and (isinstance(self.lam, bool) or not 0 < self.lam < math.inf):
+        lam = self.lam
+        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+                                or not 0 < lam < math.inf):
             raise SpecificationError(f"term lambda must be positive and finite, got {self.lam!r}")
+        _check_integers(self.basis_dim, self.diff_order)
         if self.diff_order < 1:
             raise SpecificationError(f"diff_order must be >= 1, got {self.diff_order}")
         if self.kind == "psp" and self.basis_dim < self.diff_order + 1:
@@ -64,6 +73,12 @@ class SplineTerm:
                 f"psp basis_dim {self.basis_dim} too small for diff_order "
                 f"{self.diff_order}; need at least diff_order + 1"
             )
+
+
+def _check_integers(basis_dim, diff_order) -> None:
+    for name, value in (("basis_dim", basis_dim), ("diff_order", diff_order)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise SpecificationError(f"term {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +120,67 @@ class BasisBlock:
                     "extrapolation in effect",
                     stacklevel=2,
                 )
-            raw = BSpline.design_matrix(
-                x, self.knots, PSP_DEGREE, extrapolate=True
-            ).toarray()
+            raw = _bspline_matrix(self.knots, x)
         return raw @ self.transform
+
+
+def _bspline_matrix(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic B-spline design matrix on increasing knots t; outside
+    [t[k], t[n]] the end intervals' polynomials continue."""
+    k = PSP_DEGREE
+    n = len(t) - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    h = np.zeros((len(x), k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for i in range(1, j + 1):
+            xb, xa = t[ell + i], t[ell + i - j]
+            w = hh[:, i - 1] / (xb - xa)
+            h[:, i - 1] += w * (xb - x)
+            h[:, i] = w * (x - xa)
+    out = np.zeros((len(x), n))
+    # added to zeros, as scipy's sparse-to-dense copy does: -0.0 reads +0.0
+    out[np.arange(len(x))[:, None], ell[:, None] - k + np.arange(k + 1)] += h
+    return out
+
+
+def _ncs_coefficients(knots: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients c (4, q-1, q) of the natural cubic
+    interpolants of the unit vectors, in s = x - knots[i] on interval i."""
+    q = len(knots)
+    y = np.eye(q)
+    h = np.diff(knots)
+    dx = h[:, None]
+    slope = np.diff(y, axis=0) / dx
+    # slopes s at the knots: banded (1, 1) system, f'' = 0 at both ends
+    A = np.zeros((3, q))
+    A[1, 1:-1] = 2 * (h[:-1] + h[1:])
+    A[0, 2:] = h[:-1]
+    A[-1, :-2] = h[1:]
+    A[1, 0], A[0, 1] = 2 * h[0], h[0]
+    A[1, -1], A[-1, -2] = 2 * h[-1], h[-1]
+    b = np.empty((q, q))
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = 3 * (y[1] - y[0])
+    b[-1] = 3 * (y[-1] - y[-2])
+    s = linalg.solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                            check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _power_sum(c: np.ndarray, knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate the piecewise polynomial c at x, on the last interval at
+    the right end and on the end intervals outside the knots."""
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    s = (x - knots[i])[:, None]
+    res, z = 0.0, 1.0
+    for kp in range(len(c)):
+        res = res + c[len(c) - 1 - kp, i] * z
+        z = z * s
+    return res
 
 
 def _ncs_eval_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -119,19 +191,15 @@ def _ncs_eval_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
     natural spline continues linearly, so extrapolation uses the value
     and first derivative at the nearest boundary knot.
     """
-    q = len(knots)
-    cs = CubicSpline(knots, np.eye(q), axis=0, bc_type="natural")
-    out = np.empty((len(x), q))
-    inside = (x >= knots[0]) & (x <= knots[-1])
-    if np.any(inside):
-        out[inside] = cs(x[inside])
-    ds = cs.derivative(1)
+    c = _ncs_coefficients(knots)
+    out = _power_sum(c, knots, x)
+    ends = knots[[0, -1]]
+    value = _power_sum(c, knots, ends)
+    slope = _power_sum(c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None], knots, ends)
     lo = x < knots[0]
-    if np.any(lo):
-        out[lo] = cs(knots[0]) + np.outer(x[lo] - knots[0], ds(knots[0]))
+    out[lo] = value[0] + np.outer(x[lo] - knots[0], slope[0])
     hi = x > knots[-1]
-    if np.any(hi):
-        out[hi] = cs(knots[-1]) + np.outer(x[hi] - knots[-1], ds(knots[-1]))
+    out[hi] = value[1] + np.outer(x[hi] - knots[-1], slope[1])
     return out
 
 
@@ -171,6 +239,7 @@ def ncs_build(x) -> BasisBlock:
 
 def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     """P-spline block: cubic B-splines, difference penalty K = D^T D."""
+    _check_integers(basis_dim, diff_order)
     u, idx = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     if basis_dim < diff_order + 1:
         raise SpecificationError(
@@ -186,7 +255,7 @@ def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     h = (x_max - x_min) / nseg
     t = x_min + h * np.arange(-PSP_DEGREE, nseg + PSP_DEGREE + 1)
 
-    B = BSpline.design_matrix(u, t, PSP_DEGREE, extrapolate=True).toarray()[idx]
+    B = _bspline_matrix(t, u)[idx]
     D = np.diff(np.eye(basis_dim), n=diff_order, axis=0)
     K = D.T @ D
     return BasisBlock(kind="psp", B=B, K=K, knots=t, x_min=x_min, x_max=x_max)

@@ -3,6 +3,8 @@
 The natural-cubic penalty is validated against direct numerical
 integration of the squared second derivative of the interpolating
 spline, which is an independent construction of the same quantity.
+The numpy basis evaluators are held bit for bit to the scipy.interpolate
+routines they replace, which the package itself no longer imports.
 """
 
 import warnings
@@ -18,11 +20,46 @@ from logsymrate.errors import SpecificationError
 from logsymrate.spline_bases import (
     PSP_DEGREE,
     BasisBlock,
+    _bspline_matrix,
     _ncs_eval_matrix,
     ncs_build,
     psp_build,
     term_label,
 )
+
+
+def scipy_ncs_rows(knots, x):
+    """Cardinal natural-cubic-spline rows from scipy's CubicSpline,
+    continued linearly outside the knots by its first derivative."""
+    cs = CubicSpline(knots, np.eye(len(knots)), axis=0, bc_type="natural")
+    ds = cs.derivative(1)
+    out = np.empty((len(x), len(knots)))
+    inside = (x >= knots[0]) & (x <= knots[-1])
+    if np.any(inside):
+        out[inside] = cs(x[inside])
+    lo = x < knots[0]
+    if np.any(lo):
+        out[lo] = cs(knots[0]) + np.outer(x[lo] - knots[0], ds(knots[0]))
+    hi = x > knots[-1]
+    if np.any(hi):
+        out[hi] = cs(knots[-1]) + np.outer(x[hi] - knots[-1], ds(knots[-1]))
+    return out
+
+
+def scipy_bspline_rows(t, x):
+    return BSpline.design_matrix(x, t, PSP_DEGREE, extrapolate=True).toarray()
+
+
+def probes(lo, hi, knots):
+    """Rows below, at and above both ends, on every knot and in between."""
+    ends = [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)]
+    span = hi - lo
+    return np.concatenate([np.linspace(lo - 0.3 * span, hi + 0.3 * span, 241), knots, ends])
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def ncs_quadrature_energy(knots, a):
@@ -165,6 +202,26 @@ class TestTermPlumbing:
         t = SplineTerm(kind="ncs", covariate="age", lam=None)
         assert t.lam is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", "select"), ("lam", [1.0]), ("basis_dim", 7.5), ("basis_dim", 8.0),
+        ("basis_dim", True), ("diff_order", 7.5), ("diff_order", "2"),
+    ])
+    def test_non_number_fields_are_named(self, field, value):
+        name = "lambda" if field == "lam" else field
+        with pytest.raises(SpecificationError, match=f"^term {name} must be"):
+            SplineTerm(kind="psp", covariate="age", **{"lam": 1.0, field: value})
+        if field != "lam":
+            # checked before any knots are formed
+            with pytest.raises(SpecificationError, match=f"^term {name} must be an integer"):
+                psp_build(np.linspace(0.0, 10.0, 25), **{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        x = np.linspace(0.0, 10.0, 25)
+        term = SplineTerm("psp", "age", np.float64(2.0), basis_dim=np.int64(8),
+                          diff_order=np.int32(2))
+        built = psp_build(x, basis_dim=term.basis_dim, diff_order=term.diff_order)
+        assert np.array_equal(built.B, psp_build(x, basis_dim=8, diff_order=2).B)
+
     def test_validation(self):
         with pytest.raises(SpecificationError):
             SplineTerm(kind="cubic", covariate="age", lam=1.0)
@@ -210,8 +267,8 @@ class TestDistinctValueEvaluation:
     @staticmethod
     def every_row(block, x):
         if block.kind == "ncs":
-            return _ncs_eval_matrix(block.knots, x)
-        return BSpline.design_matrix(x, block.knots, PSP_DEGREE, extrapolate=True).toarray()
+            return scipy_ncs_rows(block.knots, x)
+        return scipy_bspline_rows(block.knots, x)
 
     @pytest.mark.parametrize("term", [SplineTerm("ncs", "age", 1.0),
                                       SplineTerm("psp", "age", 1.0, basis_dim=10),
@@ -230,3 +287,45 @@ class TestDistinctValueEvaluation:
         centered, expected = build_term_block(term, x), center_block(oracle)
         for name in ("B", "K", "transform"):
             assert np.array_equal(getattr(centered, name), getattr(expected, name)), name
+
+
+class TestEvaluatorsMatchScipy:
+    """The numpy evaluators give the bits of the scipy.interpolate calls
+    they replace, inside the knots, on them and extrapolated."""
+
+    @pytest.mark.parametrize("basis_dim", range(4, 25))
+    @pytest.mark.parametrize("lo, hi", [(0.0, 90.0), (1940.0, 2019.0), (-3.3, 7.1)])
+    def test_bspline_rows(self, basis_dim, lo, hi):
+        t = psp_build(np.array([lo, hi]), basis_dim=basis_dim).knots
+        x = probes(lo, hi, t)
+        assert same_bits(_bspline_matrix(t, x), scipy_bspline_rows(t, x))
+
+    @pytest.mark.parametrize("q", range(3, 60))
+    @pytest.mark.parametrize("spacing", ["uniform", "irregular"])
+    def test_natural_cubic_rows(self, q, spacing):
+        if spacing == "uniform":
+            knots = 1940.0 + 1.5 * np.arange(q)
+        else:
+            knots = np.unique(np.random.default_rng(q).uniform(0.0, 90.0, q))
+        x = probes(knots[0], knots[-1], knots)
+        assert same_bits(_ncs_eval_matrix(knots, x), scipy_ncs_rows(knots, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=30, unique=True),
+       st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=20))
+def test_natural_cubic_rows_match_scipy_property(vals, xs):
+    knots = np.sort(np.asarray(vals))
+    if np.min(np.diff(knots)) < 1e-6:
+        return
+    x = np.concatenate([np.asarray(xs), knots])
+    assert same_bits(_ncs_eval_matrix(knots, x), scipy_ncs_rows(knots, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(4, 30),
+       st.lists(st.floats(-3e3, 3e3), min_size=1, max_size=20))
+def test_bspline_rows_match_scipy_property(lo, span, basis_dim, xs):
+    t = psp_build(np.array([lo, lo + span]), basis_dim=basis_dim).knots
+    x = np.concatenate([np.asarray(xs), t])
+    assert same_bits(_bspline_matrix(t, x), scipy_bspline_rows(t, x))

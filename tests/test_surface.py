@@ -7,12 +7,15 @@ the benchmark's own self-test.
 
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import logsymrate
+
+from .test_cli import BREAST_DOC, TRUTH_DOC
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,15 +48,46 @@ def test_every_imported_public_name_is_exported():
     assert sorted(public) == sorted(set(logsymrate.__all__) - {"__version__"})
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.4 s and 17 MB per process; the package uses
-    # the scipy.special functions its distributions wrap. A fresh
-    # interpreter, since the test suite itself imports scipy.stats.
-    script = ("import sys\n"
-              "import logsymrate, logsymrate.cli, logsymrate.diagnostics\n"
-              "print('scipy.stats' in sys.modules)\n")
+# scipy.stats costs about 0.4 s and 17 MB per process, and scipy.integrate
+# pulls in scipy.optimize and scipy.sparse (about 0.2 s and 20 MB). The
+# package uses the scipy.special functions its distributions wrap, builds
+# its spline bases in numpy, and imports scipy.integrate only for the
+# contaminated normal's kappa.
+HEAVY_SCIPY = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.sparse",
+               "scipy.optimize")
+
+
+def run_fresh(script, *args):
+    """Last stdout line of ``script`` in a fresh interpreter, as JSON: the
+    test suite itself imports every scipy module."""
     src = os.path.dirname(os.path.dirname(logsymrate.__file__))
-    done = subprocess.run([sys.executable, "-c", script],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_import_leaves_heavy_scipy_modules_unloaded():
+    script = ("import json, sys\n"
+              "import logsymrate, logsymrate.cli, logsymrate.diagnostics\n"
+              f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))\n")
+    assert run_fresh(script) == []
+
+
+def test_only_a_contaminated_normal_loads_scipy_integrate(tmp_path):
+    truth, spec = tmp_path / "truth.json", tmp_path / "spec.json"
+    truth.write_text(json.dumps(TRUTH_DOC), encoding="utf-8")
+    spec.write_text(json.dumps(BREAST_DOC), encoding="utf-8")
+    script = ("import json, sys\n"
+              "from logsymrate.cli import main\n"
+              "from logsymrate.logsym_family import GeneratorSpec, dispersion_info_const\n"
+              "truth, spec, out = sys.argv[1:]\n"
+              "assert main(['simulate', '--spec', truth, '--out', out]) == 0\n"
+              "assert main(['fit', '--input', out + '/simulated.csv', '--spec', spec,\n"
+              "             '--out', out + '/fit']) == 0\n"
+              "after_fit = 'scipy.integrate' in sys.modules\n"
+              "kappa = dispersion_info_const(GeneratorSpec('contnormal', nu1=0.15, nu2=0.25))\n"
+              "print(json.dumps([after_fit, 'scipy.integrate' in sys.modules, kappa.hex()]))\n")
+    # integrate.quad's kappa for these weights, pinned to the bit
+    assert run_fresh(script, str(truth), str(spec), str(tmp_path / "out")) == \
+        [False, True, "0x1.7593ca463cf56p-2"]
