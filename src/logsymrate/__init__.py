@@ -10,7 +10,6 @@ and component-curve export.
 
 from .data_ingest import (
     MortalityColumns,
-    MortalityRecord,
     ObservationCell,
     ObservationTable,
     TableMeta,
@@ -87,7 +86,7 @@ from .synthetic import SimulatedTable, TruthSpec, simulate_table, simulated_to_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "MortalityColumns", "MortalityRecord", "ObservationCell", "ObservationTable", "TableMeta",
+    "MortalityColumns", "ObservationCell", "ObservationTable", "TableMeta",
     "aggregate_cells", "apply_zero_policy", "make_cell", "parse_mortality_csv",
     "ComparisonReport", "EnvelopeResult", "ModelSummary",
     "all_component_curves", "compare_models", "export_component_curves",

@@ -1,8 +1,8 @@
 """Ingestion of raw mortality records into observation tables.
 
-The raw unit is a ``MortalityRecord`` (one sex/site/age-band/year stratum
-as it appears in a registry extract); a CSV is read as ``MortalityColumns``,
-its records as columns. Records are aggregated into an
+Raw records (one sex/site/age-band/year stratum each, as in a registry
+extract) are held as ``MortalityColumns``, one checked column per field,
+and a CSV is read into that form. Records are aggregated into an
 ``ObservationTable`` of unique (age midpoint, period midpoint) cells, a
 zero-count policy makes every cell's count strictly positive, and the
 table is then shared read-only by both fitting engines.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
@@ -30,46 +29,6 @@ MORTALITY_HEADER = ["sex", "site", "age_lo", "age_hi", "year", "deaths", "popula
 _WHOLE_FIELDS = ("age_lo", "age_hi", "year", "deaths")
 # a whole number has at most 18 digits, so it and the sum of two fit an int64
 _WHOLE_LIMIT = 10 ** 18
-
-
-@dataclass(frozen=True)
-class MortalityRecord:
-    """One raw stratum: sex, site, inclusive age band, year, count, exposure.
-    The band, year and count are whole numbers (not booleans), stored as int."""
-
-    sex: str
-    site: str
-    age_lo: int
-    age_hi: int
-    year: int
-    deaths: int
-    population: float
-
-    def __post_init__(self):
-        if self.sex not in SEXES:
-            raise DataValidationError(f"unknown sex {self.sex!r}; expected one of {SEXES}")
-        for name in _WHOLE_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                        or not float(value).is_integer():
-                    raise DataValidationError(f"{name} must be a whole number, got {value!r}")
-                value = int(value)
-                object.__setattr__(self, name, value)
-            if abs(value) >= _WHOLE_LIMIT:
-                raise DataValidationError(f"{name} must have at most 18 digits, got {value}")
-        if not YEAR_RANGE[0] <= self.year <= YEAR_RANGE[1]:
-            raise DataValidationError(f"year {self.year} outside admissible range {YEAR_RANGE}")
-        if self.age_lo > self.age_hi:
-            raise DataValidationError(
-                f"age_lo {self.age_lo} exceeds age_hi {self.age_hi}"
-            )
-        if self.deaths < 0:
-            raise DataValidationError(f"negative death count {self.deaths}")
-        if not 0 < self.population < math.inf:
-            raise DataValidationError(
-                f"population must be positive and finite, got {self.population}"
-            )
 
 
 # CSV number fields, ASCII only and case-insensitive: a whole number is up to 18
@@ -92,10 +51,12 @@ class MortalityColumns:
     """Raw records as columns; row i is record i.
 
     ``sex`` and ``site`` are tuples of str, the band, year and deaths
-    read-only int64 arrays and ``population`` a read-only float array. The
-    rows obey ``MortalityRecord``'s rules, checked at construction; with
-    ``lines``, an error names the row's CSV line. Indexing or iterating
-    gives ``MortalityRecord`` objects.
+    read-only int64 arrays and ``population`` a read-only float array.
+    Every record rule is checked here, at construction: a known sex, whole
+    numbers (an integer dtype) of at most 18 digits, a year in
+    ``YEAR_RANGE``, ``age_lo <= age_hi``, nonnegative deaths and a positive
+    finite population. The first row that breaks a rule is reported; with
+    ``lines``, the error names its CSV line.
     """
 
     sex: tuple
@@ -110,24 +71,26 @@ class MortalityColumns:
     def __post_init__(self):
         object.__setattr__(self, "sex", tuple(self.sex))
         object.__setattr__(self, "site", tuple(self.site))
-        n = len(self.sex)
+        n, given = len(self.sex), {}
         for name in _WHOLE_FIELDS + ("population",):
             col, whole = np.asarray(getattr(self, name)), name != "population"
             if col.shape != (n,) or len(self.site) != n:
                 raise DataValidationError("record columns must be vectors of one length")
             if whole and col.size and col.dtype.kind not in "iu":
                 raise DataValidationError(f"{name} must be whole numbers, got dtype {col.dtype}")
+            given[name] = col
             col = col.astype(np.int64 if whole else float)  # a copy, so read-only is ours
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         sexes = np.array([s in SEXES for s in self.sex], dtype=bool)
         y, lo, hi = self.year, self.age_lo, self.age_hi
-        # MortalityRecord's checks, in its order
+        # in a row, the first rule broken is reported; the digit rule reads
+        # the columns as given, since an unsigned value past int64 wraps
         checks = (
             (~sexes, lambda i: f"unknown sex {self.sex[i]!r}; expected one of {SEXES}"),
-            *(((getattr(self, name) >= _WHOLE_LIMIT) | (getattr(self, name) <= -_WHOLE_LIMIT),
-               lambda i, name=name: f"{name} must have at most 18 digits, "
-                                    f"got {getattr(self, name)[i]}") for name in _WHOLE_FIELDS),
+            *(((given[name] >= _WHOLE_LIMIT) | (given[name] <= -_WHOLE_LIMIT),
+               lambda i, name=name: f"{name} must have at most 18 digits, got {given[name][i]}")
+              for name in _WHOLE_FIELDS),
             ((y < YEAR_RANGE[0]) | (y > YEAR_RANGE[1]),
              lambda i: f"year {y[i]} outside admissible range {YEAR_RANGE}"),
             (lo > hi, lambda i: f"age_lo {lo[i]} exceeds age_hi {hi[i]}"),
@@ -143,24 +106,8 @@ class MortalityColumns:
             where = f"line {self.lines[i]}: " if self.lines is not None else ""
             raise DataValidationError(where + next(msg(i) for mask, msg in checks if mask[i]))
 
-    @classmethod
-    def from_records(cls, records) -> "MortalityColumns":
-        rows = [(r.sex, r.site, r.age_lo, r.age_hi, r.year, r.deaths, r.population)
-                for r in records]
-        sex, site, *nums = zip(*rows) if rows else [()] * len(MORTALITY_HEADER)
-        return cls(sex, site, *(np.array(c, dtype=np.int64) for c in nums[:4]),
-                   np.array(nums[4], dtype=float))
-
     def __len__(self) -> int:
         return len(self.sex)
-
-    def __getitem__(self, i: int) -> MortalityRecord:
-        return MortalityRecord(self.sex[i], self.site[i], *(int(getattr(self, name)[i])
-                                                           for name in _WHOLE_FIELDS),
-                               float(self.population[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -338,18 +285,15 @@ def parse_mortality_csv(source) -> MortalityColumns:
     return records
 
 
-def aggregate_cells(records, sex: str, site: str) -> ObservationTable:
+def aggregate_cells(records: MortalityColumns, sex: str, site: str) -> ObservationTable:
     """Aggregate records for one (sex, site) into an ObservationTable.
 
-    ``records`` is ``MortalityColumns`` or an iterable of ``MortalityRecord``.
     Cells are keyed by (age midpoint, year) and sorted by that key; deaths
     (as exact integers) and population are summed over duplicate keys.
     Population sums use ``math.fsum`` so the result is independent of
     record order. Records whose age bands differ but share a midpoint and
     a year raise DataValidationError: a cell has one age band.
     """
-    if not isinstance(records, MortalityColumns):
-        records = MortalityColumns.from_records(records)
     keep = np.array([a == sex and b == site for a, b in zip(records.sex, records.site)],
                     dtype=bool)
     if not keep.any():
@@ -411,12 +355,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def records_to_csv(records) -> str:
-    """Serialize raw records back to the mortality CSV schema."""
-    lines = [",".join(MORTALITY_HEADER)]
-    for r in records:
-        lines.append(",".join([
-            r.sex, r.site, str(r.age_lo), str(r.age_hi), str(r.year),
-            str(r.deaths), _fmt(r.population),
-        ]))
-    return "\n".join(lines) + "\n"
+def records_to_csv(records: MortalityColumns) -> str:
+    """Serialize raw records to the mortality CSV schema: ``str`` of each
+    whole number and ``repr`` of each population, so it reads back exactly.
+    A field holding a comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(MORTALITY_HEADER)
+    writer.writerows(zip(records.sex, records.site,
+                         *(map(str, getattr(records, name).tolist()) for name in _WHOLE_FIELDS),
+                         map(_fmt, records.population.tolist())))
+    return out.getvalue()

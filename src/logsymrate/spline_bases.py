@@ -65,20 +65,23 @@ class SplineTerm:
         if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
                                 or not 0 < lam < math.inf):
             raise SpecificationError(f"term lambda must be positive and finite, got {self.lam!r}")
-        _check_integers(self.basis_dim, self.diff_order)
-        if self.diff_order < 1:
-            raise SpecificationError(f"diff_order must be >= 1, got {self.diff_order}")
-        if self.kind == "psp" and self.basis_dim < self.diff_order + 1:
-            raise SpecificationError(
-                f"psp basis_dim {self.basis_dim} too small for diff_order "
-                f"{self.diff_order}; need at least diff_order + 1"
-            )
+        _check_sizes(self.basis_dim, self.diff_order, psp=self.kind == "psp")
 
 
-def _check_integers(basis_dim, diff_order) -> None:
+def _check_sizes(basis_dim, diff_order, psp: bool = True) -> None:
+    """The rules on a term's basis_dim and diff_order: integers, and
+    diff_order >= 1. A psp basis also needs basis_dim >= diff_order + 1 and
+    basis_dim > PSP_DEGREE."""
     for name, value in (("basis_dim", basis_dim), ("diff_order", diff_order)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise SpecificationError(f"term {name} must be an integer, got {value!r}")
+    if diff_order < 1:
+        raise SpecificationError(f"diff_order must be >= 1, got {diff_order}")
+    if psp and basis_dim < diff_order + 1:
+        raise SpecificationError(f"psp basis_dim {basis_dim} too small for diff_order "
+                                 f"{diff_order}; need at least diff_order + 1")
+    if psp and basis_dim <= PSP_DEGREE:
+        raise SpecificationError(f"psp basis_dim {basis_dim} must exceed the degree {PSP_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -239,19 +242,13 @@ def ncs_build(x) -> BasisBlock:
 
 def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     """P-spline block: cubic B-splines, difference penalty K = D^T D."""
-    _check_integers(basis_dim, diff_order)
+    _check_sizes(basis_dim, diff_order)
     u, idx = np.unique(np.asarray(x, dtype=float), return_inverse=True)
-    if basis_dim < diff_order + 1:
-        raise SpecificationError(
-            f"psp basis_dim {basis_dim} too small for diff_order {diff_order}"
-        )
     x_min, x_max = float(u[0]), float(u[-1])
     if not x_max > x_min:
         raise SpecificationError("psp term needs a non-degenerate covariate range")
 
     nseg = basis_dim - PSP_DEGREE
-    if nseg < 1:
-        raise SpecificationError(f"psp basis_dim {basis_dim} must exceed the degree {PSP_DEGREE}")
     h = (x_max - x_min) / nseg
     t = x_min + h * np.arange(-PSP_DEGREE, nseg + PSP_DEGREE + 1)
 

@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data_ingest import MortalityRecord, ObservationTable, TableMeta
+from .data_ingest import MortalityColumns, ObservationTable, TableMeta
 from .errors import DataValidationError, SpecificationError
 from .logsym_family import GeneratorSpec, sample_with_rng
 
@@ -142,9 +142,9 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
                           truth=truth, seed=seed)
 
 
-def simulated_to_records(sim: SimulatedTable, band_width: int = 5) -> list:
-    """Rewrite a simulated table in the raw mortality-record schema so the
-    CLI pipeline can run end to end on it.
+def simulated_to_records(sim: SimulatedTable, band_width: int = 5) -> MortalityColumns:
+    """Rewrite a simulated table as raw mortality records so the CLI
+    pipeline can run end to end on it.
 
     Age midpoints must sit on integer band boundaries for the chosen
     width, and periods must be whole years. Continuous t_values are
@@ -161,6 +161,7 @@ def simulated_to_records(sim: SimulatedTable, band_width: int = 5) -> list:
     if off_year.any():
         raise DataValidationError(
             f"period midpoint {table.period[off_year][0]} is not a whole year")
-    return [MortalityRecord(sim.truth.sex, sim.truth.site, a, a + band_width - 1, y, d, pop)
-            for a, y, d, pop in zip(np.round(lo).astype(int).tolist(), year.astype(int).tolist(),
-                                    table.deaths.astype(int).tolist(), table.population.tolist())]
+    age_lo, n = np.round(lo).astype(np.int64), len(table)
+    return MortalityColumns((sim.truth.sex,) * n, (sim.truth.site,) * n, age_lo,
+                            age_lo + (band_width - 1), year.astype(np.int64),
+                            table.deaths.astype(np.int64), table.population)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from logsymrate import dump_json
+from logsymrate import dump_json, parse_mortality_csv
 from logsymrate.cli import main
 
 TRUTH_DOC = {
@@ -95,6 +95,16 @@ class TestSimulate:
                      "--out", str(root / "sim3"), "--seed", "7"]) == 0
         assert (root / "sim" / "simulated.csv").read_bytes() != \
             (root / "sim3" / "simulated.csv").read_bytes()
+
+    def test_site_needing_quotes_fits(self, workspace, tmp_path):
+        # the CSV quotes the site, so fit reads back one seven-field stratum
+        site = 'lung, "upper"'
+        truth = write_doc(tmp_path / "truth.json", {**TRUTH_DOC, "site": site})
+        assert main(["simulate", "--spec", truth, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fit", "--input", str(tmp_path / "sim" / "simulated.csv"),
+                     "--spec", workspace["poisson"], "--out", str(tmp_path / "fit")]) == 0
+        records = parse_mortality_csv((tmp_path / "sim" / "simulated.csv").read_bytes())
+        assert records.site == (site,) * 24
 
 
 REMOVED_FLAGS = [

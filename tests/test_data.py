@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import logsymrate
 from logsymrate import (
     MortalityColumns,
-    MortalityRecord,
     ObservationCell,
     ObservationTable,
     TableMeta,
@@ -41,15 +40,33 @@ female,breast,40,44,2001,3,9000
 female,breast,45,49,2001,30,48000.5
 female,breast,40,44,2003,9,52000
 """
+FIELDS = ("sex", "site", "age_lo", "age_hi", "year", "deaths", "population")
+
+
+def columns(*rows):
+    """MortalityColumns holding ``rows``, each a tuple in FIELDS order."""
+    sex, site, *numbers = zip(*rows)
+    return MortalityColumns(sex, site, *(np.array(col) for col in numbers))
+
+
+def one_row(**given):
+    """A one-row MortalityColumns: a valid row with ``given`` fields replaced."""
+    row = {**dict(sex="female", site="x", age_lo=40, age_hi=44, year=2000, deaths=2,
+                  population=10.0), **given}
+    return MortalityColumns(*([row[name]] for name in FIELDS))
+
+
+def rows(records):
+    """The records as tuples of Python values, in FIELDS order."""
+    return list(zip(records.sex, records.site,
+                    *(getattr(records, name).tolist() for name in FIELDS[2:])))
 
 
 class TestParse:
     def test_parses_records(self):
         recs = parse_mortality_csv(GOOD_CSV)
         assert len(recs) == 4
-        assert recs[0] == MortalityRecord(sex="female", site="breast", age_lo=40,
-                                          age_hi=44, year=2001, deaths=12,
-                                          population=51000.0)
+        assert rows(recs)[0] == ("female", "breast", 40, 44, 2001, 12, 51000.0)
 
     def test_header_must_match(self):
         bad = GOOD_CSV.replace(b"sex,site", b"site,sex")
@@ -64,30 +81,28 @@ class TestParse:
 
     def test_negative_deaths(self):
         with pytest.raises(DataValidationError):
-            MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
-                            year=2000, deaths=-1, population=100.0)
+            one_row(deaths=-1)
 
     def test_unknown_sex(self):
         with pytest.raises(DataValidationError):
-            MortalityRecord(sex="other", site="lung", age_lo=50, age_hi=54,
-                            year=2000, deaths=1, population=100.0)
+            one_row(sex="other")
 
-    @pytest.mark.parametrize("field, value", [
-        ("age_lo", 40.5), ("age_hi", True), ("year", True), ("year", "2000"),
-        ("deaths", 2.5), ("deaths", math.nan),
+    @pytest.mark.parametrize("field, value, dtype", [
+        ("age_lo", 40.5, "float64"), ("age_lo", 40.0, "float64"), ("age_hi", True, "bool"),
+        ("year", True, "bool"), ("year", "2000", "<U4"), ("deaths", 2.5, "float64"),
+        ("deaths", math.nan, "float64"),
     ])
-    def test_count_fields_must_be_whole_numbers(self, field, value):
-        fields = dict(sex="female", site="x", age_lo=40, age_hi=44, year=2000,
-                      deaths=2, population=10.0)
-        fields[field] = value
-        with pytest.raises(DataValidationError, match=f"^{field} must be a whole number"):
-            MortalityRecord(**fields)
+    def test_count_fields_must_be_whole_numbers(self, field, value, dtype):
+        with pytest.raises(DataValidationError,
+                           match=f"^{field} must be whole numbers, got dtype {dtype}$"):
+            one_row(**{field: value})
 
     def test_whole_number_fields_stored_as_int(self):
-        rec = MortalityRecord(sex="female", site="x", age_lo=40.0, age_hi=np.int64(44),
-                              year=2000.0, deaths=2.0, population=10.0)
-        assert all(type(v) is int for v in (rec.age_lo, rec.age_hi, rec.year, rec.deaths))
-        assert records_to_csv([rec]).split("\n")[1] == "female,x,40,44,2000,2,10.0"
+        recs = one_row(age_lo=np.uint16(40), age_hi=np.int64(44), year=np.int32(2000),
+                       deaths=np.uint8(2))
+        for name in ("age_lo", "age_hi", "year", "deaths"):
+            assert getattr(recs, name).dtype == np.int64
+        assert records_to_csv(recs).split("\n")[1] == "female,x,40,44,2000,2,10.0"
 
     def test_year_out_of_range(self):
         bad = GOOD_CSV.replace(b",2003,", b",1492,")
@@ -97,8 +112,7 @@ class TestParse:
     def test_year_range_checked_by_record(self):
         with pytest.raises(DataValidationError,
                            match=r"^year 1500 outside admissible range \(1900, 2100\)$"):
-            MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44, year=1500,
-                            deaths=3, population=100.0)
+            one_row(year=1500)
 
     def test_year_range_message_in_csv(self):
         bad = GOOD_CSV.replace(b",2001,12,", b",1500,12,")
@@ -108,8 +122,7 @@ class TestParse:
 
     def test_zero_population_rejected(self):
         with pytest.raises(DataValidationError):
-            MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
-                            year=2000, deaths=1, population=0.0)
+            one_row(population=0.0)
 
     @pytest.mark.parametrize("population", [b"inf", b"nan", b"-inf"])
     def test_non_finite_population_reports_line_number(self, population):
@@ -119,13 +132,20 @@ class TestParse:
 
     def test_infinite_population_record_rejected(self):
         with pytest.raises(DataValidationError, match="finite"):
-            MortalityRecord(sex="male", site="lung", age_lo=50, age_hi=54,
-                            year=2000, deaths=1, population=math.inf)
+            one_row(population=math.inf)
 
     def test_records_to_csv_round_trip(self):
         recs = parse_mortality_csv(GOOD_CSV)
         again = parse_mortality_csv(records_to_csv(recs).encode())
-        assert list(again) == list(recs)
+        assert rows(again) == rows(recs)
+
+    @pytest.mark.parametrize("site", ["lung, upper", 'say "ah"', '"', ",", 'a,"b",c'])
+    def test_sites_needing_quotes_round_trip(self, site):
+        recs = columns(("female", site, 40, 44, 2000, 3, 100.5),
+                       ("male", "plain", 45, 49, 2001, 4, 200.0))
+        text = records_to_csv(recs)
+        assert text.split("\n")[2] == "male,plain,45,49,2001,4,200.0"
+        assert rows(parse_mortality_csv(text)) == rows(recs)
 
 
 def row_csv(age_lo="40", age_hi="44", year="2001", deaths="12", population="51000"):
@@ -154,12 +174,12 @@ class TestNumberGrammar:
     @pytest.mark.parametrize("text", ["45", "+45", "045", " 45 ", "000000000000000045",
                                       "999999999999999999"])
     def test_whole_number_forms_read_as_int(self, text):
-        assert parse_mortality_csv(row_csv(deaths=text))[4].deaths == int(text)
+        assert parse_mortality_csv(row_csv(deaths=text)).deaths[4] == int(text)
 
     @pytest.mark.parametrize("text", ["51000", "48000.5", "47000.25", "1e+16", "1.5E-3",
                                       ".5", "5.", "+7", " 12.5 ", "5e-324"])
     def test_real_forms_read_as_float(self, text):
-        assert parse_mortality_csv(row_csv(population=text))[4].population == float(text)
+        assert parse_mortality_csv(row_csv(population=text)).population[4] == float(text)
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "NaN"])
     def test_non_finite_populations_parse_then_fail_the_rule(self, text):
@@ -206,18 +226,35 @@ class TestNumberGrammar:
 
     def test_record_holds_whole_numbers_to_18_digits(self):
         with pytest.raises(DataValidationError, match="^deaths must have at most 18 digits"):
-            MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44, year=2000,
-                            deaths=10 ** 18, population=10.0)
+            one_row(deaths=10 ** 18)
+        assert one_row(deaths=10 ** 18 - 1).deaths[0] == 10 ** 18 - 1
+
+    @pytest.mark.parametrize("value", [2 ** 64 - 40, 2 ** 63, 10 ** 18])
+    def test_unsigned_values_past_the_limit_are_refused(self, value):
+        # cast to int64, 2**64 - 40 would read as -40
+        with pytest.raises(DataValidationError,
+                           match=f"^age_lo must have at most 18 digits, got {value}$"):
+            one_row(age_lo=np.uint64(value))
+        big = np.array([value], dtype=np.uint64)
+        with pytest.raises(DataValidationError,
+                           match=f"^line 9: deaths must have at most 18 digits, got {value}$"):
+            MortalityColumns(["female"], ["x"], [40], [44], [2000], big, [10.0], lines=(9,))
+        assert one_row(age_lo=np.uint64(40)).age_lo.tolist() == [40]
 
 
 class TestColumns:
-    def test_columns_and_records_agree(self):
+    def test_columns_hold_the_rows(self):
         recs = parse_mortality_csv(GOOD_CSV)
         assert isinstance(recs, MortalityColumns)
-        again = MortalityColumns.from_records(list(recs))
-        for name in ("sex", "site", "age_lo", "age_hi", "year", "deaths", "population"):
-            assert np.array_equal(getattr(again, name), getattr(recs, name))
-        assert recs.deaths.dtype == np.int64 and not recs.deaths.flags.writeable
+        assert rows(recs) == [("female", "breast", 40, 44, 2001, 12, 51000.0),
+                              ("female", "breast", 40, 44, 2001, 3, 9000.0),
+                              ("female", "breast", 45, 49, 2001, 30, 48000.5),
+                              ("female", "breast", 40, 44, 2003, 9, 52000.0)]
+        assert recs.sex == ("female",) * 4 and recs.site == ("breast",) * 4
+        for name in FIELDS[2:]:
+            col = getattr(recs, name)
+            assert col.dtype == (float if name == "population" else np.int64)
+            assert not col.flags.writeable
 
     @pytest.mark.parametrize("field, value, message", [
         ("sex", "other", "unknown sex 'other'"),
@@ -250,9 +287,7 @@ class TestAggregate:
         assert table.cell_keys == tuple(sorted(table.cell_keys))
 
     def test_filters_stratum(self):
-        recs = list(parse_mortality_csv(GOOD_CSV))
-        recs.append(MortalityRecord(sex="male", site="breast", age_lo=40, age_hi=44,
-                                    year=2001, deaths=2, population=1000.0))
+        recs = parse_mortality_csv(GOOD_CSV + b"male,breast,40,44,2001,2,1000\n")
         table = aggregate_cells(recs, "female", "breast")
         assert table.deaths[0] == 15.0
 
@@ -262,17 +297,17 @@ class TestAggregate:
             aggregate_cells(recs, "male", "breast")
 
     def test_bands_sharing_a_midpoint_are_refused(self):
-        recs = [MortalityRecord("female", "x", 40, 44, 2000, 5, 1000.0),
-                MortalityRecord("female", "x", 42, 42, 2000, 7, 300.0),
-                MortalityRecord("female", "x", 42, 42, 2001, 7, 300.0)]
+        recs = columns(("female", "x", 40, 44, 2000, 5, 1000.0),
+                       ("female", "x", 42, 42, 2000, 7, 300.0),
+                       ("female", "x", 42, 42, 2001, 7, 300.0))
         with pytest.raises(DataValidationError,
                            match=r"^age bands 40-44 and 42-42 in 2000 share the midpoint 42"):
             aggregate_cells(recs, "female", "x")
 
     def test_duplicate_records_of_one_stratum_add_up(self):
-        recs = [MortalityRecord("female", "x", 40, 44, 2000, 5, 1000.0),
-                MortalityRecord("female", "x", 40, 44, 2000, 7, 300.0),
-                MortalityRecord("female", "x", 42, 42, 2001, 1, 10.0)]
+        recs = columns(("female", "x", 40, 44, 2000, 5, 1000.0),
+                       ("female", "x", 40, 44, 2000, 7, 300.0),
+                       ("female", "x", 42, 42, 2001, 1, 10.0))
         table = aggregate_cells(recs, "female", "x")
         assert table.cell_keys == ((42.0, 2000.0), (42.0, 2001.0))
         assert table.deaths.tolist() == [12.0, 1.0]
@@ -280,18 +315,16 @@ class TestAggregate:
 
     def test_death_sums_are_exact_integers(self):
         big = 2 ** 53 + 1  # not a float; a float sum would round each addend
-        recs = [MortalityRecord("female", "x", 40, 44, 2000, big, 1.0)] * 3
+        recs = columns(*[("female", "x", 40, 44, 2000, big, 1.0)] * 3)
         assert aggregate_cells(recs, "female", "x").deaths[0] == float(3 * big)
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(range(6)))
     def test_permutation_invariant(self, order):
         pops = [51000.0, 0.1, 9000.25, 3.0e8, 17.125, 0.375]
-        recs = [MortalityRecord(sex="female", site="x", age_lo=40, age_hi=44,
-                                year=2001, deaths=i, population=pops[i])
-                for i in range(6)]
-        base = aggregate_cells(recs, "female", "x")
-        shuf = aggregate_cells([recs[i] for i in order], "female", "x")
+        recs = [("female", "x", 40, 44, 2001, i, pops[i]) for i in range(6)]
+        base = aggregate_cells(columns(*recs), "female", "x")
+        shuf = aggregate_cells(columns(*[recs[i] for i in order]), "female", "x")
         # math.fsum makes population aggregation exactly order-independent
         assert shuf.population[0] == base.population[0]
         assert shuf.deaths[0] == base.deaths[0]
@@ -436,10 +469,10 @@ class TestColumnsMatchCells:
     def test_aggregate_cells(self):
         recs = parse_mortality_csv(GOOD_CSV + b"female,breast,50,54,2001,0,47000.25\n")
         deaths, pops = {}, {}
-        for r in recs:
-            key = ((r.age_lo + r.age_hi) / 2.0, float(r.year))
-            deaths[key] = deaths.get(key, 0) + r.deaths
-            pops.setdefault(key, []).append(r.population)
+        for _, _, lo, hi, year, d, pop in rows(recs):
+            key = ((lo + hi) / 2.0, float(year))
+            deaths[key] = deaths.get(key, 0) + d
+            pops.setdefault(key, []).append(pop)
         cells = [make_cell(k[0], k[1], deaths[k], float(deaths[k]), math.fsum(pops[k]))
                  for k in sorted(deaths)]
         assert_matches_cells(aggregate_cells(recs, "female", "breast"), cells)

@@ -203,6 +203,18 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match=f" {field} must be "):
             parse_model_spec(doc)
 
+    @pytest.mark.parametrize("basis_dim, diff_order, message", [
+        (3, 2, "psp basis_dim 3 must exceed the degree 3"),
+        (2, 1, "psp basis_dim 2 must exceed the degree 3"),
+        (2, 2, r"psp basis_dim 2 too small for diff_order 2; need at least diff_order \+ 1"),
+        (8, 0, "diff_order must be >= 1, got 0"),
+    ])
+    def test_psp_sizes_rejected_when_read(self, basis_dim, diff_order, message):
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        doc["dispersion"]["terms"][0].update(basis_dim=basis_dim, diff_order=diff_order)
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            parse_model_spec(doc)
+
     def test_integral_counts_kept_as_ints(self):
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
         doc["convergence"].update(max_outer=1.0, max_halvings=0)

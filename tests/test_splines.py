@@ -227,11 +227,27 @@ class TestTermPlumbing:
             SplineTerm(kind="cubic", covariate="age", lam=1.0)
         with pytest.raises(SpecificationError):
             SplineTerm(kind="ncs", covariate="age", lam=-2.0)
-        # basis_dim must exceed the spline degree; caught when the basis is
-        # actually built, where the degree is known.
-        term = SplineTerm(kind="psp", covariate="age", lam=1.0, basis_dim=3)
-        with pytest.raises(SpecificationError, match="basis_dim"):
-            build_term_block(term, np.linspace(0.0, 10.0, 25))
+
+    @pytest.mark.parametrize("basis_dim, diff_order, message", [
+        (3, 2, "psp basis_dim 3 must exceed the degree 3"),
+        (2, 1, "psp basis_dim 2 must exceed the degree 3"),
+        (2, 2, r"psp basis_dim 2 too small for diff_order 2; need at least diff_order \+ 1"),
+        (9, 0, "diff_order must be >= 1, got 0"),
+    ])
+    def test_psp_sizes_checked_alike(self, basis_dim, diff_order, message):
+        # the term and the basis builder apply one set of rules, so a bad
+        # size fails when the spec is read, not at fit time
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            SplineTerm("psp", "age", 1.0, basis_dim=basis_dim, diff_order=diff_order)
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            psp_build(np.linspace(0.0, 10.0, 25), basis_dim, diff_order)
+
+    def test_smallest_psp_sizes_build(self):
+        x = np.linspace(0.0, 10.0, 25)
+        assert build_term_block(SplineTerm("psp", "age", 1.0, basis_dim=4, diff_order=3),
+                                x).ncols == 3
+        # basis_dim and diff_order bind a psp term only
+        assert SplineTerm("ncs", "age", 1.0, basis_dim=3).basis_dim == 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -128,10 +128,37 @@ class TestRecordsRoundTrip:
     def test_band_geometry(self):
         sim = simulate_table(poisson_truth(), seed=8)
         recs = simulated_to_records(sim, band_width=5)
-        assert recs[0].age_lo == 38 and recs[0].age_hi == 42
+        assert recs.age_lo[0] == 38 and recs.age_hi[0] == 42
+        assert np.array_equal(recs.age_hi - recs.age_lo, np.full(len(recs), 4))
 
     def test_fractional_midpoint_rejected(self):
         truth = poisson_truth(ages=(40.25, 45.0, 50.0))
         sim = simulate_table(truth, seed=8)
         with pytest.raises(DataValidationError, match="band"):
             simulated_to_records(sim, band_width=5)
+
+
+class TestBenchmarkInputFormat:
+    """The benchmark writes its input tables with
+    records_to_csv(simulated_to_records(sim, band_width)). Each row must
+    keep its bytes: str of each whole number and repr of the population."""
+
+    @pytest.mark.parametrize("band_width", [1, 5])
+    def test_rows_match_per_row_oracle(self, band_width):
+        ages, periods = tuple(range(50, 62)), tuple(range(1990, 1997))
+        # populations with long reprs, so a rounded or shortened float shows
+        pops = tuple(tuple(1e5 / (1.0 + a) + p / 3.0 for p in periods) for a in ages)
+        truth = TruthSpec(ages=ages, periods=periods, beta0=-9.0, beta_age=0.09,
+                          beta_period=-0.01, population=pops, noise="logsym",
+                          generator=normal_spec(), phi=0.03, sex="male", site="colon")
+        sim = simulate_table(truth, seed=3)
+        oracle = ["sex,site,age_lo,age_hi,year,deaths,population"]
+        for age, period, deaths, pop in zip(sim.table.age.tolist(), sim.table.period.tolist(),
+                                            sim.table.deaths.tolist(),
+                                            sim.table.population.tolist()):
+            lo = int(age) - (band_width - 1) // 2
+            oracle.append(",".join(["male", "colon", str(lo), str(lo + band_width - 1),
+                                    str(int(period)), str(int(deaths)), repr(pop)]))
+        text = records_to_csv(simulated_to_records(sim, band_width))
+        assert text == "\n".join(oracle) + "\n"
+        assert len(oracle) == len(ages) * len(periods) + 1
