@@ -52,10 +52,11 @@ class MortalityColumns:
 
     ``sex`` and ``site`` are tuples of str, the band, year and deaths
     read-only int64 arrays and ``population`` a read-only float array.
-    Every record rule is checked here, at construction: a known sex, whole
-    numbers (an integer dtype) of at most 18 digits, a year in
-    ``YEAR_RANGE``, ``age_lo <= age_hi``, nonnegative deaths and a positive
-    finite population. The first row that breaks a rule is reported; with
+    Every record rule is checked here, at construction: a known sex, a
+    site without leading or trailing whitespace (a CSV field reads back
+    stripped), whole numbers (an integer dtype) of at most 18 digits, a
+    year in ``YEAR_RANGE``, ``age_lo <= age_hi``, nonnegative deaths and a
+    positive finite population. The first row that breaks a rule is reported; with
     ``lines``, the error names its CSV line.
     """
 
@@ -88,6 +89,8 @@ class MortalityColumns:
         # the columns as given, since an unsigned value past int64 wraps
         checks = (
             (~sexes, lambda i: f"unknown sex {self.sex[i]!r}; expected one of {SEXES}"),
+            (np.array([str(s) != str(s).strip() for s in self.site], dtype=bool),
+             lambda i: f"site {self.site[i]!r} has leading or trailing whitespace"),
             *(((given[name] >= _WHOLE_LIMIT) | (given[name] <= -_WHOLE_LIMIT),
                lambda i, name=name: f"{name} must have at most 18 digits, got {given[name][i]}")
               for name in _WHOLE_FIELDS),
@@ -234,8 +237,9 @@ def parse_mortality_csv(source) -> MortalityColumns:
     aggregation happens here; duplicate strata stay duplicated. Blank rows
     are skipped. A whole number is an optional sign and 1 to 18 ASCII
     digits; a population is a ``float()`` literal in ASCII without ``_``
-    separators. Errors cite 1-based line numbers (header is line 1), and
-    the first bad line is the one reported.
+    separators. Errors cite the 1-based line a record starts on (header is
+    line 1; a quoted field may span lines), and the first bad record is the
+    one reported.
     """
     reader = csv.reader(_as_text_lines(source))
     try:
@@ -252,7 +256,9 @@ def parse_mortality_csv(source) -> MortalityColumns:
             f"got {','.join(fields)}"
         )
     rows, lines, short = [], [], None
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # a quoted field may hold line breaks
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not "".join(row).strip():
             continue
         if len(row) != len(MORTALITY_HEADER):

@@ -13,6 +13,7 @@ was made on: its cell keys and its response must match the fit's.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -113,6 +114,44 @@ def _simulate_and_refit(fit_result, kind, rng) -> np.ndarray:
     return np.sort(deviance_residuals(refit))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 off Linux, where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_replicate = None  # set in each forked worker by _map_in_order
+
+
+def _set_replicate(fn) -> None:
+    global _replicate
+    _replicate = fn
+
+
+def _run_replicate(i):
+    return _replicate(i)
+
+
+def _map_in_order(fn, m: int) -> list:
+    """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU.
+    ``fn`` reaches the workers by fork, not by pickling: only indices go
+    out and results come back, in order, so they have the bits of a serial
+    run. With one usable CPU, or in a daemonic process such as a
+    ``multiprocessing.Pool`` worker (it may not start children), everything
+    runs in this process."""
+    workers = min(_cpu_count(), m)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if not multiprocessing.current_process().daemon:
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_set_replicate, initargs=(fn,))
+            try:
+                return list(pool.map(_run_replicate, range(m)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [fn(i) for i in range(m)]
+
+
 def simulated_envelope(fit_result, table: ObservationTable, kind: str,
                        m_sims: int = 100, level: float = 0.95,
                        seed: int = 0) -> EnvelopeResult:
@@ -121,7 +160,8 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     Bands are pointwise percentiles ((1 - level)/2 and (1 + level)/2)
     across simulations at each order statistic. A failed replicate is
     retried once with a fresh derived seed; more than 10% failures is an
-    error. ``table`` must be the one the fit was made on.
+    error. ``table`` must be the one the fit was made on. Replicates run
+    on forked worker processes, one per usable CPU (see ``_map_in_order``).
     """
     if not (0.0 < level < 1.0):
         raise SpecificationError(f"level must be in (0, 1), got {level}")
@@ -132,18 +172,16 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     observed = np.sort(_fit_residuals(fit_result, kind))
     n = len(observed)
 
-    sims = []
-    failures = 0
-    for i in range(m_sims):
+    def replicate(i):
         for rep_seed in (seed + i, seed + m_sims + i):
             try:
-                sims.append(_simulate_and_refit(fit_result, kind,
-                                                np.random.default_rng(rep_seed)))
-                break
+                return _simulate_and_refit(fit_result, kind, np.random.default_rng(rep_seed))
             except (ModelError, FloatingPointError, OverflowError, ValueError):
                 pass
-        else:
-            failures += 1
+        return None
+
+    sims = [r for r in _map_in_order(replicate, m_sims) if r is not None]
+    failures = m_sims - len(sims)
     if failures > 0.1 * m_sims:
         raise EnvelopeError(
             f"{failures} of {m_sims} envelope refits failed (more than 10%)"

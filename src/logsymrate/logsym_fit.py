@@ -535,9 +535,9 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
         if math.isfinite(L_new):
             if L_new >= L_cur:
                 return trial[:n_loc], trial[n_loc:], L_new, True
-            score_new = _score_norm(*_analytic_scores(design, trial[:n_loc],
-                                                      trial[n_loc:], lam))
-            if L_new >= L_cur - noise and score_new <= 0.5 * score_cur:
+            # a trial's score is computed only within the noise allowance
+            if L_new >= L_cur - noise and _score_norm(*_analytic_scores(
+                    design, trial[:n_loc], trial[n_loc:], lam)) <= 0.5 * score_cur:
                 return trial[:n_loc], trial[n_loc:], L_new, True
         t *= 0.5
     return th_loc, th_disp, L_cur, False

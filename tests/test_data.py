@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -146,6 +147,30 @@ class TestParse:
         text = records_to_csv(recs)
         assert text.split("\n")[2] == "male,plain,45,49,2001,4,200.0"
         assert rows(parse_mortality_csv(text)) == rows(recs)
+
+
+    def test_lines_count_line_breaks_inside_quoted_fields(self):
+        # each record spans two lines; an error names the line its record
+        # starts on, not the record's number, and a blank line counts too
+        text = ('sex,site,age_lo,age_hi,year,deaths,population\n'
+                'female,"lung\nupper",40,44,2000,3,100.5\n'
+                'female,"lung\nupper",45,49,2000,-3,100.5\n')
+        with pytest.raises(DataValidationError, match="^line 4: negative death count -3$"):
+            parse_mortality_csv(text)
+        with pytest.raises(DataFormatError, match="^line 7: expected 7 fields, got 6$"):
+            parse_mortality_csv(text.replace(",-3,", ",3,") + '\nfemale,"a\nb",40,44,2000,3\n')
+        with pytest.raises(DataValidationError, match="^line 6: non-numeric deaths 'x'$"):
+            parse_mortality_csv(text.replace(",-3,", ",3,") + "female,c,40,44,2000,x,1\n")
+
+    @pytest.mark.parametrize("site", [" lung ", "lung\t", "\nlung"])
+    def test_site_with_outer_whitespace_is_refused(self, site):
+        # a CSV field reads back stripped, so such a site would not round-trip
+        with pytest.raises(DataValidationError,
+                           match=f"^site {re.escape(repr(site))} has leading or trailing "
+                                 "whitespace$"):
+            columns(("female", "x", 40, 44, 2000, 3, 100.5),
+                    ("female", site, 40, 44, 2000, 3, 100.5))
+        assert columns(("female", "lung upper", 40, 44, 2000, 3, 100.5)).site == ("lung upper",)
 
 
 def row_csv(age_lo="40", age_hi="44", year="2001", deaths="12", population="51000"):

@@ -1,6 +1,8 @@
 """Envelopes, model comparison, and component-curve export."""
 
 import gc
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +62,18 @@ def ptable():
 @pytest.fixture(scope="module")
 def pfit(ptable):
     return fit_poisson(ptable, ("intercept", "age", "period"))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count that sizes the replicate pool; 1 runs replicates
+    in this process, where a test's recorders see them."""
+    return lambda n: monkeypatch.setattr(diagnostics, "_cpu_count", lambda: n)
+
+
+@pytest.fixture
+def in_process(cpus):
+    cpus(1)
 
 
 class TestReferenceQuantiles:
@@ -257,6 +271,7 @@ def test_fit_and_envelope_leave_no_cyclic_garbage(gen, sfit, ltable):
         gc.enable()
 
 
+@pytest.mark.usefixtures("in_process")
 class TestEnvelopeRefitDesign:
     """Envelope refits reuse the fitted design: only the response changes."""
 
@@ -349,6 +364,113 @@ class TestEnvelopeRefitDesign:
         env = simulated_envelope(sfit, ltable, "location", m_sims=3, seed=2)
         assert env.n_failures == 0
         assert calls == []
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def envelope_outcome(fit_result, table, kind, **kwargs):
+    """Every array of the envelope by its bytes, with its counts; or the
+    class and text of the error it raised."""
+    try:
+        env = simulated_envelope(fit_result, table, kind, **kwargs)
+    except EnvelopeError as exc:
+        return type(exc), str(exc)
+    return ([getattr(env, name).tobytes()
+             for name in ("ordered_residuals", "ref_quantiles", "band_lo", "band_hi")],
+            env.outside_count, env.n_failures)
+
+
+class TestReplicatePool:
+    """Replicates on two forked workers give the in-process result, bit for
+    bit, and leave no child process behind."""
+
+    @pytest.mark.parametrize("kind", ["location", "dispersion"])
+    @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.label())
+    def test_pooled_envelope_is_byte_identical(self, gen, kind, sfit, ltable, cpus):
+        f = fit(replace(sfit.spec, generator=gen), ltable)
+        cpus(1)
+        serial = envelope_outcome(f, ltable, kind, m_sims=9, seed=5)
+        cpus(2)
+        assert envelope_outcome(f, ltable, kind, m_sims=9, seed=5) == serial
+        assert_no_child_left()
+
+    def test_pooled_poisson_envelope_is_byte_identical(self, pfit, ptable, cpus):
+        cpus(1)
+        serial = envelope_outcome(pfit, ptable, "deviance", m_sims=9, seed=4)
+        cpus(2)
+        assert envelope_outcome(pfit, ptable, "deviance", m_sims=9, seed=4) == serial
+        assert_no_child_left()
+
+    def test_retries_and_failures_keep_their_order(self, pfit, ptable, cpus, monkeypatch):
+        # a replicate whose derived stream draws below 0.3 after its refit
+        # fails: some succeed on the retry, two fail twice
+        real = diagnostics._simulate_and_refit
+
+        def flaky(fit_result, kind, rng):
+            out = real(fit_result, kind, rng)
+            if rng.random() < 0.3:
+                raise ValueError("flaky replicate")
+            return out
+
+        monkeypatch.setattr(diagnostics, "_simulate_and_refit", flaky)
+        cpus(1)
+        serial = envelope_outcome(pfit, ptable, "deviance", m_sims=20, seed=0)
+        assert serial[2] == 2
+        cpus(2)
+        assert envelope_outcome(pfit, ptable, "deviance", m_sims=20, seed=0) == serial
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failed_refits_fail_the_envelope_on_both_paths(self, n_cpus, sfit, ltable, cpus):
+        cpus(n_cpus)
+        stopped = replace(sfit, spec=replace(sfit.spec, max_outer=1))
+        with pytest.raises(EnvelopeError, match="5 of 5"):
+            simulated_envelope(stopped, ltable, "location", m_sims=5, seed=3)
+        assert_no_child_left()
+
+    def test_worker_error_reaches_the_caller(self, sfit, ltable, cpus, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("replicate broke")
+
+        cpus(2)
+        monkeypatch.setattr(diagnostics, "_simulate_and_refit", broken)
+        with pytest.raises(RuntimeError, match="^replicate broke$") as info:
+            simulated_envelope(sfit, ltable, "location", m_sims=6, seed=3)
+        assert info.type is RuntimeError
+        assert_no_child_left()
+
+    def test_daemonic_process_runs_replicates_itself(self, pfit, ptable, cpus):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        cpus(1)
+        serial = envelope_outcome(pfit, ptable, "deviance", m_sims=6, seed=4)
+        cpus(2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply(envelope_outcome, (pfit, ptable, "deviance"),
+                             dict(m_sims=6, seed=4))
+        finally:
+            pool.close()
+            pool.join()
+        assert got == serial
+        assert_no_child_left()
+
+    def test_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert diagnostics._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert diagnostics._cpu_count() == 1
+
+    def test_one_replicate_runs_in_process(self, cpus):
+        # a pool is never larger than the replicate count
+        cpus(2)
+        seen = []
+        assert diagnostics._map_in_order(lambda i: seen.append(i) or -i, 1) == [0]
+        assert seen == [0]
+        assert diagnostics._map_in_order(lambda i: os.getpid() + i, 4)[0] != os.getpid()
+        assert_no_child_left()
 
 
 class TestCurves:
@@ -463,6 +585,7 @@ class TestPoissonReplicate:
         for name in ("deviance", "loglik", "aic", "iterations", "converged", "cell_keys"):
             assert getattr(refit, name) == getattr(fresh, name), name
 
+    @pytest.mark.usefixtures("in_process")
     def test_no_design_build_or_rank_check(self, pfit, ptable, monkeypatch):
         calls = {"parametric_design": 0, "check_full_rank": 0}
 

@@ -778,6 +778,29 @@ class TestBatchedStencil:
         assert (grad_norm <= logsym_fit.GRAD_NORM_BOUND) is converged
 
 
+class TestPolishStep:
+    @pytest.mark.parametrize("drop, scored, accepted", [(1.0, 0, False), (0.0, 0, True),
+                                                        (1e-13, 1, True)],
+                             ids=["rejected", "objective-accepts", "within-noise"])
+    def test_trial_scored_only_within_the_noise_allowance(self, drop, scored, accepted,
+                                                          logsym_table, monkeypatch):
+        # a trial whose objective falls short by more than the allowance, or
+        # that the objective alone accepts, computes no score
+        spec = plain_spec()
+        design, lam = _design_and_lam(spec, logsym_table)
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        L = logsym_fit._eval_objective(design, th_loc, th_disp, lam)
+        s_loc, s_disp = logsym_fit._analytic_scores(design, th_loc, th_disp, lam)
+        scores = []
+        real = logsym_fit._analytic_scores
+        monkeypatch.setattr(logsym_fit, "_eval_objective", lambda *args: L - drop)
+        monkeypatch.setattr(logsym_fit, "_analytic_scores",
+                            lambda *args: scores.append(args) or real(*args))
+        *_, ok = logsym_fit._newton_polish_step(design, th_loc, th_disp, lam, L, 0,
+                                                s_loc, s_disp)
+        assert (len(scores), ok) == (scored, accepted)
+
+
 class TestSelectionLog:
     SELECT_GRID = tuple(np.geomspace(1e-1, 1e5, 7))
 

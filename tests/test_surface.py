@@ -15,7 +15,7 @@ from pathlib import Path
 
 import logsymrate
 
-from .test_cli import BREAST_DOC, TRUTH_DOC
+from .test_cli import BREAST_DOC, POISSON_DOC, TRUTH_DOC
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -91,3 +91,24 @@ def test_only_a_contaminated_normal_loads_scipy_integrate(tmp_path):
     # integrate.quad's kappa for these weights, pinned to the bit
     assert run_fresh(script, str(truth), str(spec), str(tmp_path / "out")) == \
         [False, True, "0x1.7593ca463cf56p-2"]
+
+
+def test_fit_compare_and_curves_leave_the_process_pool_unloaded(tmp_path):
+    # multiprocessing is imported inside the envelope's replicate map, and
+    # only when more than one CPU is usable; scipy.special already loads
+    # concurrent.futures itself, but not its process pool
+    docs = {"truth": TRUTH_DOC, "spec": BREAST_DOC, "poisson": POISSON_DOC}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    script = ("import json, sys\n"
+              "from logsymrate.cli import main\n"
+              "d = sys.argv[1]\n"
+              "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+              "common = ['--input', d + '/sim/simulated.csv', '--spec', d + '/spec.json']\n"
+              "assert main(['simulate', '--spec', d + '/truth.json', '--out', d + '/sim']) == 0\n"
+              "assert main(['fit', *common, '--out', d + '/fit']) == 0\n"
+              "assert main(['compare', *common, '--spec2', d + '/poisson.json',\n"
+              "             '--out', d + '/cmp']) == 0\n"
+              "assert main(['curves', *common, '--out', d + '/cur']) == 0\n"
+              "print(json.dumps([m for m in pool if m in sys.modules]))\n")
+    assert run_fresh(script, str(tmp_path)) == []
