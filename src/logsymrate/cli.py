@@ -97,8 +97,8 @@ def _print_fit_summary(fit_result, table) -> None:
     summary = diagnostics._summarize(fit_result, table, fit_result.label)
     print(f"model: {summary.label}")
     print(f"{'coefficient':<28}{'Estimate':>14}{'Std.Err':>12}")
-    for name, est, se in summary.coefficients:
-        print(f"{name:<28}{est:>14.5g}{se:>12.4g}")
+    for c in summary.coefficients:
+        print(f"{c['name']:<28}{c['estimate']:>14.5g}{c['std_err']:>12.4g}")
     for label, term in summary.terms.items():
         print(f"{label:<28}lambda {term['lambda']:>10.4g}  edf {term['edf']:.3f}")
     if isinstance(fit_result, LogSymFit):

@@ -356,19 +356,26 @@ def observed_log_rates(table: ObservationTable) -> np.ndarray:
     return table.log_t - table.log_pop
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest string that round-trips the double exactly
-    return repr(float(x))
+def _fmt_column(values) -> Iterable[str]:
+    """The text of each number in ``values`` as a double: repr gives the
+    shortest string that round-trips it exactly."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of str fields, each line ended by a
+    line feed. A field holding a comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def records_to_csv(records: MortalityColumns) -> str:
     """Serialize raw records to the mortality CSV schema: ``str`` of each
-    whole number and ``repr`` of each population, so it reads back exactly.
-    A field holding a comma, a quote or a line break is quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MORTALITY_HEADER)
-    writer.writerows(zip(records.sex, records.site,
-                         *(map(str, getattr(records, name).tolist()) for name in _WHOLE_FIELDS),
-                         map(_fmt, records.population.tolist())))
-    return out.getvalue()
+    whole number and ``repr`` of each population, so it reads back exactly."""
+    return _csv_text(MORTALITY_HEADER, zip(
+        records.sex, records.site,
+        *(map(str, getattr(records, name).tolist()) for name in _WHOLE_FIELDS),
+        _fmt_column(records.population)))

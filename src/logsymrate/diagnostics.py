@@ -14,13 +14,13 @@ was made on: its cell keys and its response must match the fit's.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
 from scipy import special
 
-from .data_ingest import ObservationTable, _fmt, _logs, observed_log_rates
+from .data_ingest import ObservationTable, _csv_text, _fmt_column, _logs, observed_log_rates
 from .data_ingest import make_cell  # noqa: F401  unused; perfbench/tracer.py hooks this name
 from .errors import (
     ComparisonError,
@@ -168,6 +168,9 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     m_sims = _whole(m_sims, "m_sims")
     if m_sims < 1:
         raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise SpecificationError(f"seed must be >= 0, got {seed}")
     _check_fitted_on(fit_result, table)
     observed = np.sort(_fit_residuals(fit_result, kind))
     n = len(observed)
@@ -223,15 +226,18 @@ def model_fitted_log_rate(fit_result, table: ObservationTable) -> np.ndarray:
 
 @dataclass
 class ModelSummary:
+    """One model's entry in ``comparison.json``, whose keys follow the field
+    order. ``aic_jacobian`` is None for a Poisson model."""
+
     label: str
     kind: str
     family: str
     aic: float
+    aic_jacobian: Union[float, None]
     rho: float
     converged: bool
-    coefficients: list  # (name, estimate, std_err)
+    coefficients: list  # {"name": .., "estimate": .., "std_err": ..}
     terms: dict         # label -> {"lambda": .., "edf": ..}
-    aic_jacobian: Union[float, None] = None
 
 
 @dataclass
@@ -242,56 +248,27 @@ class ComparisonReport:
     n_cells: int
 
     def to_dict(self) -> dict:
-        return {
-            "models": [
-                {
-                    "label": m.label,
-                    "kind": m.kind,
-                    "family": m.family,
-                    "aic": m.aic,
-                    "aic_jacobian": m.aic_jacobian,
-                    "rho": m.rho,
-                    "converged": m.converged,
-                    "coefficients": [
-                        {"name": n, "estimate": e, "std_err": s}
-                        for (n, e, s) in m.coefficients
-                    ],
-                    "terms": {
-                        lab: {"lambda": d["lambda"], "edf": d["edf"]}
-                        for lab, d in m.terms.items()
-                    },
-                }
-                for m in self.models
-            ],
-            "preferred": self.preferred,
-            "scale_caveat": self.scale_caveat,
-            "n_cells": self.n_cells,
-        }
+        return asdict(self)
 
 
-def _summarize(fit_result, table: ObservationTable, label: str) -> ModelSummary:
-    rho = log_rate_correlation(model_fitted_log_rate(fit_result, table), table)
-    if isinstance(fit_result, LogSymFit):
-        coefs = [(f"location:{n}", float(e), float(s)) for n, e, s in
-                 zip(fit_result.beta_names, fit_result.beta, fit_result.beta_se)]
-        coefs += [(f"dispersion:{n}", float(e), float(s)) for n, e, s in
-                  zip(fit_result.gamma_names, fit_result.gamma, fit_result.gamma_se)]
-        terms = {
-            lab: {"lambda": float(fit_result.lam[lab]), "edf": float(fit_result.edf[lab])}
-            for lab in fit_result.lam
-        }
-        return ModelSummary(
-            label=label, kind="logsym", family=fit_result.spec.generator.label(),
-            aic=float(fit_result.aic), rho=rho, converged=fit_result.converged,
-            coefficients=coefs, terms=terms,
-            aic_jacobian=float(fit_result.aic_jacobian),
-        )
-    coefs = [(n, float(e), float(s)) for n, e, s in
-             zip(fit_result.covariates, fit_result.beta, fit_result.se)]
+def _summarize(f, table: ObservationTable, label: str) -> ModelSummary:
+    rho = log_rate_correlation(model_fitted_log_rate(f, table), table)
+    if isinstance(f, LogSymFit):
+        coefs = [(f"location:{n}", e, s) for n, e, s in zip(f.beta_names, f.beta, f.beta_se)]
+        coefs += [(f"dispersion:{n}", e, s) for n, e, s in
+                  zip(f.gamma_names, f.gamma, f.gamma_se)]
+        kind, family, aic_jacobian = "logsym", f.spec.generator.label(), float(f.aic_jacobian)
+        terms = {lab: {"lambda": float(f.lam[lab]), "edf": float(f.edf[lab])} for lab in f.lam}
+    else:
+        coefs = zip(f.covariates, f.beta, f.se)
+        kind = family = "poisson"
+        aic_jacobian, terms = None, {}
     return ModelSummary(
-        label=label, kind="poisson", family="poisson",
-        aic=float(fit_result.aic), rho=rho, converged=fit_result.converged,
-        coefficients=coefs, terms={},
+        label=label, kind=kind, family=family, aic=float(f.aic), aic_jacobian=aic_jacobian,
+        rho=rho, converged=f.converged,
+        coefficients=[{"name": n, "estimate": float(e), "std_err": float(s)}
+                      for n, e, s in coefs],
+        terms=terms,
     )
 
 
@@ -357,28 +334,19 @@ def all_component_curves(fit_result: LogSymFit, grid_size: int = 200) -> list:
 
 
 def envelope_to_csv(res: EnvelopeResult) -> str:
-    lines = ["order_index,ref_quantile,residual,band_lo,band_hi"]
-    for i in range(len(res.ordered_residuals)):
-        lines.append(",".join([
-            str(i + 1), _fmt(res.ref_quantiles[i]), _fmt(res.ordered_residuals[i]),
-            _fmt(res.band_lo[i]), _fmt(res.band_hi[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+    columns = (res.ref_quantiles, res.ordered_residuals, res.band_lo, res.band_hi)
+    return _csv_text(["order_index", "ref_quantile", "residual", "band_lo", "band_hi"],
+                     zip(map(str, range(1, len(res.ordered_residuals) + 1)),
+                         *map(_fmt_column, columns)))
 
 
 def curves_to_csv(curves: list) -> str:
-    lines = ["term,covariate,value"]
-    for label, grid, vals in curves:
-        for x, v in zip(grid, vals):
-            lines.append(f"{label},{_fmt(x)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(["term", "covariate", "value"],
+                     ((label, x, v) for label, grid, vals in curves
+                      for x, v in zip(_fmt_column(grid), _fmt_column(vals))))
 
 
 def scatter_to_csv(table: ObservationTable, fitted_log_rates) -> str:
-    observed = observed_log_rates(table)
-    fitted = np.asarray(fitted_log_rates, dtype=float)
-    lines = ["age_mid,period_mid,observed_log_rate,fitted_log_rate"]
-    for row in zip(table.age.tolist(), table.period.tolist(), observed.tolist(),
-                   fitted.tolist()):
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    columns = (table.age, table.period, observed_log_rates(table), fitted_log_rates)
+    return _csv_text(["age_mid", "period_mid", "observed_log_rate", "fitted_log_rate"],
+                     zip(*map(_fmt_column, columns)))

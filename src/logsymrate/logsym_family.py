@@ -28,7 +28,11 @@ from scipy import special
 
 from .errors import SpecificationError
 
-FAMILIES = ("normal", "student", "powerexp", "contnormal")
+# The shape parameters each family takes, in label and spec-document order.
+# A family's label, its spec document and the check that it is given exactly
+# these parameters all read this table.
+FAMILY_PARAMS = {"normal": (), "student": ("nu",), "powerexp": ("zeta",),
+                 "contnormal": ("nu1", "nu2")}
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -42,38 +46,37 @@ class GeneratorSpec:
     nu2: Union[float, None] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise SpecificationError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {self.family!r}; expected one of {tuple(FAMILY_PARAMS)}"
             )
+        takes = FAMILY_PARAMS[self.family]
         for name in ("nu", "zeta", "nu1", "nu2"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not math.isfinite(value)):
+            if value is None:
+                if name in takes:
+                    raise SpecificationError(f"{self.family} family needs {name}")
+            elif name not in takes:
+                raise SpecificationError(f"{self.family} family takes no {name}, got {value!r}")
+            elif isinstance(value, bool) or not math.isfinite(value):
                 raise SpecificationError(f"family {name} must be a finite number, got {value!r}")
-        if self.family == "student":
-            if self.nu is None or not self.nu > 0:
-                raise SpecificationError(f"student family needs nu > 0, got {self.nu}")
-        elif self.family == "powerexp":
-            if self.zeta is None or not (-1.0 < self.zeta <= 1.0):
-                raise SpecificationError(
-                    f"powerexp family needs zeta in (-1, 1], got {self.zeta}"
-                )
-        elif self.family == "contnormal":
-            if self.nu1 is None or self.nu2 is None:
-                raise SpecificationError("contnormal family needs both nu1 and nu2")
+        if self.family == "student" and not self.nu > 0:
+            raise SpecificationError(f"student family needs nu > 0, got {self.nu}")
+        if self.family == "powerexp" and not -1.0 < self.zeta <= 1.0:
+            raise SpecificationError(f"powerexp family needs zeta in (-1, 1], got {self.zeta}")
+        if self.family == "contnormal":
             if not (0.0 <= self.nu1 <= 1.0):
                 raise SpecificationError(f"contnormal nu1 must be in [0, 1], got {self.nu1}")
             if not self.nu2 > 0:
                 raise SpecificationError(f"contnormal nu2 must be positive, got {self.nu2}")
 
+    def params(self) -> dict:
+        """The family's shape parameters by name, in ``FAMILY_PARAMS`` order."""
+        return {name: getattr(self, name) for name in FAMILY_PARAMS[self.family]}
+
     def label(self) -> str:
-        if self.family == "student":
-            return f"student(nu={self.nu:g})"
-        if self.family == "powerexp":
-            return f"powerexp(zeta={self.zeta:g})"
-        if self.family == "contnormal":
-            return f"contnormal(nu1={self.nu1:g}, nu2={self.nu2:g})"
-        return "normal"
+        args = ", ".join(f"{name}={value:g}" for name, value in self.params().items())
+        return f"{self.family}({args})" if args else self.family
 
 
 def normal_spec() -> GeneratorSpec:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, SpecificationError
-from .logsym_family import GeneratorSpec
+from .logsym_family import FAMILY_PARAMS, GeneratorSpec
 from .logsym_fit import LogSymFit, ModelSpec, SubmodelSpec
 from .poisson_glm import PoissonFit
 from .spline_bases import SplineTerm
@@ -120,8 +120,10 @@ def _flag(doc: dict, key: str, what: str) -> bool:
 
 
 def _whole(value, what: str) -> int:
-    """A count field as int: a boolean or a fraction is rejected, and a
-    non-number is a conversion error for _parses."""
+    """A count or seed field as int: a boolean or a fraction is rejected, an
+    int is kept exactly, and a non-number is a conversion error for _parses."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     number = float(value)
     if isinstance(value, bool) or not number.is_integer():
         raise SpecificationError(f"{what} must be a whole number, got {value!r}")
@@ -131,22 +133,12 @@ def _whole(value, what: str) -> int:
 def _parse_family(doc) -> GeneratorSpec:
     if not isinstance(doc, dict) or "name" not in doc:
         raise SpecificationError('family must be an object with a "name"')
-    name = doc["name"]
-    _check_keys(doc, {"name", "nu", "zeta", "nu1", "nu2"}, "family")
-    return GeneratorSpec(family=name, nu=doc.get("nu"), zeta=doc.get("zeta"),
-                         nu1=doc.get("nu1"), nu2=doc.get("nu2"))
+    _check_keys(doc, {"name"}.union(*FAMILY_PARAMS.values()), "family")
+    return GeneratorSpec(doc["name"], **{key: v for key, v in doc.items() if key != "name"})
 
 
 def _family_to_dict(gen: GeneratorSpec) -> dict:
-    out = {"name": gen.family}
-    if gen.family == "student":
-        out["nu"] = gen.nu
-    elif gen.family == "powerexp":
-        out["zeta"] = gen.zeta
-    elif gen.family == "contnormal":
-        out["nu1"] = gen.nu1
-        out["nu2"] = gen.nu2
-    return out
+    return {"name": gen.family, **gen.params()}
 
 
 def _parse_term(doc) -> SplineTerm:

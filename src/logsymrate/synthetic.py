@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data_ingest import MortalityColumns, ObservationTable, TableMeta
+from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT
 from .errors import DataValidationError, SpecificationError
 from .logsym_family import GeneratorSpec, sample_with_rng
 
@@ -56,6 +56,15 @@ class TruthSpec:
             )
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
+        if not callable(self.population) and not np.isscalar(self.population):
+            try:
+                shape = np.asarray(self.population, dtype=float).shape
+            except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+                shape = None
+            if shape != (len(ages), len(periods)):
+                raise SpecificationError(
+                    f"population table must be {len(ages)} x {len(periods)} "
+                    f"(ages x periods), got shape {shape}")
 
     def grid(self):
         """Cells in table order: (age, period) pairs sorted lexicographically."""
@@ -81,8 +90,7 @@ class TruthSpec:
         elif np.isscalar(self.population):
             pop = np.full(len(self.grid()), float(self.population))
         else:
-            pop = np.asarray(self.population, dtype=float).reshape(
-                len(self.ages), len(self.periods)).ravel()
+            pop = np.asarray(self.population, dtype=float).ravel()
         if np.any(~(pop > 0)):
             raise SpecificationError("population surface must be positive")
         return pop
@@ -116,12 +124,21 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
     continuous t_value is kept unless round_counts is set, and deaths_raw
     is always the rounded value.
     """
+    from .specio import _whole  # specio imports this module
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise SpecificationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grid = truth.grid()
     log_rate = truth.log_rate_surface()
     pop = truth.population_surface()
     meta = TableMeta(sex=truth.sex, site=truth.site)
-    expected = pop * np.exp(log_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = pop * np.exp(log_rate)
+    if not np.all(expected < _WHOLE_LIMIT):
+        raise SpecificationError(
+            f"expected deaths must be finite and below {_WHOLE_LIMIT:.0e} (the digit limit "
+            f"of a record), got {expected.max()}; check the log-rate surface and population")
 
     if truth.noise == "poisson_counts":
         phi = None
@@ -131,7 +148,8 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
         phi = truth.phi_surface()
         eps = sample_with_rng(truth.generator, len(grid), rng)
         y = np.log(pop) + log_rate + np.sqrt(phi) * eps
-        t = np.exp(y)
+        with np.errstate(over="ignore"):
+            t = np.exp(y)
         if not np.all(np.isfinite(t)):
             raise SpecificationError("simulated response overflowed; check phi and the surface")
         deaths = np.rint(t)

@@ -321,6 +321,46 @@ class TestCompare:
         assert "model 2" in capsys.readouterr().err
 
 
+POISSON_TRUTH = dict(TRUTH_DOC, noise={"kind": "poisson_counts"})
+
+INPUT_ERRORS = [
+    ("fit", dict(LOGSYM_DOC, family={"name": "normal", "nu": 5}), [],
+     "normal family takes no nu, got 5"),
+    ("fit", dict(LOGSYM_DOC, family={"name": "student", "nu": 5, "zeta": 0.4}), [],
+     "student family takes no zeta, got 0.4"),
+    ("simulate", TRUTH_DOC, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("envelope", POISSON_DOC, ["--seed", "-5", "--m-sims", "10"], "seed must be >= 0, got -5"),
+    ("envelope", LOGSYM_DOC, ["--seed", "-100", "--m-sims", "10"],
+     "seed must be >= 0, got -100"),
+    ("simulate", dict(TRUTH_DOC, population=[[1e5, 1e5], [1e5, 1e5]]), [],
+     "population table must be 6 x 4 (ages x periods), got shape (2, 2)"),
+    ("simulate", dict(TRUTH_DOC, population=[[1e5] * 4] * 5 + [[1e5] * 3]), [],
+     "population table must be 6 x 4 (ages x periods), got shape None"),
+    ("simulate", dict(TRUTH_DOC, log_rate={"beta0": 1000.0}), [],
+     "expected deaths must be finite and below 1e+18"),
+    ("simulate", dict(POISSON_TRUTH, log_rate={"beta0": 1000.0}), [],
+     "expected deaths must be finite and below 1e+18"),
+    ("simulate", dict(POISSON_TRUTH, log_rate={"beta0": 40.0}), [],
+     "expected deaths must be finite and below 1e+18"),
+]
+
+
+@pytest.mark.parametrize("command, doc, flags, message", INPUT_ERRORS, ids=[
+    "fit-normal-nu", "fit-student-zeta", "simulate-seed", "envelope-seed-poisson",
+    "envelope-seed-logsym", "population-2x2", "population-ragged", "overflow-logsym",
+    "overflow-poisson", "lambda-too-large-poisson"])
+def test_input_error_exits_2_naming_it(workspace, capsys, tmp_path, command, doc, flags,
+                                       message):
+    # each of these used to raise a bare ValueError, warn, or go on quietly
+    args = [command, "--spec", write_doc(tmp_path / "doc.json", doc), "--out", str(tmp_path)]
+    if command != "simulate":
+        args += ["--input", workspace["input"]]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "envelope.csv").exists() and not (tmp_path / "simulated.csv").exists()
+
+
 class TestEnvelope:
     def test_deterministic_csv(self, workspace):
         root = workspace["root"]

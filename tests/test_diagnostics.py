@@ -1,6 +1,7 @@
 """Envelopes, model comparison, and component-curve export."""
 
 import gc
+import math
 import multiprocessing
 import os
 from dataclasses import replace
@@ -16,6 +17,7 @@ from logsymrate import (
     SubmodelSpec,
     all_component_curves,
     compare_models,
+    dump_json,
     export_component_curves,
     fit,
     fit_poisson,
@@ -26,7 +28,9 @@ from logsymrate import (
     spec_with_lambdas,
 )
 from logsymrate import diagnostics, logsym_fit, poisson_glm
+from logsymrate.data_ingest import observed_log_rates
 from logsymrate.diagnostics import (
+    EnvelopeResult,
     curves_to_csv,
     envelope_to_csv,
     model_fitted_log_rate,
@@ -164,6 +168,20 @@ class TestEnvelope:
     def test_m_sims_must_be_a_positive_whole_number(self, lfit, ltable, m_sims):
         with pytest.raises(SpecificationError, match="^m_sims must be"):
             simulated_envelope(lfit, ltable, "location", m_sims=m_sims, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, -100, 1.5, True])
+    def test_seed_must_be_a_nonnegative_whole_number(self, pfit, ptable, seed, in_process,
+                                                     monkeypatch):
+        # a negative seed would draw replicate i from another replicate's
+        # retry seed, or fail every draw as a refit failure
+        monkeypatch.setattr(diagnostics, "_simulate_and_refit", None)
+        with pytest.raises(SpecificationError, match="^seed must be"):
+            simulated_envelope(pfit, ptable, "deviance", m_sims=10, seed=seed)
+
+    def test_whole_float_seed_is_the_int_seed(self, pfit, ptable):
+        a = simulated_envelope(pfit, ptable, "deviance", m_sims=5, seed=4)
+        b = simulated_envelope(pfit, ptable, "deviance", m_sims=5, seed=4.0)
+        assert envelope_to_csv(a) == envelope_to_csv(b) and b.seed == 4
 
 
 class TestCorrelation:
@@ -570,6 +588,115 @@ class TestCsvWriters:
         lines = text.strip().split("\n")
         assert lines[0] == "age_mid,period_mid,observed_log_rate,fitted_log_rate"
         assert len(lines) == len(ptable) + 1
+
+
+# The line-joining writers that the CSV payloads had before they shared
+# data_ingest._csv_text: references for the byte-for-byte tests below.
+def _fmt(x):
+    return repr(float(x))
+
+
+def envelope_to_csv_joined(res):
+    lines = ["order_index,ref_quantile,residual,band_lo,band_hi"]
+    for i in range(len(res.ordered_residuals)):
+        lines.append(",".join([
+            str(i + 1), _fmt(res.ref_quantiles[i]), _fmt(res.ordered_residuals[i]),
+            _fmt(res.band_lo[i]), _fmt(res.band_hi[i]),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def curves_to_csv_joined(curves):
+    lines = ["term,covariate,value"]
+    for label, grid, vals in curves:
+        for x, v in zip(grid, vals):
+            lines.append(f"{label},{_fmt(x)},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def scatter_to_csv_joined(table, fitted_log_rates):
+    observed = observed_log_rates(table)
+    fitted = np.asarray(fitted_log_rates, dtype=float)
+    lines = ["age_mid,period_mid,observed_log_rate,fitted_log_rate"]
+    for row in zip(table.age.tolist(), table.period.tolist(), observed.tolist(),
+                   fitted.tolist()):
+        lines.append(",".join(_fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def report_to_dict_by_hand(report):
+    """The field-by-field copy that ComparisonReport.to_dict was before it
+    became dataclasses.asdict."""
+    return {
+        "models": [
+            {
+                "label": m.label,
+                "kind": m.kind,
+                "family": m.family,
+                "aic": m.aic,
+                "aic_jacobian": m.aic_jacobian,
+                "rho": m.rho,
+                "converged": m.converged,
+                "coefficients": [
+                    {"name": c["name"], "estimate": c["estimate"], "std_err": c["std_err"]}
+                    for c in m.coefficients
+                ],
+                "terms": {
+                    lab: {"lambda": d["lambda"], "edf": d["edf"]}
+                    for lab, d in m.terms.items()
+                },
+            }
+            for m in report.models
+        ],
+        "preferred": report.preferred,
+        "scale_caveat": report.scale_caveat,
+        "n_cells": report.n_cells,
+    }
+
+
+# values whose text is easy to get wrong: NaN, both infinities, a negative
+# zero, the smallest subnormal, and a double that needs 17 digits
+EDGE_VALUES = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2, -1.5e300])
+
+
+class TestArtifactBytes:
+    """comparison.json and the CSV payloads keep the bytes of the writers
+    they replaced."""
+
+    def test_envelope_csv(self, lfit, ltable, pfit, ptable):
+        n = len(EDGE_VALUES)
+        edge = EnvelopeResult(ordered_residuals=EDGE_VALUES, ref_quantiles=reference_quantiles(n),
+                              band_lo=EDGE_VALUES[::-1].copy(), band_hi=-EDGE_VALUES,
+                              outside_count=0, m_sims=1, level=0.95, seed=0, kind="location")
+        for env in (edge, simulated_envelope(lfit, ltable, "location", m_sims=5, seed=9),
+                    simulated_envelope(pfit, ptable, "deviance", m_sims=5, seed=9)):
+            assert envelope_to_csv(env) == envelope_to_csv_joined(env)
+
+    def test_curves_csv(self, sfit):
+        curves = all_component_curves(sfit, grid_size=50)
+        curves.append(("dispersion:psp(period)", EDGE_VALUES, EDGE_VALUES[::-1]))
+        assert curves_to_csv(curves) == curves_to_csv_joined(curves)
+
+    def test_scatter_csv(self, lfit, ltable, pfit, ptable):
+        fitted = np.resize(EDGE_VALUES, len(ltable))
+        for table, rates in ((ltable, fitted), (ltable, model_fitted_log_rate(lfit, ltable)),
+                             (ptable, model_fitted_log_rate(pfit, ptable))):
+            assert scatter_to_csv(table, rates) == scatter_to_csv_joined(table, rates)
+
+    def test_comparison_json(self, lfit, sfit, ltable):
+        pf = fit_poisson(ltable, ("intercept", "age", "period"))
+        reports = [compare_models(sfit, pf, ltable), compare_models(lfit, lfit, ltable),
+                   compare_models(pf, pf, ltable)]
+        assert [m.label for m in reports[1].models] == ["logsym-normal-1", "logsym-normal-2"]
+        assert reports[0].models[1].aic_jacobian is None
+        coefs = [{"name": f"location:x{i}", "estimate": float(e), "std_err": float(s)}
+                 for i, (e, s) in enumerate(zip(EDGE_VALUES, EDGE_VALUES[::-1]))]
+        edge = replace(reports[0].models[0], aic=math.inf, rho=-0.0, aic_jacobian=5e-324,
+                       coefficients=coefs,
+                       terms={"location:ncs(age)": {"lambda": math.nan, "edf": -math.inf}})
+        reports.append(replace(reports[0], models=(edge, reports[0].models[1])))
+        for report in reports:
+            assert dump_json(report.to_dict()) == dump_json(report_to_dict_by_hand(report))
 
 
 class TestPoissonReplicate:

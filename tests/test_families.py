@@ -275,6 +275,26 @@ class TestValidation:
         with pytest.raises(SpecificationError):
             GeneratorSpec(family="cauchy")
 
+    @pytest.mark.parametrize("kwargs, stray", [
+        ({"family": "normal", "nu": 5.0}, "nu"),
+        ({"family": "student", "nu": 5.0, "zeta": 0.4}, "zeta"),
+        ({"family": "powerexp", "zeta": 0.4, "nu1": 0.5}, "nu1"),
+        ({"family": "contnormal", "nu1": 0.1, "nu2": 0.3, "zeta": 0.0}, "zeta"),
+    ])
+    def test_parameter_of_another_family_rejected(self, kwargs, stray):
+        with pytest.raises(SpecificationError,
+                           match=f"^{kwargs['family']} family takes no {stray}, got "):
+            GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize("gen, label", [
+        (GeneratorSpec(family="normal"), "normal"),
+        (GeneratorSpec(family="student", nu=5.0), "student(nu=5)"),
+        (GeneratorSpec(family="powerexp", zeta=-0.4), "powerexp(zeta=-0.4)"),
+        (GeneratorSpec(family="contnormal", nu1=0.15, nu2=0.25), "contnormal(nu1=0.15, nu2=0.25)"),
+    ])
+    def test_label(self, gen, label):
+        assert gen.label() == label
+
 
 @settings(max_examples=60, deadline=None)
 @given(z=st.floats(-30, 30), nu=st.floats(0.6, 40))

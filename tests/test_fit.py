@@ -801,6 +801,28 @@ class TestPolishStep:
         assert (len(scores), ok) == (scored, accepted)
 
 
+    @pytest.mark.parametrize("fill", [np.nan, 0.0], ids=["non-finite-direction", "singular"])
+    def test_unusable_direction_falls_back_to_one_sweep(self, fill, logsym_table, monkeypatch):
+        # a NaN Hessian gives a NaN direction, a zero one a LinAlgError; either
+        # way the step is one location step and one dispersion step from here
+        spec = plain_spec(generator=GeneratorSpec(family="student", nu=5.0))
+        design, lam = _design_and_lam(spec, logsym_table)
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        L = logsym_fit._eval_objective(design, th_loc, th_disp, lam)
+        s_loc, s_disp = logsym_fit._analytic_scores(design, th_loc, th_disp, lam)
+        mu, logphi = logsym_fit._mu_phi(design, th_loc, th_disp)
+        loc, L_loc, mu, ok_l = logsym_fit._location_step(design, th_loc, th_disp, mu, logphi,
+                                                         lam, L, 4)
+        disp, L_disp, _, ok_d = logsym_fit._dispersion_step(design, loc, th_disp, mu, logphi,
+                                                            lam, L_loc, 4)
+        assert L_disp > L and (ok_l, ok_d) == (True, True)
+        n = len(s_loc) + len(s_disp)
+        monkeypatch.setattr(logsym_fit, "_observed_hessian", lambda *args: np.full((n, n), fill))
+        got = logsym_fit._newton_polish_step(design, th_loc, th_disp, lam, L, 4, s_loc, s_disp)
+        assert np.array_equal(got[0], loc) and np.array_equal(got[1], disp)
+        assert got[2:] == (L_disp, True)
+
+
 class TestSelectionLog:
     SELECT_GRID = tuple(np.geomspace(1e-1, 1e5, 7))
 

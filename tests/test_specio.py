@@ -1,7 +1,10 @@
 """JSON spec documents and deterministic serialization."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +28,23 @@ from logsymrate import (
     parse_truth_spec,
 )
 from logsymrate.errors import DataFormatError, SpecificationError
+from logsymrate.logsym_family import FAMILY_PARAMS
+from logsymrate.specio import _family_to_dict, _whole
 
 from .conftest import plain_spec, small_logsym_table, small_poisson_table
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, imported for the duration of one test."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestJsonWriter:
@@ -203,6 +221,27 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match=f" {field} must be "):
             parse_model_spec(doc)
 
+    @pytest.mark.parametrize("family, stray", [
+        ({"name": "normal", "nu": 5}, "nu"),
+        ({"name": "student", "nu": 5, "zeta": 0.4}, "zeta"),
+        ({"name": "powerexp", "zeta": 0.4, "nu2": 1.0}, "nu2"),
+        ({"name": "contnormal", "nu1": 0.1, "nu2": 0.3, "nu": 2.0}, "nu"),
+    ], ids=["normal-nu", "student-zeta", "powerexp-nu2", "contnormal-nu"])
+    def test_parameter_of_another_family_rejected(self, family, stray):
+        # it used to be dropped without a word, from the fit and from fit.json
+        doc = dict(FULL_LOGSYM_DOC, family=family)
+        with pytest.raises(SpecificationError,
+                           match=f"^{family['name']} family takes no {stray}, got "):
+            parse_model_spec(doc)
+
+    def test_benchmark_family_documents_round_trip(self, workloads):
+        # so the check on stray parameters can never reject a benchmark spec
+        assert set(workloads.FAMILIES) == set(FAMILY_PARAMS)
+        for doc in workloads.FAMILIES.values():
+            spec = parse_model_spec(dict(FULL_LOGSYM_DOC, family=doc))
+            assert model_spec_to_dict(spec)["family"] == doc
+            assert _family_to_dict(spec.generator) == doc
+
     @pytest.mark.parametrize("basis_dim, diff_order, message", [
         (3, 2, "psp basis_dim 3 must exceed the degree 3"),
         (2, 1, "psp basis_dim 2 must exceed the degree 3"),
@@ -337,6 +376,23 @@ class TestTruthSpecs:
         with pytest.raises(SpecificationError, match=match):
             parse_truth_spec(doc)
 
+    @pytest.mark.parametrize("population, shape", [
+        ([[1e5, 1e5], [1e5, 1e5]], r"\(2, 2\)"),
+        ([[1e5] * 7] * 3, r"\(3, 7\)"),
+        ([[1e5] * 3] * 6 + [[1e5] * 2], "None"),
+    ], ids=["2x2", "transposed", "ragged"])
+    def test_population_table_must_match_the_grid(self, population, shape):
+        doc = dict(json.loads(json.dumps(TRUTH_DOC)), population=population)
+        with pytest.raises(SpecificationError,
+                           match=f"^population table must be 7 x 3 .*got shape {shape}$"):
+            parse_truth_spec(doc)
+
+    def test_noise_family_parameter_of_another_family_rejected(self):
+        doc = json.loads(json.dumps(TRUTH_DOC))
+        doc["noise"]["family"]["nu"] = 5
+        with pytest.raises(SpecificationError, match="^normal family takes no nu"):
+            parse_truth_spec(doc)
+
     def test_round_counts_flag(self):
         doc = json.loads(json.dumps(TRUTH_DOC))
         assert parse_truth_spec(doc).round_counts is False
@@ -374,6 +430,12 @@ def test_counts_must_be_whole_numbers(parse, doc, mutate, field):
     mutate(doc)
     with pytest.raises(SpecificationError, match=f"^{field} must be a whole number"):
         parse(doc)
+
+
+@pytest.mark.parametrize("value", [2 ** 60 + 1, np.int64(2 ** 62 + 1), 10 ** 30 + 1])
+def test_whole_keeps_an_int_exactly(value):
+    # through float, a seed above 2**53 would silently become another seed
+    assert _whole(value, "seed") == int(value)
 
 
 class TestFitSerialization:

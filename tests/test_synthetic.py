@@ -108,6 +108,39 @@ class TestSurfaces:
         with pytest.raises(SpecificationError):
             simulate_table(poisson_truth(population=-5.0), seed=0)
 
+    @pytest.mark.parametrize("population", [
+        ((1e5, 1e5), (1e5, 1e5)), ((1e5,) * 3,) * 3 + ((1e5,) * 2,), (1e5,) * 12,
+    ], ids=["2x2", "ragged", "flat"])
+    def test_population_table_must_match_the_grid(self, population):
+        with pytest.raises(SpecificationError, match="^population table must be 4 x 3 "):
+            poisson_truth(population=population)
+
+    @pytest.mark.parametrize("noise", [{}, {"noise": "logsym", "generator": normal_spec()}],
+                             ids=["poisson_counts", "logsym"])
+    @pytest.mark.parametrize("beta0, population", [(0.0, 1e18), (50.0, 1e5), (1e3, 1e5)],
+                             ids=["at-the-limit", "finite-past-it", "exp-overflows"])
+    def test_expected_deaths_must_fit_a_record(self, noise, beta0, population):
+        # a record holds at most 18 digits; tier-1 turns RuntimeWarning into
+        # an error, so an overflow warning would fail here too
+        truth = poisson_truth(beta0=beta0, beta_age=0.0, beta_period=0.0,
+                              population=population, **noise)
+        with pytest.raises(SpecificationError, match="^expected deaths must be finite and below"):
+            simulate_table(truth, seed=0)
+
+    def test_overflowing_logsym_response_raises_without_warning(self):
+        truth = poisson_truth(noise="logsym", generator=normal_spec(), phi=1e6)
+        with pytest.raises(SpecificationError, match="overflowed"):
+            simulate_table(truth, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_whole_number(self, seed):
+        with pytest.raises(SpecificationError, match="^seed must be"):
+            simulate_table(poisson_truth(), seed=seed)
+
+    def test_whole_float_seed_is_the_int_seed(self):
+        assert same_cells(simulate_table(poisson_truth(), seed=5.0).table,
+                          simulate_table(poisson_truth(), seed=5).table)
+
     def test_grids_sorted_and_deduped(self):
         truth = TruthSpec(ages=(50.0, 40.0, 50.0), periods=(2001.0, 2000.0),
                           beta0=-20.0, beta_age=0.06, beta_period=0.0055,
