@@ -112,17 +112,24 @@ class ModelSpec:
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
             raise SpecificationError("lambda_grid must hold positive finite values")
+        # JSON true is not the number 1, and "false" is not false
+        if not isinstance(self.jacobian_adjust, bool):
+            raise SpecificationError("logsym spec jacobian_adjust must be true or false, "
+                                     f"got {self.jacobian_adjust!r}")
         for name, value in (("tol_loglik", self.tol_loglik), ("tol_param", self.tol_param)):
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise SpecificationError(f"{name} must be positive and finite, got {value!r}")
         for name, low in (("max_outer", 1), ("max_halvings", 0)):
             value = getattr(self, name)
-            if not (float(value).is_integer() and value >= low):
+            if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
                 raise SpecificationError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.dispersion.use_offset:
-            raise SpecificationError("the dispersion submodel takes no offset")
         for name, sub in (("location", self.location), ("dispersion", self.dispersion)):
+            if not isinstance(sub.use_offset, bool):
+                raise SpecificationError(f"{name} submodel use_offset must be true or false, "
+                                         f"got {sub.use_offset!r}")
+            if name == "dispersion" and sub.use_offset:
+                raise SpecificationError("the dispersion submodel takes no offset")
             if "intercept" not in sub.covariates:
                 raise SpecificationError(f"{name} submodel must contain an intercept")
             if len(set(sub.covariates)) != len(sub.covariates):
@@ -448,15 +455,17 @@ def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
     ])
 
 
-def _halving_accept(evalf, th, direction, L_cur, pred, max_halvings):
-    """Backtrack along an ascent direction; never accept a decrease. Returns
-    (point, objective, the point's predictor, whether a trial was accepted)."""
+def _halving_accept(evalf, th, direction, L_cur, pred, max_halvings, near=None):
+    """Backtrack along an ascent direction; never accept a decrease, unless
+    ``near(trial, objective)`` accepts a trial the objective alone rejects.
+    Returns (point, objective, the point's predictor, whether a trial was
+    accepted)."""
     t = 1.0
     with np.errstate(**_QUIET):
         for _ in range(max_halvings + 1):
             trial = th + t * direction
             L_new, pred_new = evalf(trial)
-            if L_new >= L_cur:
+            if L_new >= L_cur or (near is not None and near(trial, L_new)):
                 return trial, L_new, pred_new, True
             t *= 0.5
     return th, L_cur, pred, False
@@ -513,10 +522,9 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     that is orders of magnitude below tol_loglik."""
     n_loc = design.loc.G.shape[1]
     score_cur = _score_norm(s_loc, s_disp)
-    s = np.concatenate([s_loc, s_disp])
     try:
         H = _observed_hessian(design, th_loc, th_disp, lam)
-        direction = _solve_equilibrated(H, s)
+        direction = _solve_equilibrated(H, np.concatenate([s_loc, s_disp]))
     except np.linalg.LinAlgError:
         direction = None
     if direction is None or not np.all(np.isfinite(direction)):
@@ -526,21 +534,17 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
         th_disp, L_cur, _, ok_d = _dispersion_step(design, th_loc, th_disp, mu, logphi,
                                                    lam, L_cur, max_halvings)
         return th_loc, th_disp, L_cur, ok_l or ok_d
-    stacked = np.concatenate([th_loc, th_disp])
     noise = 1e-11 * (1.0 + abs(L_cur))
-    t = 1.0
-    for _ in range(max_halvings + 1):
-        trial = stacked + t * direction
-        L_new = _eval_objective(design, trial[:n_loc], trial[n_loc:], lam)
-        if math.isfinite(L_new):
-            if L_new >= L_cur:
-                return trial[:n_loc], trial[n_loc:], L_new, True
-            # a trial's score is computed only within the noise allowance
-            if L_new >= L_cur - noise and _score_norm(*_analytic_scores(
-                    design, trial[:n_loc], trial[n_loc:], lam)) <= 0.5 * score_cur:
-                return trial[:n_loc], trial[n_loc:], L_new, True
-        t *= 0.5
-    return th_loc, th_disp, L_cur, False
+
+    def near(trial, L_new):
+        # a trial's score is computed only within the noise allowance
+        return L_new >= L_cur - noise and _score_norm(*_analytic_scores(
+            design, trial[:n_loc], trial[n_loc:], lam)) <= 0.5 * score_cur
+
+    point, L_new, _, ok = _halving_accept(
+        lambda trial: (_eval_objective(design, trial[:n_loc], trial[n_loc:], lam), None),
+        np.concatenate([th_loc, th_disp]), direction, L_cur, None, max_halvings, near)
+    return point[:n_loc], point[n_loc:], L_new, ok
 
 
 def _fd_partials(design: _Design, th_loc, th_disp, lam):

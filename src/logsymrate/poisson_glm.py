@@ -25,7 +25,7 @@ PARAMETRIC_COVARIATES = ("intercept", "age", "period")
 
 MAX_IRLS_ITER = 50
 REL_DEV_TOL = 1e-10
-# score polish target, well inside the 1e-6 * max(1, sum y) invariant
+# score stopping rule, well inside the 1e-6 * max(1, sum y) invariant
 SCORE_TOL_FACTOR = 1e-8
 
 
@@ -150,48 +150,33 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
     """Fit the counts ``y`` on a checked full-rank design ``X`` with log
     offset ``offset``; ``covariates`` and ``cell_keys`` label the result.
 
-    Converges on relative deviance change below 1e-10 (at most 50
-    iterations), then takes a few extra Newton steps so the score
-    equations X^T (y - mu) = 0 hold to far better than the documented
-    1e-6 * max(1, sum y) bound.
+    Stops, within 50 iterations, once the relative deviance change is
+    below 1e-10 and then the score X^T (y - mu) is within 1e-8 * max(1,
+    sum y), far inside the documented 1e-6 bound; ``converged`` says that
+    both rules held.
     """
     mu = y + 0.5
     eta = np.log(mu)
-    beta = np.zeros(X.shape[1])
     dev = _poisson_deviance(y, mu)
+    score_tol = SCORE_TOL_FACTOR * max(1.0, float(np.sum(y)))
     converged = False
-    iterations = 0
-    for _ in range(MAX_IRLS_ITER):
-        iterations += 1
+    for iterations in range(1, MAX_IRLS_ITER + 1):
         work = eta + (y - mu) / mu - offset
         H = X.T @ (mu[:, None] * X)
-        b = X.T @ (mu * work)
         try:
-            beta = _solve_equilibrated(H, b)
+            beta = _solve_equilibrated(H, X.T @ (mu * work))
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular IRLS equations: {exc}") from None
         eta = offset + X @ beta
         mu = np.exp(eta)
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
             raise RankDeficiencyError("IRLS produced non-finite fitted means")
-        dev_new = _poisson_deviance(y, mu)
-        if abs(dev_new - dev) < REL_DEV_TOL * (abs(dev) + REL_DEV_TOL):
-            dev = dev_new
+        dev, dev_old = _poisson_deviance(y, mu), dev
+        # the score is formed only once the deviance rule holds
+        if abs(dev - dev_old) < REL_DEV_TOL * (abs(dev_old) + REL_DEV_TOL) \
+                and np.max(np.abs(X.T @ (y - mu))) <= score_tol:
             converged = True
             break
-        dev = dev_new
-
-    # Newton polish of the raw score; same step form as IRLS.
-    score_tol = SCORE_TOL_FACTOR * max(1.0, float(np.sum(y)))
-    for _ in range(10):
-        score = X.T @ (y - mu)
-        if np.max(np.abs(score)) <= score_tol:
-            break
-        H = X.T @ (mu[:, None] * X)
-        beta = beta + _solve_equilibrated(H, score)
-        eta = offset + X @ beta
-        mu = np.exp(eta)
-    dev = _poisson_deviance(y, mu)
 
     Hs, d = _jacobi_scale(X.T @ (mu[:, None] * X))
     cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]

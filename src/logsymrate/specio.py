@@ -111,11 +111,11 @@ def _check_keys(doc: dict, allowed, what: str) -> None:
         raise SpecificationError(f"unknown key(s) in {what}: {', '.join(extras)}")
 
 
-def _flag(doc: dict, key: str, what: str) -> bool:
-    """A JSON boolean field, false when absent."""
-    value = doc.get(key, False)
-    if not isinstance(value, bool):
-        raise SpecificationError(f"{what} {key} must be true or false, got {value!r}")
+def _list(value, what: str):
+    """A JSON list field, so that a string is not read one character at a time."""
+    if not isinstance(value, (list, tuple)):
+        # a conversion error: _parses reports it as a malformed spec
+        raise TypeError(f"{what} must be a JSON list, got {value!r}")
     return value
 
 
@@ -172,9 +172,9 @@ def _term_to_dict(term: SplineTerm) -> dict:
 def _parse_submodel(doc, name: str) -> SubmodelSpec:
     _check_keys(doc, {"covariates", "terms", "use_offset"}, f"{name} submodel")
     return SubmodelSpec(
-        covariates=tuple(doc.get("covariates", ("intercept",))),
+        covariates=tuple(_list(doc.get("covariates", ("intercept",)), f"{name} covariates")),
         terms=tuple(_parse_term(t) for t in doc.get("terms", [])),
-        use_offset=_flag(doc, "use_offset", f"{name} submodel"),
+        use_offset=doc.get("use_offset", False),
     )
 
 
@@ -195,7 +195,8 @@ def parse_model_spec(doc):
     if model == "poisson":
         _check_keys(doc, {"model", "covariates", "zero_policy"}, "poisson spec")
         return PoissonSpec(
-            covariates=tuple(doc.get("covariates", ("intercept", "age", "period"))),
+            covariates=tuple(_list(doc.get("covariates", ("intercept", "age", "period")),
+                                   "covariates")),
             zero_policy=doc.get("zero_policy", "add_half"),
         )
     if model != "logsym":
@@ -207,8 +208,8 @@ def parse_model_spec(doc):
     conv = doc.get("convergence", {})
     counts = ("max_outer", "max_halvings")
     _check_keys(conv, ("tol_loglik", "tol_param") + counts, "convergence")
-    # ModelSpec range-checks these
-    kwargs = {key: _whole(v, key) if key in counts else float(v) for key, v in conv.items()}
+    # ModelSpec range-checks these, and refuses true as a tolerance
+    kwargs = {key: _whole(v, key) if key in counts else v for key, v in conv.items()}
     if "lambda_grid" in doc:
         grid = doc["lambda_grid"]
         if isinstance(grid, dict):
@@ -216,13 +217,13 @@ def parse_model_spec(doc):
             kwargs["lambda_grid"] = tuple(np.geomspace(
                 float(grid["lo"]), float(grid["hi"]), _whole(grid["num"], "lambda_grid num")))
         else:
-            kwargs["lambda_grid"] = tuple(float(v) for v in grid)
+            kwargs["lambda_grid"] = tuple(float(v) for v in _list(grid, "lambda_grid"))
     return ModelSpec(
         generator=_parse_family(doc["family"]),
         location=_parse_submodel(doc["location"], "location"),
         dispersion=_parse_submodel(doc.get("dispersion", {}), "dispersion"),
         zero_policy=doc.get("zero_policy", "add_half"),
-        jacobian_adjust=_flag(doc, "jacobian_adjust", "logsym spec"),
+        jacobian_adjust=doc.get("jacobian_adjust", False),
         **kwargs,
     )
 
@@ -254,7 +255,7 @@ def _parse_grid(doc, what: str) -> tuple:
         _check_keys(doc, {"min", "max", "count"}, what)
         return tuple(np.linspace(float(doc["min"]), float(doc["max"]),
                                  _whole(doc["count"], f"{what} count")))
-    return tuple(float(v) for v in doc)
+    return tuple(float(v) for v in _list(doc, what))
 
 
 def _tabulated(doc, what: str):
@@ -294,7 +295,7 @@ def parse_truth_spec(doc) -> TruthSpec:
         kwargs["generator"] = _parse_family(noise["family"])
         phi = noise.get("phi", 0.05)
         kwargs["phi"] = _tabulated_age_fn(phi) if isinstance(phi, dict) else float(phi)
-        kwargs["round_counts"] = _flag(noise, "round_counts", "noise")
+        kwargs["round_counts"] = noise.get("round_counts", False)
     pop = doc.get("population", 1e5)
     if isinstance(pop, list):
         pop = tuple(tuple(float(v) for v in row) for row in pop)

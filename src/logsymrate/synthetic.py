@@ -44,26 +44,33 @@ class TruthSpec:
     site: str = "synthetic"
 
     def __post_init__(self):
-        ages = tuple(sorted(set(float(a) for a in self.ages)))
-        periods = tuple(sorted(set(float(p) for p in self.periods)))
-        if not ages or not periods:
+        table = not callable(self.population) and not np.isscalar(self.population)
+        for name in ("ages", "periods"):
+            grid = tuple(float(v) for v in getattr(self, name))
+            # a population table's rows and columns follow the grids as given
+            if table and not all(a < b for a, b in zip(grid, grid[1:])):
+                raise SpecificationError(f"{name} must be strictly increasing with a "
+                                         f"population table, got {grid}")
+            object.__setattr__(self, name, tuple(sorted(set(grid))))
+        if not self.ages or not self.periods:
             raise SpecificationError("age and period grids must be non-empty")
-        object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "periods", periods)
+        if not isinstance(self.round_counts, bool):
+            raise SpecificationError("noise round_counts must be true or false, "
+                                     f"got {self.round_counts!r}")
         if self.noise not in NOISE_KINDS:
             raise SpecificationError(
                 f"unknown noise kind {self.noise!r}; expected one of {NOISE_KINDS}"
             )
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
-        if not callable(self.population) and not np.isscalar(self.population):
+        if table:
             try:
                 shape = np.asarray(self.population, dtype=float).shape
             except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
                 shape = None
-            if shape != (len(ages), len(periods)):
+            if shape != (len(self.ages), len(self.periods)):
                 raise SpecificationError(
-                    f"population table must be {len(ages)} x {len(periods)} "
+                    f"population table must be {len(self.ages)} x {len(self.periods)} "
                     f"(ages x periods), got shape {shape}")
 
     def grid(self):

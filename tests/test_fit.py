@@ -369,6 +369,25 @@ class TestValidation:
                       dispersion=SubmodelSpec(covariates=("intercept",),
                                               use_offset=True))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"jacobian_adjust": "false"}, "logsym spec jacobian_adjust must be true or false"),
+        ({"jacobian_adjust": 1}, "logsym spec jacobian_adjust must be true or false"),
+        ({"location": SubmodelSpec(("intercept", "age"), use_offset="no")},
+         "location submodel use_offset must be true or false"),
+        ({"dispersion": SubmodelSpec(("intercept",), use_offset="no")},
+         "dispersion submodel use_offset must be true or false"),
+        ({"tol_loglik": True}, "tol_loglik must be positive and finite"),
+        ({"tol_param": True}, "tol_param must be positive and finite"),
+        ({"max_outer": True}, "max_outer must be an integer >= 1"),
+        ({"max_halvings": False}, "max_halvings must be an integer >= 0"),
+    ], ids=["jacobian-str", "jacobian-int", "location-offset", "dispersion-offset",
+            "tol_loglik", "tol_param", "max_outer", "max_halvings"])
+    def test_flags_take_bools_and_settings_refuse_them(self, kwargs, message):
+        # the messages a spec file's reader gives for the same values
+        base = dict(generator=normal_spec(), location=SubmodelSpec(("intercept",)))
+        with pytest.raises(SpecificationError, match=f"^{message}, got "):
+            ModelSpec(**{**base, **kwargs})
+
     def test_zero_counts_need_policy(self):
         deaths = [3, 0, 5, 2]
         table = ObservationTable(age=[40.0, 45.0, 50.0, 55.0], period=[2000.0] * 4,
@@ -780,12 +799,14 @@ class TestBatchedStencil:
 
 class TestPolishStep:
     @pytest.mark.parametrize("drop, scored, accepted", [(1.0, 0, False), (0.0, 0, True),
-                                                        (1e-13, 1, True)],
-                             ids=["rejected", "objective-accepts", "within-noise"])
+                                                        (1e-13, 1, True), (math.inf, 0, False)],
+                             ids=["rejected", "objective-accepts", "within-noise",
+                                  "unevaluable"])
     def test_trial_scored_only_within_the_noise_allowance(self, drop, scored, accepted,
                                                           logsym_table, monkeypatch):
         # a trial whose objective falls short by more than the allowance, or
-        # that the objective alone accepts, computes no score
+        # that the objective alone accepts, computes no score; nor does an
+        # unevaluable trial, whose objective is -inf
         spec = plain_spec()
         design, lam = _design_and_lam(spec, logsym_table)
         th_loc, th_disp = logsym_fit._initial_params(design)

@@ -1,5 +1,6 @@
 """Poisson log-linear rate model."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,13 @@ from logsymrate import (
     ObservationTable,
     SplineTerm,
     TableMeta,
+    TruthSpec,
     apply_zero_policy,
     build_term_block,
     deviance_residuals,
     fit_poisson,
     fitted_log_rate_poisson,
+    simulate_table,
 )
 from logsymrate import poisson_glm
 from logsymrate.errors import DataValidationError, RankDeficiencyError
@@ -137,6 +140,35 @@ class TestInference:
         fit = fit_poisson(small_poisson_table(), ("intercept", "age", "period"))
         assert fit.converged
         assert fit.iterations <= 50
+
+
+def raw_year_table():
+    """8 ages x 4 raw-year periods whose intercept + period fit meets the
+    deviance rule one IRLS iteration before the score rule."""
+    truth = TruthSpec(ages=tuple(range(21, 61, 5)), periods=(1973, 1974, 1975, 1976),
+                      beta0=-37.14113269998861, beta_age=0.03070200458144902,
+                      beta_period=0.011853545408853132, population=83229.32413627462,
+                      noise="poisson_counts")
+    return apply_zero_policy(simulate_table(truth, 1411).table, "add_half")
+
+
+class TestStoppingRules:
+    def test_unmet_score_rule_is_not_converged(self, monkeypatch):
+        # no score is ever exactly zero, so the loop runs out
+        monkeypatch.setattr(poisson_glm, "SCORE_TOL_FACTOR", 0.0)
+        fit = fit_poisson(small_poisson_table(), ("intercept", "age", "period"))
+        assert (fit.converged, fit.iterations) == (False, poisson_glm.MAX_IRLS_ITER)
+
+    def test_irls_iterates_until_the_score_rule_holds(self, monkeypatch):
+        table = raw_year_table()
+        fit = fit_poisson(table, ("intercept", "period"))
+        X = np.column_stack([np.ones(len(table)), np.asarray(table.period)])
+        score = X.T @ (np.asarray(table.deaths) - fit.mu_hat)
+        assert fit.converged
+        assert np.max(np.abs(score)) <= 1e-8 * max(1.0, float(table.deaths.sum()))
+        # the deviance rule alone stops earlier
+        monkeypatch.setattr(poisson_glm, "SCORE_TOL_FACTOR", math.inf)
+        assert fit_poisson(table, ("intercept", "period")).iterations < fit.iterations
 
 
 class TestRankChecks:

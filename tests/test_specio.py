@@ -197,6 +197,9 @@ class TestModelSpecs:
         (lambda d: d["convergence"].update(max_halvings=float("nan")), "max_halvings"),
         (lambda d: d.update(lambda_grid=[1.0, float("nan")]), "lambda_grid"),
         (lambda d: d.update(lambda_grid=[float("inf")]), "lambda_grid"),
+        # JSON true is not the tolerance 1.0
+        (lambda d: d["convergence"].update(tol_loglik=True), "tol_loglik"),
+        (lambda d: d["convergence"].update(tol_param=True), "tol_param"),
     ])
     def test_out_of_range_settings_rejected(self, mutate, field):
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
@@ -279,6 +282,27 @@ class TestModelSpecs:
         mutate(doc)
         with pytest.raises(SpecificationError, match=match):
             parse_model_spec(doc)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["location"].update(covariates="intercept"), "location covariates"),
+        (lambda d: d["dispersion"].update(covariates="intercept"), "dispersion covariates"),
+        (lambda d: d["location"].update(covariates={"intercept": 1}), "location covariates"),
+        (lambda d: d.update(lambda_grid="12"), "lambda_grid"),
+    ], ids=["location", "dispersion", "object", "lambda_grid"])
+    def test_string_where_a_list_belongs_rejected(self, mutate, field):
+        # it was read one character at a time: "12" as the grid (1.0, 2.0)
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=f"^malformed model spec: TypeError: "
+                                                     f"{field} must be a JSON list, got "):
+            parse_model_spec(doc)
+
+    def test_string_poisson_covariates_rejected(self):
+        # it was read as ('i', 'n', ...) and failed on unknown covariate 'i'
+        with pytest.raises(SpecificationError,
+                           match="^malformed model spec: TypeError: covariates must be a "
+                                 "JSON list, got 'intercept'$"):
+            parse_model_spec({"model": "poisson", "covariates": "intercept"})
 
     def test_malformed_poisson_covariates_rejected(self):
         with pytest.raises(SpecificationError, match="malformed model spec: TypeError"):
@@ -391,6 +415,14 @@ class TestTruthSpecs:
         doc = json.loads(json.dumps(TRUTH_DOC))
         doc["noise"]["family"]["nu"] = 5
         with pytest.raises(SpecificationError, match="^normal family takes no nu"):
+            parse_truth_spec(doc)
+
+    @pytest.mark.parametrize("field, value", [("ages", "40"), ("periods", "2000")])
+    def test_string_grid_rejected(self, field, value):
+        # "40" was read one character at a time, as the ages (0.0, 4.0)
+        doc = dict(json.loads(json.dumps(TRUTH_DOC)), **{field: value})
+        with pytest.raises(SpecificationError, match=f"^malformed truth spec: TypeError: "
+                                                     f"{field} must be a JSON list, got "):
             parse_truth_spec(doc)
 
     def test_round_counts_flag(self):

@@ -148,6 +148,25 @@ class TestSurfaces:
         assert truth.ages == (40.0, 50.0)
         assert truth.periods == (2000.0, 2001.0)
 
+    @pytest.mark.parametrize("ages, periods, grid", [
+        ((50.0, 40.0), (2000.0,), "ages"),
+        ((40.0, 40.0), (2000.0,), "ages"),
+        ((40.0,), (2001.0, 2000.0), "periods"),
+    ], ids=["unsorted-ages", "repeated-age", "unsorted-periods"])
+    def test_population_table_needs_increasing_grids(self, ages, periods, grid):
+        # the table's rows and columns follow the grids as given, so sorting
+        # them would hand each age or period another cell's population
+        population = ((5e4,) * len(periods),) * len(ages)
+        with pytest.raises(SpecificationError,
+                           match=f"^{grid} must be strictly increasing with a population"):
+            poisson_truth(ages=ages, periods=periods, population=population)
+
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_round_counts_must_be_a_bool(self, flag):
+        with pytest.raises(SpecificationError,
+                           match="^noise round_counts must be true or false, got "):
+            poisson_truth(noise="logsym", generator=normal_spec(), round_counts=flag)
+
 
 class TestRecordsRoundTrip:
     def test_csv_pipeline_recovers_table(self):
