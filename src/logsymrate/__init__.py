@@ -59,10 +59,7 @@ from .logsym_fit import (
     fit,
     fitted_log_rate,
     penalized_loglik,
-    penalized_score,
     residuals,
-    select_lambda,
-    spec_with_lambdas,
 )
 from .poisson_glm import (
     PoissonFit,
@@ -98,8 +95,7 @@ __all__ = [
     "GeneratorSpec", "cdf", "dispersion_info_const", "logpdf", "normal_spec",
     "weight_v", "weight_v_prime",
     "FitParams", "LogSymFit", "ModelSpec", "SubmodelSpec", "fit",
-    "fitted_log_rate", "penalized_loglik", "penalized_score", "residuals",
-    "select_lambda", "spec_with_lambdas",
+    "fitted_log_rate", "penalized_loglik", "residuals",
     "PoissonFit", "deviance_residuals", "fit_poisson",
     "fitted_log_rate_poisson", "parametric_design",
     "PoissonSpec", "dump_json", "fit_to_dict", "load_json",

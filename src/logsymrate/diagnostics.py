@@ -314,12 +314,6 @@ def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -
     return np.column_stack([grid, vals])
 
 
-def term_values_at_observations(fit_result: LogSymFit, term) -> np.ndarray:
-    """The fitted component evaluated at the training covariate values."""
-    ti = _find_term(fit_result.design, term)
-    return ti.block.B @ fit_result.spline_coefs[ti.label]
-
-
 def all_component_curves(fit_result: LogSymFit, grid_size: int = 200) -> list:
     """(label, grid, values) for every spline term of both submodels."""
     out = []

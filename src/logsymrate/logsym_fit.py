@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -66,8 +66,8 @@ from .logsym_family import (
     weight_v,
     weight_v_prime,
 )
-from .poisson_glm import _jacobi_scale, _solve_equilibrated, check_covariates_vary, \
-    check_full_rank, parametric_design
+from .poisson_glm import _equilibrated_inverse, _jacobi_scale, _solve_equilibrated, \
+    check_covariates_vary, check_full_rank, parametric_design
 from .spline_bases import SplineTerm, build_term_block, term_label
 
 DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-4, 1e8, 30))
@@ -91,8 +91,12 @@ class SubmodelSpec:
     use_offset: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        for name in ("covariates", "terms"):
+            value = getattr(self, name)
+            # a string would be read one character at a time
+            if isinstance(value, str):
+                raise SpecificationError(f"submodel {name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,8 @@ class ModelSpec:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        if isinstance(self.lambda_grid, str):
+            raise SpecificationError(f"lambda_grid must be a list, got {self.lambda_grid!r}")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
             raise SpecificationError("lambda_grid must hold positive finite values")
@@ -149,9 +155,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitParams:
-    """Coefficients plus per-term smoothing weights; the argument of
-    ``penalized_loglik`` and ``penalized_score``. The coefficient vectors
-    are stored as read-only float copies."""
+    """Coefficients plus per-term smoothing weights, as a fit stores them
+    in ``LogSymFit.params`` and as ``penalized_loglik`` takes them. The
+    coefficient vectors are stored as read-only float copies."""
 
     location: np.ndarray
     dispersion: np.ndarray
@@ -479,10 +485,7 @@ def _location_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
     w = v / phi
     H = _gram(design.loc, w, lam)
     s = design.loc.G.T @ (w * (design.y - mu)) - _pen_grad(design.loc, th_loc, lam)
-    try:
-        step = _solve_equilibrated(H, s)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"singular location equations: {exc}") from None
+    step = _solve_equilibrated(H, s, "location")
     return _halving_accept(_location_objective(design, logphi, th_disp, lam),
                            th_loc, step, L_cur, mu, max_halvings)
 
@@ -496,10 +499,7 @@ def _dispersion_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
     H = design.disp_info.copy()
     _add_penalty(H, design.disp, lam)
     s = design.disp.G.T @ s_obs - _pen_grad(design.disp, th_disp, lam)
-    try:
-        step = _solve_equilibrated(H, s)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"singular dispersion equations: {exc}") from None
+    step = _solve_equilibrated(H, s, "dispersion")
     return _halving_accept(_dispersion_objective(design, mu, th_loc, lam),
                            th_disp, step, L_cur, logphi, max_halvings)
 
@@ -524,8 +524,8 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     score_cur = _score_norm(s_loc, s_disp)
     try:
         H = _observed_hessian(design, th_loc, th_disp, lam)
-        direction = _solve_equilibrated(H, np.concatenate([s_loc, s_disp]))
-    except np.linalg.LinAlgError:
+        direction = _solve_equilibrated(H, np.concatenate([s_loc, s_disp]), "Newton")
+    except RankDeficiencyError:
         direction = None
     if direction is None or not np.all(np.isfinite(direction)):
         mu, logphi = _mu_phi(design, th_loc, th_disp)
@@ -721,14 +721,9 @@ def _replicate_fit(spec: ModelSpec, design: _Design, lam: dict) -> _Replicate:
 
 
 def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
-    p = half.p_par
-    Hs, d = _jacobi_scale(_gram(half, w_obs, lam))
-    try:
-        cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
-    except np.linalg.LinAlgError:
-        return np.full(p, np.nan)
+    cov = _equilibrated_inverse(_gram(half, w_obs, lam))
     with np.errstate(invalid="ignore"):
-        return np.sqrt(np.diag(cov)[:p])
+        return np.sqrt(np.diag(cov)[:half.p_par])
 
 
 def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
@@ -745,9 +740,10 @@ def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
 # ---------------------------------------------------------------------------
 # public operations
 
-def _evaluation_point(spec: ModelSpec, table: ObservationTable, params: FitParams):
-    """Design, coefficient vectors and lambda map at ``params``, whose
-    lengths must match the design."""
+def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams) -> float:
+    """Sum of log densities of y minus half the log dispersions, minus the
+    quadratic roughness penalties; the lengths of ``params`` must match the
+    design."""
     design = _build_design(spec, table)
     lam = _resolve_lambdas(params.lam, design)
     th_loc, th_disp = params.location, params.dispersion
@@ -756,24 +752,10 @@ def _evaluation_point(spec: ModelSpec, table: ObservationTable, params: FitParam
             f"parameter lengths {th_loc.shape[0]}/{th_disp.shape[0]} do not match "
             f"the design ({design.loc.G.shape[1]}/{design.disp.G.shape[1]})"
         )
-    return design, th_loc, th_disp, lam
-
-
-def penalized_loglik(spec: ModelSpec, table: ObservationTable, params: FitParams) -> float:
-    """Sum of log densities of y minus half the log dispersions, minus the
-    quadratic roughness penalties."""
-    design, th_loc, th_disp, lam = _evaluation_point(spec, table, params)
     val = _eval_objective(design, th_loc, th_disp, lam)
     if not math.isfinite(val):
         raise EvaluationError("non-finite dispersion or location under these parameters")
     return val
-
-
-def penalized_score(spec: ModelSpec, table: ObservationTable, params: FitParams) -> np.ndarray:
-    """Stacked analytic penalized score (location block then dispersion)."""
-    design, th_loc, th_disp, lam = _evaluation_point(spec, table, params)
-    s_loc, s_disp = _analytic_scores(design, th_loc, th_disp, lam)
-    return np.concatenate([s_loc, s_disp])
 
 
 def _find_term(design: _Design, term) -> _TermInfo:
@@ -836,13 +818,6 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
     return best_lam
 
 
-def select_lambda(spec: ModelSpec, table: ObservationTable, term) -> float:
-    """Grid value minimizing full-fit AIC for one term flagged for
-    selection; ties break toward the larger (smoother) value."""
-    design = _build_design(spec, table)
-    return _grid_select(spec, design, {}, _find_term(design, term).label)
-
-
 def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
     """Fit the model, resolving any select-rule smoothing parameters first
     (sequentially, in declaration order), then maximizing at fixed lambda."""
@@ -851,18 +826,6 @@ def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
     for label in _select_labels(design):
         lam[label] = _grid_select(spec, design, lam, label)
     return _fit_resolved(spec, design, _resolve_lambdas(lam, design))
-
-
-def spec_with_lambdas(spec: ModelSpec, lam: dict) -> ModelSpec:
-    """Copy of ``spec`` with every term's lambda pinned from ``lam``."""
-    def pin(name, sub):
-        terms = tuple(
-            replace(t, lam=lam.get(term_label(name, t), t.lam)) for t in sub.terms
-        )
-        return replace(sub, terms=terms)
-
-    return replace(spec, location=pin("location", spec.location),
-                   dispersion=pin("dispersion", spec.dispersion))
 
 
 def fitted_log_rate(fit_result: LogSymFit, table: ObservationTable) -> np.ndarray:

@@ -27,6 +27,11 @@ MAX_IRLS_ITER = 50
 REL_DEV_TOL = 1e-10
 # score stopping rule, well inside the 1e-6 * max(1, sum y) invariant
 SCORE_TOL_FACTOR = 1e-8
+# the separation check: its iteration cap, the negative fitted value it
+# reads as 0 and the smallest it counts as separated, relative to the largest
+_RECTIFIER_MAX_ITER = 1000
+_RECTIFIER_TOL = 1e-9
+_SEPARATED_TOL = 1e-6
 
 
 def parametric_design(table: ObservationTable, covariates) -> np.ndarray:
@@ -102,10 +107,71 @@ def _jacobi_scale(H: np.ndarray):
     return H / d[:, None] / d[None, :], d
 
 
-def _solve_equilibrated(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b on the Jacobi-scaled system."""
+def _solve_equilibrated(H: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve H x = b on the Jacobi-scaled system; a singular system raises
+    RankDeficiencyError naming the ``what`` equations."""
     Hs, d = _jacobi_scale(H)
-    return np.linalg.solve(Hs, b / d) / d
+    try:
+        return np.linalg.solve(Hs, b / d) / d
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"singular {what} equations: {exc}") from None
+
+
+def _equilibrated_inverse(H: np.ndarray) -> np.ndarray:
+    """H^-1 through the Jacobi-scaled matrix; all NaN when H is singular."""
+    Hs, d = _jacobi_scale(H)
+    try:
+        return np.linalg.inv(Hs) / d[:, None] / d[None, :]
+    except np.linalg.LinAlgError:
+        return np.full(H.shape, np.nan)
+
+
+def _span_vanishing_on(B: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the vectors M g over the g with B g = 0."""
+    # p zero rows give all p right singular vectors without a square U
+    p = B.shape[1]
+    _, sv, vt = np.linalg.svd(np.vstack([B, np.zeros((p, p))]), full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(B.shape) * np.finfo(float).eps)) if sv[0] else 0
+    return np.linalg.qr(M @ vt[rank:].T)[0]
+
+
+def _separated_zeros(X: np.ndarray, y: np.ndarray) -> int:
+    """Zero counts whose fitted means the likelihood can drive to 0.
+
+    The Poisson MLE exists unless some z = X g is 0 at every positive count
+    and >= 0, not all 0, at the zeros (Santos Silva & Tenreyro 2010); the
+    zeros where z > 0 are separated. The iterative rectifier of Correia,
+    Guimaraes & Zylkin (2019, arXiv:1903.01633) seeks z among the
+    directions that vanish at the positive counts: regress u (1 at first)
+    on them over the zero rows and keep the fitted values' positive part as
+    the next u, until none is negative. Its slow cases end sooner:
+    * a positive vector orthogonal to those directions, 1 plus a weight on
+      the zeros u has cut to 0, rules z out (Gordan's alternative);
+    * the projection of u on the directions that also vanish where u is 0,
+      or at its most negative fitted value, is tried as z.
+    Only a z within the tolerances counts; the iteration cap reads as no
+    separation, so IRLS runs as before."""
+    zero = y == 0
+    Xs = X / np.max(np.abs(X), axis=0)
+    Q = _span_vanishing_on(Xs[~zero], Xs[zero])
+    u = np.ones(len(Q))
+    for _ in range(_RECTIFIER_MAX_ITER if Q.shape[1] else 0):
+        u_hat = Q @ (Q.T @ u)
+        u = np.maximum(u_hat, 0.0)
+        cut = u == 0.0
+        if cut.any():
+            g = np.ones(len(Q))
+            g[cut] += np.linalg.lstsq(Q[cut].T, -Q.sum(axis=0), rcond=None)[0]
+            # g - Q Q^T g is orthogonal to the directions, and no entry of
+            # Q Q^T g exceeds |Q^T g|
+            if np.min(g) > np.linalg.norm(Q.T @ g) + _RECTIFIER_TOL * np.max(g):
+                return 0
+        jumps = [_span_vanishing_on(Q[on], Q) for on in (cut, [np.argmin(u_hat)])]
+        for z in [u_hat] + [W @ (W.T @ u) for W in jumps]:
+            top = np.max(z, initial=0.0)
+            if top > 0.0 and np.min(z) >= -_RECTIFIER_TOL * top:
+                return int(np.sum(z > _SEPARATED_TOL * top))
+    return 0
 
 
 @dataclass
@@ -139,6 +205,8 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
     after checking that the covariates vary and the design has full rank."""
     if len(table) == 0:
         raise DataValidationError("empty table")
+    if isinstance(covariates, str):
+        raise SpecificationError(f"covariates must be a list, got {covariates!r}")
     covariates = tuple(covariates)
     X = parametric_design(table, covariates)
     check_covariates_vary(table, covariates)
@@ -153,8 +221,15 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
     Stops, within 50 iterations, once the relative deviance change is
     below 1e-10 and then the score X^T (y - mu) is within 1e-8 * max(1,
     sum y), far inside the documented 1e-6 bound; ``converged`` says that
-    both rules held.
+    both rules held. Counts that hold a 0 are first checked for
+    separation: an MLE that does not exist raises RankDeficiencyError.
     """
+    if not np.all(y):
+        separated = _separated_zeros(X, y)
+        if separated:
+            raise RankDeficiencyError(
+                f"the Poisson MLE does not exist: {separated} of {int(np.sum(y == 0))} zero "
+                "counts are separated (their fitted means can be driven to 0)")
     mu = y + 0.5
     eta = np.log(mu)
     dev = _poisson_deviance(y, mu)
@@ -163,10 +238,7 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
     for iterations in range(1, MAX_IRLS_ITER + 1):
         work = eta + (y - mu) / mu - offset
         H = X.T @ (mu[:, None] * X)
-        try:
-            beta = _solve_equilibrated(H, X.T @ (mu * work))
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular IRLS equations: {exc}") from None
+        beta = _solve_equilibrated(H, X.T @ (mu * work), "IRLS")
         eta = offset + X @ beta
         mu = np.exp(eta)
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
@@ -178,8 +250,7 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
             converged = True
             break
 
-    Hs, d = _jacobi_scale(X.T @ (mu[:, None] * X))
-    cov = np.linalg.inv(Hs) / d[:, None] / d[None, :]
+    cov = _equilibrated_inverse(X.T @ (mu[:, None] * X))
     se = np.sqrt(np.diag(cov))
     ll = float(np.sum(special.xlogy(y, mu) - mu - special.gammaln(y + 1.0)))
     return PoissonFit(

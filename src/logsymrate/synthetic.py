@@ -46,6 +46,8 @@ class TruthSpec:
     def __post_init__(self):
         table = not callable(self.population) and not np.isscalar(self.population)
         for name in ("ages", "periods"):
+            if isinstance(getattr(self, name), str):
+                raise SpecificationError(f"{name} must be a list, got {getattr(self, name)!r}")
             grid = tuple(float(v) for v in getattr(self, name))
             # a population table's rows and columns follow the grids as given
             if table and not all(a < b for a, b in zip(grid, grid[1:])):

@@ -267,6 +267,26 @@ class TestFit:
         written = json.loads((out / "fit.json").read_text())
         assert written["converged"] is False
 
+    @pytest.mark.parametrize("year, code", [(0, 3), (12, 0), (25, 3)])
+    def test_poisson_mle_that_does_not_exist_exits_3(self, workspace, capsys, year, code):
+        # one death, at age 40 in the given year, in 4 ages x 26 years
+        rows = ["sex,site,age_lo,age_hi,year,deaths,population"]
+        rows += [f"female,x,{age},{age},{1956 + k},{int(age == 40 and k == year)},237"
+                 for age in (40, 45, 50, 55) for k in range(26)]
+        table = workspace["root"] / f"single_death_{year}.csv"
+        table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        spec = write_doc(workspace["root"] / "poisson_period.json",
+                         dict(POISSON_DOC, covariates=["intercept", "period"]))
+        out = workspace["root"] / f"fit_single_death_{year}"
+        assert main(["fit", "--input", str(table), "--spec", spec, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("numerical error: the Poisson MLE does not exist: 100 of 103 zero "
+                           "counts are separated (their fitted means can be driven to 0)\n")
+            assert not (out / "fit.json").exists()
+        else:
+            assert json.loads((out / "fit.json").read_text())["converged"] is True
+
     def test_deterministic_fit_output(self, workspace):
         root = workspace["root"]
         args = ["--input", workspace["input"], "--spec", workspace["logsym"]]

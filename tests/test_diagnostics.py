@@ -23,9 +23,7 @@ from logsymrate import (
     fit_poisson,
     log_rate_correlation,
     normal_spec,
-    select_lambda,
     simulated_envelope,
-    spec_with_lambdas,
 )
 from logsymrate import diagnostics, logsym_fit, poisson_glm
 from logsymrate.data_ingest import observed_log_rates
@@ -36,16 +34,17 @@ from logsymrate.diagnostics import (
     model_fitted_log_rate,
     reference_quantiles,
     scatter_to_csv,
-    term_values_at_observations,
 )
 from logsymrate.errors import (
     ComparisonError,
     EnvelopeError,
+    RankDeficiencyError,
     SpecificationError,
     UndefinedCorrelationError,
 )
 
 from .conftest import ALL_GENERATORS, plain_spec, small_logsym_table, small_poisson_table
+from .test_poisson import single_death_table
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +327,14 @@ class TestEnvelopeRefitDesign:
                             recording(sorted_resid, diagnostics._simulate_and_refit))
         simulated_envelope(sfit, ltable, "dispersion", m_sims=2, seed=7)
         assert len(draws) == len(refits) == len(sorted_resid) == 2
-        pinned = spec_with_lambdas(sfit.spec, sfit.lam)
+        # the spec with each term's lambda pinned to the fitted one
+        loc, disp = sfit.spec.location, sfit.spec.dispersion
+        pinned = replace(
+            sfit.spec,
+            location=replace(loc, terms=(
+                replace(loc.terms[0], lam=sfit.lam["location:ncs(age)"]),)),
+            dispersion=replace(disp, terms=(
+                replace(disp.terms[0], lam=sfit.lam["dispersion:psp(age)"]),)))
         for eps, ((spec, design, lam), refit), resid in zip(draws, refits, sorted_resid):
             t_star = np.exp(sfit.mu_hat + np.sqrt(sfit.phi_hat) * eps)
             sim = replace(ltable, deaths=np.rint(t_star), t_value=t_star)
@@ -515,24 +521,11 @@ class TestCurves:
         labels = [label for label, _, _ in curves]
         assert labels == ["location:ncs(age)", "dispersion:psp(age)"]
 
-    def test_observation_values_match_curve(self, sfit, ltable):
-        vals = term_values_at_observations(sfit, "location:ncs(age)")
-        ages = ltable.age
-        # a 9-point grid lands exactly on the nine distinct ages
-        cur = export_component_curves(sfit, "location:ncs(age)", grid_size=9)
-        for x, v in cur:
-            sel = np.isclose(ages, x)
-            assert sel.any()
-            np.testing.assert_allclose(vals[sel], v, atol=1e-9)
-
 
 class TestTermLookup:
     TERM = SplineTerm(kind="ncs", covariate="age", lam=10.0)
     LOOKUPS = {
-        "select_lambda": lambda f, table, term: select_lambda(f.spec, table, term),
         "export_component_curves": lambda f, table, term: export_component_curves(f, term),
-        "term_values_at_observations":
-            lambda f, table, term: term_values_at_observations(f, term),
     }
 
     @pytest.fixture(scope="class")
@@ -729,3 +722,39 @@ class TestPoissonReplicate:
         env = simulated_envelope(pfit, ptable, "deviance", m_sims=20, seed=4)
         assert env.n_failures == 0
         assert calls == {"parametric_design": 0, "check_full_rank": 0}
+
+    def test_separated_replicate_is_a_failure(self, cpus, monkeypatch):
+        # two deaths, in one middle year of 4 ages x 26 years, fitted with
+        # intercept + period: the fitted means sum to 2, so some replicates
+        # draw no death, or deaths in the first or last year only, and then
+        # have no MLE
+        table = single_death_table((40.0, 12), (45.0, 12))
+        pfit = fit_poisson(table, ("intercept", "period"))
+
+        def separated(rep_seed):
+            y = np.random.default_rng(rep_seed).poisson(pfit.mu_hat)
+            years = set(pfit.X[y > 0, 1])
+            return not years or years in ({1956.0}, {1981.0})
+
+        m, seed = 30, 0
+        # replicate i draws from seed + i, and again from seed + m + i if that failed
+        draws = [seed + i for i in range(m)]
+        draws += [seed + m + i for i in range(m) if separated(seed + i)]
+        failures = sum(separated(seed + i) and separated(seed + m + i) for i in range(m))
+        assert failures == 1
+        errors, real = [], diagnostics.irls
+
+        def recording(*args):
+            try:
+                return real(*args)
+            except RankDeficiencyError as exc:
+                errors.append(str(exc))
+                raise
+        monkeypatch.setattr(diagnostics, "irls", recording)
+        cpus(1)
+        assert simulated_envelope(pfit, table, "deviance", m_sims=m, seed=seed).n_failures == 1
+        # every separated draw, and no other, was refused as such
+        assert len(errors) == sum(map(separated, draws))
+        assert all(e.startswith("the Poisson MLE does not exist: ") for e in errors)
+        cpus(2)
+        assert simulated_envelope(pfit, table, "deviance", m_sims=m, seed=seed).n_failures == 1

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import linalg as sla
-from scipy import stats
+from scipy import optimize, stats
 
 from logsymrate import (
     ObservationTable,
@@ -171,7 +171,109 @@ class TestStoppingRules:
         assert fit_poisson(table, ("intercept", "period")).iterations < fit.iterations
 
 
+def single_death_table(*deaths_at):
+    """4 ages x 26 years from 1956, population 237 a cell, and one death in
+    each (age, year index) cell given."""
+    ages = [a for a in (40.0, 45.0, 50.0, 55.0) for _ in range(26)]
+    periods = [1956.0 + k for _ in range(4) for k in range(26)]
+    deaths = [float((a, p - 1956.0) in deaths_at) for a, p in zip(ages, periods)]
+    return tiny_table(deaths, [237.0] * 104, ages, periods)
+
+
+def lp_separated(X, y):
+    """Zero counts at which some z = X g that is 0 at every positive count
+    and in [0, 1] at every zero can be positive: one linear program per cell."""
+    zero = y == 0
+    Xs = X / np.max(np.abs(X), axis=0)
+    Z = Xs[zero]
+    lp = dict(A_ub=np.vstack([-Z, Z]), b_ub=np.r_[np.zeros(len(Z)), np.ones(len(Z))],
+              bounds=[(None, None)] * X.shape[1], method="highs")
+    if not zero.all():
+        lp.update(A_eq=Xs[~zero], b_eq=np.zeros(int((~zero).sum())))
+    return sum(-optimize.linprog(-row, **lp).fun > 1e-7 for row in Z)
+
+
+class TestSeparation:
+    """A Poisson MLE that does not exist is named before IRLS runs."""
+
+    @pytest.mark.parametrize("year", [0, 25])
+    def test_death_in_an_edge_year_has_no_mle(self, year):
+        # all cells of the other years can have their means driven to 0 by
+        # the period slope; the three other cells of the death's year cannot
+        with pytest.raises(RankDeficiencyError, match="^the Poisson MLE does not exist: 100 "
+                                                      "of 103 zero counts are separated"):
+            fit_poisson(single_death_table((40.0, year)), ("intercept", "period"))
+
+    def test_death_in_a_middle_year_converges(self):
+        fit = fit_poisson(single_death_table((40.0, 12)), ("intercept", "period"))
+        assert (fit.converged, fit.iterations) == (True, 9)
+
+    def test_table_without_zero_counts_is_not_checked(self, monkeypatch):
+        table = small_poisson_table()
+        assert np.all(table.deaths)
+        monkeypatch.setattr(poisson_glm, "_separated_zeros",
+                            lambda *args: pytest.fail("separation checked"))
+        assert fit_poisson(table).converged
+
+    def test_all_zero_table_is_separated(self):
+        with pytest.raises(RankDeficiencyError, match="104 of 104 zero counts"):
+            fit_poisson(single_death_table(), ("intercept", "age", "period"))
+
+    def test_slow_separation_is_found(self):
+        # one death at age 22 in the paper's grid, fitted with intercept +
+        # age + period: every older cell is separated, but the plain
+        # rectifier nears that only geometrically, well past its cap
+        age, period = (v.ravel() for v in np.meshgrid(
+            22.0 + 5 * np.arange(13), 1990.0 + np.arange(30), indexing="ij"))
+        X = np.column_stack([np.ones(len(age)), age, period])
+        y = np.zeros(len(age))
+        y[5] = 1.0
+        assert poisson_glm._separated_zeros(X, y) == 12 * 30
+
+    @pytest.mark.parametrize("year", [1, 12, 24])
+    def test_no_separation_is_seen_at_the_first_step(self, year, monkeypatch):
+        # deaths on both sides of the period slope's zero: the first step's
+        # Gordan vector rules separation out, so no direction is tried
+        table = single_death_table((40.0, year))
+        X = np.column_stack([np.ones(len(table)), table.period])
+        calls, real = [], poisson_glm._span_vanishing_on
+        monkeypatch.setattr(poisson_glm, "_span_vanishing_on",
+                            lambda *args: calls.append(args) or real(*args))
+        assert poisson_glm._separated_zeros(X, np.asarray(table.deaths)) == 0
+        assert len(calls) == 1
+
+    def test_matches_linear_programming(self):
+        # sparse tables of every covariate set, against one LP per zero cell
+        rng = np.random.default_rng(3)
+        separated = 0
+        for i in range(60):
+            n_age, n_period = rng.integers(2, 6), rng.integers(2, 9)
+            age, period = (v.ravel() for v in np.meshgrid(
+                40.0 + 5 * np.arange(n_age), 1990.0 + 2 * np.arange(n_period), indexing="ij"))
+            covariates = [("intercept", "period"), ("intercept", "age"),
+                          ("intercept", "age", "period")][i % 3]
+            X = np.column_stack([{"intercept": np.ones(len(age)), "age": age,
+                                  "period": period}[c] for c in covariates])
+            y = rng.poisson(np.exp(rng.normal(-1.0, 1.0) + rng.normal(0.0, 0.1) * (age - 50)))
+            if i % 2:  # a few deaths on one age row
+                y = np.zeros(len(age))
+                row = rng.integers(n_age) * n_period
+                y[row + rng.choice(n_period, size=rng.integers(1, 3), replace=False)] = 1
+            if y.all():
+                continue
+            expected = lp_separated(X, y.astype(float))
+            assert poisson_glm._separated_zeros(X, y.astype(float)) == expected, i
+            separated += expected > 0
+        assert separated >= 15
+
+
 class TestRankChecks:
+    def test_singular_irls_equations(self):
+        # irls takes a checked design; two equal columns make its system singular
+        X = np.ones((4, 2))
+        with pytest.raises(RankDeficiencyError, match="^singular IRLS equations: "):
+            poisson_glm.irls(X, np.zeros(4), np.array([3.0, 5.0, 2.0, 4.0]), ("a", "b"), ())
+
     def test_constant_column_collides_with_intercept(self):
         t = tiny_table([3, 5, 2], [10.0, 12.0, 9.0], ages=[50.0, 50.0, 50.0],
                        periods=[2000.0, 2001.0, 2002.0])
