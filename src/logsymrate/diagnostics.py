@@ -13,7 +13,6 @@ was made on: its cell keys and its response must match the fit's.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Union
 
@@ -30,7 +29,8 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .logsym_family import sample_with_rng
-from .logsym_fit import LogSymFit, _find_term, _quantile_residuals, fitted_log_rate, residuals
+from .logsym_fit import LogSymFit, _find_term, _map_in_order, _quantile_residuals, \
+    fitted_log_rate, residuals
 # perfbench/tracer.py hooks this name: spec first, one call per attempt, .iterations, .converged
 from .logsym_fit import _replicate_fit as logsym_fit_fn
 from .poisson_glm import PoissonFit, deviance_residuals, fitted_log_rate_poisson, irls
@@ -112,44 +112,6 @@ def _simulate_and_refit(fit_result, kind, rng) -> np.ndarray:
     if not refit.converged:
         raise EnvelopeError("refit did not converge")
     return np.sort(deviance_residuals(refit))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 off Linux, where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-_replicate = None  # set in each forked worker by _map_in_order
-
-
-def _set_replicate(fn) -> None:
-    global _replicate
-    _replicate = fn
-
-
-def _run_replicate(i):
-    return _replicate(i)
-
-
-def _map_in_order(fn, m: int) -> list:
-    """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU.
-    ``fn`` reaches the workers by fork, not by pickling: only indices go
-    out and results come back, in order, so they have the bits of a serial
-    run. With one usable CPU, or in a daemonic process such as a
-    ``multiprocessing.Pool`` worker (it may not start children), everything
-    runs in this process."""
-    workers = min(_cpu_count(), m)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if not multiprocessing.current_process().daemon:
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       initializer=_set_replicate, initargs=(fn,))
-            try:
-                return list(pool.map(_run_replicate, range(m)))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [fn(i) for i in range(m)]
 
 
 def simulated_envelope(fit_result, table: ObservationTable, kind: str,

@@ -37,12 +37,17 @@ its AIC. An envelope replicate keeps only its coefficients, predictors,
 iterations and convergence verdict (a final fit's rule; the stencil runs
 only when the stopping rules fired, and stops at the first failing
 coefficient): no standard errors or AIC.
+
+A term's grid fits, and the final fit's stencil, run on forked workers
+when they are large enough (``_map_in_order``). The parent reads their
+results in order, so every value, log line and warning is the serial one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -75,6 +80,13 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
+# A stencil or a lambda grid forks one worker per this many cell-coefficients
+# (times grid points), so from 300,000: on 2 Xeon cores (the only size measured)
+# a 2-worker pool start cost about 20 ms, a stencil 0.2 us per cell-coefficient.
+_WORK_PER_WORKER = 150_000
+# Other threads, such as a threaded BLAS's helpers, at import (numpy loads its
+# BLAS first, and no pool has run yet); False off Linux, where the OS does not say.
+_THREADED = os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1
 # the errstate of a halving search, a stencil or a single evaluation
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _Replicate = namedtuple("_Replicate", "location dispersion mu phi converged iterations")
@@ -547,53 +559,120 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     return point[:n_loc], point[n_loc:], L_new, ok
 
 
-def _fd_partials(design: _Design, th_loc, th_disp, lam):
-    """Yield the fourth-order central finite difference of the objective
-    along each coefficient, location coefficients first. Steps are sized so
-    each one perturbs the standardized residuals by about 1e-4, which keeps
-    the truncation error of the stencil orders of magnitude below the
-    roundoff-safe range for these likelihoods.
+# ---------------------------------------------------------------------------
+# fork pool
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 off Linux, where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_task = None  # set in each forked worker by _map_in_order
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(i):
+    return _task(i)
+
+
+def _map_in_order(fn, m: int, work=None) -> list:
+    """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU and
+    task; given ``work``, the tasks' cell-coefficients, at most one per
+    ``_WORK_PER_WORKER`` of it, and none beside other threads (``_THREADED``:
+    each worker would start its own BLAS helpers). ``fn`` reaches the workers
+    by fork, not by pickling: only indices go out and results come back, in
+    order, so they have the bits of a serial run. With one worker, or in a
+    daemonic process such as a ``multiprocessing.Pool`` worker (it may not
+    start children), everything runs in this process."""
+    workers = min(_cpu_count(), m)
+    if work is not None:
+        workers = 1 if _THREADED else min(workers, work // _WORK_PER_WORKER)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if not multiprocessing.current_process().daemon:
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_set_task, initargs=(fn,))
+            try:
+                return list(pool.map(_run_task, range(m)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [fn(i) for i in range(m)]
+
+
+def _fd_stencil(design: _Design, th_loc, th_disp, lam):
+    """(count, partial): the number of coefficients, location ones first, and
+    ``partial(k)``, the fourth-order central finite difference of the
+    objective along coefficient k. Steps are sized so each one perturbs the
+    standardized residuals by about 1e-4, which keeps the truncation error
+    of the stencil orders of magnitude below the roundoff-safe range for
+    these likelihoods.
 
     A coefficient's four points are one (4, n) block of predictors, one
     matrix-vector product per row, for one ``_loglik`` call; only the owning
     term's penalty is recomputed. Every value is bit for bit the closures'.
-    One errstate spans the stencil, the caller's work between partials too."""
+    Call ``partial`` under ``np.errstate(**_QUIET)``."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
     with np.errstate(**_QUIET):
         resid, sphi, half_sum = design.y - mu, np.exp(0.5 * logphi), 0.5 * np.add.reduce(logphi)
         held = _penalties(design.loc, th_loc, lam) + _penalties(design.disp, th_disp, lam)
-        for half, th, first in ((design.loc, th_loc, 0),
-                                (design.disp, th_disp, len(design.loc.terms))):
-            # each spline coefficient's term, with the term's place in held
-            owner = {i: (j, ti) for j, ti in enumerate(half.terms, first)
-                     for i in range(ti.sl.start, ti.sl.stop)}
-            for i in range(len(th)):
-                h = max(zstep / max(1.0, half.col_scale[i]), 1e-9)
-                trials = [th.copy() for _ in range(4)]
-                for trial, d in zip(trials, (-2 * h, -h, h, 2 * h)):
-                    trial[i] += d
-                pred = np.stack([half.G @ trial for trial in trials])
-                if half is design.loc:
-                    ll = _loglik(design, design.y - (design.offset + pred), sphi, half_sum)
-                else:
-                    ll = _loglik(design, resid, np.exp(0.5 * pred),
-                                 0.5 * np.add.reduce(pred, axis=-1))
-                vals = []
-                for row, trial in zip(ll, trials):
-                    pens = list(held)
-                    if i in owner:
-                        pens[owner[i][0]] = _penalty(owner[i][1], trial, lam)
-                    vals.append(_penalized(row, pens))
-                yield (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    # (half, its coefficients, coefficient i's term and the term's place in held)
+    coefs = []
+    for half, th, first in ((design.loc, th_loc, 0),
+                            (design.disp, th_disp, len(design.loc.terms))):
+        owner = {i: (j, ti) for j, ti in enumerate(half.terms, first)
+                 for i in range(ti.sl.start, ti.sl.stop)}
+        coefs += [(half, th, i, owner.get(i)) for i in range(len(th))]
+
+    def partial(k):
+        half, th, i, owns = coefs[k]
+        h = max(zstep / max(1.0, half.col_scale[i]), 1e-9)
+        trials = [th.copy() for _ in range(4)]
+        for trial, d in zip(trials, (-2 * h, -h, h, 2 * h)):
+            trial[i] += d
+        pred = np.stack([half.G @ trial for trial in trials])
+        if half is design.loc:
+            ll = _loglik(design, design.y - (design.offset + pred), sphi, half_sum)
+        else:
+            ll = _loglik(design, resid, np.exp(0.5 * pred), 0.5 * np.add.reduce(pred, axis=-1))
+        vals = []
+        for row, trial in zip(ll, trials):
+            pens = list(held)
+            if owns is not None:
+                pens[owns[0]] = _penalty(owns[1], trial, lam)
+            vals.append(_penalized(row, pens))
+        return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    return len(coefs), partial
+
+
+def _fd_partials(design: _Design, th_loc, th_disp, lam):
+    """Yield each finite-difference partial of ``_fd_stencil`` in order, all
+    under one errstate, the caller's work between partials too."""
+    count, partial = _fd_stencil(design, th_loc, th_disp, lam)
+    with np.errstate(**_QUIET):
+        for k in range(count):
+            yield partial(k)
 
 
 def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
-    """Largest absolute finite-difference partial (a NaN partial is passed over)."""
-    worst = 0.0
-    for g in _fd_partials(design, th_loc, th_disp, lam):
-        worst = max(worst, abs(g))
-    return worst
+    """Largest absolute finite-difference partial (a NaN partial is passed
+    over). Chunk c of w folds partials c, c + w, ... under one errstate, on
+    the fork pool for a large stencil (``_map_in_order``); a max that passes
+    NaN over has the same bits in any order."""
+    count, partial = _fd_stencil(design, th_loc, th_disp, lam)
+    chunks = min(_cpu_count(), count)
+
+    def fold(c, worst=0.0):
+        with np.errstate(**_QUIET):
+            for k in range(c, count, chunks):
+                worst = max(worst, abs(partial(k)))
+        return worst
+    return max(_map_in_order(fold, chunks, len(design.y) * count))
 
 
 def _initial_params(design: _Design) -> tuple:
@@ -792,15 +871,22 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> f
     mid = float(math.sqrt(spec.lambda_grid[0] * spec.lambda_grid[-1]))
     base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
+    grid = spec.lambda_grid
+
+    def aic_at(k):
+        trial = dict(base)
+        trial[label] = float(grid[k])
+        try:
+            return _grid_aic(spec, design, _resolve_lambdas(trial, design))
+        except NumericalError as exc:
+            return exc
+    work = len(design.y) * (design.loc.G.shape[1] + design.disp.G.shape[1]) * len(grid)
+    aics = _map_in_order(aic_at, len(grid), work)
     best_lam = None
     best_aic = math.inf
-    for cand in spec.lambda_grid:
-        trial = dict(base)
-        trial[label] = float(cand)
-        try:
-            aic = _grid_aic(spec, design, _resolve_lambdas(trial, design))
-        except NumericalError as exc:
-            log.debug("select %s: lambda %g failed: %s", label, cand, exc)
+    for cand, aic in zip(grid, aics):
+        if isinstance(aic, NumericalError):
+            log.debug("select %s: lambda %g failed: %s", label, cand, aic)
             continue
         log.debug("select %s: lambda %g AIC %.10g", label, cand, aic)
         if aic < best_aic - 1e-9:

@@ -14,6 +14,7 @@ the log-scale median.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -56,6 +57,14 @@ class TruthSpec:
             object.__setattr__(self, name, tuple(sorted(set(grid))))
         if not self.ages or not self.periods:
             raise SpecificationError("age and period grids must be non-empty")
+        for name in ("beta0", "beta_age", "beta_period", "phi", "population"):
+            value = getattr(self, name)
+            # "1e5" would be read as a number and True as 1; a population
+            # table or a callable surface is checked where it is used
+            if (name == "population" and table) or callable(value):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SpecificationError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.round_counts, bool):
             raise SpecificationError("noise round_counts must be true or false, "
                                      f"got {self.round_counts!r}")

@@ -71,7 +71,7 @@ def pfit(ptable):
 def cpus(monkeypatch):
     """Set the CPU count that sizes the replicate pool; 1 runs replicates
     in this process, where a test's recorders see them."""
-    return lambda n: monkeypatch.setattr(diagnostics, "_cpu_count", lambda: n)
+    return lambda n: monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: n)
 
 
 @pytest.fixture
@@ -483,17 +483,17 @@ class TestReplicatePool:
 
     def test_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert diagnostics._cpu_count() == len(os.sched_getaffinity(0))
+            assert logsym_fit._cpu_count() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert diagnostics._cpu_count() == 1
+        assert logsym_fit._cpu_count() == 1
 
     def test_one_replicate_runs_in_process(self, cpus):
         # a pool is never larger than the replicate count
         cpus(2)
         seen = []
-        assert diagnostics._map_in_order(lambda i: seen.append(i) or -i, 1) == [0]
+        assert logsym_fit._map_in_order(lambda i: seen.append(i) or -i, 1) == [0]
         assert seen == [0]
-        assert diagnostics._map_in_order(lambda i: os.getpid() + i, 4)[0] != os.getpid()
+        assert logsym_fit._map_in_order(lambda i: os.getpid() + i, 4)[0] != os.getpid()
         assert_no_child_left()
 
 

@@ -8,8 +8,11 @@ point and tests each intermediate for finiteness.
 """
 
 import dataclasses
+import functools
 import logging
 import math
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -34,7 +37,12 @@ from logsymrate import (
     simulate_table,
 )
 from logsymrate.data_ingest import ObservationTable, TableMeta
-from logsymrate.errors import DataValidationError, RankDeficiencyError, SpecificationError
+from logsymrate.errors import (
+    DataValidationError,
+    EvaluationError,
+    RankDeficiencyError,
+    SpecificationError,
+)
 
 from .conftest import (
     AGES,
@@ -45,6 +53,7 @@ from .conftest import (
     small_logsym_table,
     small_poisson_table,
 )
+from .test_diagnostics import assert_no_child_left
 
 
 def spline_spec(loc_lam=10.0, disp_lam=100.0, generator=None):
@@ -808,9 +817,157 @@ class TestBatchedStencil:
         design, lam = _design_and_lam(spec, logsym_table)
         monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
         assert logsym_fit._replicate_fit(spec, design, lam).converged is converged
+        monkeypatch.setattr(logsym_fit, "_fd_stencil",
+                            lambda *args: (len(partials), partials.__getitem__))
         th_loc, th_disp = logsym_fit._initial_params(design)
         grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
         assert (grad_norm <= logsym_fit.GRAD_NORM_BOUND) is converged
+
+
+def _recorded_maps(monkeypatch):
+    """Record, for each ``_map_in_order`` call, whether forked workers ran
+    its tasks."""
+    forked = []
+    real = logsym_fit._map_in_order
+
+    def recording(fn, m, work=None):
+        out = real(lambda i: (os.getpid(), fn(i)), m, work)
+        forked.append(any(pid != os.getpid() for pid, _ in out))
+        return [got for _, got in out]
+    monkeypatch.setattr(logsym_fit, "_map_in_order", recording)
+    return forked
+
+
+def _pooled(monkeypatch):
+    """Send every stencil and grid to a pool of two forked workers, whatever
+    threads the BLAS runs."""
+    monkeypatch.setattr(logsym_fit, "_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(logsym_fit, "_THREADED", False)
+
+
+def _select_outcome(spec, table):
+    """What a fit with selection reports, by its bits."""
+    f = fit(spec, table)
+    return (f.params.lam, f.grad_norm, f.converged, f.params.location.tobytes(),
+            f.params.dispersion.tobytes())
+
+
+class TestPooledLoops:
+    @pytest.mark.parametrize("point", ["fitted", "nan partials"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_stencil_matches_serial(self, gen, point, monkeypatch):
+        f = fit(spline_spec(generator=gen), small_logsym_table(seed=33, generator=gen))
+        design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion.copy()
+        if point == "nan partials":
+            # exp(0.5 log phi) overflows at some stencil points and not others
+            th_disp[design.disp.par_names.index("intercept")] = 1416.0
+        serial = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
+        assert np.isnan(serial).any() == (point == "nan partials")
+        # the max in coefficient order, as one serial loop takes it
+        grad_norm = functools.reduce(lambda worst, g: max(worst, abs(g)), serial, 0.0)
+        assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam) == grad_norm
+        _pooled(monkeypatch)
+        forked = _recorded_maps(monkeypatch)
+        assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam) == grad_norm
+        count, partial = logsym_fit._fd_stencil(design, th_loc, th_disp, f.lam)
+
+        def quiet(k):
+            with np.errstate(**logsym_fit._QUIET):
+                return partial(k)
+        pooled = logsym_fit._map_in_order(quiet, count, len(design.y) * count)
+        assert np.array_equal(pooled, serial, equal_nan=True)
+        assert forked == [True, True]
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pooled"])
+    def test_every_partial_is_read(self, pool, logsym_table, monkeypatch):
+        design, lam = _design_and_lam(plain_spec(), logsym_table)
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        if pool:
+            _pooled(monkeypatch)
+        forked = _recorded_maps(monkeypatch)
+        for k in range(5):
+            partials = [math.nan, 0.5, -0.25, 0.0, 1e-3]
+            partials[k] = -2.0
+            monkeypatch.setattr(logsym_fit, "_fd_stencil",
+                                lambda *args: (len(partials), partials.__getitem__))
+            assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam) == 2.0
+        assert forked == [pool] * 5
+
+    def test_grid_matches_serial(self, logsym_table, caplog, monkeypatch):
+        grid = TestSelectionLog.SELECT_GRID
+        spec = select_spec(grid=grid)
+        real = logsym_fit._grid_aic
+
+        def failing_at_10(spec, design, lam):
+            if lam["location:ncs(age)"] == 10.0:
+                raise EvaluationError("forced grid failure")
+            return real(spec, design, lam)
+        monkeypatch.setattr(logsym_fit, "_grid_aic", failing_at_10)
+        caplog.set_level(logging.DEBUG, logger="logsymrate")
+        outcomes = []
+        for pool in (False, True):
+            if pool:
+                _pooled(monkeypatch)
+            forked = _recorded_maps(monkeypatch)
+            caplog.clear()
+            lam = select_lambda(spec, logsym_table, "location:ncs(age)")
+            outcomes.append((lam, [(r.levelno, r.getMessage()) for r in caplog.records]))
+            assert forked == [pool]
+        assert outcomes[0] == outcomes[1]
+        lam, records = outcomes[0]
+        assert lam == grid[-1] and records[-1][0] == logging.WARNING
+        assert (logging.DEBUG, "select location:ncs(age): lambda 10 failed: "
+                "forced grid failure") in records
+
+    def test_782_cell_stencils_and_small_grids_stay_serial(self, logsym_table, monkeypatch):
+        monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(logsym_fit, "_THREADED", False)
+        spec = spline_spec()
+        design, lam = _design_and_lam(spec, mid_logsym_table(0, normal_spec()))
+        grid = logsym_fit.DEFAULT_LAMBDA_GRID
+        n_coef = design.loc.G.shape[1] + design.disp.G.shape[1]
+
+        def forks(work):
+            return os.getpid() not in logsym_fit._map_in_order(lambda i: os.getpid(), 2, work)
+        # a 782-cell grid over the default 30 lambdas is large enough
+        assert not forks(782 * n_coef) and forks(782 * n_coef * len(grid))
+        forked = _recorded_maps(monkeypatch)
+        th_loc, th_disp = logsym_fit._initial_params(design)
+        logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
+        fit(select_spec(grid=grid), logsym_table)
+        assert forked == [False, False, False]
+        # not in a process with other threads, such as a multi-threaded BLAS's
+        monkeypatch.setattr(logsym_fit, "_THREADED", True)
+        assert not forks(782 * n_coef * len(grid))
+
+    def test_one_worker_per_share_of_the_work(self, monkeypatch):
+        import concurrent.futures
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda n, *args, **kw: sizes.append(n) or real(n, *args, **kw))
+        monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(logsym_fit, "_THREADED", False)
+        share = logsym_fit._WORK_PER_WORKER
+        # envelopes pass no work: one worker per usable CPU and task
+        for work in (share, 2 * share - 1, 3 * share, 100 * share, None):
+            assert logsym_fit._map_in_order(lambda i: -i, 4, work) == [0, -1, -2, -3]
+        assert sizes == [3, 4, 4]
+        assert_no_child_left()
+
+    def test_daemonic_process_runs_both_loops_itself(self, logsym_table, monkeypatch):
+        spec = select_spec()
+        serial = _select_outcome(spec, logsym_table)
+        _pooled(monkeypatch)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply(_select_outcome, (spec, logsym_table))
+        finally:
+            pool.close()
+            pool.join()
+        assert got == serial
+        assert_no_child_left()
 
 
 class TestPolishStep:

@@ -94,9 +94,10 @@ def test_only_a_contaminated_normal_loads_scipy_integrate(tmp_path):
 
 
 def test_fit_compare_and_curves_leave_the_process_pool_unloaded(tmp_path):
-    # multiprocessing is imported inside the envelope's replicate map, and
-    # only when more than one CPU is usable; scipy.special already loads
-    # concurrent.futures itself, but not its process pool
+    # multiprocessing is imported inside the pool's map, which a fit of a
+    # small table never calls, and only when more than one CPU is usable;
+    # scipy.special already loads concurrent.futures itself, but not its
+    # process pool
     docs = {"truth": TRUTH_DOC, "spec": BREAST_DOC, "poisson": POISSON_DOC}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -112,3 +113,22 @@ def test_fit_compare_and_curves_leave_the_process_pool_unloaded(tmp_path):
               "assert main(['curves', *common, '--out', d + '/cur']) == 0\n"
               "print(json.dumps([m for m in pool if m in sys.modules]))\n")
     assert run_fresh(script, str(tmp_path)) == []
+
+
+def test_threads_are_read_at_import():
+    # with one BLAS thread a process runs no other thread when logsym_fit is
+    # imported, and the reading stands; a thread started before the import
+    # is seen
+    script = ("import json, os, sys, threading\n"
+              "os.environ.update(OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1',\n"
+              "                  MKL_NUM_THREADS='1')\n"
+              "stop = threading.Event()\n"
+              "helper = threading.Thread(target=stop.wait)\n"
+              "if sys.argv[1] == 'before':\n"
+              "    helper.start()\n"
+              "from logsymrate import logsym_fit\n"
+              "if sys.argv[1] == 'after':\n"
+              "    helper.start()\n"
+              "stop.set()\n"
+              "print(json.dumps(logsym_fit._THREADED))\n")
+    assert [run_fresh(script, when) for when in ("after", "before")] == [False, True]

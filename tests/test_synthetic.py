@@ -161,6 +161,15 @@ class TestSurfaces:
                            match=f"^{grid} must be strictly increasing with a population"):
             poisson_truth(ages=ages, periods=periods, population=population)
 
+    @pytest.mark.parametrize("name, value", [
+        ("population", "1e5"), ("population", True), ("phi", "0.04"), ("phi", False),
+        ("beta0", "-5"), ("beta_age", "0.1"), ("beta_period", True), ("beta0", None),
+    ])
+    def test_numbers_must_be_numbers(self, name, value):
+        # a string would be parsed as a number, and a bool read as 0 or 1
+        with pytest.raises(SpecificationError, match=f"^{name} must be a number, got "):
+            poisson_truth(noise="logsym", generator=normal_spec(), **{name: value})
+
     @pytest.mark.parametrize("flag", ["false", 1, None])
     def test_round_counts_must_be_a_bool(self, flag):
         with pytest.raises(SpecificationError,
