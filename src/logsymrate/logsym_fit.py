@@ -41,6 +41,8 @@ coefficient): no standard errors or AIC.
 A term's grid fits, and the final fit's stencil, run on forked workers
 when they are large enough (``_map_in_order``). The parent reads their
 results in order, so every value, log line and warning is the serial one.
+The last term's winning grid fit ran at the final lambdas, so the final
+fit takes its optimum instead of running the optimizer again.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
 # A stencil or a lambda grid forks one worker per this many cell-coefficients
 # (times grid points), so from 300,000: on 2 Xeon cores (the only size measured)
-# a 2-worker pool start cost about 20 ms, a stencil 0.2 us per cell-coefficient.
+# a stencil costs 0.2 us per cell-coefficient, and the rule was sized when a
+# 2-worker pool start cost about 20 ms (``_fork_map`` now takes about 6 ms).
 _WORK_PER_WORKER = 150_000
 # Other threads, such as a threaded BLAS's helpers, at import (numpy loads its
 # BLAS first, and no pool has run yet); False off Linux, where the OS does not say.
@@ -560,48 +563,106 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
 
 
 # ---------------------------------------------------------------------------
-# fork pool
+# fork map
 
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 off Linux, where the OS does not say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_task = None  # set in each forked worker by _map_in_order
-
-
-def _set_task(fn) -> None:
-    global _task
-    _task = fn
-
-
-def _run_task(i):
-    return _task(i)
-
-
 def _map_in_order(fn, m: int, work=None) -> list:
     """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU and
-    task; given ``work``, the tasks' cell-coefficients, at most one per
-    ``_WORK_PER_WORKER`` of it, and none beside other threads (``_THREADED``:
-    each worker would start its own BLAS helpers). ``fn`` reaches the workers
-    by fork, not by pickling: only indices go out and results come back, in
-    order, so they have the bits of a serial run. With one worker, or in a
-    daemonic process such as a ``multiprocessing.Pool`` worker (it may not
-    start children), everything runs in this process."""
-    workers = min(_cpu_count(), m)
+    task (``_fork_map``); none beside other threads (``_THREADED``: each
+    worker would start its own BLAS helpers), and given ``work``, the tasks'
+    cell-coefficients, at most one per ``_WORK_PER_WORKER`` of it. With one
+    worker, or in a daemonic process such as a ``multiprocessing.Pool``
+    worker (it may not start children), everything runs in this process."""
+    workers = 1 if _THREADED else min(_cpu_count(), m)
     if work is not None:
-        workers = 1 if _THREADED else min(workers, work // _WORK_PER_WORKER)
+        workers = min(workers, work // _WORK_PER_WORKER)
     if workers > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
         if not multiprocessing.current_process().daemon:
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       initializer=_set_task, initargs=(fn,))
-            try:
-                return list(pool.map(_run_task, range(m)))
-            finally:
-                pool.shutdown(cancel_futures=True)
+            return _fork_map(fn, m, workers)
     return [fn(i) for i in range(m)]
+
+
+def _fork_map(fn, m: int, workers: int) -> list:
+    """``[fn(i) for i in range(m)]`` on ``workers`` forked children
+    (``_fork_worker``), which ``fn`` reaches by fork, not by pickling. This
+    process starts no thread: it waits on the children's pipes, puts the
+    results in order, with the bits of a serial run, and raises the
+    lowest failing index's exception, from one holding the child's
+    traceback. A child that dies raises ChildProcessError naming its exit
+    status. Every child is reaped before this returns or raises."""
+    import signal
+    from multiprocessing import get_context
+    from multiprocessing.connection import wait
+    ctx = get_context("fork")
+    lock, taken = ctx.Lock(), ctx.RawValue("q", 0)
+    children = {}  # the read end of each live child's pipe: its pid
+    results, errors = {}, {}
+    try:
+        for _ in range(workers):
+            read, write = ctx.Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                _fork_worker(fn, m, lock, taken, write)
+            write.close()
+            children[read] = pid
+        while children:
+            for read in wait(list(children)):
+                try:
+                    batch = read.recv()
+                except EOFError:
+                    pid = children.pop(read)
+                    read.close()
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if status:
+                        raise ChildProcessError(f"forked worker {pid} ended with exit "
+                                                f"status {status}") from None
+                    continue
+                for i, ok, value in batch:
+                    (results if ok else errors)[i] = value
+    finally:
+        for read, pid in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            read.close()
+    if errors:
+        exc, where = errors[min(errors)]
+        raise exc from ChildProcessError(f"raised in a forked worker:\n{where}")
+    return [results[i] for i in range(m)]
+
+
+def _fork_worker(fn, m: int, lock, taken, out) -> None:
+    """A forked child: take the next index from the shared counter until
+    none is left, then send the (index, ok, result or exception) triples
+    in one message, so the parent does not wake, and take a CPU from the
+    workers, once per task. A task that raises ends the handing out; every
+    lower index is taken already. Leave by ``os._exit``, never returning
+    into the parent's stack: status 0 once the results are sent, 1 if
+    anything but a task raised (a result that does not pickle, say)."""
+    status = 1
+    try:
+        batch = []
+        while True:
+            with lock:
+                i = taken.value
+                taken.value = i + 1
+            if i >= m:
+                break
+            try:
+                batch.append((i, True, fn(i)))
+            except Exception as exc:
+                import traceback
+                batch.append((i, False, (exc, traceback.format_exc())))
+                with lock:
+                    taken.value = m
+        out.send(batch)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _fd_stencil(design: _Design, th_loc, th_disp, lam):
@@ -759,8 +820,10 @@ def _information_criteria(spec: ModelSpec, design: _Design, lam: dict, mu, logph
     return ll, edf, aic, aic_jacobian
 
 
-def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict) -> LogSymFit:
-    th_loc, th_disp, criteria_met, iterations, trace = _optimize(spec, design, lam)
+def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict, optimized=None) -> LogSymFit:
+    """The fit at resolved lambdas, from ``optimized``, the ``_optimize``
+    output at ``lam`` if a grid fit already ran it."""
+    th_loc, th_disp, criteria_met, iterations, trace = optimized or _optimize(spec, design, lam)
     grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
     converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
 
@@ -857,51 +920,56 @@ def _select_labels(design: _Design) -> list:
     return [ti.label for ti in design.term_infos if ti.term.lam is None]
 
 
-def _grid_aic(spec: ModelSpec, design: _Design, lam: dict) -> float:
-    """AIC of one grid fit, with no convergence verdict or standard errors."""
-    th_loc, th_disp, *_ = _optimize(spec, design, lam)
-    return _information_criteria(spec, design, lam, *_mu_phi(design, th_loc, th_disp))[2]
+def _grid_fit(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
+    """(AIC, ``_optimize`` output) of one grid fit, with no convergence
+    verdict or standard errors."""
+    optimized = _optimize(spec, design, lam)
+    mu, logphi = _mu_phi(design, *optimized[:2])
+    return _information_criteria(spec, design, lam, mu, logphi)[2], optimized
 
 
-def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> float:
+def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> tuple:
     """AIC grid search over one term, others held at their current values
-    (unresolved select terms sit at the geometric grid midpoint). Each
-    (lambda, AIC) pair is logged at DEBUG, and a winner at the smallest or
-    largest grid value draws a WARNING naming the term."""
+    (unresolved select terms sit at the geometric grid midpoint): the
+    winning lambda and its grid fit's ``_optimize`` output. Each (lambda,
+    AIC) pair is logged at DEBUG, and a winner at the smallest or largest
+    grid value draws a WARNING naming the term."""
     mid = float(math.sqrt(spec.lambda_grid[0] * spec.lambda_grid[-1]))
     base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
     grid = spec.lambda_grid
 
-    def aic_at(k):
+    def fit_at(k):
         trial = dict(base)
         trial[label] = float(grid[k])
         try:
-            return _grid_aic(spec, design, _resolve_lambdas(trial, design))
+            return _grid_fit(spec, design, _resolve_lambdas(trial, design))
         except NumericalError as exc:
             return exc
     work = len(design.y) * (design.loc.G.shape[1] + design.disp.G.shape[1]) * len(grid)
-    aics = _map_in_order(aic_at, len(grid), work)
-    best_lam = None
+    fits = _map_in_order(fit_at, len(grid), work)
+    best = None
     best_aic = math.inf
-    for cand, aic in zip(grid, aics):
-        if isinstance(aic, NumericalError):
-            log.debug("select %s: lambda %g failed: %s", label, cand, aic)
+    for k, got in enumerate(fits):
+        if isinstance(got, NumericalError):
+            log.debug("select %s: lambda %g failed: %s", label, grid[k], got)
             continue
-        log.debug("select %s: lambda %g AIC %.10g", label, cand, aic)
+        aic = got[0]
+        log.debug("select %s: lambda %g AIC %.10g", label, grid[k], aic)
         if aic < best_aic - 1e-9:
             best_aic = aic
-            best_lam = float(cand)
-        elif aic <= best_aic + 1e-9:
+            best = k
+        elif aic <= best_aic + 1e-9 and grid[k] > grid[best]:
             # tie within tolerance: prefer the smoother (larger) lambda
-            best_lam = max(best_lam, float(cand))
-    if best_lam is None:
+            best = k
+    if best is None:
         raise SelectionError(f"no grid fit succeeded while selecting {label}")
+    best_lam = float(grid[best])
     edges = (min(spec.lambda_grid), max(spec.lambda_grid))
     if edges[0] < edges[1] and best_lam in edges:
         log.warning("select %s: lambda %g is at the edge of the grid [%g, %g]",
                     label, best_lam, *edges)
-    return best_lam
+    return best_lam, fits[best][1]
 
 
 def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
@@ -909,9 +977,10 @@ def fit(spec: ModelSpec, table: ObservationTable) -> LogSymFit:
     (sequentially, in declaration order), then maximizing at fixed lambda."""
     design = _build_design(spec, table)
     lam: dict = {}
+    optimized = None
     for label in _select_labels(design):
-        lam[label] = _grid_select(spec, design, lam, label)
-    return _fit_resolved(spec, design, _resolve_lambdas(lam, design))
+        lam[label], optimized = _grid_select(spec, design, lam, label)
+    return _fit_resolved(spec, design, _resolve_lambdas(lam, design), optimized)
 
 
 def fitted_log_rate(fit_result: LogSymFit, table: ObservationTable) -> np.ndarray:

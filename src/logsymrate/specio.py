@@ -130,6 +130,14 @@ def _whole(value, what: str) -> int:
     return int(number)
 
 
+def _number(value, what: str) -> float:
+    """A number field as float: JSON true is not 1, and "1e5" is not a
+    number; a non-number is a conversion error for _parses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_family(doc) -> GeneratorSpec:
     if not isinstance(doc, dict) or "name" not in doc:
         raise SpecificationError('family must be an object with a "name"')
@@ -253,16 +261,20 @@ def model_spec_to_dict(spec) -> dict:
 def _parse_grid(doc, what: str) -> tuple:
     if isinstance(doc, dict):
         _check_keys(doc, {"min", "max", "count"}, what)
-        return tuple(np.linspace(float(doc["min"]), float(doc["max"]),
+        return tuple(np.linspace(_number(doc["min"], f"{what} min"),
+                                 _number(doc["max"], f"{what} max"),
                                  _whole(doc["count"], f"{what} count")))
-    return tuple(float(v) for v in _list(doc, what))
+    return _numbers(doc, what)
+
+
+def _numbers(doc, what: str) -> tuple:
+    return tuple(_number(v, what) for v in _list(doc, what))
 
 
 def _tabulated(doc, what: str):
     _check_keys(doc, {"x", "y"}, what)
-    x = np.asarray(doc["x"], dtype=float)
-    y = np.asarray(doc["y"], dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+    x, y = (np.array(_numbers(doc[key], f"{what} {key}")) for key in ("x", "y"))
+    if x.shape != y.shape or len(x) < 2:
         raise SpecificationError(f"{what} needs matching x and y vectors (length >= 2)")
     if np.any(np.diff(x) <= 0):
         raise SpecificationError(f"{what} x values must be strictly increasing")
@@ -294,19 +306,19 @@ def parse_truth_spec(doc) -> TruthSpec:
             raise SpecificationError("logsym noise needs a family")
         kwargs["generator"] = _parse_family(noise["family"])
         phi = noise.get("phi", 0.05)
-        kwargs["phi"] = _tabulated_age_fn(phi) if isinstance(phi, dict) else float(phi)
+        kwargs["phi"] = _tabulated_age_fn(phi) if isinstance(phi, dict) else _number(phi, "phi")
         kwargs["round_counts"] = noise.get("round_counts", False)
     pop = doc.get("population", 1e5)
     if isinstance(pop, list):
-        pop = tuple(tuple(float(v) for v in row) for row in pop)
+        pop = tuple(tuple(_number(v, "population") for v in row) for row in pop)
     else:
-        pop = float(pop)
+        pop = _number(pop, "population")
     return TruthSpec(
         ages=_parse_grid(doc["ages"], "ages"),
         periods=_parse_grid(doc["periods"], "periods"),
-        beta0=float(lr.get("beta0", 0.0)),
-        beta_age=float(lr.get("beta_age", 0.0)),
-        beta_period=float(lr.get("beta_period", 0.0)),
+        beta0=_number(lr.get("beta0", 0.0), "beta0"),
+        beta_age=_number(lr.get("beta_age", 0.0), "beta_age"),
+        beta_period=_number(lr.get("beta_period", 0.0), "beta_period"),
         f_age=_tabulated(lr["f_age"], "f_age") if "f_age" in lr else None,
         f_period=_tabulated(lr["f_period"], "f_period") if "f_period" in lr else None,
         population=pop,

@@ -362,13 +362,15 @@ INPUT_ERRORS = [
      "expected deaths must be finite and below 1e+18"),
     ("simulate", dict(POISSON_TRUTH, log_rate={"beta0": 40.0}), [],
      "expected deaths must be finite and below 1e+18"),
+    ("simulate", dict(TRUTH_DOC, population="1e5"), [],
+     "malformed truth spec: TypeError: population must be a number, got '1e5'"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, flags, message", INPUT_ERRORS, ids=[
     "fit-normal-nu", "fit-student-zeta", "simulate-seed", "envelope-seed-poisson",
     "envelope-seed-logsym", "population-2x2", "population-ragged", "overflow-logsym",
-    "overflow-poisson", "lambda-too-large-poisson"])
+    "overflow-poisson", "lambda-too-large-poisson", "population-string"])
 def test_input_error_exits_2_naming_it(workspace, capsys, tmp_path, command, doc, flags,
                                        message):
     # each of these used to raise a bare ValueError, warn, or go on quietly

@@ -69,8 +69,10 @@ def pfit(ptable):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count that sizes the replicate pool; 1 runs replicates
-    in this process, where a test's recorders see them."""
+    """Set the CPU count that sizes the replicate pool, in a process taken
+    to run no other thread, whatever threads the BLAS runs; 1 runs
+    replicates in this process, where a test's recorders see them."""
+    monkeypatch.setattr(logsym_fit, "_THREADED", False)
     return lambda n: monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: n)
 
 
@@ -464,6 +466,19 @@ class TestReplicatePool:
         with pytest.raises(RuntimeError, match="^replicate broke$") as info:
             simulated_envelope(sfit, ltable, "location", m_sims=6, seed=3)
         assert info.type is RuntimeError
+        assert_no_child_left()
+
+    def test_threaded_process_runs_replicates_itself(self, sfit, ltable, cpus, monkeypatch):
+        # forked workers would each start their own BLAS helpers
+        cpus(1)
+        serial = envelope_outcome(sfit, ltable, "location", m_sims=6, seed=5)
+        cpus(2)
+        monkeypatch.setattr(logsym_fit, "_THREADED", True)
+        pids, real = [], diagnostics._simulate_and_refit
+        monkeypatch.setattr(diagnostics, "_simulate_and_refit",
+                            lambda *args: pids.append(os.getpid()) or real(*args))
+        assert envelope_outcome(sfit, ltable, "location", m_sims=6, seed=5) == serial
+        assert pids == [os.getpid()] * 6
         assert_no_child_left()
 
     def test_daemonic_process_runs_replicates_itself(self, pfit, ptable, cpus):

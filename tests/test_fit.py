@@ -13,13 +13,15 @@ import logging
 import math
 import multiprocessing
 import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from logsymrate import logsym_family, logsym_fit
+from logsymrate import logsym_family, logsym_fit, specio
 from logsymrate import (
     FitParams,
     GeneratorSpec,
@@ -104,7 +106,7 @@ def select_spec(generator=None, grid=tuple(np.geomspace(1e-1, 1e5, 7))):
 def select_lambda(spec, table, label):
     """The grid value that ``fit`` selects for the term ``label`` when it is
     the first term left to selection."""
-    return logsym_fit._grid_select(spec, logsym_fit._build_design(spec, table), {}, label)
+    return logsym_fit._grid_select(spec, logsym_fit._build_design(spec, table), {}, label)[0]
 
 
 def stacked_score(spec, table, params):
@@ -250,7 +252,7 @@ class TestSmoothing:
         for cand in spec.lambda_grid:
             lam = logsym_fit._resolve_lambdas({"location:ncs(age)": cand}, design)
             aic = logsym_fit._fit_resolved(spec, design, lam).aic
-            assert logsym_fit._grid_aic(spec, design, lam) == aic
+            assert logsym_fit._grid_fit(spec, design, lam)[0] == aic
             if aic < best_aic - 1e-9:
                 best_lam, best_aic = cand, aic
             elif aic <= best_aic + 1e-9:
@@ -846,6 +848,18 @@ def _pooled(monkeypatch):
     monkeypatch.setattr(logsym_fit, "_THREADED", False)
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that has not ended within 30 s, where it would hang."""
+    def expired(signum, frame):
+        raise TimeoutError("the test did not end within 30 s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def _select_outcome(spec, table):
     """What a fit with selection reports, by its bits."""
     f = fit(spec, table)
@@ -897,13 +911,13 @@ class TestPooledLoops:
     def test_grid_matches_serial(self, logsym_table, caplog, monkeypatch):
         grid = TestSelectionLog.SELECT_GRID
         spec = select_spec(grid=grid)
-        real = logsym_fit._grid_aic
+        real = logsym_fit._grid_fit
 
         def failing_at_10(spec, design, lam):
             if lam["location:ncs(age)"] == 10.0:
                 raise EvaluationError("forced grid failure")
             return real(spec, design, lam)
-        monkeypatch.setattr(logsym_fit, "_grid_aic", failing_at_10)
+        monkeypatch.setattr(logsym_fit, "_grid_fit", failing_at_10)
         caplog.set_level(logging.DEBUG, logger="logsymrate")
         outcomes = []
         for pool in (False, True):
@@ -942,11 +956,10 @@ class TestPooledLoops:
         assert not forks(782 * n_coef * len(grid))
 
     def test_one_worker_per_share_of_the_work(self, monkeypatch):
-        import concurrent.futures
         sizes = []
-        real = concurrent.futures.ProcessPoolExecutor
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda n, *args, **kw: sizes.append(n) or real(n, *args, **kw))
+        real = logsym_fit._fork_map
+        monkeypatch.setattr(logsym_fit, "_fork_map",
+                            lambda fn, m, workers: sizes.append(workers) or real(fn, m, workers))
         monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 4)
         monkeypatch.setattr(logsym_fit, "_THREADED", False)
         share = logsym_fit._WORK_PER_WORKER
@@ -954,6 +967,72 @@ class TestPooledLoops:
         for work in (share, 2 * share - 1, 3 * share, 100 * share, None):
             assert logsym_fit._map_in_order(lambda i: -i, 4, work) == [0, -1, -2, -3]
         assert sizes == [3, 4, 4]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("gen", [normal_spec(), GeneratorSpec(family="powerexp", zeta=0.4)],
+                             ids=["normal", "powerexp"])
+    def test_final_fit_reuses_the_winning_grid_fit(self, gen, logsym_table, monkeypatch):
+        # with two select terms, the second grid's winner ran at the final
+        # lambdas: the final fit takes its optimum, and writes the fit.json
+        # of a final fit that runs the optimizer again; the winner, 1e4, is
+        # not the last grid fit
+        spec = dataclasses.replace(spline_spec(None, None, gen), lambda_grid=(1e4, 100.0, 1.0))
+        calls = []
+        real = logsym_fit._optimize
+        monkeypatch.setattr(logsym_fit, "_optimize",
+                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 1)
+        f = fit(spec, logsym_table)
+        assert len(calls) == 2 * len(spec.lambda_grid)
+        again = logsym_fit._fit_resolved(spec, f.design, f.lam)
+        assert len(calls) == 2 * len(spec.lambda_grid) + 1
+
+        def fit_json(fit_result):
+            return specio.dump_json(specio.fit_to_dict(fit_result))
+        assert fit_json(f) == fit_json(again)
+        _pooled(monkeypatch)
+        assert fit_json(fit(spec, logsym_table)) == fit_json(again)
+
+    def test_a_killed_worker_is_named_by_its_exit_status(self, deadline, monkeypatch):
+        _pooled(monkeypatch)
+
+        def task(i):
+            if i == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+        with pytest.raises(ChildProcessError, match=r"^forked worker \d+ ended with exit "
+                                                    r"status -9$"):
+            logsym_fit._map_in_order(task, 8)
+        assert_no_child_left()
+
+    def test_the_lowest_failing_task_raises(self, deadline, monkeypatch):
+        # task 5 fails first, while the other worker is still on task 2,
+        # which fails too: a serial run raises task 2's error
+        _pooled(monkeypatch)
+
+        def task(i):
+            if i == 2:
+                time.sleep(0.3)
+                raise EvaluationError("task 2 failed")
+            if i == 5:
+                raise RuntimeError("task 5 failed")
+            return i
+        with pytest.raises(EvaluationError, match="^task 2 failed$") as info:
+            logsym_fit._map_in_order(task, 8)
+        assert info.type is EvaluationError
+        # the worker's traceback, as the cause
+        assert "in task\n    raise EvaluationError(\"task 2 failed\")" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_an_interrupted_wait_kills_and_reaps_every_worker(self, deadline, monkeypatch):
+        import multiprocessing.connection
+        _pooled(monkeypatch)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            logsym_fit._map_in_order(lambda i: time.sleep(60), 4)
         assert_no_child_left()
 
     def test_daemonic_process_runs_both_loops_itself(self, logsym_table, monkeypatch):
@@ -1073,7 +1152,7 @@ class TestSelectionLog:
     @pytest.mark.parametrize("grid", [(1.0, 10.0, 100.0), (100.0, 10.0, 1.0), (10.0, 100.0, 1.0)])
     def test_tie_goes_to_the_largest_lambda_in_any_grid_order(self, logsym_table, grid,
                                                               monkeypatch):
-        monkeypatch.setattr(logsym_fit, "_grid_aic", lambda *args: 5.0)
+        monkeypatch.setattr(logsym_fit, "_grid_fit", lambda *args: (5.0, None))
         assert select_lambda(select_spec(grid=grid), logsym_table, "location:ncs(age)") == 100.0
 
     def test_interior_winner_does_not_warn(self, caplog):

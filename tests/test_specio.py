@@ -425,6 +425,27 @@ class TestTruthSpecs:
                                                      f"{field} must be a JSON list, got "):
             parse_truth_spec(doc)
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["log_rate"].update(beta0=True), "beta0"),
+        (lambda d: d["log_rate"].update(beta_age="0.07"), "beta_age"),
+        (lambda d: d["noise"].update(phi="0.04"), "phi"),
+        (lambda d: d.update(population="1e5"), "population"),
+        (lambda d: d.update(population=[[1e5] * 3] * 6 + [[1e5, True, 1e5]]), "population"),
+        (lambda d: d.update(periods=[2000.0, "2005", 2010.0]), "periods"),
+        (lambda d: d["ages"].update(max="70"), "ages max"),
+        (lambda d: d["log_rate"]["f_age"].update(y=[0.0, False, 0.0]), "f_age y"),
+        (lambda d: d["noise"].update(phi={"x": ["40", 70.0], "y": [0.02, 0.08]}), "phi x"),
+    ], ids=["coefficient-true", "coefficient-string", "phi-string", "population-string",
+            "population-table-true", "grid-entry-string", "grid-bound-string",
+            "tabulated-y-false", "tabulated-phi-x-string"])
+    def test_numbers_must_be_numbers(self, mutate, field):
+        # each was converted with float(): "1e5" read as 100,000 and true as 1
+        doc = json.loads(json.dumps(TRUTH_DOC))
+        mutate(doc)
+        with pytest.raises(SpecificationError, match=f"^malformed truth spec: TypeError: "
+                                                     f"{field} must be a number, got "):
+            parse_truth_spec(doc)
+
     def test_round_counts_flag(self):
         doc = json.loads(json.dumps(TRUTH_DOC))
         assert parse_truth_spec(doc).round_counts is False
