@@ -222,9 +222,6 @@ def _as_text_lines(source) -> Iterable[str]:
         text = source
     elif isinstance(source, (bytes, bytearray)):
         text = bytes(source).decode("utf-8")
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
     else:
         raise DataFormatError(f"unsupported CSV source type {type(source).__name__}")
     return io.StringIO(text)

@@ -256,7 +256,6 @@ class _TermInfo:
 
 @dataclass
 class _Half:
-    name: str
     G: np.ndarray
     p_par: int
     par_names: tuple
@@ -296,7 +295,7 @@ def _build_half(name: str, sub: SubmodelSpec, table: ObservationTable) -> _Half:
     G = np.column_stack(cols)
     col_scale = np.max(np.abs(G), axis=0)
     col_scale[col_scale == 0] = 1.0
-    return _Half(name=name, G=G, p_par=X.shape[1], par_names=tuple(sub.covariates),
+    return _Half(G=G, p_par=X.shape[1], par_names=tuple(sub.covariates),
                  terms=terms, col_scale=col_scale)
 
 

@@ -2,7 +2,8 @@
 
 Spec files are plain JSON with stable field names (no formula language).
 Serialization is deterministic: dictionaries are written in construction
-order, floats with 17 significant digits, NaN and infinities as null.
+order, floats as ``repr`` writes them, the shortest text that reads back
+as the same float (as in the CSVs), NaN and infinities as null.
 """
 
 from __future__ import annotations
@@ -25,46 +26,26 @@ from .synthetic import TruthSpec
 # ---------------------------------------------------------------------------
 # deterministic JSON writer
 
-def _write_value(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            out.append("null")
-        else:
-            out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _write_value(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _write_value(v, out)
-        out.append("]")
-    else:
-        raise SpecificationError(f"cannot serialize {type(obj).__name__} to JSON")
+def _plain(obj):
+    """obj in the types json encodes: numpy values as Python ones, tuples and
+    arrays as lists, and NaN or an infinity as None."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    raise SpecificationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dump_json(obj) -> str:
-    out: list = []
-    _write_value(obj, out)
-    return "".join(out) + "\n"
+    return json.dumps(_plain(obj), separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def load_json(text):

@@ -36,7 +36,7 @@ class TruthSpec:
     beta_period: float = 0.0
     f_age: Union[Callable, None] = None
     f_period: Union[Callable, None] = None
-    population: Union[float, Callable, tuple] = 1e5
+    population: Union[float, tuple] = 1e5
     noise: str = "poisson_counts"
     generator: Union[GeneratorSpec, None] = None
     phi: Union[float, Callable] = 0.05
@@ -45,7 +45,10 @@ class TruthSpec:
     site: str = "synthetic"
 
     def __post_init__(self):
-        table = not callable(self.population) and not np.isscalar(self.population)
+        if callable(self.population):
+            raise SpecificationError("population must be a number or a per-cell table, "
+                                     "got a callable")
+        table = not np.isscalar(self.population)
         for name in ("ages", "periods"):
             if isinstance(getattr(self, name), str):
                 raise SpecificationError(f"{name} must be a list, got {getattr(self, name)!r}")
@@ -60,7 +63,7 @@ class TruthSpec:
         for name in ("beta0", "beta_age", "beta_period", "phi", "population"):
             value = getattr(self, name)
             # "1e5" would be read as a number and True as 1; a population
-            # table or a callable surface is checked where it is used
+            # table and a callable phi are checked where they are used
             if (name == "population" and table) or callable(value):
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -103,9 +106,7 @@ class TruthSpec:
         return arr
 
     def population_surface(self) -> np.ndarray:
-        if callable(self.population):
-            pop = np.array([float(self.population(a, p)) for a, p in self.grid()])
-        elif np.isscalar(self.population):
+        if np.isscalar(self.population):
             pop = np.full(len(self.grid()), float(self.population))
         else:
             pop = np.asarray(self.population, dtype=float).ravel()

@@ -1,10 +1,12 @@
 """End-to-end command-line runs, exercised in-process via main()."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
-from logsymrate import dump_json, parse_mortality_csv
+from logsymrate import cli, dump_json, parse_mortality_csv, specio
 from logsymrate.cli import main
 
 TRUTH_DOC = {
@@ -80,6 +82,9 @@ class TestSimulate:
         truth_echo = json.loads((root / "sim" / "truth.json").read_text())
         assert truth_echo["seed"] == 20130
         assert truth_echo["truth"] == TRUTH_DOC
+        # an integral float reads back as a float, not an int
+        ages = truth_echo["cells"]["age_mid"]
+        assert ages[0] == 40.0 and all(type(age) is float for age in ages)
 
     def test_byte_identical_rerun(self, workspace):
         root = workspace["root"]
@@ -167,6 +172,45 @@ class TestFit:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["model"] == "poisson"
         assert doc["spec"] == dict(POISSON_DOC, zero_policy="add_half")
+
+    def test_fixed_lambda_reads_back_as_a_float(self, workspace):
+        out = workspace["root"] / "fit_fixed"
+        assert main(["fit", "--input", workspace["input"],
+                     "--spec", workspace["breast"], "--out", str(out)]) == 0
+        terms = json.loads((out / "fit.json").read_text())["terms"]
+        lams = {label: term["lambda"] for label, term in terms.items()}
+        assert sorted(lams.values()) == [10.0, 10.0, 100.0]
+        assert all(type(lam) is float for lam in lams.values())
+
+    def test_nan_standard_error_is_written_as_null(self, workspace, monkeypatch):
+        fit_poisson = cli.fit_poisson
+
+        def nan_se(*args):
+            result = fit_poisson(*args)
+            return dataclasses.replace(result, se=result.se * [1.0, math.nan, 1.0])
+
+        monkeypatch.setattr(cli, "fit_poisson", nan_se)
+        out = workspace["root"] / "fit_nan_se"
+        assert main(["fit", "--input", workspace["input"],
+                     "--spec", workspace["poisson"], "--out", str(out)]) == 0
+        std_errs = json.loads((out / "fit.json").read_text())["beta"]["std_errs"]
+        assert std_errs[1] is None and all(type(se) is float for se in std_errs[::2])
+
+    def test_non_finite_past_the_writer_raises_and_writes_nothing(self, workspace,
+                                                                  monkeypatch):
+        # NaN is not JSON: the encoder refuses it rather than write the token
+        plain = specio._plain
+
+        def leak_nan(obj):  # the conversion, with the document's AIC left NaN
+            out = plain(obj)
+            return dict(out, aic=math.nan) if isinstance(out, dict) and "aic" in out else out
+
+        monkeypatch.setattr(specio, "_plain", leak_nan)
+        out = workspace["root"] / "fit_nan_token"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["fit", "--input", workspace["input"],
+                  "--spec", workspace["poisson"], "--out", str(out)])
+        assert not (out / "fit.json").exists()
 
     def test_overwrite_refused_then_forced(self, workspace, capsys):
         out = workspace["root"] / "fit_l"

@@ -1,5 +1,6 @@
 """Ingestion, aggregation, zero policies and observed log rates."""
 
+import io
 import math
 import os
 import re
@@ -68,6 +69,10 @@ class TestParse:
         recs = parse_mortality_csv(GOOD_CSV)
         assert len(recs) == 4
         assert rows(recs)[0] == ("female", "breast", 40, 44, 2001, 12, 51000.0)
+
+    def test_source_must_be_text_or_bytes(self):
+        with pytest.raises(DataFormatError, match="^unsupported CSV source type StringIO$"):
+            parse_mortality_csv(io.StringIO(GOOD_CSV.decode()))
 
     def test_header_must_match(self):
         bad = GOOD_CSV.replace(b"sex,site", b"site,sex")

@@ -104,6 +104,12 @@ class TestSurfaces:
         # cells run period-fastest within each age
         assert surf[0] == 1000.0 and surf[1] == 1001.0 and surf[3] == 2000.0
 
+    def test_callable_population_rejected(self):
+        with pytest.raises(SpecificationError,
+                           match="^population must be a number or a per-cell table, got a "
+                                 "callable$"):
+            poisson_truth(population=lambda a, p: 1e5)
+
     def test_invalid_population(self):
         with pytest.raises(SpecificationError):
             simulate_table(poisson_truth(population=-5.0), seed=0)
