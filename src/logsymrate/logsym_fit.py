@@ -575,7 +575,8 @@ def _map_in_order(fn, m: int, work=None) -> list:
     worker would start its own BLAS helpers), and given ``work``, the tasks'
     cell-coefficients, at most one per ``_WORK_PER_WORKER`` of it. With one
     worker, or in a daemonic process such as a ``multiprocessing.Pool``
-    worker (it may not start children), everything runs in this process."""
+    worker (it already shares the CPUs with its pool, so forking inside it
+    would oversubscribe them), everything runs in this process."""
     workers = 1 if _THREADED else min(_cpu_count(), m)
     if work is not None:
         workers = min(workers, work // _WORK_PER_WORKER)

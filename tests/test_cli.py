@@ -182,20 +182,6 @@ class TestFit:
         assert sorted(lams.values()) == [10.0, 10.0, 100.0]
         assert all(type(lam) is float for lam in lams.values())
 
-    def test_nan_standard_error_is_written_as_null(self, workspace, monkeypatch):
-        fit_poisson = cli.fit_poisson
-
-        def nan_se(*args):
-            result = fit_poisson(*args)
-            return dataclasses.replace(result, se=result.se * [1.0, math.nan, 1.0])
-
-        monkeypatch.setattr(cli, "fit_poisson", nan_se)
-        out = workspace["root"] / "fit_nan_se"
-        assert main(["fit", "--input", workspace["input"],
-                     "--spec", workspace["poisson"], "--out", str(out)]) == 0
-        std_errs = json.loads((out / "fit.json").read_text())["beta"]["std_errs"]
-        assert std_errs[1] is None and all(type(se) is float for se in std_errs[::2])
-
     def test_non_finite_past_the_writer_raises_and_writes_nothing(self, workspace,
                                                                   monkeypatch):
         # NaN is not JSON: the encoder refuses it rather than write the token
@@ -385,6 +371,40 @@ class TestCompare:
         assert "model 2" in capsys.readouterr().err
 
 
+def test_every_json_artifact_is_standard(workspace, monkeypatch, tmp_path):
+    # simulate -> fit -> compare, each Poisson fit with a NaN standard error:
+    # no artifact holds a NaN or Infinity token, the NaN is written as null,
+    # and a float such as a standard error or a fit's AIC reads back as one
+    fit_poisson = cli.fit_poisson
+
+    def nan_se(*args):
+        result = fit_poisson(*args)
+        return dataclasses.replace(result, se=result.se * [1.0, math.nan, 1.0])
+
+    monkeypatch.setattr(cli, "fit_poisson", nan_se)
+    assert main(["simulate", "--spec", workspace["truth"], "--out", str(tmp_path / "sim")]) == 0
+    table = ["--input", str(tmp_path / "sim" / "simulated.csv")]
+    assert main(["fit", *table, "--spec", workspace["breast"],
+                 "--out", str(tmp_path / "fit")]) == 0
+    assert main(["fit", *table, "--spec", workspace["poisson"],
+                 "--out", str(tmp_path / "fit_p")]) == 0
+    assert main(["compare", *table, "--spec", workspace["breast"],
+                 "--spec2", workspace["poisson"], "--out", str(tmp_path / "cmp")]) == 0
+
+    def refuse(token):
+        pytest.fail(f"non-standard JSON constant {token}")
+
+    docs = {path.relative_to(tmp_path).as_posix():
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+            for path in tmp_path.glob("*/*.json")}
+    assert sorted(docs) == ["cmp/comparison.json", "fit/fit.json", "fit_p/fit.json",
+                            "sim/truth.json"]
+    std_errs = docs["fit_p/fit.json"]["beta"]["std_errs"]
+    assert std_errs[1] is None and all(type(se) is float for se in std_errs[::2])
+    assert type(docs["fit/fit.json"]["aic"]) is float
+    assert type(docs["fit_p/fit.json"]["aic"]) is float
+
+
 POISSON_TRUTH = dict(TRUTH_DOC, noise={"kind": "poisson_counts"})
 
 INPUT_ERRORS = [
@@ -408,13 +428,16 @@ INPUT_ERRORS = [
      "expected deaths must be finite and below 1e+18"),
     ("simulate", dict(TRUTH_DOC, population="1e5"), [],
      "malformed truth spec: TypeError: population must be a number, got '1e5'"),
+    ("fit", dict(POISSON_DOC, covariates="intercept"), [],
+     "malformed model spec: TypeError: covariates must be a JSON list, got 'intercept'"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, flags, message", INPUT_ERRORS, ids=[
     "fit-normal-nu", "fit-student-zeta", "simulate-seed", "envelope-seed-poisson",
     "envelope-seed-logsym", "population-2x2", "population-ragged", "overflow-logsym",
-    "overflow-poisson", "lambda-too-large-poisson", "population-string"])
+    "overflow-poisson", "lambda-too-large-poisson", "population-string",
+    "poisson-covariates-string"])
 def test_input_error_exits_2_naming_it(workspace, capsys, tmp_path, command, doc, flags,
                                        message):
     # each of these used to raise a bare ValueError, warn, or go on quietly

@@ -1,0 +1,141 @@
+"""Envelopes and a "select" fit through ``python -m logsymrate.cli`` in fresh
+interpreters, each with its own BLAS setting: a run on forked workers
+writes the bytes of a run pinned to one CPU by ``taskset -c 0``, and each
+map forks where ``_map_in_order``'s rule says it does."""
+
+import json
+import shutil
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from logsymrate.cli import main
+from logsymrate.logsym_fit import _cpu_count
+
+from .fresh import BLAS, python, run_fresh
+
+NORMAL_NOISE = {"kind": "logsym", "family": {"name": "normal"}, "phi": 0.04}
+LINEAR = {"beta0": -22.0, "beta_age": 0.07, "beta_period": 0.006}
+DOCS = {
+    # 7 ages x 5 periods
+    "small": {"ages": [40, 45, 50, 55, 60, 65, 70], "periods": [2000, 2002, 2004, 2006, 2008],
+              "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
+    # 20 age bands x 100 years: with the select spec's 219 coefficients, the
+    # stencil's 2,000 x 219 cell-coefficients, and 5 times that for the
+    # grid, pass the fork rule's size bound
+    "big": {"ages": list(range(0, 100, 5)), "periods": list(range(1920, 2020)),
+            "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
+    "poisson": {"model": "poisson", "covariates": ["intercept", "age", "period"]},
+    "normal": {"model": "logsym", "family": {"name": "normal"},
+               "location": {"covariates": ["intercept", "age", "period"], "use_offset": True},
+               "dispersion": {"covariates": ["intercept"]}},
+    "select": {"model": "logsym", "family": {"name": "normal"},
+               "location": {"covariates": ["intercept"], "use_offset": True,
+                            "terms": [{"kind": "ncs", "covariate": "age", "lambda": "select"},
+                                      {"kind": "ncs", "covariate": "period", "lambda": 10.0}]},
+               "dispersion": {"covariates": ["intercept"],
+                              "terms": [{"kind": "ncs", "covariate": "period",
+                                         "lambda": 100.0}]},
+               "lambda_grid": {"lo": 0.1, "hi": 1000.0, "num": 5}},
+}
+# case: the command line, its artifact, and the BLAS settings of its runs
+# on the pool. The BLAS thread count moves bits of a large fit by itself,
+# so the select fit runs with one BLAS thread only.
+CASES = {
+    "poisson-envelope": (["envelope", "small", "poisson", "--m-sims", "20"], "envelope.csv",
+                         ("default", "one")),
+    "normal-envelope": (["envelope", "small", "normal", "--m-sims", "20"], "envelope.csv",
+                        ("default", "one")),
+    "select-fit": (["fit", "big", "select"], "fit.json", ("one",)),
+}
+
+# Runs the CLI on its arguments, recording for each map of the run whether
+# forked workers ran its tasks, then prints that list, the process's
+# _THREADED and its usable CPU count.
+RECORD = """\
+import json, os, sys
+from logsymrate import diagnostics, logsym_fit
+from logsymrate.cli import main
+forked, real = [], logsym_fit._map_in_order
+def recording(fn, m, work=None):
+    out = real(lambda i: (os.getpid(), fn(i)), m, work)
+    forked.append(any(pid != os.getpid() for pid, _ in out))
+    return [got for _, got in out]
+logsym_fit._map_in_order = diagnostics._map_in_order = recording
+assert main(sys.argv[1:]) == 0
+print(json.dumps([forked, logsym_fit._THREADED, logsym_fit._cpu_count()]))
+"""
+
+
+def expected_forks(case, threaded, cpus):
+    """Whether each map of a case's run forks: every map with enough work
+    does, given more than one usable CPU and no other thread at import."""
+    fork = not threaded and cpus > 1
+    return {"poisson-envelope": [fork],  # the replicates
+            # the fit's finite-difference check is too small to fork
+            "normal-envelope": [False, fork],
+            # the lambda grid, then the final fit's finite-difference check
+            "select-fit": [fork, fork]}[case]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """{(case, blas, where): (artifact bytes, fork record or None), or the
+    run's failure} of every run, "pool" runs recorded and "cpu0" ones pinned
+    by taskset where it exists; two at a time, since most of a run is its
+    single-threaded start."""
+    root = tmp_path_factory.mktemp("pool")
+    for name, doc in DOCS.items():
+        (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    for table in ("small", "big"):
+        assert main(["simulate", "--spec", str(root / f"{table}.json"),
+                     "--out", str(root / table)]) == 0
+    keys = [(case, blas, "pool") for case, (_, _, settings) in CASES.items()
+            for blas in settings]
+    if shutil.which("taskset") is not None:
+        keys += [(case, "one", "cpu0") for case in CASES]
+
+    def run(key):
+        case, blas, where = key
+        (command, table, spec, *flags), artifact, _ = CASES[case]
+        out = root / "-".join(key)
+        argv = [command, "--input", str(root / table / "simulated.csv"),
+                "--spec", str(root / f"{spec}.json"), *flags, "--out", str(out)]
+        try:
+            if where == "cpu0":
+                python("-m", "logsymrate.cli", *argv, env=BLAS[blas], cpu0=True)
+                record = None
+            else:
+                record = run_fresh(RECORD, *argv, env=BLAS[blas])
+        except AssertionError as exc:  # fails only the tests that read this run
+            return exc
+        return (out / artifact).read_bytes(), record
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(keys, pool.map(run, keys)))
+
+
+def outcome(runs, key):
+    """A run's artifact bytes and fork record; its failure is raised."""
+    if isinstance(runs[key], AssertionError):
+        raise runs[key]
+    return runs[key]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_pooled_runs_write_the_bytes_of_one_cpu(runs, case):
+    if shutil.which("taskset") is None:
+        pytest.skip("taskset is missing: no run can be pinned to one CPU")
+    if _cpu_count() < 2:
+        pytest.skip("fewer than 2 usable CPUs: no map forks")
+    one_cpu, _ = outcome(runs, (case, "one", "cpu0"))
+    for blas in CASES[case][2]:
+        pooled, _ = outcome(runs, (case, blas, "pool"))
+        assert pooled == one_cpu, f"{case} with {blas} BLAS threads"
+
+
+@pytest.mark.parametrize("case, blas", [(case, blas) for case, (_, _, settings) in CASES.items()
+                                        for blas in settings])
+def test_maps_fork_by_the_rule(runs, case, blas):
+    _, (forked, threaded, cpus) = outcome(runs, (case, blas, "pool"))
+    assert forked == expected_forks(case, threaded, cpus)

@@ -2,17 +2,13 @@
 
 import io
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import logsymrate
 from logsymrate import (
     MortalityColumns,
     ObservationCell,
@@ -35,6 +31,8 @@ from logsymrate.data_ingest import (
 from logsymrate.errors import DataFormatError, DataValidationError
 from logsymrate.logsym_family import sample_with_rng
 from logsymrate.poisson_glm import fit_poisson
+
+from .fresh import python
 
 GOOD_CSV = b"""sex,site,age_lo,age_hi,year,deaths,population
 female,breast,40,44,2001,12,51000
@@ -239,10 +237,7 @@ class TestNumberGrammar:
                   "    parse_mortality_csv(sys.stdin.read())\n"
                   "except DataValidationError as e:\n"
                   "    print(e)\n")
-        src = os.path.dirname(os.path.dirname(logsymrate.__file__))
-        done = subprocess.run([sys.executable, "-c", script], input="\n".join(rows) + "\n",
-                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                              text=True, timeout=60, check=True)
+        done = python("-c", script, input="\n".join(rows) + "\n", timeout=60)
         assert done.stdout.strip() == f"line 402: {message} {text!r}"
 
     def test_first_bad_line_wins(self):

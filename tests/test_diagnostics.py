@@ -482,7 +482,8 @@ class TestReplicatePool:
         assert_no_child_left()
 
     def test_daemonic_process_runs_replicates_itself(self, pfit, ptable, cpus):
-        # a multiprocessing.Pool worker is daemonic and may not start children
+        # a multiprocessing.Pool worker is daemonic and already shares the
+        # CPUs with its pool: forking inside it would oversubscribe them
         cpus(1)
         serial = envelope_outcome(pfit, ptable, "deviance", m_sims=6, seed=4)
         cpus(2)

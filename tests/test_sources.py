@@ -1,0 +1,44 @@
+"""The Python files themselves: each parses under the 3.10 floor of
+``requires-python``, and each demo runs to the end with a RuntimeWarning
+as an error."""
+
+import ast
+import shutil
+from pathlib import Path
+
+import pytest
+
+from .fresh import python
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_every_file_parses_as_python_3_10():
+    # a stand-in for running the suite on 3.10: syntax the floor lacks,
+    # such as except*, fails here
+    failures = []
+    for folder in ("src", "tests", "perfbench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            try:
+                ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+            except SyntaxError as exc:
+                failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failures == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs_without_a_runtime_warning(demo, tmp_path):
+    # from a copy, since component_curves.py writes its CSV next to itself:
+    # nothing in demos/ is written
+    before = {path.name: path.stat().st_mtime_ns for path in (ROOT / "demos").iterdir()}
+    copy = tmp_path / demo.name
+    shutil.copyfile(demo, copy)
+    python("-W", "error::RuntimeWarning", str(copy), cwd=tmp_path)
+    assert {path.name: path.stat().st_mtime_ns for path in (ROOT / "demos").iterdir()} == before
+    if demo.stem == "component_curves":
+        lines = (tmp_path / "component_curves.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "term,covariate,value"
+        terms = [line.split(",")[0] for line in lines[1:] if line]
+        assert {term: terms.count(term) for term in terms} == {
+            "location:ncs(age)": 200, "location:ncs(period)": 200, "dispersion:psp(age)": 200}

@@ -8,13 +8,11 @@ the benchmark's own self-test.
 import importlib.util
 import inspect
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import logsymrate
 
+from .fresh import run_fresh
 from .test_cli import BREAST_DOC, POISSON_DOC, TRUTH_DOC
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -55,16 +53,6 @@ def test_every_imported_public_name_is_exported():
 # contaminated normal's kappa.
 HEAVY_SCIPY = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.sparse",
                "scipy.optimize")
-
-
-def run_fresh(script, *args):
-    """Last stdout line of ``script`` in a fresh interpreter, as JSON: the
-    test suite itself imports every scipy module."""
-    src = os.path.dirname(os.path.dirname(logsymrate.__file__))
-    done = subprocess.run([sys.executable, "-c", script, *args],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_package_import_leaves_heavy_scipy_modules_unloaded():
