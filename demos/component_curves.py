@@ -61,7 +61,7 @@ def main():
               f"edf {result.edf[label]:.2f}")
 
     curves = all_component_curves(result, grid_size=200)
-    OUT.write_text(curves_to_csv(curves) + "\n")
+    OUT.write_text(curves_to_csv(curves))
     rows = sum(len(g) for _, g, _ in curves)
     print(f"wrote {len(curves)} curves ({rows} rows) to {OUT.name}")
 

@@ -79,18 +79,18 @@ def _run_model(spec, table):
     return fit_logsym(spec, table)
 
 
-def _out_path(args: argparse.Namespace, name: str) -> str:
+def _write_outputs(args: argparse.Namespace, texts: dict) -> None:
+    """Write each file name's text into ``--out``. Every path is checked
+    before the first is written, so a refused overwrite writes nothing."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    if os.path.exists(path) and not args.force:
-        raise DataValidationError(f"refusing to overwrite {path}; pass --force")
-    return path
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    log.info("wrote %s", path)
+    paths = {name: os.path.join(args.out, name) for name in texts}
+    for path in paths.values():
+        if os.path.exists(path) and not args.force:
+            raise DataValidationError(f"refusing to overwrite {path}; pass --force")
+    for name, path in paths.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(texts[name])
+        log.info("wrote %s", path)
 
 
 def _print_fit_summary(fit_result, table) -> None:
@@ -118,7 +118,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     doc = specio.fit_to_dict(result)
     if isinstance(spec, PoissonSpec):
         doc["spec"] = specio.model_spec_to_dict(spec)
-    _write(_out_path(args, "fit.json"), specio.dump_json(doc))
+    _write_outputs(args, {"fit.json": specio.dump_json(doc)})
     _print_fit_summary(result, table)
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
@@ -138,11 +138,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except ModelError as exc:
             raise type(exc)(f"model {idx} ({path}): {exc}") from None
     report = diagnostics.compare_models(*fits, table)
-    _write(_out_path(args, "comparison.json"), specio.dump_json(report.to_dict()))
+    texts = {"comparison.json": specio.dump_json(report.to_dict())}
     for idx, f in enumerate(fits, start=1):
         fitted = diagnostics.model_fitted_log_rate(f, table)
-        _write(_out_path(args, f"scatter_{idx}.csv"),
-               diagnostics.scatter_to_csv(table, fitted))
+        texts[f"scatter_{idx}.csv"] = diagnostics.scatter_to_csv(table, fitted)
+    _write_outputs(args, texts)
     print(f"preferred: {report.preferred}")
     for m in report.models:
         print(f"  {m.label}: AIC {m.aic:.4f}  rho {m.rho:.4f}")
@@ -160,7 +160,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     env = diagnostics.simulated_envelope(result, table, kind,
                                          m_sims=args.m_sims, level=args.level,
                                          seed=args.seed)
-    _write(_out_path(args, "envelope.csv"), diagnostics.envelope_to_csv(env))
+    _write_outputs(args, {"envelope.csv": diagnostics.envelope_to_csv(env)})
     print(f"envelope kind={kind} m={env.m_sims} level={env.level} "
           f"outside {env.outside_count}/{len(env.ordered_residuals)}")
     return EXIT_OK
@@ -176,7 +176,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     table = _load_table(args.input, spec.zero_policy)
     result = fit_logsym(spec, table)
     curves = diagnostics.all_component_curves(result)
-    _write(_out_path(args, "curves.csv"), diagnostics.curves_to_csv(curves))
+    _write_outputs(args, {"curves.csv": diagnostics.curves_to_csv(curves)})
     print(f"exported {len(curves)} component curve(s)")
     return EXIT_OK
 
@@ -186,7 +186,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     truth = specio.parse_truth_spec(doc)
     sim = simulate_table(truth, args.seed)
     records = simulated_to_records(sim)
-    _write(_out_path(args, "simulated.csv"), records_to_csv(records))
     truth_doc = {
         "truth": doc,
         "seed": args.seed,
@@ -198,7 +197,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "expected_deaths": sim.expected,
         },
     }
-    _write(_out_path(args, "truth.json"), specio.dump_json(truth_doc))
+    _write_outputs(args, {"simulated.csv": records_to_csv(records),
+                          "truth.json": specio.dump_json(truth_doc)})
     print(f"simulated {len(sim.table)} cells")
     return EXIT_OK
 

@@ -27,6 +27,8 @@ from .errors import (
     ModelError,
     SpecificationError,
     UndefinedCorrelationError,
+    _number,
+    _whole,
 )
 from .logsym_family import sample_with_rng
 from .logsym_fit import LogSymFit, _find_term, _map_in_order, _quantile_residuals, \
@@ -34,7 +36,6 @@ from .logsym_fit import LogSymFit, _find_term, _map_in_order, _quantile_residual
 # perfbench/tracer.py hooks this name: spec first, one call per attempt, .iterations, .converged
 from .logsym_fit import _replicate_fit as logsym_fit_fn
 from .poisson_glm import PoissonFit, deviance_residuals, fitted_log_rate_poisson, irls
-from .specio import _whole
 
 LOGSYM_RESIDUAL_KINDS = ("location", "dispersion")
 POISSON_RESIDUAL_KINDS = ("deviance",)
@@ -125,6 +126,7 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     error. ``table`` must be the one the fit was made on. Replicates run
     on forked worker processes, one per usable CPU (see ``_map_in_order``).
     """
+    level = _number(level, "level")
     if not (0.0 < level < 1.0):
         raise SpecificationError(f"level must be in (0, 1), got {level}")
     m_sims = _whole(m_sims, "m_sims")

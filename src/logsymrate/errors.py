@@ -4,7 +4,14 @@ Two broad classes matter to callers (and to the CLI exit-code contract):
 input/validation problems (``DataFormatError``, ``DataValidationError``,
 ``SpecificationError``) and numerical failures (``NumericalError`` and its
 subclasses). Everything derives from ``ModelError``.
+
+It also holds the three type rules of a spec field, each with one message,
+which the object owning the field applies in its constructor: a spec file's
+value and a library argument are refused alike.
 """
+
+import math
+import numbers
 
 
 class ModelError(Exception):
@@ -54,3 +61,30 @@ class EnvelopeError(NumericalError):
 
 class UndefinedCorrelationError(NumericalError):
     """Correlation requested but one side has zero variance."""
+
+
+def _whole(value, what: str) -> int:
+    """A count or seed as int: an int or numpy integer is kept exactly and an
+    integral finite float becomes that int; a string, a boolean, a fraction
+    or a non-finite value is refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value) and float(value).is_integer():
+        return int(value)
+    raise SpecificationError(f"{what} must be a whole number, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    """A number as float: JSON true is not 1, and "1e5" is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecificationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what: str) -> tuple:
+    """A list or tuple as a tuple, so that a string is not read one character
+    at a time nor a dict by its keys."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecificationError(f"{what} must be a list, got {value!r}")
+    return tuple(value)

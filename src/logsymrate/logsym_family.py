@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .errors import SpecificationError
+from .errors import SpecificationError, _number
 
 # The shape parameters each family takes, in label and spec-document order.
 # A family's label, its spec document and the check that it is given exactly
@@ -58,7 +58,7 @@ class GeneratorSpec:
                     raise SpecificationError(f"{self.family} family needs {name}")
             elif name not in takes:
                 raise SpecificationError(f"{self.family} family takes no {name}, got {value!r}")
-            elif isinstance(value, bool) or not math.isfinite(value):
+            elif not math.isfinite(_number(value, f"family {name}")):
                 raise SpecificationError(f"family {name} must be a finite number, got {value!r}")
         if self.family == "student" and not self.nu > 0:
             raise SpecificationError(f"student family needs nu > 0, got {self.nu}")

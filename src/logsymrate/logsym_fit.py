@@ -64,6 +64,9 @@ from .errors import (
     RankDeficiencyError,
     SelectionError,
     SpecificationError,
+    _list,
+    _number,
+    _whole,
 )
 from .logsym_family import (
     GeneratorSpec,
@@ -107,11 +110,7 @@ class SubmodelSpec:
 
     def __post_init__(self):
         for name in ("covariates", "terms"):
-            value = getattr(self, name)
-            # a string would be read one character at a time
-            if isinstance(value, str):
-                raise SpecificationError(f"submodel {name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, _list(getattr(self, name), f"submodel {name}"))
 
 
 @dataclass(frozen=True)
@@ -128,23 +127,24 @@ class ModelSpec:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
-        if isinstance(self.lambda_grid, str):
-            raise SpecificationError(f"lambda_grid must be a list, got {self.lambda_grid!r}")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        object.__setattr__(self, "lambda_grid", tuple(
+            _number(v, "lambda_grid") for v in _list(self.lambda_grid, "lambda_grid")))
         if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
             raise SpecificationError("lambda_grid must hold positive finite values")
         # JSON true is not the number 1, and "false" is not false
         if not isinstance(self.jacobian_adjust, bool):
             raise SpecificationError("logsym spec jacobian_adjust must be true or false, "
                                      f"got {self.jacobian_adjust!r}")
-        for name, value in (("tol_loglik", self.tol_loglik), ("tol_param", self.tol_param)):
-            if isinstance(value, bool) or not 0 < value < math.inf:
+        for name in ("tol_loglik", "tol_param"):
+            # kept as given, so that fit.json echoes the spec's text
+            value = getattr(self, name)
+            if not 0 < _number(value, name) < math.inf:
                 raise SpecificationError(f"{name} must be positive and finite, got {value!r}")
         for name, low in (("max_outer", 1), ("max_halvings", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
+            value = _whole(getattr(self, name), name)
+            if value < low:
                 raise SpecificationError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         for name, sub in (("location", self.location), ("dispersion", self.dispersion)):
             if not isinstance(sub.use_offset, bool):
                 raise SpecificationError(f"{name} submodel use_offset must be true or false, "

@@ -19,7 +19,7 @@ from scipy import special
 
 from .data_ingest import ObservationTable
 from .errors import ConstantCovariateError, DataValidationError, RankDeficiencyError, \
-    SpecificationError
+    SpecificationError, _list
 
 PARAMETRIC_COVARIATES = ("intercept", "age", "period")
 
@@ -205,9 +205,7 @@ def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period
     after checking that the covariates vary and the design has full rank."""
     if len(table) == 0:
         raise DataValidationError("empty table")
-    if isinstance(covariates, str):
-        raise SpecificationError(f"covariates must be a list, got {covariates!r}")
-    covariates = tuple(covariates)
+    covariates = _list(covariates, "covariates")
     X = parametric_design(table, covariates)
     check_covariates_vary(table, covariates)
     check_full_rank(X, covariates)

@@ -1,6 +1,13 @@
 """JSON documents: model specs, truth specs, and fit serialization.
 
 Spec files are plain JSON with stable field names (no formula language).
+The readers check JSON shape only: unknown keys, objects where objects
+belong, the ``"select"`` marker, and the forms that only a file has
+(``{lo, hi, num}``, ``{min, max, count}`` and tabulated ``{x, y}``). Every
+field's value is checked by the object that owns it (``ModelSpec``,
+``SplineTerm``, ``TruthSpec``, ...), so a spec file and a library call
+refuse an input with the same message.
+
 Serialization is deterministic: dictionaries are written in construction
 order, floats as ``repr`` writes them, the shortest text that reads back
 as the same float (as in the CSVs), NaN and infinities as null.
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, SpecificationError
+from .errors import DataFormatError, SpecificationError, _list, _number, _whole
 from .logsym_family import FAMILY_PARAMS, GeneratorSpec
 from .logsym_fit import LogSymFit, ModelSpec, SubmodelSpec
 from .poisson_glm import PoissonFit
@@ -60,8 +67,8 @@ def load_json(text):
 
 def _parses(what: str):
     """Conversion boundary of a spec parser: a raw conversion error from a
-    malformed field (a string where a number belongs, a number where a
-    list belongs, a missing sub-key) becomes SpecificationError."""
+    document of the wrong shape (a list where an object belongs, a missing
+    sub-key) becomes SpecificationError."""
     def wrap(parse):
         @functools.wraps(parse)
         def checked(doc):
@@ -82,6 +89,9 @@ class PoissonSpec:
     covariates: tuple = ("intercept", "age", "period")
     zero_policy: str = "add_half"
 
+    def __post_init__(self):
+        object.__setattr__(self, "covariates", _list(self.covariates, "covariates"))
+
 
 def _check_keys(doc: dict, allowed, what: str) -> None:
     if not isinstance(doc, dict):
@@ -92,31 +102,10 @@ def _check_keys(doc: dict, allowed, what: str) -> None:
         raise SpecificationError(f"unknown key(s) in {what}: {', '.join(extras)}")
 
 
-def _list(value, what: str):
-    """A JSON list field, so that a string is not read one character at a time."""
-    if not isinstance(value, (list, tuple)):
-        # a conversion error: _parses reports it as a malformed spec
-        raise TypeError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
-def _whole(value, what: str) -> int:
-    """A count or seed field as int: a boolean or a fraction is rejected, an
-    int is kept exactly, and a non-number is a conversion error for _parses."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    number = float(value)
-    if isinstance(value, bool) or not number.is_integer():
-        raise SpecificationError(f"{what} must be a whole number, got {value!r}")
-    return int(number)
-
-
-def _number(value, what: str) -> float:
-    """A number field as float: JSON true is not 1, and "1e5" is not a
-    number; a non-number is a conversion error for _parses."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _present(doc: dict, keys) -> dict:
+    """The given keys that doc holds, so that the constructor's defaults
+    apply to the others."""
+    return {key: doc[key] for key in keys if key in doc}
 
 
 def _parse_family(doc) -> GeneratorSpec:
@@ -136,17 +125,11 @@ def _parse_term(doc) -> SplineTerm:
         if key not in doc:
             raise SpecificationError(f"term is missing {key!r}")
     lam = doc.get("lambda", "select")
-    if lam == "select":
-        lam = None
-    elif not isinstance(lam, (int, float)) or isinstance(lam, bool):
-        raise SpecificationError(f'term lambda must be a number or "select", got {lam!r}')
-    kwargs = {}
-    if "basis_dim" in doc:
-        kwargs["basis_dim"] = _whole(doc["basis_dim"], "term basis_dim")
-    if "diff_order" in doc:
-        kwargs["diff_order"] = _whole(doc["diff_order"], "term diff_order")
+    if lam is None:  # the library's marker for selection; a file writes "select"
+        raise SpecificationError('term lambda must be a number or "select", got None')
     return SplineTerm(kind=doc["kind"], covariate=doc["covariate"],
-                      lam=None if lam is None else float(lam), **kwargs)
+                      lam=None if lam == "select" else lam,
+                      **_present(doc, ("basis_dim", "diff_order")))
 
 
 def _term_to_dict(term: SplineTerm) -> dict:
@@ -160,11 +143,10 @@ def _term_to_dict(term: SplineTerm) -> dict:
 
 def _parse_submodel(doc, name: str) -> SubmodelSpec:
     _check_keys(doc, {"covariates", "terms", "use_offset"}, f"{name} submodel")
-    return SubmodelSpec(
-        covariates=tuple(_list(doc.get("covariates", ("intercept",)), f"{name} covariates")),
-        terms=tuple(_parse_term(t) for t in doc.get("terms", [])),
-        use_offset=doc.get("use_offset", False),
-    )
+    fields = dict(doc)
+    if isinstance(fields.get("terms"), list):  # SubmodelSpec refuses any other terms
+        fields["terms"] = [_parse_term(t) for t in fields["terms"]]
+    return SubmodelSpec(**fields)
 
 
 def _submodel_to_dict(sub: SubmodelSpec) -> dict:
@@ -183,11 +165,7 @@ def parse_model_spec(doc):
     model = doc.get("model")
     if model == "poisson":
         _check_keys(doc, {"model", "covariates", "zero_policy"}, "poisson spec")
-        return PoissonSpec(
-            covariates=tuple(_list(doc.get("covariates", ("intercept", "age", "period")),
-                                   "covariates")),
-            zero_policy=doc.get("zero_policy", "add_half"),
-        )
+        return PoissonSpec(**_present(doc, ("covariates", "zero_policy")))
     if model != "logsym":
         raise SpecificationError(f'model must be "logsym" or "poisson", got {model!r}')
     _check_keys(doc, {"model", "family", "location", "dispersion", "zero_policy",
@@ -195,24 +173,18 @@ def parse_model_spec(doc):
     if "family" not in doc or "location" not in doc:
         raise SpecificationError("logsym spec needs family and location")
     conv = doc.get("convergence", {})
-    counts = ("max_outer", "max_halvings")
-    _check_keys(conv, ("tol_loglik", "tol_param") + counts, "convergence")
-    # ModelSpec range-checks these, and refuses true as a tolerance
-    kwargs = {key: _whole(v, key) if key in counts else v for key, v in conv.items()}
-    if "lambda_grid" in doc:
-        grid = doc["lambda_grid"]
-        if isinstance(grid, dict):
-            _check_keys(grid, {"lo", "hi", "num"}, "lambda_grid")
-            kwargs["lambda_grid"] = tuple(np.geomspace(
-                float(grid["lo"]), float(grid["hi"]), _whole(grid["num"], "lambda_grid num")))
-        else:
-            kwargs["lambda_grid"] = tuple(float(v) for v in _list(grid, "lambda_grid"))
+    _check_keys(conv, ("tol_loglik", "tol_param", "max_outer", "max_halvings"), "convergence")
+    kwargs = dict(conv, **_present(doc, ("zero_policy", "jacobian_adjust", "lambda_grid")))
+    grid = kwargs.get("lambda_grid")
+    if isinstance(grid, dict):
+        _check_keys(grid, {"lo", "hi", "num"}, "lambda_grid")
+        kwargs["lambda_grid"] = tuple(np.geomspace(
+            _number(grid["lo"], "lambda_grid lo"), _number(grid["hi"], "lambda_grid hi"),
+            _whole(grid["num"], "lambda_grid num")))
     return ModelSpec(
         generator=_parse_family(doc["family"]),
         location=_parse_submodel(doc["location"], "location"),
         dispersion=_parse_submodel(doc.get("dispersion", {}), "dispersion"),
-        zero_policy=doc.get("zero_policy", "add_half"),
-        jacobian_adjust=doc.get("jacobian_adjust", False),
         **kwargs,
     )
 
@@ -239,22 +211,20 @@ def model_spec_to_dict(spec) -> dict:
 # ---------------------------------------------------------------------------
 # truth specs
 
-def _parse_grid(doc, what: str) -> tuple:
-    if isinstance(doc, dict):
-        _check_keys(doc, {"min", "max", "count"}, what)
-        return tuple(np.linspace(_number(doc["min"], f"{what} min"),
-                                 _number(doc["max"], f"{what} max"),
-                                 _whole(doc["count"], f"{what} count")))
-    return _numbers(doc, what)
-
-
-def _numbers(doc, what: str) -> tuple:
-    return tuple(_number(v, what) for v in _list(doc, what))
+def _parse_grid(doc, what: str):
+    """A truth grid: a list for TruthSpec to check, or {min, max, count}."""
+    if not isinstance(doc, dict):
+        return doc
+    _check_keys(doc, {"min", "max", "count"}, what)
+    return tuple(np.linspace(_number(doc["min"], f"{what} min"),
+                             _number(doc["max"], f"{what} max"),
+                             _whole(doc["count"], f"{what} count")))
 
 
 def _tabulated(doc, what: str):
     _check_keys(doc, {"x", "y"}, what)
-    x, y = (np.array(_numbers(doc[key], f"{what} {key}")) for key in ("x", "y"))
+    x, y = (np.array([_number(v, f"{what} {key}") for v in _list(doc[key], f"{what} {key}")])
+            for key in ("x", "y"))
     if x.shape != y.shape or len(x) < 2:
         raise SpecificationError(f"{what} needs matching x and y vectors (length >= 2)")
     if np.any(np.diff(x) <= 0):
@@ -285,38 +255,20 @@ def parse_truth_spec(doc) -> TruthSpec:
     if kind == "logsym":
         if "family" not in noise:
             raise SpecificationError("logsym noise needs a family")
+        kwargs = _present(noise, ("phi", "round_counts"))
         kwargs["generator"] = _parse_family(noise["family"])
-        phi = noise.get("phi", 0.05)
-        kwargs["phi"] = _tabulated_age_fn(phi) if isinstance(phi, dict) else _number(phi, "phi")
-        kwargs["round_counts"] = noise.get("round_counts", False)
-    pop = doc.get("population", 1e5)
-    if isinstance(pop, list):
-        pop = tuple(tuple(_number(v, "population") for v in row) for row in pop)
-    else:
-        pop = _number(pop, "population")
+        if isinstance(kwargs.get("phi"), dict):
+            phi_of_age = _tabulated(kwargs["phi"], "phi")
+            kwargs["phi"] = lambda a, p: phi_of_age(a)
     return TruthSpec(
         ages=_parse_grid(doc["ages"], "ages"),
         periods=_parse_grid(doc["periods"], "periods"),
-        beta0=_number(lr.get("beta0", 0.0), "beta0"),
-        beta_age=_number(lr.get("beta_age", 0.0), "beta_age"),
-        beta_period=_number(lr.get("beta_period", 0.0), "beta_period"),
-        f_age=_tabulated(lr["f_age"], "f_age") if "f_age" in lr else None,
-        f_period=_tabulated(lr["f_period"], "f_period") if "f_period" in lr else None,
-        population=pop,
         noise=kind if kind is not None else "",
-        sex=doc.get("sex", "female"),
-        site=doc.get("site", "synthetic"),
+        **_present(lr, ("beta0", "beta_age", "beta_period")),
+        **{key: _tabulated(lr[key], key) for key in ("f_age", "f_period") if key in lr},
+        **_present(doc, ("population", "sex", "site")),
         **kwargs,
     )
-
-
-def _tabulated_age_fn(doc):
-    base = _tabulated(doc, "phi")
-
-    def f(a, p, _base=base):
-        return _base(a)
-
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ penalty congruent.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -31,7 +30,7 @@ from typing import Union
 import numpy as np
 from scipy import linalg
 
-from .errors import SpecificationError
+from .errors import SpecificationError, _number, _whole
 
 TERM_KINDS = ("ncs", "psp")
 COVARIATES = ("age", "period")
@@ -61,20 +60,24 @@ class SplineTerm:
             raise SpecificationError(
                 f"unknown covariate {self.covariate!r}; expected one of {COVARIATES}"
             )
-        lam = self.lam
-        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
-                                or not 0 < lam < math.inf):
-            raise SpecificationError(f"term lambda must be positive and finite, got {self.lam!r}")
-        _check_sizes(self.basis_dim, self.diff_order, psp=self.kind == "psp")
+        if self.lam is not None:
+            lam = _number(self.lam, "term lambda")
+            if not 0 < lam < math.inf:
+                raise SpecificationError(
+                    f"term lambda must be positive and finite, got {self.lam!r}")
+            object.__setattr__(self, "lam", lam)
+        basis_dim, diff_order = _check_sizes(self.basis_dim, self.diff_order,
+                                             psp=self.kind == "psp")
+        object.__setattr__(self, "basis_dim", basis_dim)
+        object.__setattr__(self, "diff_order", diff_order)
 
 
-def _check_sizes(basis_dim, diff_order, psp: bool = True) -> None:
-    """The rules on a term's basis_dim and diff_order: integers, and
-    diff_order >= 1. A psp basis also needs basis_dim >= diff_order + 1 and
-    basis_dim > PSP_DEGREE."""
-    for name, value in (("basis_dim", basis_dim), ("diff_order", diff_order)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise SpecificationError(f"term {name} must be an integer, got {value!r}")
+def _check_sizes(basis_dim, diff_order, psp: bool = True) -> tuple:
+    """A term's basis_dim and diff_order as ints, after their rules: whole
+    numbers, and diff_order >= 1. A psp basis also needs basis_dim >=
+    diff_order + 1 and basis_dim > PSP_DEGREE."""
+    basis_dim = _whole(basis_dim, "term basis_dim")
+    diff_order = _whole(diff_order, "term diff_order")
     if diff_order < 1:
         raise SpecificationError(f"diff_order must be >= 1, got {diff_order}")
     if psp and basis_dim < diff_order + 1:
@@ -82,6 +85,7 @@ def _check_sizes(basis_dim, diff_order, psp: bool = True) -> None:
                                  f"{diff_order}; need at least diff_order + 1")
     if psp and basis_dim <= PSP_DEGREE:
         raise SpecificationError(f"psp basis_dim {basis_dim} must exceed the degree {PSP_DEGREE}")
+    return basis_dim, diff_order
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def ncs_build(x) -> BasisBlock:
 
 def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
     """P-spline block: cubic B-splines, difference penalty K = D^T D."""
-    _check_sizes(basis_dim, diff_order)
+    basis_dim, diff_order = _check_sizes(basis_dim, diff_order)
     u, idx = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     x_min, x_max = float(u[0]), float(u[-1])
     if not x_max > x_min:

@@ -14,14 +14,13 @@ the log-scale median.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT
-from .errors import DataValidationError, SpecificationError
+from .errors import DataValidationError, SpecificationError, _list, _number, _whole
 from .logsym_family import GeneratorSpec, sample_with_rng
 
 NOISE_KINDS = ("poisson_counts", "logsym")
@@ -48,11 +47,9 @@ class TruthSpec:
         if callable(self.population):
             raise SpecificationError("population must be a number or a per-cell table, "
                                      "got a callable")
-        table = not np.isscalar(self.population)
+        table = isinstance(self.population, (list, tuple))
         for name in ("ages", "periods"):
-            if isinstance(getattr(self, name), str):
-                raise SpecificationError(f"{name} must be a list, got {getattr(self, name)!r}")
-            grid = tuple(float(v) for v in getattr(self, name))
+            grid = tuple(_number(v, name) for v in _list(getattr(self, name), name))
             # a population table's rows and columns follow the grids as given
             if table and not all(a < b for a, b in zip(grid, grid[1:])):
                 raise SpecificationError(f"{name} must be strictly increasing with a "
@@ -60,14 +57,10 @@ class TruthSpec:
             object.__setattr__(self, name, tuple(sorted(set(grid))))
         if not self.ages or not self.periods:
             raise SpecificationError("age and period grids must be non-empty")
-        for name in ("beta0", "beta_age", "beta_period", "phi", "population"):
+        for name in ("beta0", "beta_age", "beta_period", "phi"):
             value = getattr(self, name)
-            # "1e5" would be read as a number and True as 1; a population
-            # table and a callable phi are checked where they are used
-            if (name == "population" and table) or callable(value):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise SpecificationError(f"{name} must be a number, got {value!r}")
+            if not callable(value):  # a callable phi is checked where it is used
+                object.__setattr__(self, name, _number(value, name))
         if not isinstance(self.round_counts, bool):
             raise SpecificationError("noise round_counts must be true or false, "
                                      f"got {self.round_counts!r}")
@@ -77,15 +70,21 @@ class TruthSpec:
             )
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
-        if table:
-            try:
-                shape = np.asarray(self.population, dtype=float).shape
-            except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
-                shape = None
-            if shape != (len(self.ages), len(self.periods)):
-                raise SpecificationError(
-                    f"population table must be {len(self.ages)} x {len(self.periods)} "
-                    f"(ages x periods), got shape {shape}")
+        if not table:
+            object.__setattr__(self, "population", _number(self.population, "population"))
+            return
+        # entries as numbers; the shape, a flat list's included, is checked next
+        object.__setattr__(self, "population", tuple(
+            tuple(_number(v, "population") for v in row) if isinstance(row, (list, tuple))
+            else _number(row, "population") for row in self.population))
+        try:
+            shape = np.asarray(self.population, dtype=float).shape
+        except ValueError:  # ragged rows
+            shape = None
+        if shape != (len(self.ages), len(self.periods)):
+            raise SpecificationError(
+                f"population table must be {len(self.ages)} x {len(self.periods)} "
+                f"(ages x periods), got shape {shape}")
 
     def grid(self):
         """Cells in table order: (age, period) pairs sorted lexicographically."""
@@ -143,7 +142,6 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
     continuous t_value is kept unless round_counts is set, and deaths_raw
     is always the rounded value.
     """
-    from .specio import _whole  # specio imports this module
     seed = _whole(seed, "seed")
     if seed < 0:
         raise SpecificationError(f"seed must be >= 0, got {seed}")

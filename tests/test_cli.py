@@ -111,6 +111,14 @@ class TestSimulate:
         records = parse_mortality_csv((tmp_path / "sim" / "simulated.csv").read_bytes())
         assert records.site == (site,) * 24
 
+    def test_refused_overwrite_writes_nothing(self, workspace, tmp_path, capsys):
+        # truth.json is written second: simulated.csv must not appear first
+        (tmp_path / "truth.json").write_text("kept", encoding="utf-8")
+        assert main(["simulate", "--spec", workspace["truth"], "--out", str(tmp_path)]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["truth.json"]
+        assert (tmp_path / "truth.json").read_text(encoding="utf-8") == "kept"
+
 
 REMOVED_FLAGS = [
     ("fit", ["--policy", "drop"]),
@@ -214,7 +222,8 @@ class TestFit:
         assert "/nonexistent/spec.json" in capsys.readouterr().err
 
     def test_malformed_spec_field_exits_2(self, workspace, capsys):
-        doc = dict(LOGSYM_DOC, convergence={"max_outer": "a"})
+        # a list where an object belongs: the reader's conversion boundary names it
+        doc = dict(LOGSYM_DOC, convergence=[])
         spec = write_doc(workspace["root"] / "malformed.json", doc)
         code = main(["fit", "--input", workspace["input"],
                      "--spec", spec, "--out", str(workspace["root"] / "fit_m")])
@@ -343,6 +352,17 @@ class TestCompare:
         assert "preferred:" in text
         assert "note:" in text  # unadjusted logsym AIC vs a count model
 
+    def test_refused_overwrite_writes_nothing(self, workspace, tmp_path, capsys):
+        # a scatter CSV is written after comparison.json: neither may appear
+        (tmp_path / "scatter_2.csv").write_text("kept", encoding="utf-8")
+        code = main(["compare", "--input", workspace["input"],
+                     "--spec", workspace["logsym"], "--spec2", workspace["poisson"],
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scatter_2.csv"]
+        assert (tmp_path / "scatter_2.csv").read_text(encoding="utf-8") == "kept"
+
     def test_spec2_required_by_parser(self, workspace):
         with pytest.raises(SystemExit):
             main(["compare", "--input", workspace["input"],
@@ -427,9 +447,9 @@ INPUT_ERRORS = [
     ("simulate", dict(POISSON_TRUTH, log_rate={"beta0": 40.0}), [],
      "expected deaths must be finite and below 1e+18"),
     ("simulate", dict(TRUTH_DOC, population="1e5"), [],
-     "malformed truth spec: TypeError: population must be a number, got '1e5'"),
+     "population must be a number, got '1e5'"),
     ("fit", dict(POISSON_DOC, covariates="intercept"), [],
-     "malformed model spec: TypeError: covariates must be a JSON list, got 'intercept'"),
+     "covariates must be a list, got 'intercept'"),
 ]
 
 

@@ -24,12 +24,15 @@ from logsymrate import (
     load_json,
     model_spec_to_dict,
     normal_spec,
+    TruthSpec,
     parse_model_spec,
     parse_truth_spec,
+    simulate_table,
+    simulated_envelope,
 )
-from logsymrate.errors import DataFormatError, SpecificationError
+from logsymrate.errors import DataFormatError, SpecificationError, _whole
 from logsymrate.logsym_family import FAMILY_PARAMS
-from logsymrate.specio import _family_to_dict, _whole
+from logsymrate.specio import _family_to_dict
 
 from .conftest import plain_spec, small_logsym_table, small_poisson_table
 
@@ -172,22 +175,30 @@ class TestModelSpecs:
         with pytest.raises(SpecificationError, match="unknown key"):
             parse_model_spec(doc)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.update(convergence=[1]),
-        lambda d: d["location"].update(terms=5),
-        lambda d: d["location"].update(terms=[5]),
-        lambda d: d["location"].update(covariates=5),
-        lambda d: d["family"].update(nu="a"),
-        lambda d: d.update(lambda_grid="abc"),
-        lambda d: d["dispersion"]["terms"][0].update(basis_dim="x"),
-        lambda d: d["convergence"].update(max_outer="a"),
-        lambda d: d["convergence"].update(tol_loglik="a"),
-        lambda d: d.update(lambda_grid={"lo": 1}),
-    ])
-    def test_malformed_fields_rejected(self, mutate):
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(convergence=[1]), "malformed model spec: TypeError: "),
+        (lambda d: d["location"].update(terms=5), "submodel terms must be a list, got 5$"),
+        (lambda d: d["location"].update(terms=[5]), "malformed model spec: TypeError: "),
+        (lambda d: d["location"].update(covariates=5),
+         "submodel covariates must be a list, got 5$"),
+        (lambda d: d["family"].update(nu="a"), "family nu must be a number, got 'a'$"),
+        (lambda d: d.update(lambda_grid="abc"), "lambda_grid must be a list, got 'abc'$"),
+        (lambda d: d["dispersion"]["terms"][0].update(basis_dim="x"),
+         "term basis_dim must be a whole number, got 'x'$"),
+        (lambda d: d["convergence"].update(max_outer="a"),
+         "max_outer must be a whole number, got 'a'$"),
+        (lambda d: d["convergence"].update(tol_loglik="a"),
+         "tol_loglik must be a number, got 'a'$"),
+        (lambda d: d.update(lambda_grid={"lo": 1}), "malformed model spec: KeyError: "),
+    ], ids=["convergence-list", "terms-number", "term-number", "covariates-number",
+            "nu-string", "lambda_grid-string", "basis_dim-string", "max_outer-string",
+            "tol_loglik-string", "lambda_grid-missing-key"])
+    def test_malformed_fields_rejected(self, mutate, message):
+        # a wrong shape is a conversion error of the reader; a wrong type is
+        # refused by the field's owner, with the message the library gives
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
         mutate(doc)
-        with pytest.raises(SpecificationError, match="malformed model spec"):
+        with pytest.raises(SpecificationError, match=f"^{message}"):
             parse_model_spec(doc)
 
     @pytest.mark.parametrize("mutate, field", [
@@ -289,28 +300,26 @@ class TestModelSpecs:
             parse_model_spec(doc)
 
     @pytest.mark.parametrize("mutate, field", [
-        (lambda d: d["location"].update(covariates="intercept"), "location covariates"),
-        (lambda d: d["dispersion"].update(covariates="intercept"), "dispersion covariates"),
-        (lambda d: d["location"].update(covariates={"intercept": 1}), "location covariates"),
+        (lambda d: d["location"].update(covariates="intercept"), "submodel covariates"),
+        (lambda d: d["dispersion"].update(covariates="intercept"), "submodel covariates"),
+        (lambda d: d["location"].update(covariates={"intercept": 1}), "submodel covariates"),
         (lambda d: d.update(lambda_grid="12"), "lambda_grid"),
     ], ids=["location", "dispersion", "object", "lambda_grid"])
     def test_string_where_a_list_belongs_rejected(self, mutate, field):
         # it was read one character at a time: "12" as the grid (1.0, 2.0)
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
         mutate(doc)
-        with pytest.raises(SpecificationError, match=f"^malformed model spec: TypeError: "
-                                                     f"{field} must be a JSON list, got "):
+        with pytest.raises(SpecificationError, match=f"^{field} must be a list, got "):
             parse_model_spec(doc)
 
     def test_string_poisson_covariates_rejected(self):
         # it was read as ('i', 'n', ...) and failed on unknown covariate 'i'
         with pytest.raises(SpecificationError,
-                           match="^malformed model spec: TypeError: covariates must be a "
-                                 "JSON list, got 'intercept'$"):
+                           match="^covariates must be a list, got 'intercept'$"):
             parse_model_spec({"model": "poisson", "covariates": "intercept"})
 
     def test_malformed_poisson_covariates_rejected(self):
-        with pytest.raises(SpecificationError, match="malformed model spec: TypeError"):
+        with pytest.raises(SpecificationError, match="^covariates must be a list, got 5$"):
             parse_model_spec({"model": "poisson", "covariates": 5})
 
     def test_missing_required_parts(self):
@@ -324,6 +333,14 @@ class TestModelSpecs:
         doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
         doc["location"]["terms"][0]["lambda"] = "auto"
         with pytest.raises(SpecificationError, match="lambda"):
+            parse_model_spec(doc)
+
+    def test_null_lambda_is_not_the_select_marker(self):
+        # SplineTerm reads None as selection, a file writes "select"
+        doc = json.loads(json.dumps(FULL_LOGSYM_DOC))
+        doc["location"]["terms"][0]["lambda"] = None
+        with pytest.raises(SpecificationError,
+                           match='^term lambda must be a number or "select", got None$'):
             parse_model_spec(doc)
 
 
@@ -377,16 +394,17 @@ class TestTruthSpecs:
         with pytest.raises(SpecificationError, match="increasing"):
             parse_truth_spec(doc)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.update(ages={"min": "a", "max": 70.0, "count": 7}),
-        lambda d: d.update(periods=5),
-        lambda d: d.update(log_rate=[]),
-        lambda d: d["noise"].update(phi="a"),
-    ])
-    def test_malformed_fields_rejected(self, mutate):
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(ages={"min": "a", "max": 70.0, "count": 7}),
+         "ages min must be a number, got 'a'$"),
+        (lambda d: d.update(periods=5), "periods must be a list, got 5$"),
+        (lambda d: d.update(log_rate=[]), "malformed truth spec: TypeError: "),
+        (lambda d: d["noise"].update(phi="a"), "phi must be a number, got 'a'$"),
+    ], ids=["grid-min-string", "periods-number", "log_rate-list", "phi-string"])
+    def test_malformed_fields_rejected(self, mutate, message):
         doc = json.loads(json.dumps(TRUTH_DOC))
         mutate(doc)
-        with pytest.raises(SpecificationError, match="malformed truth spec"):
+        with pytest.raises(SpecificationError, match=f"^{message}"):
             parse_truth_spec(doc)
 
     @pytest.mark.parametrize("mutate, match", [
@@ -426,8 +444,7 @@ class TestTruthSpecs:
     def test_string_grid_rejected(self, field, value):
         # "40" was read one character at a time, as the ages (0.0, 4.0)
         doc = dict(json.loads(json.dumps(TRUTH_DOC)), **{field: value})
-        with pytest.raises(SpecificationError, match=f"^malformed truth spec: TypeError: "
-                                                     f"{field} must be a JSON list, got "):
+        with pytest.raises(SpecificationError, match=f"^{field} must be a list, got "):
             parse_truth_spec(doc)
 
     @pytest.mark.parametrize("mutate, field", [
@@ -447,8 +464,7 @@ class TestTruthSpecs:
         # each was converted with float(): "1e5" read as 100,000 and true as 1
         doc = json.loads(json.dumps(TRUTH_DOC))
         mutate(doc)
-        with pytest.raises(SpecificationError, match=f"^malformed truth spec: TypeError: "
-                                                     f"{field} must be a number, got "):
+        with pytest.raises(SpecificationError, match=f"^{field} must be a number, got "):
             parse_truth_spec(doc)
 
     def test_round_counts_flag(self):
@@ -488,6 +504,85 @@ def test_counts_must_be_whole_numbers(parse, doc, mutate, field):
     mutate(doc)
     with pytest.raises(SpecificationError, match=f"^{field} must be a whole number"):
         parse(doc)
+
+
+def _changed(doc, mutate):
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    return doc
+
+
+def _model_spec(**kwargs):
+    return ModelSpec(generator=normal_spec(), location=SubmodelSpec(("intercept",)), **kwargs)
+
+
+@pytest.mark.parametrize("mutate, build", [
+    (lambda d: d["convergence"].update(max_outer="3"), lambda: _model_spec(max_outer="3")),
+    (lambda d: d["convergence"].update(max_outer=True), lambda: _model_spec(max_outer=True)),
+    (lambda d: d["convergence"].update(tol_loglik="a"), lambda: _model_spec(tol_loglik="a")),
+    (lambda d: d["dispersion"]["terms"][0].update(basis_dim="10"),
+     lambda: SplineTerm(kind="psp", covariate="age", basis_dim="10")),
+    (lambda d: d.update(lambda_grid=["1e3", "10"]),
+     lambda: _model_spec(lambda_grid=("1e3", "10"))),
+    (lambda d: d.update(lambda_grid="12"), lambda: _model_spec(lambda_grid="12")),
+    (lambda d: d.update(family={"name": "student", "nu": "5"}),
+     lambda: GeneratorSpec("student", nu="5")),
+    (lambda d: d["location"].update(covariates={"intercept": 1}),
+     lambda: SubmodelSpec(covariates={"intercept": 1})),
+    (lambda d: d.clear() or d.update(model="poisson", covariates="intercept"),
+     lambda: PoissonSpec(covariates="intercept")),
+], ids=["max_outer-string", "max_outer-true", "tol_loglik-string", "basis_dim-string",
+        "lambda_grid-strings", "lambda_grid-string", "nu-string", "covariates-object",
+        "poisson-covariates-string"])
+def test_file_and_library_refuse_a_model_field_alike(mutate, build):
+    # the rule is held once, by the field's owner, so both ways in meet it
+    with pytest.raises(SpecificationError) as from_file:
+        parse_model_spec(_changed(FULL_LOGSYM_DOC, mutate))
+    with pytest.raises(SpecificationError) as from_library:
+        build()
+    assert type(from_file.value) is type(from_library.value)
+    assert str(from_file.value) == str(from_library.value)
+
+
+def test_file_and_library_refuse_a_truth_field_alike():
+    with pytest.raises(SpecificationError) as from_file:
+        parse_truth_spec(dict(TRUTH_DOC, ages=["40", "45"]))
+    with pytest.raises(SpecificationError) as from_library:
+        TruthSpec(ages=("40", "45"), periods=(2000.0,))
+    assert type(from_file.value) is type(from_library.value)
+    assert str(from_file.value) == "ages must be a number, got '40'" == str(from_library.value)
+
+
+def test_file_and_library_read_an_integral_float_basis_dim_alike():
+    doc = _changed(FULL_LOGSYM_DOC, lambda d: d["dispersion"]["terms"][0].update(basis_dim=8.0))
+    term = parse_model_spec(doc).dispersion.terms[0]
+    assert term == SplineTerm(kind="psp", covariate="age", basis_dim=8.0)
+    assert term.basis_dim == 8 and type(term.basis_dim) is int
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_model_spec(dict(FULL_LOGSYM_DOC,
+                                   lambda_grid={"lo": "1", "hi": "10", "num": "3"})),
+     "lambda_grid lo must be a number, got '1'"),
+    (lambda: parse_model_spec(dict(FULL_LOGSYM_DOC, lambda_grid={"lo": 1, "hi": 10, "num": "3"})),
+     "lambda_grid num must be a whole number, got '3'"),
+    (lambda: parse_truth_spec(dict(TRUTH_DOC, ages={"min": 40, "max": 70, "count": "3"})),
+     "ages count must be a whole number, got '3'"),
+    (lambda: simulate_table(TruthSpec(ages=(40.0,), periods=(2000.0,)), "3"),
+     "seed must be a whole number, got '3'"),
+    (lambda: simulated_envelope(fit_poisson(small_poisson_table()), small_poisson_table(),
+                                "deviance", m_sims="100"),
+     "m_sims must be a whole number, got '100'"),
+    (lambda: simulated_envelope(fit_poisson(small_poisson_table()), small_poisson_table(),
+                                "deviance", level="0.95"),
+     "level must be a number, got '0.95'"),
+], ids=["grid-bound-string", "grid-num-string", "truth-count-string", "seed-string",
+        "m_sims-string", "level-string"])
+def test_numeric_strings_are_not_numbers(build, message):
+    # forms that only one way in has apply the same rules; each used to read
+    # the string as a number
+    with pytest.raises(SpecificationError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("value", [2 ** 60 + 1, np.int64(2 ** 62 + 1), 10 ** 30 + 1])

@@ -203,8 +203,8 @@ class TestTermPlumbing:
         assert t.lam is None
 
     @pytest.mark.parametrize("field, value", [
-        ("lam", "select"), ("lam", [1.0]), ("basis_dim", 7.5), ("basis_dim", 8.0),
-        ("basis_dim", True), ("diff_order", 7.5), ("diff_order", "2"),
+        ("lam", "select"), ("lam", [1.0]), ("basis_dim", 7.5), ("basis_dim", True),
+        ("diff_order", 7.5), ("diff_order", "2"),
     ])
     def test_non_number_fields_are_named(self, field, value):
         name = "lambda" if field == "lam" else field
@@ -212,8 +212,17 @@ class TestTermPlumbing:
             SplineTerm(kind="psp", covariate="age", **{"lam": 1.0, field: value})
         if field != "lam":
             # checked before any knots are formed
-            with pytest.raises(SpecificationError, match=f"^term {name} must be an integer"):
+            with pytest.raises(SpecificationError, match=f"^term {name} must be a whole number"):
                 psp_build(np.linspace(0.0, 10.0, 25), **{field: value})
+
+    def test_integral_float_sizes_read_as_ints(self):
+        # as every other count, and as a spec file's basis_dim 8.0 always read
+        term = SplineTerm(kind="psp", covariate="age", lam=1.0, basis_dim=8.0, diff_order=2.0)
+        assert (term.basis_dim, term.diff_order) == (8, 2)
+        assert type(term.basis_dim) is int and type(term.diff_order) is int
+        x = np.linspace(0.0, 10.0, 25)
+        assert np.array_equal(psp_build(x, basis_dim=8.0, diff_order=2.0).B,
+                              psp_build(x, basis_dim=8, diff_order=2).B)
 
     def test_numpy_integers_are_integers(self):
         x = np.linspace(0.0, 10.0, 25)
