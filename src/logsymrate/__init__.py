@@ -6,7 +6,20 @@ covariates with penalized spline terms, and provides a classical
 Poisson log-linear rate model for comparison. Diagnostics cover
 quantile residuals, simulated envelopes, AIC-based model comparison,
 and component-curve export.
+
+Imported before numpy, the package sets the BLAS to one thread, unless
+the environment already names a thread count: forked workers run the
+lambda grids and envelope replicates only beside a single-threaded BLAS
+(``logsym_fit._THREADED``), and the thread count moves the last bits of
+a large fit.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # numpy reads these once, when it loads its BLAS
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
 
 from .data_ingest import (
     MortalityColumns,

@@ -39,6 +39,27 @@ _REAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?|i
                    re.ASCII | re.IGNORECASE)
 
 
+def _stratum_problem(sex, site):
+    """Why a record's sex and site break the record rules, or None: a known
+    sex, and a site that is a str without leading or trailing whitespace (a
+    CSV field reads back stripped). ``TruthSpec`` applies the same rules."""
+    if sex not in SEXES:
+        return f"unknown sex {sex!r}; expected one of {SEXES}"
+    if not isinstance(site, str):
+        return f"site must be a str, got {site!r}"
+    if site != site.strip():
+        return f"site {site!r} has leading or trailing whitespace"
+    return None
+
+
+def _zero_policy_problem(policy):
+    """Why ``policy`` is not a zero policy, or None. The specs that declare
+    one apply it too."""
+    if policy not in ZERO_POLICIES:
+        return f"unknown zero policy {policy!r}; expected one of {ZERO_POLICIES}"
+    return None
+
+
 def _first_bad(pattern, *cols) -> int:
     """Index of the first row at which a column's field breaks ``pattern``,
     or the row count."""
@@ -52,11 +73,11 @@ class MortalityColumns:
 
     ``sex`` and ``site`` are tuples of str, the band, year and deaths
     read-only int64 arrays and ``population`` a read-only float array.
-    Every record rule is checked here, at construction: a known sex, a
-    site without leading or trailing whitespace (a CSV field reads back
-    stripped), whole numbers (an integer dtype) of at most 18 digits, a
-    year in ``YEAR_RANGE``, ``age_lo <= age_hi``, nonnegative deaths and a
-    positive finite population. The first row that breaks a rule is reported; with
+    Every record rule is checked here, at construction: a known sex and a
+    site that is a str without leading or trailing whitespace
+    (``_stratum_problem``), whole numbers (an integer dtype) of at most 18
+    digits, a year in ``YEAR_RANGE``, ``age_lo <= age_hi``, nonnegative
+    deaths and a positive finite population. The first row that breaks a rule is reported; with
     ``lines``, the error names its CSV line.
     """
 
@@ -83,14 +104,12 @@ class MortalityColumns:
             col = col.astype(np.int64 if whole else float)  # a copy, so read-only is ours
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        sexes = np.array([s in SEXES for s in self.sex], dtype=bool)
+        strata = [_stratum_problem(sex, site) for sex, site in zip(self.sex, self.site)]
         y, lo, hi = self.year, self.age_lo, self.age_hi
         # in a row, the first rule broken is reported; the digit rule reads
         # the columns as given, since an unsigned value past int64 wraps
         checks = (
-            (~sexes, lambda i: f"unknown sex {self.sex[i]!r}; expected one of {SEXES}"),
-            (np.array([str(s) != str(s).strip() for s in self.site], dtype=bool),
-             lambda i: f"site {self.site[i]!r} has leading or trailing whitespace"),
+            (np.array([p is not None for p in strata], dtype=bool), strata.__getitem__),
             *(((given[name] >= _WHOLE_LIMIT) | (given[name] <= -_WHOLE_LIMIT),
                lambda i, name=name: f"{name} must have at most 18 digits, got {given[name][i]}")
               for name in _WHOLE_FIELDS),
@@ -332,8 +351,9 @@ def apply_zero_policy(table: ObservationTable, policy: str) -> ObservationTable:
     drop: remove zero-death cells (counted in meta); add_half: zero cells
     get t_value 0.5; add_one: every cell gets t_value deaths_raw + 1.
     """
-    if policy not in ZERO_POLICIES:
-        raise DataValidationError(f"unknown zero policy {policy!r}; expected one of {ZERO_POLICIES}")
+    problem = _zero_policy_problem(policy)
+    if problem:
+        raise DataValidationError(problem)
     zero = table.deaths == 0
     meta = replace(table.meta, zero_policy=policy)
     if policy == "drop":

@@ -27,7 +27,9 @@ recomputing both predictors gives. Once the stopping rules fire, Newton
 polish steps run until the analytic penalized score is far below the
 stationarity bound, and the reported grad_norm is an independent
 fourth-order finite-difference check of the objective at the solution,
-which evaluates a coefficient's four points as one block, same bits.
+which evaluates a coefficient's four points as one block, in this
+process. A large design moves each point's predictor along the
+coefficient's column instead of recomputing it (``_COLUMN_STENCIL_WORK``).
 
 A "select" term is resolved by refitting at each lambda of the grid and
 keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
@@ -38,11 +40,11 @@ iterations and convergence verdict (a final fit's rule; the stencil runs
 only when the stopping rules fired, and stops at the first failing
 coefficient): no standard errors or AIC.
 
-A term's grid fits, and the final fit's stencil, run on forked workers
-when they are large enough (``_map_in_order``). The parent reads their
-results in order, so every value, log line and warning is the serial one.
-The last term's winning grid fit ran at the final lambdas, so the final
-fit takes its optimum instead of running the optimizer again.
+A term's grid fits run on forked workers when they are large enough
+(``_map_in_order``). The parent reads their results in order, so every
+value, log line and warning is the serial one. The last term's winning
+grid fit ran at the final lambdas, so the final fit takes its optimum
+instead of running the optimizer again.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .data_ingest import ObservationTable
+from .data_ingest import ObservationTable, _zero_policy_problem
 from .errors import (
     DataValidationError,
     EvaluationError,
@@ -85,11 +87,16 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
-# A stencil or a lambda grid forks one worker per this many cell-coefficients
-# (times grid points), so from 300,000: on 2 Xeon cores (the only size measured)
-# a stencil costs 0.2 us per cell-coefficient, and the rule was sized when a
-# 2-worker pool start cost about 20 ms (``_fork_map`` now takes about 6 ms).
+# A lambda grid forks one worker per this many cell-coefficients times grid
+# points, so from 300,000: on 2 Xeon cores (the only size measured) a grid fit
+# costs far more than the 6 ms that ``_fork_map`` takes to start 2 workers.
 _WORK_PER_WORKER = 150_000
+# From this many cell-coefficients, a stencil point's predictor is the fitted one
+# moved along the coefficient's design column, O(n) in place of an O(n p) product.
+# Smaller stencils keep each point's own product, bit for bit: the 782-cell
+# verdicts rest on those bits, and column updates changed a powerexp envelope's
+# n_failures there.
+_COLUMN_STENCIL_WORK = 300_000
 # Other threads, such as a threaded BLAS's helpers, at import (numpy loads its
 # BLAS first, and no pool has run yet); False off Linux, where the OS does not say.
 _THREADED = os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1
@@ -127,6 +134,9 @@ class ModelSpec:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        problem = _zero_policy_problem(self.zero_policy)
+        if problem:
+            raise SpecificationError(problem)
         object.__setattr__(self, "lambda_grid", tuple(
             _number(v, "lambda_grid") for v in _list(self.lambda_grid, "lambda_grid")))
         if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
@@ -572,11 +582,13 @@ def _cpu_count() -> int:
 def _map_in_order(fn, m: int, work=None) -> list:
     """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU and
     task (``_fork_map``); none beside other threads (``_THREADED``: each
-    worker would start its own BLAS helpers), and given ``work``, the tasks'
-    cell-coefficients, at most one per ``_WORK_PER_WORKER`` of it. With one
-    worker, or in a daemonic process such as a ``multiprocessing.Pool``
-    worker (it already shares the CPUs with its pool, so forking inside it
-    would oversubscribe them), everything runs in this process."""
+    worker would start its own BLAS helpers), and given ``work``, a lambda
+    grid's cell-coefficients times grid points, at most one per
+    ``_WORK_PER_WORKER`` of it. With one worker, or in a daemonic process
+    such as a ``multiprocessing.Pool`` worker (it already shares the CPUs
+    with its pool, so forking inside it would oversubscribe them),
+    everything runs in this process. The finite-difference check never
+    comes here: it folds its partials in the calling process."""
     workers = 1 if _THREADED else min(_cpu_count(), m)
     if work is not None:
         workers = min(workers, work // _WORK_PER_WORKER)
@@ -665,75 +677,63 @@ def _fork_worker(fn, m: int, lock, taken, out) -> None:
         os._exit(status)
 
 
-def _fd_stencil(design: _Design, th_loc, th_disp, lam):
-    """(count, partial): the number of coefficients, location ones first, and
-    ``partial(k)``, the fourth-order central finite difference of the
-    objective along coefficient k. Steps are sized so each one perturbs the
-    standardized residuals by about 1e-4, which keeps the truncation error
-    of the stencil orders of magnitude below the roundoff-safe range for
-    these likelihoods.
+def _fd_partials(design: _Design, th_loc, th_disp, lam):
+    """Yield the fourth-order central finite difference of the objective
+    along each coefficient, location ones first, all under one errstate,
+    the caller's work between partials too. Steps are sized so each one
+    perturbs the standardized residuals by about 1e-4, which keeps the
+    truncation error of the stencil orders of magnitude below the
+    roundoff-safe range for these likelihoods.
 
-    A coefficient's four points are one (4, n) block of predictors, one
-    matrix-vector product per row, for one ``_loglik`` call; only the owning
-    term's penalty is recomputed. Every value is bit for bit the closures'.
-    Call ``partial`` under ``np.errstate(**_QUIET)``."""
+    A coefficient's four points are one (4, n) block of predictors, for one
+    ``_loglik`` call; only the owning term's penalty is recomputed. Below
+    ``_COLUMN_STENCIL_WORK`` each point's predictor is its own
+    matrix-vector product, bit for bit the closures' value; from there it
+    is the fitted predictor moved along the coefficient's design column."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
+    columns = len(design.y) * (len(th_loc) + len(th_disp)) >= _COLUMN_STENCIL_WORK
     with np.errstate(**_QUIET):
         resid, sphi, half_sum = design.y - mu, np.exp(0.5 * logphi), 0.5 * np.add.reduce(logphi)
         held = _penalties(design.loc, th_loc, lam) + _penalties(design.disp, th_disp, lam)
-    # (half, its coefficients, coefficient i's term and the term's place in held)
-    coefs = []
-    for half, th, first in ((design.loc, th_loc, 0),
-                            (design.disp, th_disp, len(design.loc.terms))):
-        owner = {i: (j, ti) for j, ti in enumerate(half.terms, first)
-                 for i in range(ti.sl.start, ti.sl.stop)}
-        coefs += [(half, th, i, owner.get(i)) for i in range(len(th))]
-
-    def partial(k):
-        half, th, i, owns = coefs[k]
-        h = max(zstep / max(1.0, half.col_scale[i]), 1e-9)
-        trials = [th.copy() for _ in range(4)]
-        for trial, d in zip(trials, (-2 * h, -h, h, 2 * h)):
-            trial[i] += d
-        pred = np.stack([half.G @ trial for trial in trials])
-        if half is design.loc:
-            ll = _loglik(design, design.y - (design.offset + pred), sphi, half_sum)
-        else:
-            ll = _loglik(design, resid, np.exp(0.5 * pred), 0.5 * np.add.reduce(pred, axis=-1))
-        vals = []
-        for row, trial in zip(ll, trials):
-            pens = list(held)
-            if owns is not None:
-                pens[owns[0]] = _penalty(owns[1], trial, lam)
-            vals.append(_penalized(row, pens))
-        return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-    return len(coefs), partial
-
-
-def _fd_partials(design: _Design, th_loc, th_disp, lam):
-    """Yield each finite-difference partial of ``_fd_stencil`` in order, all
-    under one errstate, the caller's work between partials too."""
-    count, partial = _fd_stencil(design, th_loc, th_disp, lam)
-    with np.errstate(**_QUIET):
-        for k in range(count):
-            yield partial(k)
+        for half, th, pred0, first in ((design.loc, th_loc, mu, 0),
+                                       (design.disp, th_disp, logphi, len(design.loc.terms))):
+            # each coefficient's term and the term's place in held
+            owner = {i: (j, ti) for j, ti in enumerate(half.terms, first)
+                     for i in range(ti.sl.start, ti.sl.stop)}
+            for i in range(len(th)):
+                h = max(zstep / max(1.0, half.col_scale[i]), 1e-9)
+                steps = (-2 * h, -h, h, 2 * h)
+                trials = [th.copy() for _ in steps]
+                for trial, d in zip(trials, steps):
+                    trial[i] += d
+                if columns:
+                    pred = pred0 + np.multiply.outer(steps, half.G[:, i])
+                else:
+                    pred = np.stack([half.G @ trial for trial in trials])
+                    if half is design.loc:
+                        pred = design.offset + pred
+                if half is design.loc:
+                    ll = _loglik(design, design.y - pred, sphi, half_sum)
+                else:
+                    ll = _loglik(design, resid, np.exp(0.5 * pred),
+                                 0.5 * np.add.reduce(pred, axis=-1))
+                vals = []
+                for row, trial in zip(ll, trials):
+                    pens = list(held)
+                    if i in owner:
+                        pens[owner[i][0]] = _penalty(owner[i][1], trial, lam)
+                    vals.append(_penalized(row, pens))
+                yield (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
 
 
 def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
-    """Largest absolute finite-difference partial (a NaN partial is passed
-    over). Chunk c of w folds partials c, c + w, ... under one errstate, on
-    the fork pool for a large stencil (``_map_in_order``); a max that passes
-    NaN over has the same bits in any order."""
-    count, partial = _fd_stencil(design, th_loc, th_disp, lam)
-    chunks = min(_cpu_count(), count)
-
-    def fold(c, worst=0.0):
-        with np.errstate(**_QUIET):
-            for k in range(c, count, chunks):
-                worst = max(worst, abs(partial(k)))
-        return worst
-    return max(_map_in_order(fold, chunks, len(design.y) * count))
+    """Largest absolute finite-difference partial, folded in coefficient
+    order in this process; a NaN partial is passed over."""
+    worst = 0.0
+    for g in _fd_partials(design, th_loc, th_disp, lam):
+        worst = max(worst, abs(g))
+    return worst
 
 
 def _initial_params(design: _Design) -> tuple:

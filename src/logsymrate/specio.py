@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_ingest import _zero_policy_problem
 from .errors import DataFormatError, SpecificationError, _list, _number, _whole
 from .logsym_family import FAMILY_PARAMS, GeneratorSpec
 from .logsym_fit import LogSymFit, ModelSpec, SubmodelSpec
@@ -91,6 +92,9 @@ class PoissonSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", _list(self.covariates, "covariates"))
+        problem = _zero_policy_problem(self.zero_policy)
+        if problem:
+            raise SpecificationError(problem)
 
 
 def _check_keys(doc: dict, allowed, what: str) -> None:

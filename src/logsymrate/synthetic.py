@@ -19,7 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT
+from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT, \
+    _stratum_problem
 from .errors import DataValidationError, SpecificationError, _list, _number, _whole
 from .logsym_family import GeneratorSpec, sample_with_rng
 
@@ -70,6 +71,9 @@ class TruthSpec:
             )
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
+        problem = _stratum_problem(self.sex, self.site)
+        if problem:
+            raise SpecificationError(problem)
         if not table:
             object.__setattr__(self, "population", _number(self.population, "population"))
             return

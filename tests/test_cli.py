@@ -279,6 +279,17 @@ class TestFit:
         assert written["spec"]["zero_policy"] == "drop"
         assert written["n_cells"] == nonzero
 
+    @pytest.mark.parametrize("doc", [LOGSYM_DOC, POISSON_DOC], ids=["logsym", "poisson"])
+    def test_unknown_zero_policy_exits_2_before_the_input_is_read(self, workspace, capsys,
+                                                                  doc):
+        spec = write_doc(workspace["root"] / f"bogus_{doc['model']}.json",
+                         dict(doc, zero_policy="bogus"))
+        code = main(["fit", "--input", str(workspace["root"] / "missing.csv"), "--spec", spec,
+                     "--out", str(workspace["root"] / f"fit_bogus_{doc['model']}")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown zero policy 'bogus'" in err and "not found" not in err
+
     @pytest.mark.parametrize("text, field", [
         ('"family": {"name": "student", "nu": true}', "nu"),
         ('"family": {"name": "powerexp", "zeta": Infinity}', "zeta"),

@@ -12,7 +12,7 @@ import pytest
 from logsymrate.cli import main
 from logsymrate.logsym_fit import _cpu_count
 
-from .fresh import BLAS, python, run_fresh
+from .fresh import BLAS, BLAS_VARS, python, run_fresh
 
 NORMAL_NOISE = {"kind": "logsym", "family": {"name": "normal"}, "phi": 0.04}
 LINEAR = {"beta0": -22.0, "beta_age": 0.07, "beta_period": 0.006}
@@ -21,8 +21,8 @@ DOCS = {
     "small": {"ages": [40, 45, 50, 55, 60, 65, 70], "periods": [2000, 2002, 2004, 2006, 2008],
               "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
     # 20 age bands x 100 years: with the select spec's 219 coefficients, the
-    # stencil's 2,000 x 219 cell-coefficients, and 5 times that for the
-    # grid, pass the fork rule's size bound
+    # grid's 5 x 2,000 x 219 cell-coefficients pass the fork rule's size
+    # bound, and the stencil's 2,000 x 219 the column-update one
     "big": {"ages": list(range(0, 100, 5)), "periods": list(range(1920, 2020)),
             "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
     "poisson": {"model": "poisson", "covariates": ["intercept", "age", "period"]},
@@ -71,11 +71,10 @@ def expected_forks(case, threaded, cpus):
     """Whether each map of a case's run forks: every map with enough work
     does, given more than one usable CPU and no other thread at import."""
     fork = not threaded and cpus > 1
+    # the finite-difference check of a fit never maps
     return {"poisson-envelope": [fork],  # the replicates
-            # the fit's finite-difference check is too small to fork
-            "normal-envelope": [False, fork],
-            # the lambda grid, then the final fit's finite-difference check
-            "select-fit": [fork, fork]}[case]
+            "normal-envelope": [fork],
+            "select-fit": [fork]}[case]  # the lambda grid
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +138,42 @@ def test_pooled_runs_write_the_bytes_of_one_cpu(runs, case):
 def test_maps_fork_by_the_rule(runs, case, blas):
     _, (forked, threaded, cpus) = outcome(runs, (case, blas, "pool"))
     assert forked == expected_forks(case, threaded, cpus)
+
+
+def test_default_environment_forks_a_782_cell_grid(tmp_path):
+    # the package pins one BLAS thread before numpy loads, so a CLI run with
+    # no thread variable set runs no other thread and forks the default
+    # 30-lambda grid on 23 ages x 34 periods, given more than one usable CPU
+    # a bump at age 60, so that the selected lambda is inside the grid
+    bump = {"x": [50, 55, 60, 65, 72], "y": [0.0, 0.15, 0.3, 0.15, 0.0]}
+    truth = dict(DOCS["small"], ages=list(range(50, 73)), periods=list(range(1980, 2014)),
+                 log_rate=dict(LINEAR, f_age=bump))
+    spec = {"model": "logsym", "family": {"name": "normal"},
+            "location": {"covariates": ["intercept", "period"], "use_offset": True,
+                         "terms": [{"kind": "ncs", "covariate": "age", "lambda": "select"}]},
+            "dispersion": {"covariates": ["intercept"],
+                           "terms": [{"kind": "psp", "covariate": "age", "basis_dim": 10,
+                                      "lambda": 10.0}]}}
+    for name, doc in (("truth", truth), ("spec", spec)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--spec", str(tmp_path / "truth.json"),
+                 "--out", str(tmp_path / "mid")]) == 0
+    forked, threaded, cpus = run_fresh(
+        RECORD, "fit", "--input", str(tmp_path / "mid" / "simulated.csv"),
+        "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "fit"),
+        env=BLAS["default"])
+    assert (forked, threaded) == ([cpus > 1], False)
+
+
+@pytest.mark.parametrize("case", ["user-variable", "numpy-first"])
+def test_a_blas_setting_made_before_the_import_is_left_alone(case):
+    script = ("import json, os, sys\n"
+              "if sys.argv[1] == 'numpy-first':\n"
+              "    import numpy\n"
+              "import logsymrate.cli\n"
+              f"print(json.dumps([os.environ.get(name) for name in {BLAS_VARS!r}]))\n")
+    if case == "user-variable":
+        env, expected = dict(BLAS["default"], OPENBLAS_NUM_THREADS="2"), ["2", "1", "1"]
+    else:
+        env, expected = BLAS["default"], [None, None, None]
+    assert run_fresh(script, case, env=env) == expected

@@ -283,6 +283,7 @@ class TestColumns:
 
     @pytest.mark.parametrize("field, value, message", [
         ("sex", "other", "unknown sex 'other'"),
+        ("site", 5, "site must be a str, got 5"),
         ("year", 1500, r"year 1500 outside admissible range \(1900, 2100\)"),
         ("age_lo", 50, "age_lo 50 exceeds age_hi 44"),
         ("deaths", -1, "negative death count -1"),

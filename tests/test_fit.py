@@ -7,6 +7,7 @@ bit for bit to a reference that recomputes both predictors at every
 point and tests each intermediate for finiteness.
 """
 
+import copy
 import dataclasses
 import functools
 import logging
@@ -55,6 +56,7 @@ from .conftest import (
     small_logsym_table,
     small_poisson_table,
 )
+from .test_cli_pool import DOCS as POOL_DOCS
 from .test_diagnostics import assert_no_child_left
 
 
@@ -754,6 +756,21 @@ def mid_logsym_table(seed, generator):
     return apply_zero_policy(simulate_table(truth, seed).table, "add_half")
 
 
+@pytest.fixture(scope="module")
+def big_table():
+    """The 2,000-cell table of the CLI pool tests: 20 age bands x 100 years."""
+    return apply_zero_policy(
+        simulate_table(specio.parse_truth_spec(POOL_DOCS["big"]), 0).table, "add_half")
+
+
+def big_spec(generator):
+    """The CLI pool tests' select spec at a fixed lambda, with 219 coefficients:
+    on ``big_table`` its stencil is above ``_COLUMN_STENCIL_WORK``."""
+    doc = copy.deepcopy(POOL_DOCS["select"])
+    doc["location"]["terms"][0]["lambda"] = 1.0
+    return dataclasses.replace(specio.parse_model_spec(doc), generator=generator)
+
+
 def _design_and_lam(spec, table):
     design = logsym_fit._build_design(spec, table)
     return design, logsym_fit._resolve_lambdas({}, design)
@@ -789,6 +806,20 @@ class TestBatchedStencil:
         assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam) == \
             _reference_fd_grad_norm(design, th_loc, th_disp, lam)
 
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_partials_match_reference_above_the_column_threshold(self, gen, big_table):
+        # each point moved along its coefficient's column, not recomputed,
+        # moves a partial by roundoff: 5.7e-8 at most, measured
+        spec = big_spec(gen)
+        f = fit(spec, big_table)
+        design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion
+        assert len(design.y) * (len(th_loc) + len(th_disp)) >= \
+            logsym_fit._COLUMN_STENCIL_WORK
+        got = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
+        ref = _reference_fd_partials(design, th_loc, th_disp, f.lam)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-5
+        assert f.grad_norm == functools.reduce(lambda worst, g: max(worst, abs(g)), got, 0.0)
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("gen, converges", [
         (normal_spec(), True), (GeneratorSpec(family="powerexp", zeta=0.4), False)],
@@ -796,34 +827,48 @@ class TestBatchedStencil:
     def test_replicate_verdict_stops_at_first_failing_partial(self, gen, converges, seed,
                                                               monkeypatch):
         spec = spline_spec(generator=gen)
-        design, lam = _design_and_lam(spec, mid_logsym_table(seed, gen))
-        th_loc, th_disp, criteria_met, *_ = logsym_fit._optimize(spec, design, lam)
-        grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
-        seen = _counted_partials(monkeypatch)
-        rep = logsym_fit._replicate_fit(spec, design, lam)
-        assert criteria_met
-        assert rep.converged == (grad_norm <= logsym_fit.GRAD_NORM_BOUND) == converges
-        n_coef = len(th_loc) + len(th_disp)
-        if converges:
-            assert len(seen) == n_coef
-        else:
-            assert 0 < len(seen) < n_coef and abs(seen[-1]) > logsym_fit.GRAD_NORM_BOUND
-        assert np.array_equal(rep.location, th_loc) and np.array_equal(rep.dispersion, th_disp)
+        _check_replicate_verdict(spec, mid_logsym_table(seed, gen), converges, monkeypatch)
+
+    @pytest.mark.parametrize("gen, converges", [
+        (normal_spec(), True), (GeneratorSpec(family="powerexp", zeta=0.4), False)],
+        ids=["normal", "powerexp"])
+    def test_replicate_verdict_above_the_column_threshold(self, gen, converges, big_table,
+                                                          monkeypatch):
+        _check_replicate_verdict(big_spec(gen), big_table, converges, monkeypatch)
 
     @pytest.mark.parametrize("partials, converged", [([math.nan, 0.0], True),
                                                      ([math.nan, 2e-4], False)],
                              ids=["nan-then-pass", "nan-then-fail"])
     def test_nan_partial_is_passed_over(self, partials, converged, logsym_table,
                                         monkeypatch):
+        # the replicate verdict and grad_norm read the same partials
         spec = plain_spec()
         design, lam = _design_and_lam(spec, logsym_table)
         monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
         assert logsym_fit._replicate_fit(spec, design, lam).converged is converged
-        monkeypatch.setattr(logsym_fit, "_fd_stencil",
-                            lambda *args: (len(partials), partials.__getitem__))
         th_loc, th_disp = logsym_fit._initial_params(design)
         grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
+        assert grad_norm == abs(partials[1])
         assert (grad_norm <= logsym_fit.GRAD_NORM_BOUND) is converged
+
+
+def _check_replicate_verdict(spec, table, converges, monkeypatch):
+    """A replicate's verdict is the final fit's: it reads every partial of a
+    converging fit, and stops at the first one over the bound otherwise."""
+    design, lam = _design_and_lam(spec, table)
+    th_loc, th_disp, criteria_met, *_ = logsym_fit._optimize(spec, design, lam)
+    grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
+    seen = _counted_partials(monkeypatch)
+    rep = logsym_fit._replicate_fit(spec, design, lam)
+    assert criteria_met
+    assert rep.converged == (grad_norm <= logsym_fit.GRAD_NORM_BOUND) == converges
+    n_coef = len(th_loc) + len(th_disp)
+    if converges:
+        assert len(seen) == n_coef
+    else:
+        assert 0 < len(seen) < n_coef and abs(seen[-1]) > logsym_fit.GRAD_NORM_BOUND
+        assert all(not abs(g) > logsym_fit.GRAD_NORM_BOUND for g in seen[:-1])
+    assert np.array_equal(rep.location, th_loc) and np.array_equal(rep.dispersion, th_disp)
 
 
 def _recorded_maps(monkeypatch):
@@ -841,8 +886,8 @@ def _recorded_maps(monkeypatch):
 
 
 def _pooled(monkeypatch):
-    """Send every stencil and grid to a pool of two forked workers, whatever
-    threads the BLAS runs."""
+    """Send every map, a grid's or any other, to a pool of two forked
+    workers, whatever threads the BLAS runs."""
     monkeypatch.setattr(logsym_fit, "_WORK_PER_WORKER", 1)
     monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 2)
     monkeypatch.setattr(logsym_fit, "_THREADED", False)
@@ -868,30 +913,31 @@ def _select_outcome(spec, table):
 
 
 class TestPooledLoops:
-    @pytest.mark.parametrize("point", ["fitted", "nan partials"])
+    @pytest.mark.parametrize("point, columns", [
+        ("fitted", False), ("nan partials", False), ("fitted", True), ("nan partials", True)],
+        ids=["fitted", "nan partials", "fitted-columns", "nan partials-columns"])
     @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
-    def test_stencil_matches_serial(self, gen, point, monkeypatch):
+    def test_stencil_matches_serial(self, gen, columns, point, monkeypatch):
+        # a pool that would take any map does not take the stencil: grad_norm
+        # is the in-order fold of the partials, a NaN passed over, on each path
         f = fit(spline_spec(generator=gen), small_logsym_table(seed=33, generator=gen))
         design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion.copy()
         if point == "nan partials":
             # exp(0.5 log phi) overflows at some stencil points and not others
             th_disp[design.disp.par_names.index("intercept")] = 1416.0
+        if columns:
+            monkeypatch.setattr(logsym_fit, "_COLUMN_STENCIL_WORK", 0)
         serial = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
         assert np.isnan(serial).any() == (point == "nan partials")
         # the max in coefficient order, as one serial loop takes it
         grad_norm = functools.reduce(lambda worst, g: max(worst, abs(g)), serial, 0.0)
-        assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam) == grad_norm
+        assert math.isfinite(grad_norm)
         _pooled(monkeypatch)
         forked = _recorded_maps(monkeypatch)
         assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam) == grad_norm
-        count, partial = logsym_fit._fd_stencil(design, th_loc, th_disp, f.lam)
-
-        def quiet(k):
-            with np.errstate(**logsym_fit._QUIET):
-                return partial(k)
-        pooled = logsym_fit._map_in_order(quiet, count, len(design.y) * count)
-        assert np.array_equal(pooled, serial, equal_nan=True)
-        assert forked == [True, True]
+        assert np.array_equal(list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam)),
+                              serial, equal_nan=True)
+        assert forked == []
 
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pooled"])
     def test_every_partial_is_read(self, pool, logsym_table, monkeypatch):
@@ -903,10 +949,9 @@ class TestPooledLoops:
         for k in range(5):
             partials = [math.nan, 0.5, -0.25, 0.0, 1e-3]
             partials[k] = -2.0
-            monkeypatch.setattr(logsym_fit, "_fd_stencil",
-                                lambda *args: (len(partials), partials.__getitem__))
+            monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
             assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam) == 2.0
-        assert forked == [pool] * 5
+        assert forked == []
 
     def test_grid_matches_serial(self, logsym_table, caplog, monkeypatch):
         grid = TestSelectionLog.SELECT_GRID
@@ -946,11 +991,13 @@ class TestPooledLoops:
             return os.getpid() not in logsym_fit._map_in_order(lambda i: os.getpid(), 2, work)
         # a 782-cell grid over the default 30 lambdas is large enough
         assert not forks(782 * n_coef) and forks(782 * n_coef * len(grid))
+        # the stencil maps nothing, and at 782 cells keeps each point's product
+        assert 782 * n_coef < logsym_fit._COLUMN_STENCIL_WORK
         forked = _recorded_maps(monkeypatch)
         th_loc, th_disp = logsym_fit._initial_params(design)
         logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
         fit(select_spec(grid=grid), logsym_table)
-        assert forked == [False, False, False]
+        assert forked == [False]
         # not in a process with other threads, such as a multi-threaded BLAS's
         monkeypatch.setattr(logsym_fit, "_THREADED", True)
         assert not forks(782 * n_coef * len(grid))
@@ -991,7 +1038,10 @@ class TestPooledLoops:
             return specio.dump_json(specio.fit_to_dict(fit_result))
         assert fit_json(f) == fit_json(again)
         _pooled(monkeypatch)
+        forked = _recorded_maps(monkeypatch)
         assert fit_json(fit(spec, logsym_table)) == fit_json(again)
+        # the two grids fork; the final fit's stencil runs in this process
+        assert forked == [True, True]
 
     def test_a_killed_worker_is_named_by_its_exit_status(self, deadline, monkeypatch):
         _pooled(monkeypatch)
@@ -1035,7 +1085,7 @@ class TestPooledLoops:
             logsym_fit._map_in_order(lambda i: time.sleep(60), 4)
         assert_no_child_left()
 
-    def test_daemonic_process_runs_both_loops_itself(self, logsym_table, monkeypatch):
+    def test_daemonic_process_runs_its_grid_itself(self, logsym_table, monkeypatch):
         spec = select_spec()
         serial = _select_outcome(spec, logsym_table)
         _pooled(monkeypatch)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from logsymrate import (
     GeneratorSpec,
     ModelSpec,
+    MortalityColumns,
     PoissonSpec,
     SplineTerm,
     SubmodelSpec,
@@ -25,12 +26,14 @@ from logsymrate import (
     model_spec_to_dict,
     normal_spec,
     TruthSpec,
+    apply_zero_policy,
     parse_model_spec,
     parse_truth_spec,
     simulate_table,
     simulated_envelope,
 )
-from logsymrate.errors import DataFormatError, SpecificationError, _whole
+from logsymrate.errors import DataFormatError, DataValidationError, SpecificationError, \
+    _whole
 from logsymrate.logsym_family import FAMILY_PARAMS
 from logsymrate.specio import _family_to_dict
 
@@ -531,9 +534,12 @@ def _model_spec(**kwargs):
      lambda: SubmodelSpec(covariates={"intercept": 1})),
     (lambda d: d.clear() or d.update(model="poisson", covariates="intercept"),
      lambda: PoissonSpec(covariates="intercept")),
+    (lambda d: d.update(zero_policy="bogus"), lambda: _model_spec(zero_policy="bogus")),
+    (lambda d: d.clear() or d.update(model="poisson", zero_policy=None),
+     lambda: PoissonSpec(zero_policy=None)),
 ], ids=["max_outer-string", "max_outer-true", "tol_loglik-string", "basis_dim-string",
         "lambda_grid-strings", "lambda_grid-string", "nu-string", "covariates-object",
-        "poisson-covariates-string"])
+        "poisson-covariates-string", "zero_policy-unknown", "poisson-zero_policy-null"])
 def test_file_and_library_refuse_a_model_field_alike(mutate, build):
     # the rule is held once, by the field's owner, so both ways in meet it
     with pytest.raises(SpecificationError) as from_file:
@@ -551,6 +557,42 @@ def test_file_and_library_refuse_a_truth_field_alike():
         TruthSpec(ages=("40", "45"), periods=(2000.0,))
     assert type(from_file.value) is type(from_library.value)
     assert str(from_file.value) == "ages must be a number, got '40'" == str(from_library.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_model_spec(dict(FULL_LOGSYM_DOC, zero_policy="impute")),
+    lambda: parse_model_spec({"model": "poisson", "zero_policy": "impute"}),
+    lambda: _model_spec(zero_policy="impute"),
+    lambda: PoissonSpec(zero_policy="impute"),
+], ids=["logsym-file", "poisson-file", "ModelSpec", "PoissonSpec"])
+def test_specs_refuse_an_unknown_zero_policy_as_a_table_does(build):
+    with pytest.raises(DataValidationError) as from_table:
+        apply_zero_policy(small_poisson_table(), "impute")
+    with pytest.raises(SpecificationError) as from_spec:
+        build()
+    assert str(from_spec.value) == str(from_table.value) == \
+        "unknown zero policy 'impute'; expected one of ('drop', 'add_half', 'add_one')"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sex", 5, "unknown sex 5; expected one of ('female', 'male')"),
+    ("sex", "other", "unknown sex 'other'; expected one of ('female', 'male')"),
+    ("site", 5, "site must be a str, got 5"),
+    ("site", " lung ", "site ' lung ' has leading or trailing whitespace"),
+], ids=["sex-number", "sex-unknown", "site-number", "site-spaces"])
+def test_truth_sex_and_site_follow_the_record_rules(field, value, message):
+    # the rule of a raw record, with its message, refused before any table
+    # is simulated
+    with pytest.raises(SpecificationError) as from_file:
+        parse_truth_spec(dict(TRUTH_DOC, **{field: value}))
+    with pytest.raises(SpecificationError) as from_library:
+        TruthSpec(ages=(40.0,), periods=(2000.0,), **{field: value})
+    record = dict(sex=("female",), site=("x",), age_lo=[40], age_hi=[44], year=[2000],
+                  deaths=[1], population=[10.0])
+    record[field] = (value,)
+    with pytest.raises(DataValidationError) as from_record:
+        MortalityColumns(**record)
+    assert str(from_file.value) == str(from_library.value) == str(from_record.value) == message
 
 
 def test_file_and_library_read_an_integral_float_basis_dim_alike():

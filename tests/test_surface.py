@@ -5,6 +5,7 @@ A change in ``src/`` that breaks any of them fails here, not only in
 the benchmark's own self-test.
 """
 
+import copy
 import importlib.util
 import inspect
 import json
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import logsymrate
 
-from .fresh import run_fresh
+from .fresh import BLAS, run_fresh
 from .test_cli import BREAST_DOC, POISSON_DOC, TRUTH_DOC
+from .test_cli_pool import DOCS as POOL_DOCS
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -82,25 +84,33 @@ def test_only_a_contaminated_normal_loads_scipy_integrate(tmp_path):
 
 
 def test_fit_compare_and_curves_leave_the_process_pool_unloaded(tmp_path):
-    # multiprocessing is imported inside the pool's map, which a fit of a
-    # small table never calls, and only when more than one CPU is usable;
-    # scipy.special already loads concurrent.futures itself, but not its
-    # process pool
-    docs = {"truth": TRUTH_DOC, "spec": BREAST_DOC, "poisson": POISSON_DOC}
+    # multiprocessing is imported inside the pool's map, which a fit at fixed
+    # lambda never calls: not for a small table, nor for the 2,000-cell one,
+    # whose finite-difference check runs in this process too, with one BLAS
+    # thread and more than one usable CPU; scipy.special already loads
+    # concurrent.futures itself, but not its process pool
+    big_spec = copy.deepcopy(POOL_DOCS["select"])
+    big_spec["location"]["terms"][0]["lambda"] = 1.0
+    docs = {"truth": TRUTH_DOC, "spec": BREAST_DOC, "poisson": POISSON_DOC,
+            "big-truth": POOL_DOCS["big"], "big-spec": big_spec}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     script = ("import json, sys\n"
               "from logsymrate.cli import main\n"
               "d = sys.argv[1]\n"
               "pool = ('multiprocessing', 'concurrent.futures.process')\n"
-              "common = ['--input', d + '/sim/simulated.csv', '--spec', d + '/spec.json']\n"
-              "assert main(['simulate', '--spec', d + '/truth.json', '--out', d + '/sim']) == 0\n"
-              "assert main(['fit', *common, '--out', d + '/fit']) == 0\n"
-              "assert main(['compare', *common, '--spec2', d + '/poisson.json',\n"
-              "             '--out', d + '/cmp']) == 0\n"
-              "assert main(['curves', *common, '--out', d + '/cur']) == 0\n"
+              "for size in ('', 'big-'):\n"
+              "    sim = d + '/' + size + 'sim'\n"
+              "    common = ['--input', sim + '/simulated.csv',\n"
+              "              '--spec', d + '/' + size + 'spec.json']\n"
+              "    assert main(['simulate', '--spec', d + '/' + size + 'truth.json',\n"
+              "                 '--out', sim]) == 0\n"
+              "    assert main(['fit', *common, '--out', sim + '/fit']) == 0\n"
+              "    assert main(['compare', *common, '--spec2', d + '/poisson.json',\n"
+              "                 '--out', sim + '/cmp']) == 0\n"
+              "    assert main(['curves', *common, '--out', sim + '/cur']) == 0\n"
               "print(json.dumps([m for m in pool if m in sys.modules]))\n")
-    assert run_fresh(script, str(tmp_path)) == []
+    assert run_fresh(script, str(tmp_path), env=BLAS["one"]) == []
 
 
 def test_threads_are_read_at_import():
