@@ -50,10 +50,15 @@ EXIT_NUMERICAL = 3
 
 
 def _read_text(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise DataValidationError(f"{what} file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataValidationError(f"{what} file not found: {path}") from None
+    except OSError as exc:  # a directory, say, or no read permission
+        raise DataValidationError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{what} file {path} is not UTF-8 text: {exc}") from None
 
 
 def _load_spec(path: str):
@@ -82,7 +87,11 @@ def _run_model(spec, table):
 def _write_outputs(args: argparse.Namespace, texts: dict) -> None:
     """Write each file name's text into ``--out``. Every path is checked
     before the first is written, so a refused overwrite writes nothing."""
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        raise DataValidationError(f"cannot make output directory {args.out}: "
+                                  f"{exc.strerror}") from None
     paths = {name: os.path.join(args.out, name) for name in texts}
     for path in paths.values():
         if os.path.exists(path) and not args.force:

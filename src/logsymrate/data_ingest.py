@@ -52,6 +52,14 @@ def _stratum_problem(sex, site):
     return None
 
 
+def _positive_problem(name, value):
+    """Why ``value`` is not positive and finite, or None: the record rule for
+    a population, which ``TruthSpec`` applies to its population and phi."""
+    if not 0 < value < math.inf:
+        return f"{name} must be positive and finite, got {value}"
+    return None
+
+
 def _zero_policy_problem(policy):
     """Why ``policy`` is not a zero policy, or None. The specs that declare
     one apply it too."""
@@ -118,7 +126,7 @@ class MortalityColumns:
             (lo > hi, lambda i: f"age_lo {lo[i]} exceeds age_hi {hi[i]}"),
             (self.deaths < 0, lambda i: f"negative death count {self.deaths[i]}"),
             (~((self.population > 0) & (self.population < math.inf)),
-             lambda i: f"population must be positive and finite, got {self.population[i]}"),
+             lambda i: _positive_problem("population", self.population[i])),
         )
         wrong = np.zeros(n, dtype=bool)
         for mask, _ in checks:
@@ -240,7 +248,10 @@ def _as_text_lines(source) -> Iterable[str]:
     if isinstance(source, str):
         text = source
     elif isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
+        try:
+            text = bytes(source).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"CSV is not UTF-8 text: {exc}") from None
     else:
         raise DataFormatError(f"unsupported CSV source type {type(source).__name__}")
     return io.StringIO(text)

@@ -40,11 +40,10 @@ iterations and convergence verdict (a final fit's rule; the stencil runs
 only when the stopping rules fired, and stops at the first failing
 coefficient): no standard errors or AIC.
 
-A term's grid fits run on forked workers when they are large enough
-(``_map_in_order``). The parent reads their results in order, so every
-value, log line and warning is the serial one. The last term's winning
-grid fit ran at the final lambdas, so the final fit takes its optimum
-instead of running the optimizer again.
+A term's grid fits run on forked workers (``_map_in_order``). The parent
+reads their results in order, so every value, log line and warning is the
+serial one. The last term's winning grid fit ran at the final lambdas, so
+the final fit takes its optimum instead of running the optimizer again.
 """
 
 from __future__ import annotations
@@ -87,10 +86,6 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
-# A lambda grid forks one worker per this many cell-coefficients times grid
-# points, so from 300,000: on 2 Xeon cores (the only size measured) a grid fit
-# costs far more than the 6 ms that ``_fork_map`` takes to start 2 workers.
-_WORK_PER_WORKER = 150_000
 # From this many cell-coefficients, a stencil point's predictor is the fitted one
 # moved along the coefficient's design column, O(n) in place of an O(n p) product.
 # Smaller stencils keep each point's own product, bit for bit: the 782-cell
@@ -579,19 +574,15 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _map_in_order(fn, m: int, work=None) -> list:
+def _map_in_order(fn, m: int) -> list:
     """``[fn(i) for i in range(m)]``, on one forked worker per usable CPU and
     task (``_fork_map``); none beside other threads (``_THREADED``: each
-    worker would start its own BLAS helpers), and given ``work``, a lambda
-    grid's cell-coefficients times grid points, at most one per
-    ``_WORK_PER_WORKER`` of it. With one worker, or in a daemonic process
-    such as a ``multiprocessing.Pool`` worker (it already shares the CPUs
-    with its pool, so forking inside it would oversubscribe them),
-    everything runs in this process. The finite-difference check never
-    comes here: it folds its partials in the calling process."""
+    worker would start its own BLAS helpers). With one worker, or in a
+    daemonic process such as a ``multiprocessing.Pool`` worker (it already
+    shares the CPUs with its pool, so forking inside it would oversubscribe
+    them), everything runs in this process. The finite-difference check
+    never comes here: it folds its partials in the calling process."""
     workers = 1 if _THREADED else min(_cpu_count(), m)
-    if work is not None:
-        workers = min(workers, work // _WORK_PER_WORKER)
     if workers > 1:
         import multiprocessing
         if not multiprocessing.current_process().daemon:
@@ -729,9 +720,12 @@ def _fd_partials(design: _Design, th_loc, th_disp, lam):
 
 def _fd_grad_norm(design: _Design, th_loc, th_disp, lam) -> float:
     """Largest absolute finite-difference partial, folded in coefficient
-    order in this process; a NaN partial is passed over."""
+    order in this process; NaN at the first NaN partial, which no bound
+    passes."""
     worst = 0.0
     for g in _fd_partials(design, th_loc, th_disp, lam):
+        if math.isnan(g):
+            return math.nan
         worst = max(worst, abs(g))
     return worst
 
@@ -854,10 +848,11 @@ def _replicate_fit(spec: ModelSpec, design: _Design, lam: dict) -> _Replicate:
     """What an envelope replicate keeps of a refit: the verdict of
     ``_fit_resolved``, and no standard errors or AIC. The stencil runs only
     when the stopping rules fired, and stops at the first coefficient whose
-    partial exceeds the bound; a NaN partial passes, as in ``_fd_grad_norm``."""
+    partial is not within the bound; a NaN partial fails, as in
+    ``_fd_grad_norm``."""
     th_loc, th_disp, criteria_met, iterations, _ = _optimize(spec, design, lam)
-    converged = criteria_met and not any(
-        abs(g) > GRAD_NORM_BOUND for g in _fd_partials(design, th_loc, th_disp, lam))
+    converged = criteria_met and all(
+        abs(g) <= GRAD_NORM_BOUND for g in _fd_partials(design, th_loc, th_disp, lam))
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     return _Replicate(th_loc, th_disp, mu, np.exp(logphi), bool(converged), iterations)
 
@@ -946,8 +941,7 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> t
             return _grid_fit(spec, design, _resolve_lambdas(trial, design))
         except NumericalError as exc:
             return exc
-    work = len(design.y) * (design.loc.G.shape[1] + design.disp.G.shape[1]) * len(grid)
-    fits = _map_in_order(fit_at, len(grid), work)
+    fits = _map_in_order(fit_at, len(grid))
     best = None
     best_aic = math.inf
     for k, got in enumerate(fits):

@@ -59,7 +59,7 @@ def dump_json(obj) -> str:
 def load_json(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # bytes may not decode
         raise DataFormatError(f"invalid JSON: {exc}") from None
 
 

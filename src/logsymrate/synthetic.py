@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT, \
-    _stratum_problem
+    _positive_problem, _stratum_problem
 from .errors import DataValidationError, SpecificationError, _list, _number, _whole
 from .logsym_family import GeneratorSpec, sample_with_rng
 
@@ -76,19 +76,26 @@ class TruthSpec:
             raise SpecificationError(problem)
         if not table:
             object.__setattr__(self, "population", _number(self.population, "population"))
-            return
-        # entries as numbers; the shape, a flat list's included, is checked next
-        object.__setattr__(self, "population", tuple(
-            tuple(_number(v, "population") for v in row) if isinstance(row, (list, tuple))
-            else _number(row, "population") for row in self.population))
-        try:
-            shape = np.asarray(self.population, dtype=float).shape
-        except ValueError:  # ragged rows
-            shape = None
-        if shape != (len(self.ages), len(self.periods)):
-            raise SpecificationError(
-                f"population table must be {len(self.ages)} x {len(self.periods)} "
-                f"(ages x periods), got shape {shape}")
+        else:
+            # entries as numbers; the shape, a flat list's included, is checked next
+            object.__setattr__(self, "population", tuple(
+                tuple(_number(v, "population") for v in row) if isinstance(row, (list, tuple))
+                else _number(row, "population") for row in self.population))
+            try:
+                shape = np.asarray(self.population, dtype=float).shape
+            except ValueError:  # ragged rows
+                shape = None
+            if shape != (len(self.ages), len(self.periods)):
+                raise SpecificationError(
+                    f"population table must be {len(self.ages)} x {len(self.periods)} "
+                    f"(ages x periods), got shape {shape}")
+        values = [("population", v) for v in np.ravel(self.population)]
+        if not callable(self.phi):
+            values.append(("phi", self.phi))
+        for name, value in values:
+            problem = _positive_problem(name, value)
+            if problem:
+                raise SpecificationError(problem)
 
     def grid(self):
         """Cells in table order: (age, period) pairs sorted lexicographically."""
@@ -110,12 +117,8 @@ class TruthSpec:
 
     def population_surface(self) -> np.ndarray:
         if np.isscalar(self.population):
-            pop = np.full(len(self.grid()), float(self.population))
-        else:
-            pop = np.asarray(self.population, dtype=float).ravel()
-        if np.any(~(pop > 0)):
-            raise SpecificationError("population surface must be positive")
-        return pop
+            return np.full(len(self.grid()), float(self.population))
+        return np.asarray(self.population, dtype=float).ravel()
 
     def phi_surface(self) -> np.ndarray:
         if callable(self.phi):

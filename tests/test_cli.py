@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exercised in-process via main()."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 
 from logsymrate import cli, dump_json, parse_mortality_csv, specio
 from logsymrate.cli import main
+from logsymrate.errors import DataFormatError, DataValidationError
 
 TRUTH_DOC = {
     "ages": [40.0, 45.0, 50.0, 55.0, 60.0, 65.0],
@@ -220,6 +222,44 @@ class TestFit:
                      "--out", str(workspace["root"] / "fit_x")])
         assert code == 2
         assert "/nonexistent/spec.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, problem", [
+        ("--input", "directory"), ("--spec", "directory"), ("--input", "not-utf8"),
+        ("--spec", "not-utf8"), ("--out", "a-file")])
+    def test_unusable_path_exits_2_naming_it(self, workspace, capsys, tmp_path, flag,
+                                             problem):
+        # each of these used to end in a traceback and exit 1
+        paths = {"--input": workspace["input"], "--spec": workspace["logsym"],
+                 "--out": str(tmp_path / "out")}
+        path = tmp_path / "given"
+        if problem == "directory":
+            path.mkdir()
+        elif problem == "not-utf8":  # a latin-1 e-acute in a UTF-8 file
+            with open(paths[flag], "rb") as fh:
+                path.write_bytes(fh.read().replace(b"e", b"\xe9", 1))
+        else:
+            path.write_text("", encoding="utf-8")
+        paths[flag] = str(path)
+        assert main(["fit", *(x for item in paths.items() for x in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_files_are_named_by_the_library(self, workspace, tmp_path):
+        with pytest.raises(DataValidationError, match=f"^cannot read spec file {tmp_path}: "):
+            cli._read_text(str(tmp_path), "spec")
+        path = tmp_path / "latin1.csv"
+        with open(workspace["input"], "rb") as fh:
+            path.write_bytes(fh.read().replace(b"e", b"\xe9", 1))
+        with pytest.raises(DataFormatError, match=f"^input file {path} is not UTF-8 text: "):
+            cli._read_text(str(path), "input")
+        with pytest.raises(DataFormatError, match="^CSV is not UTF-8 text: "):
+            parse_mortality_csv(path.read_bytes())
+        with pytest.raises(DataFormatError, match="^invalid JSON: "):
+            specio.load_json(b'{"model": "\xe9"}')
+        with pytest.raises(DataValidationError,
+                           match=f"^cannot make output directory {path}: "):
+            cli._write_outputs(argparse.Namespace(out=str(path), force=False), {"a": ""})
 
     def test_malformed_spec_field_exits_2(self, workspace, capsys):
         # a list where an object belongs: the reader's conversion boundary names it

@@ -1,7 +1,8 @@
-"""Envelopes and a "select" fit through ``python -m logsymrate.cli`` in fresh
+"""Envelopes and "select" fits through ``python -m logsymrate.cli`` in fresh
 interpreters, each with its own BLAS setting: a run on forked workers
-writes the bytes of a run pinned to one CPU by ``taskset -c 0``, and each
-map forks where ``_map_in_order``'s rule says it does."""
+writes the bytes and the selection log of a run pinned to one CPU by
+``taskset -c 0``, and each map forks where ``_map_in_order``'s rule says
+it does."""
 
 import json
 import shutil
@@ -20,9 +21,12 @@ DOCS = {
     # 7 ages x 5 periods
     "small": {"ages": [40, 45, 50, 55, 60, 65, 70], "periods": [2000, 2002, 2004, 2006, 2008],
               "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
+    # the 9 x 10 grid and truth of the tests' small tables
+    "tiny": {"ages": list(range(35, 80, 5)), "periods": list(range(1994, 2014, 2)),
+             "log_rate": {"beta0": -24.0, "beta_age": 0.075, "beta_period": 0.006},
+             "population": 200000.0, "noise": dict(NORMAL_NOISE, phi=0.04)},
     # 20 age bands x 100 years: with the select spec's 219 coefficients, the
-    # grid's 5 x 2,000 x 219 cell-coefficients pass the fork rule's size
-    # bound, and the stencil's 2,000 x 219 the column-update one
+    # stencil's 2,000 x 219 cell-coefficients pass the column-update bound
     "big": {"ages": list(range(0, 100, 5)), "periods": list(range(1920, 2020)),
             "log_rate": LINEAR, "population": 300000.0, "noise": NORMAL_NOISE},
     "poisson": {"model": "poisson", "covariates": ["intercept", "age", "period"]},
@@ -37,16 +41,27 @@ DOCS = {
                               "terms": [{"kind": "ncs", "covariate": "period",
                                          "lambda": 100.0}]},
                "lambda_grid": {"lo": 0.1, "hi": 1000.0, "num": 5}},
+    # a term at "select" in each submodel, over the default 30 lambdas: the
+    # location one wins at the top edge, the dispersion one inside the grid
+    "select2": {"model": "logsym", "family": {"name": "normal"},
+                "location": {"covariates": ["intercept"], "use_offset": True,
+                             "terms": [{"kind": "ncs", "covariate": "age",
+                                        "lambda": "select"}]},
+                "dispersion": {"covariates": ["intercept"],
+                               "terms": [{"kind": "ncs", "covariate": "period",
+                                          "lambda": "select"}]}},
 }
 # case: the command line, its artifact, and the BLAS settings of its runs
 # on the pool. The BLAS thread count moves bits of a large fit by itself,
-# so the select fit runs with one BLAS thread only.
+# so the big select fit runs with one BLAS thread only; the small one runs
+# in the default environment, where its grids fork by the package's pin.
 CASES = {
     "poisson-envelope": (["envelope", "small", "poisson", "--m-sims", "20"], "envelope.csv",
                          ("default", "one")),
     "normal-envelope": (["envelope", "small", "normal", "--m-sims", "20"], "envelope.csv",
                         ("default", "one")),
     "select-fit": (["fit", "big", "select"], "fit.json", ("one",)),
+    "small-select-fit": (["fit", "tiny", "select2", "-vv"], "fit.json", ("default",)),
 }
 
 # Runs the CLI on its arguments, recording for each map of the run whether
@@ -57,8 +72,8 @@ import json, os, sys
 from logsymrate import diagnostics, logsym_fit
 from logsymrate.cli import main
 forked, real = [], logsym_fit._map_in_order
-def recording(fn, m, work=None):
-    out = real(lambda i: (os.getpid(), fn(i)), m, work)
+def recording(fn, m):
+    out = real(lambda i: (os.getpid(), fn(i)), m)
     forked.append(any(pid != os.getpid() for pid, _ in out))
     return [got for _, got in out]
 logsym_fit._map_in_order = diagnostics._map_in_order = recording
@@ -68,25 +83,34 @@ print(json.dumps([forked, logsym_fit._THREADED, logsym_fit._cpu_count()]))
 
 
 def expected_forks(case, threaded, cpus):
-    """Whether each map of a case's run forks: every map with enough work
-    does, given more than one usable CPU and no other thread at import."""
+    """Whether each map of a case's run forks: every map of two or more
+    tasks does, whatever its size, given more than one usable CPU and no
+    other thread at import."""
     fork = not threaded and cpus > 1
     # the finite-difference check of a fit never maps
     return {"poisson-envelope": [fork],  # the replicates
             "normal-envelope": [fork],
-            "select-fit": [fork]}[case]  # the lambda grid
+            "select-fit": [fork],  # the lambda grid
+            "small-select-fit": [fork, fork]}[case]  # a grid per term
+
+
+def selection_log(stderr):
+    """The lines a run logs while selecting lambdas: each grid point's AIC
+    at DEBUG, and a winner at the edge of the grid as a WARNING."""
+    return [line for line in stderr.splitlines() if line.startswith("logsymrate ")
+            and " select " in line]
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """{(case, blas, where): (artifact bytes, fork record or None), or the
-    run's failure} of every run, "pool" runs recorded and "cpu0" ones pinned
-    by taskset where it exists; two at a time, since most of a run is its
-    single-threaded start."""
+    """{(case, blas, where): (artifact bytes, selection log, fork record or
+    None), or the run's failure} of every run, "pool" runs recorded and
+    "cpu0" ones pinned by taskset where it exists; two at a time, since
+    most of a run is its single-threaded start."""
     root = tmp_path_factory.mktemp("pool")
     for name, doc in DOCS.items():
         (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-    for table in ("small", "big"):
+    for table in ("small", "tiny", "big"):
         assert main(["simulate", "--spec", str(root / f"{table}.json"),
                      "--out", str(root / table)]) == 0
     keys = [(case, blas, "pool") for case, (_, _, settings) in CASES.items()
@@ -102,20 +126,22 @@ def runs(tmp_path_factory):
                 "--spec", str(root / f"{spec}.json"), *flags, "--out", str(out)]
         try:
             if where == "cpu0":
-                python("-m", "logsymrate.cli", *argv, env=BLAS[blas], cpu0=True)
+                done = python("-m", "logsymrate.cli", *argv, env=BLAS[blas], cpu0=True)
                 record = None
             else:
-                record = run_fresh(RECORD, *argv, env=BLAS[blas])
+                done = python("-c", RECORD, *argv, env=BLAS[blas])
+                record = json.loads(done.stdout.splitlines()[-1])
         except AssertionError as exc:  # fails only the tests that read this run
             return exc
-        return (out / artifact).read_bytes(), record
+        return (out / artifact).read_bytes(), selection_log(done.stderr), record
 
     with ThreadPoolExecutor(2) as pool:
         return dict(zip(keys, pool.map(run, keys)))
 
 
 def outcome(runs, key):
-    """A run's artifact bytes and fork record; its failure is raised."""
+    """A run's artifact bytes, selection log and fork record; its failure is
+    raised."""
     if isinstance(runs[key], AssertionError):
         raise runs[key]
     return runs[key]
@@ -127,16 +153,20 @@ def test_pooled_runs_write_the_bytes_of_one_cpu(runs, case):
         pytest.skip("taskset is missing: no run can be pinned to one CPU")
     if _cpu_count() < 2:
         pytest.skip("fewer than 2 usable CPUs: no map forks")
-    one_cpu, _ = outcome(runs, (case, "one", "cpu0"))
+    one_cpu = outcome(runs, (case, "one", "cpu0"))[:2]
     for blas in CASES[case][2]:
-        pooled, _ = outcome(runs, (case, blas, "pool"))
+        pooled = outcome(runs, (case, blas, "pool"))[:2]
         assert pooled == one_cpu, f"{case} with {blas} BLAS threads"
+    if case == "small-select-fit":
+        log = one_cpu[1]
+        assert sum(" DEBUG select " in line for line in log) == 60
+        assert sum(" WARNING select " in line for line in log) == 1
 
 
 @pytest.mark.parametrize("case, blas", [(case, blas) for case, (_, _, settings) in CASES.items()
                                         for blas in settings])
 def test_maps_fork_by_the_rule(runs, case, blas):
-    _, (forked, threaded, cpus) = outcome(runs, (case, blas, "pool"))
+    forked, threaded, cpus = outcome(runs, (case, blas, "pool"))[2]
     assert forked == expected_forks(case, threaded, cpus)
 
 

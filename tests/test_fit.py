@@ -10,6 +10,7 @@ point and tests each intermediate for finiteness.
 import copy
 import dataclasses
 import functools
+import json
 import logging
 import math
 import multiprocessing
@@ -578,10 +579,10 @@ def _reference_fd_partials(design, th_loc, th_disp, lam):
 
 
 def _reference_fd_grad_norm(design, th_loc, th_disp, lam):
-    worst = 0.0
-    for g in _reference_fd_partials(design, th_loc, th_disp, lam):
-        worst = max(worst, abs(g))
-    return worst
+    partials = _reference_fd_partials(design, th_loc, th_disp, lam)
+    if np.isnan(partials).any():
+        return math.nan
+    return max([0.0] + [abs(g) for g in partials])
 
 
 def _fresh_predictors(design, th_loc, th_disp):
@@ -836,20 +837,26 @@ class TestBatchedStencil:
                                                           monkeypatch):
         _check_replicate_verdict(big_spec(gen), big_table, converges, monkeypatch)
 
-    @pytest.mark.parametrize("partials, converged", [([math.nan, 0.0], True),
-                                                     ([math.nan, 2e-4], False)],
+    @pytest.mark.parametrize("partials", [[math.nan, 0.0], [math.nan, 2e-4]],
                              ids=["nan-then-pass", "nan-then-fail"])
-    def test_nan_partial_is_passed_over(self, partials, converged, logsym_table,
-                                        monkeypatch):
-        # the replicate verdict and grad_norm read the same partials
+    def test_nan_partial_fails(self, partials, logsym_table, monkeypatch):
+        # the replicate verdict and grad_norm read the same partials: a NaN
+        # one fails both, and fit.json writes the NaN grad_norm as null
         spec = plain_spec()
         design, lam = _design_and_lam(spec, logsym_table)
-        monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
-        assert logsym_fit._replicate_fit(spec, design, lam).converged is converged
-        th_loc, th_disp = logsym_fit._initial_params(design)
-        grad_norm = logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
-        assert grad_norm == abs(partials[1])
-        assert (grad_norm <= logsym_fit.GRAD_NORM_BOUND) is converged
+        seen = []
+
+        def partials_read(*args):
+            for g in partials:
+                seen.append(g)
+                yield g
+        monkeypatch.setattr(logsym_fit, "_fd_partials", partials_read)
+        assert logsym_fit._replicate_fit(spec, design, lam).converged is False
+        assert len(seen) == 1
+        f = fit(spec, logsym_table)
+        assert math.isnan(f.grad_norm) and f.converged is False
+        doc = json.loads(specio.dump_json(specio.fit_to_dict(f)))
+        assert doc["grad_norm"] is None and doc["converged"] is False
 
 
 def _check_replicate_verdict(spec, table, converges, monkeypatch):
@@ -877,8 +884,8 @@ def _recorded_maps(monkeypatch):
     forked = []
     real = logsym_fit._map_in_order
 
-    def recording(fn, m, work=None):
-        out = real(lambda i: (os.getpid(), fn(i)), m, work)
+    def recording(fn, m):
+        out = real(lambda i: (os.getpid(), fn(i)), m)
         forked.append(any(pid != os.getpid() for pid, _ in out))
         return [got for _, got in out]
     monkeypatch.setattr(logsym_fit, "_map_in_order", recording)
@@ -888,7 +895,6 @@ def _recorded_maps(monkeypatch):
 def _pooled(monkeypatch):
     """Send every map, a grid's or any other, to a pool of two forked
     workers, whatever threads the BLAS runs."""
-    monkeypatch.setattr(logsym_fit, "_WORK_PER_WORKER", 1)
     monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 2)
     monkeypatch.setattr(logsym_fit, "_THREADED", False)
 
@@ -919,7 +925,7 @@ class TestPooledLoops:
     @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
     def test_stencil_matches_serial(self, gen, columns, point, monkeypatch):
         # a pool that would take any map does not take the stencil: grad_norm
-        # is the in-order fold of the partials, a NaN passed over, on each path
+        # is the in-order fold of the partials, NaN if one is, on each path
         f = fit(spline_spec(generator=gen), small_logsym_table(seed=33, generator=gen))
         design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion.copy()
         if point == "nan partials":
@@ -930,11 +936,12 @@ class TestPooledLoops:
         serial = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
         assert np.isnan(serial).any() == (point == "nan partials")
         # the max in coefficient order, as one serial loop takes it
-        grad_norm = functools.reduce(lambda worst, g: max(worst, abs(g)), serial, 0.0)
-        assert math.isfinite(grad_norm)
+        grad_norm = math.nan if point == "nan partials" else \
+            functools.reduce(lambda worst, g: max(worst, abs(g)), serial, 0.0)
         _pooled(monkeypatch)
         forked = _recorded_maps(monkeypatch)
-        assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam) == grad_norm
+        assert np.array_equal(logsym_fit._fd_grad_norm(design, th_loc, th_disp, f.lam),
+                              grad_norm, equal_nan=True)
         assert np.array_equal(list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam)),
                               serial, equal_nan=True)
         assert forked == []
@@ -946,11 +953,14 @@ class TestPooledLoops:
         if pool:
             _pooled(monkeypatch)
         forked = _recorded_maps(monkeypatch)
+        # the largest partial, or a NaN one, wherever it is
         for k in range(5):
-            partials = [math.nan, 0.5, -0.25, 0.0, 1e-3]
-            partials[k] = -2.0
+            partials = [0.125, 0.5, -0.25, 0.0, 1e-3]
             monkeypatch.setattr(logsym_fit, "_fd_partials", lambda *args: iter(partials))
+            partials[k] = -2.0
             assert logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam) == 2.0
+            partials[k] = math.nan
+            assert math.isnan(logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam))
         assert forked == []
 
     def test_grid_matches_serial(self, logsym_table, caplog, monkeypatch):
@@ -979,41 +989,34 @@ class TestPooledLoops:
         assert (logging.DEBUG, "select location:ncs(age): lambda 10 failed: "
                 "forced grid failure") in records
 
-    def test_782_cell_stencils_and_small_grids_stay_serial(self, logsym_table, monkeypatch):
+    def test_a_grid_of_any_size_forks_and_the_stencil_never_maps(self, logsym_table,
+                                                                 monkeypatch):
+        # two lambdas on 90 cells fork, as 30 do on 782
         monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 2)
         monkeypatch.setattr(logsym_fit, "_THREADED", False)
-        spec = spline_spec()
-        design, lam = _design_and_lam(spec, mid_logsym_table(0, normal_spec()))
-        grid = logsym_fit.DEFAULT_LAMBDA_GRID
-        n_coef = design.loc.G.shape[1] + design.disp.G.shape[1]
-
-        def forks(work):
-            return os.getpid() not in logsym_fit._map_in_order(lambda i: os.getpid(), 2, work)
-        # a 782-cell grid over the default 30 lambdas is large enough
-        assert not forks(782 * n_coef) and forks(782 * n_coef * len(grid))
-        # the stencil maps nothing, and at 782 cells keeps each point's product
-        assert 782 * n_coef < logsym_fit._COLUMN_STENCIL_WORK
         forked = _recorded_maps(monkeypatch)
+        design, lam = _design_and_lam(spline_spec(), logsym_table)
         th_loc, th_disp = logsym_fit._initial_params(design)
         logsym_fit._fd_grad_norm(design, th_loc, th_disp, lam)
-        fit(select_spec(grid=grid), logsym_table)
-        assert forked == [False]
+        assert forked == []
+        spec = select_spec(grid=(1.0, 100.0))
+        pooled = _select_outcome(spec, logsym_table)
+        assert forked == [True]
         # not in a process with other threads, such as a multi-threaded BLAS's
         monkeypatch.setattr(logsym_fit, "_THREADED", True)
-        assert not forks(782 * n_coef * len(grid))
+        assert _select_outcome(spec, logsym_table) == pooled
+        assert forked == [True, False]
 
-    def test_one_worker_per_share_of_the_work(self, monkeypatch):
+    def test_one_worker_per_usable_cpu_and_task(self, monkeypatch):
         sizes = []
         real = logsym_fit._fork_map
         monkeypatch.setattr(logsym_fit, "_fork_map",
                             lambda fn, m, workers: sizes.append(workers) or real(fn, m, workers))
         monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 4)
         monkeypatch.setattr(logsym_fit, "_THREADED", False)
-        share = logsym_fit._WORK_PER_WORKER
-        # envelopes pass no work: one worker per usable CPU and task
-        for work in (share, 2 * share - 1, 3 * share, 100 * share, None):
-            assert logsym_fit._map_in_order(lambda i: -i, 4, work) == [0, -1, -2, -3]
-        assert sizes == [3, 4, 4]
+        for m in (1, 2, 3, 4, 30):
+            assert logsym_fit._map_in_order(lambda i: -i, m) == [-i for i in range(m)]
+        assert sizes == [2, 3, 4, 4]
         assert_no_child_left()
 
     @pytest.mark.parametrize("gen", [normal_spec(), GeneratorSpec(family="powerexp", zeta=0.4)],

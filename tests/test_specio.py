@@ -595,6 +595,27 @@ def test_truth_sex_and_site_follow_the_record_rules(field, value, message):
     assert str(from_file.value) == str(from_library.value) == str(from_record.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("population", -5.0, "population must be positive and finite, got -5.0"),
+    ("population", 0.0, "population must be positive and finite, got 0.0"),
+    ("population", [[1.5e5] * 3] * 6 + [[1.5e5, -1.0, 1.5e5]], "population must be positive and finite, got -1.0"),
+    ("phi", -0.1, "phi must be positive and finite, got -0.1"),
+    ("phi", 0.0, "phi must be positive and finite, got 0.0"),
+], ids=["population-negative", "population-zero", "population-table-entry", "phi-negative",
+        "phi-zero"])
+def test_truth_population_and_phi_follow_the_record_rule(field, value, message):
+    # refused before any table is simulated, in a record's words
+    if field == "phi":
+        doc = dict(TRUTH_DOC, noise=dict(TRUTH_DOC["noise"], phi=value))
+    else:
+        doc = dict(TRUTH_DOC, population=value)
+    with pytest.raises(SpecificationError) as from_file:
+        parse_truth_spec(doc)
+    with pytest.raises(SpecificationError) as from_library:
+        TruthSpec(ages=tuple(range(40, 71, 5)), periods=(2000, 2005, 2010), **{field: value})
+    assert str(from_file.value) == str(from_library.value) == message
+
+
 def test_file_and_library_read_an_integral_float_basis_dim_alike():
     doc = _changed(FULL_LOGSYM_DOC, lambda d: d["dispersion"]["terms"][0].update(basis_dim=8.0))
     term = parse_model_spec(doc).dispersion.terms[0]
