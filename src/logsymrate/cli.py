@@ -50,8 +50,8 @@ EXIT_NUMERICAL = 3
 
 
 def _read_text(path: str, what: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except FileNotFoundError:
         raise DataValidationError(f"{what} file not found: {path}") from None
@@ -86,7 +86,8 @@ def _run_model(spec, table):
 
 def _write_outputs(args: argparse.Namespace, texts: dict) -> None:
     """Write each file name's text into ``--out``. Every path is checked
-    before the first is written, so a refused overwrite writes nothing."""
+    before the first is written, so a refused overwrite or a directory in
+    the way writes nothing; files written before a later write fails stay."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:  # a file of that name, say
@@ -94,11 +95,16 @@ def _write_outputs(args: argparse.Namespace, texts: dict) -> None:
                                   f"{exc.strerror}") from None
     paths = {name: os.path.join(args.out, name) for name in texts}
     for path in paths.values():
+        if os.path.isdir(path):
+            raise DataValidationError(f"cannot write {path}: Is a directory")
         if os.path.exists(path) and not args.force:
             raise DataValidationError(f"refusing to overwrite {path}; pass --force")
     for name, path in paths.items():
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(texts[name])
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(texts[name])
+        except OSError as exc:  # no permission, or a full disk, say
+            raise DataValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
         log.info("wrote %s", path)
 
 

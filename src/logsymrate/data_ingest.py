@@ -254,7 +254,7 @@ def _as_text_lines(source) -> Iterable[str]:
             raise DataFormatError(f"CSV is not UTF-8 text: {exc}") from None
     else:
         raise DataFormatError(f"unsupported CSV source type {type(source).__name__}")
-    return io.StringIO(text)
+    return io.StringIO(text.removeprefix("\ufeff"))  # a byte-order mark
 
 
 def parse_mortality_csv(source) -> MortalityColumns:
@@ -266,13 +266,15 @@ def parse_mortality_csv(source) -> MortalityColumns:
     digits; a population is a ``float()`` literal in ASCII without ``_``
     separators. Errors cite the 1-based line a record starts on (header is
     line 1; a quoted field may span lines), and the first bad record is the
-    one reported.
+    one reported. A leading byte-order mark is dropped.
     """
     reader = csv.reader(_as_text_lines(source))
     try:
         header = next(reader)
     except StopIteration:
         raise DataFormatError("empty CSV: missing header") from None
+    except csv.Error as exc:  # an unclosed quote that outgrows the field limit, say
+        raise DataFormatError(f"line 1: {exc}") from None
     fields = [f.strip() for f in header]
     missing = [c for c in MORTALITY_HEADER if c not in fields]
     if missing:
@@ -282,18 +284,23 @@ def parse_mortality_csv(source) -> MortalityColumns:
             f"mortality CSV header must be exactly {','.join(MORTALITY_HEADER)}, "
             f"got {','.join(fields)}"
         )
-    rows, lines, short = [], [], None
+    # the record that ends the read, a short one or one the csv module cannot
+    # parse, is reported after the rows above it are checked
+    rows, lines, stop = [], [], None
     start = reader.line_num + 1  # a quoted field may hold line breaks
-    for row in reader:
-        lineno, start = start, reader.line_num + 1
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(MORTALITY_HEADER):
-            short = DataFormatError(
-                f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}")
-            break  # the rows above it are checked first
-        rows.append(row)
-        lines.append(lineno)
+    try:
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(MORTALITY_HEADER):
+                stop = DataFormatError(
+                    f"line {lineno}: expected {len(MORTALITY_HEADER)} fields, got {len(row)}")
+                break
+            rows.append(row)
+            lines.append(lineno)
+    except csv.Error as exc:
+        stop = DataFormatError(f"line {start}: {exc}")
     cols = [list(map(str.strip, col)) for col in zip(*rows)] or [[]] * len(MORTALITY_HEADER)
     sex, site, age_lo, age_hi, year, deaths, population = cols
     # the first row whose number fields break the grammar ends the parse;
@@ -313,8 +320,8 @@ def parse_mortality_csv(source) -> MortalityColumns:
         if not _WHOLE.fullmatch(deaths[bad]):
             raise DataValidationError(f"{where}: non-numeric deaths {deaths[bad]!r}")
         raise DataValidationError(f"{where}: non-numeric population {population[bad]!r}")
-    if short is not None:
-        raise short
+    if stop is not None:
+        raise stop
     return records
 
 

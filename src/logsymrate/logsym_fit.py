@@ -77,8 +77,8 @@ from .logsym_family import (
     weight_v,
     weight_v_prime,
 )
-from .poisson_glm import _equilibrated_inverse, _jacobi_scale, _solve_equilibrated, \
-    check_covariates_vary, check_full_rank, parametric_design
+from .poisson_glm import _equilibrated_inverse, _solve_equilibrated, check_covariates_vary, \
+    check_full_rank, parametric_design
 from .spline_bases import SplineTerm, build_term_block, term_label
 
 DEFAULT_LAMBDA_GRID = tuple(np.geomspace(1e-4, 1e8, 30))
@@ -461,19 +461,22 @@ def _analytic_scores(design: _Design, th_loc, th_disp, lam):
     return s_loc, s_disp
 
 
-def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
-    """Stacked penalized observed information (negated Hessian) over both
-    submodels, cross block included."""
-    mu, logphi = _mu_phi(design, th_loc, th_disp)
+def _observed_weights(design: _Design, mu, logphi) -> tuple:
+    """(location, cross, dispersion) weights of the observed information."""
     sphi = np.exp(0.5 * logphi)
     z = _clamped_z(design.generator, (design.y - mu) / sphi)
     u = z * z
     v = weight_v(design.generator, z)
     vp = weight_v_prime(design.generator, u)
+    return ((v + 2.0 * u * vp) / (sphi * sphi), z * (v + u * vp) / sphi,
+            u * (v + u * vp) / 2.0)
+
+
+def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
+    """Stacked penalized observed information (negated Hessian) over both
+    submodels, cross block included."""
+    d_ll, d_ld, d_dd = _observed_weights(design, *_mu_phi(design, th_loc, th_disp))
     X, W = design.loc.G, design.disp.G
-    d_ll = (v + 2.0 * u * vp) / (sphi * sphi)
-    d_ld = z * (v + u * vp) / sphi
-    d_dd = u * (v + u * vp) / 2.0
     return np.block([
         [_gram(design.loc, d_ll, lam), X.T @ (d_ld[:, None] * W)],
         [W.T @ (d_ld[:, None] * X), _gram(design.disp, d_dd, lam)],
@@ -821,24 +824,16 @@ def _fit_resolved(spec: ModelSpec, design: _Design, lam: dict, optimized=None) -
     grad_norm = _fd_grad_norm(design, th_loc, th_disp, lam)
     converged = bool(criteria_met and grad_norm <= GRAD_NORM_BOUND)
 
-    gen = spec.generator
     mu, logphi = _mu_phi(design, th_loc, th_disp)
-    phi = np.exp(logphi)
-    zc = _clamped_z(gen, (design.y - mu) / np.sqrt(phi))
-    u = zc * zc
-    v = weight_v(gen, zc)
-    vp = weight_v_prime(gen, u)
-
-    # standard errors from the penalized observed-information blocks
-    w_loc_obs = (v + 2.0 * u * vp) / phi
-    w_disp_obs = u * (v + u * vp) / 2.0
-    beta_se = _block_se(design.loc, w_loc_obs, lam)
-    gamma_se = _block_se(design.disp, w_disp_obs, lam)
+    # standard errors from the diagonal blocks of the Newton polish's information
+    w_loc, _, w_disp = _observed_weights(design, mu, logphi)
+    beta_se = _block_se(design.loc, w_loc, lam)
+    gamma_se = _block_se(design.disp, w_disp, lam)
 
     ll, edf, aic, aic_jacobian = _information_criteria(spec, design, lam, mu, logphi)
     return LogSymFit(
         spec=spec, beta_se=beta_se, gamma_se=gamma_se, edf=edf,
-        mu_hat=mu, phi_hat=phi, loglik=ll, aic=aic, aic_jacobian=aic_jacobian,
+        mu_hat=mu, phi_hat=np.exp(logphi), loglik=ll, aic=aic, aic_jacobian=aic_jacobian,
         converged=converged, iterations=iterations, grad_norm=grad_norm, trace=trace,
         params=FitParams(location=th_loc, dispersion=th_disp, lam=dict(lam)), design=design,
     )
@@ -864,14 +859,9 @@ def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
 
 
 def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
-    B = ti.block.B
-    A = B.T @ (w[:, None] * B)
-    Ms, d = _jacobi_scale(A + lam_j * ti.block.K)
-    As = A / d[:, None] / d[None, :]
-    try:
-        return float(np.trace(np.linalg.solve(Ms, As)))
-    except np.linalg.LinAlgError:
-        return float("nan")
+    """tr((A + lambda K)^-1 A) with A = B^T diag(w) B; NaN when singular."""
+    A = ti.block.B.T @ (w[:, None] * ti.block.B)
+    return float(np.trace(_equilibrated_inverse(A + lam_j * ti.block.K) @ A))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ def dump_json(obj) -> str:
 
 
 def load_json(text):
+    if isinstance(text, str):  # json.loads drops a byte-order mark from bytes only
+        text = text.removeprefix("\ufeff")
     try:
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # bytes may not decode

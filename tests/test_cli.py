@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 
 import pytest
 
@@ -377,6 +379,44 @@ class TestFit:
         else:
             assert json.loads((out / "fit.json").read_text())["converged"] is True
 
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    def test_output_name_that_is_a_directory_exits_2(self, workspace, capsys, tmp_path,
+                                                     force):
+        # this used to end in IsADirectoryError and exit 1 under --force
+        (tmp_path / "fit.json").mkdir()
+        assert main(["fit", "--input", workspace["input"], "--spec", workspace["poisson"],
+                     "--out", str(tmp_path), *force]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot write {tmp_path / 'fit.json'}: Is a directory\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["fit.json"]
+        assert (tmp_path / "fit.json").is_dir()
+
+    def test_byte_order_marks_do_not_change_the_fit(self, workspace, tmp_path):
+        # spreadsheet exports start UTF-8 text with EF BB BF
+        marked = {}
+        for flag, path in (("--input", workspace["input"]), ("--spec", workspace["breast"])):
+            with open(path, "rb") as fh:
+                (tmp_path / flag[2:]).write_bytes(b"\xef\xbb\xbf" + fh.read())
+            marked[flag] = str(tmp_path / flag[2:])
+        for out, (data, spec) in (("plain", (workspace["input"], workspace["breast"])),
+                                  ("marked", (marked["--input"], marked["--spec"]))):
+            assert main(["fit", "--input", data, "--spec", spec,
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "marked" / "fit.json").read_bytes() == \
+            (tmp_path / "plain" / "fit.json").read_bytes()
+
+    def test_unparsable_csv_exits_2_naming_the_line(self, workspace, capsys, tmp_path):
+        # an unclosed quote on line 2 used to end in a csv.Error traceback
+        row = "female,lung,40,44,2000,5,10000\n"
+        path = tmp_path / "unclosed.csv"
+        path.write_text("sex,site,age_lo,age_hi,year,deaths,population\n"
+                        'female,"lung,40,44,2000,5,10000\n' + row * 6000, encoding="utf-8")
+        assert main(["fit", "--input", str(path), "--spec", workspace["poisson"],
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: field larger than field limit")
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_fit_output(self, workspace):
         root = workspace["root"]
         args = ["--input", workspace["input"], "--spec", workspace["logsym"]]
@@ -413,6 +453,35 @@ class TestCompare:
         assert "refusing to overwrite" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["scatter_2.csv"]
         assert (tmp_path / "scatter_2.csv").read_text(encoding="utf-8") == "kept"
+
+    def test_output_name_that_is_a_directory_writes_nothing(self, workspace, tmp_path,
+                                                             capsys):
+        (tmp_path / "scatter_2.csv").mkdir()
+        code = main(["compare", "--input", workspace["input"],
+                     "--spec", workspace["logsym"], "--spec2", workspace["poisson"],
+                     "--out", str(tmp_path), "--force"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot write {tmp_path / 'scatter_2.csv'}: Is a directory\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["scatter_2.csv"]
+
+    def test_write_error_exits_2_and_keeps_what_was_written(self, workspace, tmp_path,
+                                                            capsys, monkeypatch):
+        # a full disk on the last file: the files before it stay
+        def full_disk(path, *args, **kwargs):
+            if str(path).endswith("scatter_2.csv"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        code = main(["compare", "--input", workspace["input"],
+                     "--spec", workspace["logsym"], "--spec2", workspace["poisson"],
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: cannot write {tmp_path / 'scatter_2.csv'}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["comparison.json", "scatter_1.csv"]
 
     def test_spec2_required_by_parser(self, workspace):
         with pytest.raises(SystemExit):

@@ -165,6 +165,29 @@ class TestParse:
         with pytest.raises(DataValidationError, match="^line 6: non-numeric deaths 'x'$"):
             parse_mortality_csv(text.replace(",-3,", ",3,") + "female,c,40,44,2000,x,1\n")
 
+    def test_unclosed_quote_names_the_line_its_record_starts_on(self):
+        # the quote opened on line 2 swallows the rest of a 6,000-row table
+        # until the csv module's field limit stops it
+        row = "female,breast,40,44,2001,12,51000\n"
+        text = GOOD_CSV.decode().split("\n")[0] + '\nfemale,"breast,40,44,2001,12,51000\n'
+        with pytest.raises(DataFormatError,
+                           match=r"^line 2: field larger than field limit \(\d+\)$"):
+            parse_mortality_csv(text + row * 6000)
+        with pytest.raises(DataFormatError, match="^line 1: field larger than field limit"):
+            parse_mortality_csv('"sex' + row * 6000)
+
+    def test_rows_above_an_unparsable_record_are_checked_first(self):
+        text = row_csv(deaths="x").decode() + 'female,"breast,40,44,2001,12,51000\n' * 6000
+        with pytest.raises(DataValidationError, match="^line 6: non-numeric deaths 'x'$"):
+            parse_mortality_csv(text)
+
+    def test_a_leading_byte_order_mark_is_dropped(self):
+        plain = rows(parse_mortality_csv(GOOD_CSV))
+        assert rows(parse_mortality_csv(b"\xef\xbb\xbf" + GOOD_CSV)) == plain
+        assert rows(parse_mortality_csv("\ufeff" + GOOD_CSV.decode())) == plain
+        with pytest.raises(DataFormatError, match="header missing column"):
+            parse_mortality_csv("\ufeff\ufeff" + GOOD_CSV.decode())  # only one is dropped
+
     @pytest.mark.parametrize("site", [" lung ", "lung\t", "\nlung"])
     def test_site_with_outer_whitespace_is_refused(self, site):
         # a CSV field reads back stripped, so such a site would not round-trip

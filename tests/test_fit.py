@@ -1149,6 +1149,50 @@ class TestPolishStep:
         assert got[2:] == (L_disp, True)
 
 
+class TestReportedNumerics:
+    """The standard errors and the edf reuse the fit's own numerics."""
+
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_standard_errors_invert_the_polish_information_blocks(self, gen):
+        # each half's diagonal block of the Newton polish's information,
+        # inverted alone, bit for bit
+        f = fit(spline_spec(generator=gen), small_logsym_table(seed=31, generator=gen))
+        H = logsym_fit._observed_hessian(f.design, f.params.location, f.params.dispersion,
+                                         f.lam)
+        n_loc = f.design.loc.G.shape[1]
+        for se, block, half in ((f.beta_se, H[:n_loc, :n_loc], f.design.loc),
+                                (f.gamma_se, H[n_loc:, n_loc:], f.design.disp)):
+            expected = np.sqrt(np.diag(logsym_fit._equilibrated_inverse(block)))[:half.p_par]
+            assert np.array_equal(se, expected)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4, 1e8])
+    def test_term_edf_matches_a_dense_solve(self, lam, logsym_table):
+        # within 1e-10, or within what the system's conditioning allows: at
+        # lambda = 1e8 the psp system's condition number is about 5e8, and two
+        # solves of it agree to about 1e-9
+        f = fit(spline_spec(), logsym_table)
+        weights = {"location:ncs(age)": 1.0 / f.phi_hat,  # v = 1 for the normal
+                   "dispersion:psp(age)": np.full(len(f.phi_hat), f.design.kappa)}
+        for ti in f.design.term_infos:
+            w = weights[ti.label]
+            A = ti.block.B.T @ (w[:, None] * ti.block.B)
+            M = A + lam * ti.block.K
+            dense = np.trace(np.linalg.solve(M, A))
+            rtol = max(1e-10, np.finfo(float).eps * np.linalg.cond(M))
+            assert logsym_fit._term_edf(ti, w, lam) == pytest.approx(dense, rel=rtol, abs=0)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4, 1e8])
+    def test_term_edf_of_a_singular_system_is_nan(self, lam, logsym_table):
+        # with w = 0 the penalty alone is left, and a penalty that leaves the
+        # last coefficient free has a null space
+        design, _ = _design_and_lam(spline_spec(), logsym_table)
+        for ti in design.term_infos:
+            K = ti.block.K.copy()
+            K[-1, :] = K[:, -1] = 0.0
+            free = dataclasses.replace(ti, block=dataclasses.replace(ti.block, K=K))
+            assert math.isnan(logsym_fit._term_edf(free, np.zeros(len(design.y)), lam))
+
+
 class TestSingularSystems:
     """Each block step solves through one guarded equilibrated solve, and
     the standard errors come from one guarded inverse."""

@@ -81,6 +81,12 @@ class TestJsonWriter:
         with pytest.raises(DataFormatError):
             load_json("{not json")
 
+    def test_load_json_drops_a_leading_byte_order_mark(self):
+        # json.loads drops it from bytes but refuses it in a str
+        assert load_json('\ufeff{"a": 1}') == load_json(b'\xef\xbb\xbf{"a": 1}') == {"a": 1}
+        with pytest.raises(DataFormatError, match="^invalid JSON: "):
+            load_json('\ufeff\ufeff{"a": 1}')
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_floats_round_trip_exactly(self, x):
         # == alone passes an int 10 for 10.0 and 0 for -0.0
