@@ -9,8 +9,8 @@ The model spec alone sets a fit's zero policy and Jacobian adjustment.
 Every run is reproducible: ``simulate`` and ``envelope`` draw from
 ``--seed`` (default 20130), and all outputs are byte-identical across
 reruns. Exit codes: 0 success, 2 input or validation problems, 3
-numerical failures (including non-convergence, in which case fit.json
-is still written).
+numerical failures (including a model that did not converge, in which
+case the command still writes its artifacts).
 """
 
 from __future__ import annotations
@@ -108,6 +108,16 @@ def _write_outputs(args: argparse.Namespace, texts: dict) -> None:
         log.info("wrote %s", path)
 
 
+def _exit_status(labelled) -> int:
+    """EXIT_OK, or EXIT_NUMERICAL after naming on stderr each of the
+    (label, fit) pairs whose fit did not converge; the caller has written
+    its artifacts."""
+    stopped = [label for label, fit in labelled if not fit.converged]
+    for label in stopped:
+        print(f"numerical error: {label} did not converge", file=sys.stderr)
+    return EXIT_NUMERICAL if stopped else EXIT_OK
+
+
 def _print_fit_summary(fit_result, table) -> None:
     summary = diagnostics._summarize(fit_result, table, fit_result.label)
     print(f"model: {summary.label}")
@@ -164,7 +174,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if report.scale_caveat:
         print("note: AICs compare a log-scale density to a count model "
               "without the Jacobian adjustment")
-    return EXIT_OK
+    return _exit_status((f"model {idx} ({path})", f)
+                        for idx, (path, f) in enumerate(zip(paths, fits), start=1))
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
@@ -178,7 +189,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     _write_outputs(args, {"envelope.csv": diagnostics.envelope_to_csv(env)})
     print(f"envelope kind={kind} m={env.m_sims} level={env.level} "
           f"outside {env.outside_count}/{len(env.ordered_residuals)}")
-    return EXIT_OK
+    return _exit_status([(f"the fit of {args.spec}", result)])
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -193,7 +204,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     curves = diagnostics.all_component_curves(result)
     _write_outputs(args, {"curves.csv": diagnostics.curves_to_csv(curves)})
     print(f"exported {len(curves)} component curve(s)")
-    return EXIT_OK
+    return _exit_status([(f"the fit of {args.spec}", result)])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .data_ingest import ObservationTable, _csv_text, _fmt_column, _logs, observed_log_rates
 from .data_ingest import make_cell  # noqa: F401  unused; perfbench/tracer.py hooks this name
@@ -61,6 +60,7 @@ class EnvelopeResult:
 
 def reference_quantiles(n: int) -> np.ndarray:
     """Normal order-statistic plotting positions, (k - 0.375)/(n + 0.25)."""
+    from scipy import special
     k = np.arange(1, n + 1)
     return special.ndtri((k - 0.375) / (n + 0.25))
 

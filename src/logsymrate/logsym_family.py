@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import SpecificationError, _number
 
@@ -110,8 +109,12 @@ def _contnormal_parts(spec, u, count: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _log_norm_const(spec: GeneratorSpec) -> float:
-    """log c of the student and powerexp densities, computed once per spec."""
+def _log_norm_const(spec: GeneratorSpec) -> Union[float, None]:
+    """log c of the student and powerexp densities, computed once per spec;
+    None for the other families, whose densities take no scipy function."""
+    if spec.family not in ("student", "powerexp"):
+        return None
+    from scipy import special
     if spec.family == "student":
         return special.gammaln((spec.nu + 1.0) / 2.0) - special.gammaln(spec.nu / 2.0) \
             - 0.5 * math.log(spec.nu * math.pi)
@@ -182,6 +185,7 @@ def cdf(spec: GeneratorSpec, z):
     transformed argument, which is the analytic value of the density
     integral (well inside the 1e-9 accuracy contract).
     """
+    from scipy import special
     z = np.asarray(z, dtype=float)
     if spec.family == "normal":
         return special.ndtr(z)
@@ -225,8 +229,8 @@ def dispersion_info_const(spec: GeneratorSpec) -> float:
     Closed forms: normal 1/2; student (3(nu+1)/(nu+3) - 1)/4; powerexp
     1/(2(1+zeta)). The contaminated normal falls back to quadrature, once
     per spec. scipy.integrate is imported there, so a process that fits no
-    contaminated normal never loads it, nor scipy.optimize and
-    scipy.sparse, which it pulls in.
+    contaminated normal never loads it, nor what it pulls in:
+    scipy.optimize, scipy.sparse and scipy.linalg.
     """
     if spec.family == "normal":
         return 0.5

@@ -55,7 +55,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .data_ingest import ObservationTable, _zero_policy_problem
 from .errors import (
@@ -71,6 +70,7 @@ from .errors import (
 )
 from .logsym_family import (
     GeneratorSpec,
+    _log_norm_const,
     cdf,
     dispersion_info_const,
     logpdf,
@@ -931,6 +931,9 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> t
             return _grid_fit(spec, design, _resolve_lambdas(trial, design))
         except NumericalError as exc:
             return exc
+    # the density's constant, and scipy.special with it, is cached before
+    # the grid forks, so the workers inherit it rather than each importing it
+    _log_norm_const(design.generator)
     fits = _map_in_order(fit_at, len(grid))
     best = None
     best_aic = math.inf
@@ -990,4 +993,5 @@ def _quantile_residuals(gen: GeneratorSpec, y, mu, phi, kind: str) -> np.ndarray
         p = 2.0 * cdf(gen, np.sqrt(z * z)) - 1.0
     else:
         raise SpecificationError(f"unknown residual kind {kind!r}")
+    from scipy import special
     return special.ndtri(np.clip(p, _CDF_CLAMP, 1.0 - _CDF_CLAMP))

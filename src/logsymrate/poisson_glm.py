@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import special
 
 from .data_ingest import ObservationTable
 from .errors import ConstantCovariateError, DataValidationError, RankDeficiencyError, \
@@ -32,6 +30,8 @@ SCORE_TOL_FACTOR = 1e-8
 _RECTIFIER_MAX_ITER = 1000
 _RECTIFIER_TOL = 1e-9
 _SEPARATED_TOL = 1e-6
+# rows per block of the rank check's unpivoted QR (``_full_rank``)
+_QR_BLOCK_ROWS = 2048
 
 
 def parametric_design(table: ObservationTable, covariates) -> np.ndarray:
@@ -61,10 +61,36 @@ def check_covariates_vary(table: ObservationTable, covariates) -> None:
                                          f"{name} cannot be a covariate")
 
 
+def _full_rank(A: np.ndarray, n: int) -> bool:
+    """Whether the singular values of A show that a pivoted QR of A, at
+    the tolerance of ``_dependent_columns``, finds no column dependent.
+
+    Any QR has |r_pp| >= sigma_min and |r_11| <= sigma_max, so a sigma_min
+    above twice that tolerance taken at sigma_max rules a dependent column
+    out. They are those of R of an unpivoted QR, built over row blocks
+    (Demmel et al. 2012), which never copies a large A whole. False when A
+    has fewer rows than columns or R is not finite."""
+    rows, p = A.shape
+    if rows < p:
+        return False
+    R = np.empty((0, p))
+    for start in range(0, rows, _QR_BLOCK_ROWS):
+        R = np.linalg.qr(np.vstack((R, A[start:start + _QR_BLOCK_ROWS])), mode="r")
+    if not np.isfinite(R).all():
+        return False
+    sv = np.linalg.svd(R, compute_uv=False)
+    return bool(sv[-1] > 2.0 * sv[0] * max(n, p) * np.finfo(float).eps * 10)
+
+
 def _dependent_columns(A: np.ndarray, n: int, names) -> list:
     """Names of the columns that a pivoted QR of the column-scaled A finds
-    dependent; n is the row count of the design A stands for. The QR is
-    done in place and forms R and the pivots only."""
+    dependent; n is the row count of the design A stands for. A design
+    that ``_full_rank`` clears needs no QR and leaves scipy.linalg
+    unloaded; otherwise the QR is done in place and forms R and the pivots
+    only."""
+    if _full_rank(A, n):
+        return []
+    from scipy import linalg as sla
     _, R, piv = sla.qr(A, mode="raw", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
@@ -197,6 +223,7 @@ class PoissonFit:
 
 
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+    from scipy import special
     return float(2.0 * np.sum(special.xlogy(y, y / mu) - (y - mu)))
 
 
@@ -250,6 +277,7 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
 
     cov = _equilibrated_inverse(X.T @ (mu[:, None] * X))
     se = np.sqrt(np.diag(cov))
+    from scipy import special
     ll = float(np.sum(special.xlogy(y, mu) - mu - special.gammaln(y + 1.0)))
     return PoissonFit(
         beta=beta, se=se, cov=cov, covariates=covariates, y=y, mu_hat=mu,
@@ -261,6 +289,7 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
 
 def deviance_residuals(fit: PoissonFit) -> np.ndarray:
     """Deviance residuals of the counts the fit was made on."""
+    from scipy import special
     y = fit.y
     mu = fit.mu_hat
     inner = 2.0 * (special.xlogy(y, y / mu) - (y - mu))

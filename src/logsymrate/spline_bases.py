@@ -10,9 +10,11 @@ coefficients. Both evaluate the basis once per distinct covariate value
 and gather the rows, which gives the bits of evaluating every row.
 
 The evaluators are numpy in the operation order of the scipy.interpolate
-calls they replace, whose bits they give without loading that module:
+calls they replace, whose bits they give without loading scipy:
 B-spline rows by the Cox-de Boor recursion of ``BSpline.design_matrix``,
-and the natural cubic spline as ``CubicSpline`` builds and evaluates it.
+and the natural cubic spline as ``CubicSpline`` builds and evaluates it,
+its knot slopes from a numpy transcription of LAPACK ``dgtsv``, the
+tridiagonal solver that ``scipy.linalg.solve_banded`` calls.
 
 Blocks are centered against the submodel intercept before fitting: the
 basis is reparameterized onto an orthonormal complement of the
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import linalg
 
 from .errors import SpecificationError, _number, _whole
 
@@ -153,6 +154,41 @@ def _bspline_matrix(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonals dl,
+    d and du for the columns of b, in place, as LAPACK dgtsv does for more
+    than one right-hand side (Anderson et al., LAPACK Users' Guide, 1999).
+
+    Gaussian elimination pivots rows i and i + 1 when |d_i| < |dl_i|, and
+    keeps the fill-in of that interchange in dl_i, which is set to 0 where
+    no rows were swapped. All four arrays are overwritten; b holds x."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[[i, i + 1]] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _ncs_coefficients(knots: np.ndarray) -> np.ndarray:
     """Power-basis coefficients c (4, q-1, q) of the natural cubic
     interpolants of the unit vectors, in s = x - knots[i] on interval i."""
@@ -161,19 +197,17 @@ def _ncs_coefficients(knots: np.ndarray) -> np.ndarray:
     h = np.diff(knots)
     dx = h[:, None]
     slope = np.diff(y, axis=0) / dx
-    # slopes s at the knots: banded (1, 1) system, f'' = 0 at both ends
-    A = np.zeros((3, q))
-    A[1, 1:-1] = 2 * (h[:-1] + h[1:])
-    A[0, 2:] = h[:-1]
-    A[-1, :-2] = h[1:]
-    A[1, 0], A[0, 1] = 2 * h[0], h[0]
-    A[1, -1], A[-1, -2] = 2 * h[-1], h[-1]
+    # slopes s at the knots: a tridiagonal system, f'' = 0 at both ends
+    d = np.empty(q)
+    d[1:-1] = 2 * (h[:-1] + h[1:])
+    d[0], d[-1] = 2 * h[0], 2 * h[-1]
+    du = np.concatenate((h[:1], h[:-1]))
+    dl = np.concatenate((h[1:], h[-1:]))
     b = np.empty((q, q))
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = 3 * (y[1] - y[0])
     b[-1] = 3 * (y[-1] - y[-2])
-    s = linalg.solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                            check_finite=False)
+    s = _gtsv(dl, d, du, b)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 

@@ -443,6 +443,21 @@ class TestCompare:
         assert "preferred:" in text
         assert "note:" in text  # unadjusted logsym AIC vs a count model
 
+    def test_model_that_did_not_converge_exits_3_with_the_report(self, workspace, capsys):
+        spec = write_doc(workspace["root"] / "breast_starved.json",
+                         dict(BREAST_DOC, convergence={"max_outer": 1}))
+        out = workspace["root"] / "cmp_starved"
+        code = main(["compare", "--input", workspace["input"], "--spec", spec,
+                     "--spec2", workspace["poisson"], "--out", str(out)])
+        assert code == 3
+        report = json.loads((out / "comparison.json").read_text())
+        assert [m["converged"] for m in report["models"]] == [False, True]
+        assert sorted(path.name for path in out.iterdir()) == \
+            ["comparison.json", "scatter_1.csv", "scatter_2.csv"]
+        err = capsys.readouterr().err
+        assert f"model 1 ({spec}) did not converge" in err
+        assert "model 2" not in err
+
     def test_refused_overwrite_writes_nothing(self, workspace, tmp_path, capsys):
         # a scatter CSV is written after comparison.json: neither may appear
         (tmp_path / "scatter_2.csv").write_text("kept", encoding="utf-8")
@@ -611,6 +626,29 @@ class TestEnvelope:
         assert code == 0
         assert "kind=deviance" in capsys.readouterr().out
 
+    def test_fit_that_did_not_converge_exits_3_with_the_csv(self, workspace, monkeypatch,
+                                                            capsys):
+        # with max_outer 1 every refit stops too and the envelope fails, so
+        # the fit is marked stopped after it ran; its refits converge
+        run_model = cli._run_model
+        monkeypatch.setattr(cli, "_run_model", lambda spec, table: dataclasses.replace(
+            run_model(spec, table), converged=False))
+        out = workspace["root"] / "env_stopped"
+        code = main(["envelope", "--input", workspace["input"],
+                     "--spec", workspace["logsym"], "--m-sims", "10", "--out", str(out)])
+        assert code == 3
+        assert len((out / "envelope.csv").read_text().strip().split("\n")) == 6 * 4 + 1
+        assert f"the fit of {workspace['logsym']} did not converge" in capsys.readouterr().err
+
+    def test_starved_fit_exits_3(self, workspace, capsys):
+        spec = write_doc(workspace["root"] / "logsym_starved.json",
+                         dict(LOGSYM_DOC, family={"name": "student", "nu": 5.0},
+                              convergence={"max_outer": 1}))
+        code = main(["envelope", "--input", workspace["input"], "--spec", spec,
+                     "--m-sims", "10", "--out", str(workspace["root"] / "env_starved")])
+        assert code == 3
+        assert "envelope refits failed" in capsys.readouterr().err
+
 
 class TestCurves:
     def test_poisson_spec_rejected(self, workspace, capsys):
@@ -638,3 +676,13 @@ class TestCurves:
         groups = {line.split(",")[0] for line in lines[1:]}
         assert groups == {"location:ncs(age)", "location:ncs(period)",
                           "dispersion:ncs(age)"}
+
+    def test_fit_that_did_not_converge_exits_3_with_the_csv(self, workspace, capsys):
+        spec = write_doc(workspace["root"] / "breast_starved_curves.json",
+                         dict(BREAST_DOC, convergence={"max_outer": 1}))
+        out = workspace["root"] / "cur_starved"
+        code = main(["curves", "--input", workspace["input"], "--spec", spec,
+                     "--out", str(out)])
+        assert code == 3
+        assert len((out / "curves.csv").read_text().strip().split("\n")) == 3 * 200 + 1
+        assert f"the fit of {spec} did not converge" in capsys.readouterr().err

@@ -403,3 +403,84 @@ class TestDistinctRowRankCheck:
         names = ["intercept"] + [f"dispersion:psp(age)[{j}]" for j in range(len(names) - 1)]
         expected = every_row_flags(G, names)
         assert expected and flags_of(lambda: _build_design(spec, table)) == expected
+
+
+def message_of(call):
+    try:
+        call()
+    except RankDeficiencyError as exc:
+        return str(exc)
+    return None
+
+
+def pivoted_qr_message(X, names, row_key=None):
+    """The check's message, or None, with every design sent to the pivoted
+    QR: the singular-value clearance of a full-rank design switched off."""
+    with mock.patch.object(poisson_glm, "_full_rank", return_value=False):
+        return message_of(lambda: check_full_rank(X, names, row_key=row_key))
+
+
+class TestFullRankFastPath:
+    """Clearing a design by the singular values of a row-blocked R gives
+    the message, or none, that the pivoted QR gives."""
+
+    AGES = np.repeat(np.arange(40.0, 60.0), 6)
+
+    @staticmethod
+    def near_dependency(eps, n=40, seed=0):
+        # the last column is the sum of two others, moved by eps per entry
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 5))
+        return np.column_stack([X, X[:, 1] + X[:, 3] + eps * rng.normal(size=n)])
+
+    def agree(self, X, names, row_key=None):
+        message = message_of(lambda: check_full_rank(X, names, row_key=row_key))
+        assert message == pivoted_qr_message(X, names, row_key)
+        return message
+
+    def test_full_rank_designs_are_cleared_without_the_pivoted_qr(self):
+        covariates = list(poisson_glm.PARAMETRIC_COVARIATES)
+        designs = [(parametric_design(small_poisson_table(), covariates), covariates),
+                   spline_design(SplineTerm("ncs", "age", 1.0), self.AGES),
+                   spline_design(SplineTerm("psp", "age", 1.0, basis_dim=12), self.AGES)]
+        for (X, names), row_key in zip(designs, [None, self.AGES, self.AGES]):
+            assert self.agree(X, names, row_key) is None
+            with mock.patch.object(sla, "qr", side_effect=AssertionError("pivoted QR ran")):
+                check_full_rank(X, names, row_key=row_key)
+
+    def test_row_blocks_of_a_tall_design(self):
+        # 7,280 rows: four blocks, the last one short
+        x = np.repeat(np.arange(0.0, 91.0), 80)
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), x)
+        assert self.agree(G, names) is None
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), x, extra=(5,))
+        assert "dup5" in self.agree(G, names)
+
+    def test_duplicate_column(self):
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), self.AGES, extra=(3,))
+        assert "dup3" in self.agree(G, names)
+
+    def test_period_a_combination_of_age_and_the_intercept(self):
+        # one birth cohort: period = age + 1960 in every cell
+        ages = np.arange(40.0, 60.0)
+        X = np.column_stack([np.ones(len(ages)), ages, ages + 1960.0])
+        assert "collinear" in self.agree(X, list(poisson_glm.PARAMETRIC_COVARIATES))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-14, 3e-14, 1e-13, 3e-13, 1e-12, 1e-10,
+                                     1e-8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbed_dependency(self, eps, seed):
+        X = self.near_dependency(eps, seed=seed)
+        message = self.agree(X, [f"c{j}" for j in range(X.shape[1])])
+        if eps in (0.0, 1e-8):
+            assert (message is None) == (eps == 1e-8)
+
+    def test_more_columns_than_rows(self):
+        X = np.random.default_rng(0).normal(size=(3, 5))
+        assert "collinear" in self.agree(X, ["a", "b", "c", "d", "e"])
+
+    @pytest.mark.parametrize("extra", [(), (4,)])
+    def test_repeated_rows(self, extra):
+        G, names = spline_design(SplineTerm("ncs", "age", 1.0), self.AGES, extra=extra)
+        message = self.agree(G, names, row_key=self.AGES)
+        assert (message is None) == (not extra)

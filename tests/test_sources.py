@@ -48,6 +48,29 @@ def test_no_package_module_is_imported_inside_a_function():
     assert found == []
 
 
+def test_no_scipy_module_is_imported_at_import_time():
+    # scipy is imported in the functions that call it, so a process loads
+    # only what its work needs (tests/test_surface.py checks what loads);
+    # an import in a module or class body runs when the package is imported
+    found = []
+    for path in sorted((ROOT / "src" / "logsymrate").glob("*.py")):
+        body = list(ast.parse(path.read_text(encoding="utf-8"), str(path)).body)
+        while body:
+            node = body.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+            body.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs_without_a_runtime_warning(demo, tmp_path):
     # from a copy, since component_curves.py writes its CSV next to itself:

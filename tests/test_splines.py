@@ -8,19 +8,22 @@ routines they replace, which the package itself no longer imports.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline, CubicSpline
+from scipy.linalg import solve_banded
 
-from logsymrate import SplineTerm, build_term_block, center_block
+from logsymrate import SplineTerm, build_term_block, center_block, spline_bases
 from logsymrate.errors import SpecificationError
 from logsymrate.spline_bases import (
     PSP_DEGREE,
     BasisBlock,
     _bspline_matrix,
+    _gtsv,
     _ncs_eval_matrix,
     ncs_build,
     psp_build,
@@ -334,6 +337,49 @@ class TestEvaluatorsMatchScipy:
             knots = np.unique(np.random.default_rng(q).uniform(0.0, 90.0, q))
         x = probes(knots[0], knots[-1], knots)
         assert same_bits(_ncs_eval_matrix(knots, x), scipy_ncs_rows(knots, x))
+
+
+class TestTridiagonalSolve:
+    """``_gtsv`` gives the bits of ``scipy.linalg.solve_banded`` on a (1, 1)
+    band, LAPACK dgtsv, with and without row interchanges. An interchange
+    leaves its fill-in in dl, which is 0 wherever no rows were swapped."""
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(3)
+        swapped = 0
+        for q in range(2, 41):
+            for nrhs in (1, 3, 7):
+                # a small diagonal makes the system far from dominant
+                d = rng.standard_normal(q) * (0.01 if nrhs == 3 else 1.0)
+                dl, du = rng.standard_normal(q - 1), rng.standard_normal(q - 1)
+                b = rng.standard_normal((q, nrhs))
+                ab = np.zeros((3, q))
+                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+                expected = solve_banded((1, 1), ab, b)
+                fill = dl.copy()
+                assert same_bits(_gtsv(fill, d.copy(), du.copy(), b.copy()), expected)
+                swapped += bool(np.any(fill[:-1]))
+        assert swapped > 0
+
+    def test_uneven_knot_gaps(self):
+        # a gap much longer than the one before can swap rows (the first
+        # rows swap when h_1 > 2 h_0); evenly spread knots never swap
+        knot_sets = [[1.0, 100.0] * 6, [100.0, 1.0] * 6 + [100.0],
+                     [1.0, 1.0, 100.0, 100.0, 1.0, 100.0, 1.0, 1.0],
+                     np.random.default_rng(5).choice([1.0, 100.0], size=25)]
+        swapped = 0
+        for gaps in knot_sets:
+            knots = 1940.0 + np.concatenate([[0.0], np.cumsum(gaps)])
+            x = probes(knots[0], knots[-1], knots)
+            with mock.patch.object(spline_bases, "_gtsv", wraps=_gtsv) as spy:
+                rows = _ncs_eval_matrix(knots, x)
+            assert same_bits(rows, scipy_ncs_rows(knots, x))
+            swapped += bool(np.any(spy.call_args.args[0][:-1]))
+        assert swapped > 0
+
+    def test_singular_system(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _gtsv(np.zeros(2), np.zeros(3), np.ones(2), np.ones((3, 2)))
 
 
 @settings(max_examples=60, deadline=None)

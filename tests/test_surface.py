@@ -50,9 +50,11 @@ def test_every_imported_public_name_is_exported():
 
 # scipy.stats costs about 0.4 s and 17 MB per process, and scipy.integrate
 # pulls in scipy.optimize and scipy.sparse (about 0.2 s and 20 MB). The
-# package uses the scipy.special functions its distributions wrap, builds
-# its spline bases in numpy, and imports scipy.integrate only for the
-# contaminated normal's kappa.
+# package imports no scipy module at import time (see the tests below): it
+# imports scipy.special where a distribution function or a Poisson
+# likelihood needs it, scipy.linalg only for the pivoted QR of a design
+# whose rank the singular values leave in doubt, and scipy.integrate only
+# for the contaminated normal's kappa.
 HEAVY_SCIPY = ("scipy.stats", "scipy.interpolate", "scipy.integrate", "scipy.sparse",
                "scipy.optimize")
 
@@ -62,6 +64,73 @@ def test_package_import_leaves_heavy_scipy_modules_unloaded():
               "import logsymrate, logsymrate.cli, logsymrate.diagnostics\n"
               f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))\n")
     assert run_fresh(script) == []
+
+
+def test_package_import_loads_no_scipy_module():
+    script = ("import json, sys\n"
+              "import logsymrate, logsymrate.cli, logsymrate.diagnostics\n"
+              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n")
+    assert run_fresh(script) == []
+
+
+def scipy_loaded_by(tmp_path, spec_doc, *commands):
+    """The scipy packages, to two name levels, that a fresh process loads
+    to simulate TRUTH_DOC's table and run each command on it with
+    ``spec_doc``; every command must exit 0. A lambda grid runs in that
+    process, not on forked workers, so the grid fits' imports count."""
+    (tmp_path / "truth.json").write_text(json.dumps(TRUTH_DOC), encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(spec_doc), encoding="utf-8")
+    script = ("import json, sys\n"
+              "from logsymrate import logsym_fit\n"
+              "from logsymrate.cli import main\n"
+              "logsym_fit._cpu_count = lambda: 1\n"
+              "d = sys.argv[1]\n"
+              "assert main(['simulate', '--spec', d + '/truth.json', '--out', d + '/sim']) == 0\n"
+              "for command in sys.argv[2:]:\n"
+              "    assert main([command, '--input', d + '/sim/simulated.csv',\n"
+              "                 '--spec', d + '/spec.json', '--out', d + '/' + command]) == 0\n"
+              "print(json.dumps(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+              "                         if m.split('.')[0] == 'scipy'})))\n")
+    return run_fresh(script, str(tmp_path), *commands)
+
+
+def test_a_normal_fit_and_its_curves_load_no_scipy_module(tmp_path):
+    # ncs slopes, the rank check of a full-rank design and the normal
+    # density are numpy
+    assert scipy_loaded_by(tmp_path, BREAST_DOC, "fit", "curves") == []
+
+
+def test_a_normal_fit_selecting_lambda_loads_no_scipy_module(tmp_path):
+    assert scipy_loaded_by(tmp_path, POOL_DOCS["select"], "fit") == []
+
+
+def test_a_student_fit_loads_scipy_special_but_not_scipy_linalg(tmp_path):
+    # the student density's constant takes gammaln
+    loaded = scipy_loaded_by(tmp_path, dict(BREAST_DOC, family={"name": "student", "nu": 5.0}),
+                             "fit")
+    assert "scipy.special" in loaded and "scipy.linalg" not in loaded
+
+
+def test_a_student_grid_forks_after_scipy_special_is_loaded(tmp_path):
+    # a worker forked before the import would import scipy.special itself,
+    # once per worker and grid
+    (tmp_path / "truth.json").write_text(json.dumps(TRUTH_DOC), encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(dict(
+        POOL_DOCS["select2"], family={"name": "student", "nu": 5.0})), encoding="utf-8")
+    script = ("import json, sys\n"
+              "from logsymrate import logsym_fit\n"
+              "from logsymrate.cli import main\n"
+              "seen, map_in_order = [], logsym_fit._map_in_order\n"
+              "def spy(fn, m):\n"
+              "    seen.append('scipy.special' in sys.modules)\n"
+              "    return map_in_order(fn, m)\n"
+              "logsym_fit._map_in_order = spy\n"
+              "d = sys.argv[1]\n"
+              "assert main(['simulate', '--spec', d + '/truth.json', '--out', d + '/sim']) == 0\n"
+              "main(['fit', '--input', d + '/sim/simulated.csv', '--spec', d + '/spec.json',\n"
+              "      '--out', d + '/fit'])\n"
+              "print(json.dumps(seen))\n")
+    assert run_fresh(script, str(tmp_path)) == [True, True]
 
 
 def test_only_a_contaminated_normal_loads_scipy_integrate(tmp_path):
@@ -87,8 +156,8 @@ def test_fit_compare_and_curves_leave_the_process_pool_unloaded(tmp_path):
     # multiprocessing is imported inside the pool's map, which a fit at fixed
     # lambda never calls: not for a small table, nor for the 2,000-cell one,
     # whose finite-difference check runs in this process too, with one BLAS
-    # thread and more than one usable CPU; scipy.special already loads
-    # concurrent.futures itself, but not its process pool
+    # thread and more than one usable CPU; scipy.special, which compare's
+    # Poisson fit loads, imports concurrent.futures, but not its process pool
     big_spec = copy.deepcopy(POOL_DOCS["select"])
     big_spec["location"]["terms"][0]["lambda"] = 1.0
     docs = {"truth": TRUTH_DOC, "spec": BREAST_DOC, "poisson": POISSON_DOC,
