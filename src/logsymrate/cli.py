@@ -10,7 +10,7 @@ Every run is reproducible: ``simulate`` and ``envelope`` draw from
 ``--seed`` (default 20130), and all outputs are byte-identical across
 reruns. Exit codes: 0 success, 2 input or validation problems, 3
 numerical failures (including a model that did not converge, in which
-case the command still writes its artifacts).
+case the command still writes its artifacts and names the model on stderr).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         doc["spec"] = specio.model_spec_to_dict(spec)
     _write_outputs(args, {"fit.json": specio.dump_json(doc)})
     _print_fit_summary(result, table)
-    return EXIT_OK if result.converged else EXIT_NUMERICAL
+    return _exit_status([(f"the fit of {args.spec}", result)])
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

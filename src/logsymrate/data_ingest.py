@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DataFormatError, DataValidationError
+from .errors import DataFormatError, DataValidationError, _positive_problem
 
 SEXES = ("female", "male")
 ZERO_POLICIES = ("drop", "add_half", "add_one")
@@ -49,14 +49,6 @@ def _stratum_problem(sex, site):
         return f"site must be a str, got {site!r}"
     if site != site.strip():
         return f"site {site!r} has leading or trailing whitespace"
-    return None
-
-
-def _positive_problem(name, value):
-    """Why ``value`` is not positive and finite, or None: the record rule for
-    a population, which ``TruthSpec`` applies to its population and phi."""
-    if not 0 < value < math.inf:
-        return f"{name} must be positive and finite, got {value}"
     return None
 
 

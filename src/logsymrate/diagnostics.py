@@ -26,8 +26,8 @@ from .errors import (
     ModelError,
     SpecificationError,
     UndefinedCorrelationError,
+    _at_least,
     _number,
-    _whole,
 )
 from .logsym_family import sample_with_rng
 from .logsym_fit import LogSymFit, _find_term, _map_in_order, _quantile_residuals, \
@@ -129,12 +129,8 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     level = _number(level, "level")
     if not (0.0 < level < 1.0):
         raise SpecificationError(f"level must be in (0, 1), got {level}")
-    m_sims = _whole(m_sims, "m_sims")
-    if m_sims < 1:
-        raise SpecificationError(f"m_sims must be >= 1, got {m_sims}")
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise SpecificationError(f"seed must be >= 0, got {seed}")
+    m_sims = _at_least(m_sims, "m_sims", 1)
+    seed = _at_least(seed, "seed", 0)
     _check_fitted_on(fit_result, table)
     observed = np.sort(_fit_residuals(fit_result, kind))
     n = len(observed)
@@ -269,9 +265,7 @@ def export_component_curves(fit_result: LogSymFit, term, grid_size: int = 200) -
 
     Returns an array of shape (grid_size, 2): covariate value, component
     value."""
-    grid_size = _whole(grid_size, "grid_size")
-    if grid_size < 2:
-        raise SpecificationError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _at_least(grid_size, "grid_size", 2)
     ti = _find_term(fit_result.design, term)
     grid = np.linspace(ti.block.x_min, ti.block.x_max, grid_size)
     vals = ti.block.evaluate(grid) @ fit_result.spline_coefs[ti.label]

@@ -5,9 +5,9 @@ input/validation problems (``DataFormatError``, ``DataValidationError``,
 ``SpecificationError``) and numerical failures (``NumericalError`` and its
 subclasses). Everything derives from ``ModelError``.
 
-It also holds the three type rules of a spec field, each with one message,
-which the object owning the field applies in its constructor: a spec file's
-value and a library argument are refused alike.
+It also holds the type rules of a spec field and the range rules built on
+them, each with one message, which the object owning the field applies in
+its constructor: a spec file's value and a library argument are refused alike.
 """
 
 import math
@@ -88,3 +88,36 @@ def _list(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise SpecificationError(f"{what} must be a list, got {value!r}")
     return tuple(value)
+
+
+def _finite(value, what: str) -> float:
+    """A finite number as float."""
+    number = _number(value, what)
+    if not math.isfinite(number):
+        raise SpecificationError(f"{what} must be a finite number, got {value}")
+    return number
+
+
+def _positive_problem(what: str, value):
+    """Why a number is not positive and finite, or None: ``_positive``'s
+    message, which a record's population check reads row by row."""
+    if not 0 < value < math.inf:
+        return f"{what} must be positive and finite, got {value}"
+    return None
+
+
+def _positive(value, what: str) -> float:
+    """A positive finite number as float."""
+    number = _number(value, what)
+    problem = _positive_problem(what, value)
+    if problem:
+        raise SpecificationError(problem)
+    return number
+
+
+def _at_least(value, what: str, low: int) -> int:
+    """A whole number of at least ``low`` as int."""
+    whole = _whole(value, what)
+    if whole < low:
+        raise SpecificationError(f"{what} must be >= {low}, got {whole}")
+    return whole

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SpecificationError, _number
+from .errors import SpecificationError, _at_least, _finite, _positive
 
 # The shape parameters each family takes, in label and spec-document order.
 # A family's label, its spec document and the check that it is given exactly
@@ -57,17 +57,14 @@ class GeneratorSpec:
                     raise SpecificationError(f"{self.family} family needs {name}")
             elif name not in takes:
                 raise SpecificationError(f"{self.family} family takes no {name}, got {value!r}")
-            elif not math.isfinite(_number(value, f"family {name}")):
-                raise SpecificationError(f"family {name} must be a finite number, got {value!r}")
-        if self.family == "student" and not self.nu > 0:
-            raise SpecificationError(f"student family needs nu > 0, got {self.nu}")
+            elif name in ("nu", "nu2"):
+                _positive(value, f"family {name}")
+            else:
+                _finite(value, f"family {name}")
         if self.family == "powerexp" and not -1.0 < self.zeta <= 1.0:
             raise SpecificationError(f"powerexp family needs zeta in (-1, 1], got {self.zeta}")
-        if self.family == "contnormal":
-            if not (0.0 <= self.nu1 <= 1.0):
-                raise SpecificationError(f"contnormal nu1 must be in [0, 1], got {self.nu1}")
-            if not self.nu2 > 0:
-                raise SpecificationError(f"contnormal nu2 must be positive, got {self.nu2}")
+        if self.family == "contnormal" and not 0.0 <= self.nu1 <= 1.0:
+            raise SpecificationError(f"contnormal nu1 must be in [0, 1], got {self.nu1}")
 
     def params(self) -> dict:
         """The family's shape parameters by name, in ``FAMILY_PARAMS`` order."""
@@ -202,8 +199,7 @@ def cdf(spec: GeneratorSpec, z):
 def sample_with_rng(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n errors consuming ``rng``. The draw order per family is
     fixed (part of the determinism contract)."""
-    if n < 1:
-        raise SpecificationError(f"sample size must be >= 1, got {n}")
+    _at_least(n, "sample size", 1)
     if spec.family == "normal":
         return rng.standard_normal(n)
     if spec.family == "student":

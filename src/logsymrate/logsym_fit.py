@@ -64,9 +64,9 @@ from .errors import (
     RankDeficiencyError,
     SelectionError,
     SpecificationError,
+    _at_least,
     _list,
-    _number,
-    _whole,
+    _positive,
 )
 from .logsym_family import (
     GeneratorSpec,
@@ -133,23 +133,18 @@ class ModelSpec:
         if problem:
             raise SpecificationError(problem)
         object.__setattr__(self, "lambda_grid", tuple(
-            _number(v, "lambda_grid") for v in _list(self.lambda_grid, "lambda_grid")))
-        if len(self.lambda_grid) < 1 or not all(0 < v < math.inf for v in self.lambda_grid):
-            raise SpecificationError("lambda_grid must hold positive finite values")
+            _positive(v, "lambda_grid") for v in _list(self.lambda_grid, "lambda_grid")))
+        if not self.lambda_grid:
+            raise SpecificationError("lambda_grid must hold at least one value")
         # JSON true is not the number 1, and "false" is not false
         if not isinstance(self.jacobian_adjust, bool):
             raise SpecificationError("logsym spec jacobian_adjust must be true or false, "
                                      f"got {self.jacobian_adjust!r}")
         for name in ("tol_loglik", "tol_param"):
             # kept as given, so that fit.json echoes the spec's text
-            value = getattr(self, name)
-            if not 0 < _number(value, name) < math.inf:
-                raise SpecificationError(f"{name} must be positive and finite, got {value!r}")
+            _positive(getattr(self, name), name)
         for name, low in (("max_outer", 1), ("max_halvings", 0)):
-            value = _whole(getattr(self, name), name)
-            if value < low:
-                raise SpecificationError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _at_least(getattr(self, name), name, low))
         for name, sub in (("location", self.location), ("dispersion", self.dispersion)):
             if not isinstance(sub.use_offset, bool):
                 raise SpecificationError(f"{name} submodel use_offset must be true or false, "
@@ -334,7 +329,11 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
 
 
 def _resolve_lambdas(lam: dict, design: _Design) -> dict:
-    """Effective per-term lambda map; every term must end up with a value."""
+    """Effective per-term lambda map: each term of the design, and no other, gets a value."""
+    labels = [ti.label for ti in design.term_infos]
+    for label in lam:
+        if label not in labels:
+            raise SpecificationError(f"unknown term {label!r}; the design has {sorted(labels)}")
     out = {}
     for ti in design.term_infos:
         val = lam.get(ti.label, ti.term.lam)
@@ -342,9 +341,7 @@ def _resolve_lambdas(lam: dict, design: _Design) -> dict:
             raise SpecificationError(
                 f"term {ti.label} has no smoothing parameter; fix lam or run selection"
             )
-        if not val > 0:
-            raise SpecificationError(f"term {ti.label}: lambda must be positive, got {val}")
-        out[ti.label] = float(val)
+        out[ti.label] = _positive(val, f"term {ti.label} lambda")
     return out
 
 
@@ -859,7 +856,7 @@ def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
 
 
 def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
-    """tr((A + lambda K)^-1 A) with A = B^T diag(w) B; NaN when singular."""
+    """tr((A + lambda K)^-1 A) with A = B^T diag(w) B; NaN where the inverse is."""
     A = ti.block.B.T @ (w[:, None] * ti.block.B)
     return float(np.trace(_equilibrated_inverse(A + lam_j * ti.block.K) @ A))
 

@@ -144,7 +144,7 @@ def _solve_equilibrated(H: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 
 def _equilibrated_inverse(H: np.ndarray) -> np.ndarray:
-    """H^-1 through the Jacobi-scaled matrix; all NaN when H is singular."""
+    """H^-1 through the Jacobi-scaled matrix; all NaN when LAPACK meets an exactly zero pivot."""
     Hs, d = _jacobi_scale(H)
     try:
         return np.linalg.inv(Hs) / d[:, None] / d[None, :]

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_ingest import _zero_policy_problem
-from .errors import DataFormatError, SpecificationError, _list, _number, _whole
+from .errors import DataFormatError, SpecificationError, _at_least, _finite, _list, _number, \
+    _positive
 from .logsym_family import FAMILY_PARAMS, GeneratorSpec
 from .logsym_fit import LogSymFit, ModelSpec, SubmodelSpec
 from .poisson_glm import PoissonFit
@@ -185,8 +186,8 @@ def parse_model_spec(doc):
     if isinstance(grid, dict):
         _check_keys(grid, {"lo", "hi", "num"}, "lambda_grid")
         kwargs["lambda_grid"] = tuple(np.geomspace(
-            _number(grid["lo"], "lambda_grid lo"), _number(grid["hi"], "lambda_grid hi"),
-            _whole(grid["num"], "lambda_grid num")))
+            _positive(grid["lo"], "lambda_grid lo"), _positive(grid["hi"], "lambda_grid hi"),
+            _at_least(grid["num"], "lambda_grid num", 1)))
     return ModelSpec(
         generator=_parse_family(doc["family"]),
         location=_parse_submodel(doc["location"], "location"),
@@ -222,9 +223,9 @@ def _parse_grid(doc, what: str):
     if not isinstance(doc, dict):
         return doc
     _check_keys(doc, {"min", "max", "count"}, what)
-    return tuple(np.linspace(_number(doc["min"], f"{what} min"),
-                             _number(doc["max"], f"{what} max"),
-                             _whole(doc["count"], f"{what} count")))
+    return tuple(np.linspace(_finite(doc["min"], f"{what} min"),
+                             _finite(doc["max"], f"{what} max"),
+                             _at_least(doc["count"], f"{what} count", 1)))
 
 
 def _tabulated(doc, what: str):

@@ -24,14 +24,13 @@ penalty congruent.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import SpecificationError, _number, _whole
+from .errors import SpecificationError, _at_least, _positive, _whole
 
 TERM_KINDS = ("ncs", "psp")
 COVARIATES = ("age", "period")
@@ -62,11 +61,7 @@ class SplineTerm:
                 f"unknown covariate {self.covariate!r}; expected one of {COVARIATES}"
             )
         if self.lam is not None:
-            lam = _number(self.lam, "term lambda")
-            if not 0 < lam < math.inf:
-                raise SpecificationError(
-                    f"term lambda must be positive and finite, got {self.lam!r}")
-            object.__setattr__(self, "lam", lam)
+            object.__setattr__(self, "lam", _positive(self.lam, "term lambda"))
         basis_dim, diff_order = _check_sizes(self.basis_dim, self.diff_order,
                                              psp=self.kind == "psp")
         object.__setattr__(self, "basis_dim", basis_dim)
@@ -78,9 +73,7 @@ def _check_sizes(basis_dim, diff_order, psp: bool = True) -> tuple:
     numbers, and diff_order >= 1. A psp basis also needs basis_dim >=
     diff_order + 1 and basis_dim > PSP_DEGREE."""
     basis_dim = _whole(basis_dim, "term basis_dim")
-    diff_order = _whole(diff_order, "term diff_order")
-    if diff_order < 1:
-        raise SpecificationError(f"diff_order must be >= 1, got {diff_order}")
+    diff_order = _at_least(_whole(diff_order, "term diff_order"), "diff_order", 1)
     if psp and basis_dim < diff_order + 1:
         raise SpecificationError(f"psp basis_dim {basis_dim} too small for diff_order "
                                  f"{diff_order}; need at least diff_order + 1")

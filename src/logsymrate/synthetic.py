@@ -20,8 +20,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT, \
-    _positive_problem, _stratum_problem
-from .errors import DataValidationError, SpecificationError, _list, _number, _whole
+    _stratum_problem
+from .errors import DataValidationError, SpecificationError, _at_least, _finite, _list, _positive
 from .logsym_family import GeneratorSpec, sample_with_rng
 
 NOISE_KINDS = ("poisson_counts", "logsym")
@@ -50,7 +50,7 @@ class TruthSpec:
                                      "got a callable")
         table = isinstance(self.population, (list, tuple))
         for name in ("ages", "periods"):
-            grid = tuple(_number(v, name) for v in _list(getattr(self, name), name))
+            grid = tuple(_finite(v, name) for v in _list(getattr(self, name), name))
             # a population table's rows and columns follow the grids as given
             if table and not all(a < b for a, b in zip(grid, grid[1:])):
                 raise SpecificationError(f"{name} must be strictly increasing with a "
@@ -58,10 +58,10 @@ class TruthSpec:
             object.__setattr__(self, name, tuple(sorted(set(grid))))
         if not self.ages or not self.periods:
             raise SpecificationError("age and period grids must be non-empty")
-        for name in ("beta0", "beta_age", "beta_period", "phi"):
-            value = getattr(self, name)
-            if not callable(value):  # a callable phi is checked where it is used
-                object.__setattr__(self, name, _number(value, name))
+        for name in ("beta0", "beta_age", "beta_period"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if not callable(self.phi):  # a callable phi is checked where it is used
+            object.__setattr__(self, "phi", _positive(self.phi, "phi"))
         if not isinstance(self.round_counts, bool):
             raise SpecificationError("noise round_counts must be true or false, "
                                      f"got {self.round_counts!r}")
@@ -75,12 +75,12 @@ class TruthSpec:
         if problem:
             raise SpecificationError(problem)
         if not table:
-            object.__setattr__(self, "population", _number(self.population, "population"))
+            object.__setattr__(self, "population", _positive(self.population, "population"))
         else:
-            # entries as numbers; the shape, a flat list's included, is checked next
+            # entries as positive numbers; the shape, a flat list's included, is checked next
             object.__setattr__(self, "population", tuple(
-                tuple(_number(v, "population") for v in row) if isinstance(row, (list, tuple))
-                else _number(row, "population") for row in self.population))
+                tuple(_positive(v, "population") for v in row) if isinstance(row, (list, tuple))
+                else _positive(row, "population") for row in self.population))
             try:
                 shape = np.asarray(self.population, dtype=float).shape
             except ValueError:  # ragged rows
@@ -89,13 +89,6 @@ class TruthSpec:
                 raise SpecificationError(
                     f"population table must be {len(self.ages)} x {len(self.periods)} "
                     f"(ages x periods), got shape {shape}")
-        values = [("population", v) for v in np.ravel(self.population)]
-        if not callable(self.phi):
-            values.append(("phi", self.phi))
-        for name, value in values:
-            problem = _positive_problem(name, value)
-            if problem:
-                raise SpecificationError(problem)
 
     def grid(self):
         """Cells in table order: (age, period) pairs sorted lexicographically."""
@@ -149,9 +142,7 @@ def simulate_table(truth: TruthSpec, seed: int) -> SimulatedTable:
     continuous t_value is kept unless round_counts is set, and deaths_raw
     is always the rounded value.
     """
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise SpecificationError(f"seed must be >= 0, got {seed}")
+    seed = _at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     grid = truth.grid()
     log_rate = truth.log_rate_surface()

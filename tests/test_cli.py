@@ -278,7 +278,7 @@ class TestFit:
         code = main(["fit", "--input", workspace["input"],
                      "--spec", spec, "--out", str(workspace["root"] / "fit_r")])
         assert code == 2
-        assert "max_outer must be an integer >= 1" in capsys.readouterr().err
+        assert "max_outer must be >= 1, got 0" in capsys.readouterr().err
 
     def test_non_finite_population_exits_2(self, workspace, capsys):
         lines = open(workspace["input"], encoding="utf-8").read().split("\n")
@@ -347,7 +347,7 @@ class TestFit:
         assert code == 2
         assert f"{field} must be" in capsys.readouterr().err
 
-    def test_nonconvergence_exits_3_but_writes(self, workspace):
+    def test_nonconvergence_exits_3_but_writes(self, workspace, capsys):
         # student weights need more than one sweep
         doc = dict(LOGSYM_DOC, family={"name": "student", "nu": 5.0},
                    convergence={"max_outer": 1})
@@ -358,6 +358,8 @@ class TestFit:
         assert code == 3
         written = json.loads((out / "fit.json").read_text())
         assert written["converged"] is False
+        # named on stderr, as compare, envelope and curves name theirs
+        assert f"numerical error: the fit of {spec} did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("year, code", [(0, 3), (12, 0), (25, 3)])
     def test_poisson_mle_that_does_not_exist_exits_3(self, workspace, capsys, year, code):
@@ -585,6 +587,18 @@ INPUT_ERRORS = [
      "population must be a number, got '1e5'"),
     ("fit", dict(POISSON_DOC, covariates="intercept"), [],
      "covariates must be a list, got 'intercept'"),
+    ("fit", dict(LOGSYM_DOC, lambda_grid={"lo": -1, "hi": 10, "num": 5}), [],
+     "lambda_grid lo must be positive and finite, got -1"),
+    ("fit", dict(LOGSYM_DOC, lambda_grid={"lo": 0, "hi": 10, "num": 5}), [],
+     "lambda_grid lo must be positive and finite, got 0"),
+    ("fit", dict(LOGSYM_DOC, lambda_grid={"lo": 1, "hi": float("inf"), "num": 5}), [],
+     "lambda_grid hi must be positive and finite, got inf"),
+    ("fit", dict(LOGSYM_DOC, lambda_grid={"lo": 1, "hi": 10, "num": 0}), [],
+     "lambda_grid num must be >= 1, got 0"),
+    ("simulate", dict(TRUTH_DOC, ages={"min": 40, "max": 50, "count": -1}), [],
+     "ages count must be >= 1, got -1"),
+    ("simulate", dict(TRUTH_DOC, ages={"min": float("inf"), "max": 50, "count": 3}), [],
+     "ages min must be a finite number, got inf"),
 ]
 
 
@@ -592,16 +606,20 @@ INPUT_ERRORS = [
     "fit-normal-nu", "fit-student-zeta", "simulate-seed", "envelope-seed-poisson",
     "envelope-seed-logsym", "population-2x2", "population-ragged", "overflow-logsym",
     "overflow-poisson", "lambda-too-large-poisson", "population-string",
-    "poisson-covariates-string"])
+    "poisson-covariates-string", "grid-lo-negative", "grid-lo-zero", "grid-hi-inf",
+    "grid-num-zero", "truth-count-negative", "truth-min-inf"])
 def test_input_error_exits_2_naming_it(workspace, capsys, tmp_path, command, doc, flags,
                                        message):
-    # each of these used to raise a bare ValueError, warn, or go on quietly
-    args = [command, "--spec", write_doc(tmp_path / "doc.json", doc), "--out", str(tmp_path)]
+    # each of these used to raise a bare ValueError, warn, or go on quietly;
+    # json.dumps writes an infinity as Infinity, which the spec reader takes
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, "--spec", str(tmp_path / "doc.json"), "--out", str(tmp_path)]
     if command != "simulate":
         args += ["--input", workspace["input"]]
     assert main(args + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert "Warning" not in err
     assert not (tmp_path / "envelope.csv").exists() and not (tmp_path / "simulated.csv").exists()
 
 

@@ -464,6 +464,32 @@ class TestValidation:
         with pytest.raises(SpecificationError):
             penalized_loglik(spec, logsym_table, params)
 
+    @pytest.mark.parametrize("value, rule", [
+        (True, "must be a number, got True"),
+        ("10", "must be a number, got '10'"),
+        (math.inf, "must be positive and finite, got inf"),
+        (0, "must be positive and finite, got 0"),
+    ], ids=["true", "string", "inf", "zero"])
+    def test_a_given_lambda_meets_the_term_rule(self, value, rule, logsym_table):
+        # true was read as lambda 1, "10" raised a bare TypeError and inf an
+        # EvaluationError
+        params = FitParams(location=np.zeros(3), dispersion=np.zeros(1),
+                           lam={"location:ncs(age)": value})
+        with pytest.raises(SpecificationError, match=rf"^term location:ncs\(age\) lambda {rule}$"):
+            penalized_loglik(spline_spec(), logsym_table, params)
+
+    def test_a_lambda_label_the_design_lacks_is_refused(self, logsym_table):
+        # a typo used to fall back to the term's own lambda without a word
+        spec = dataclasses.replace(spline_spec(loc_lam=None), lambda_grid=(1.0, 100.0))
+        f = fit(spec, logsym_table)
+        assert set(f.params.lam) == {"location:ncs(age)", "dispersion:psp(age)"}
+        assert math.isfinite(penalized_loglik(spec, logsym_table, f.params))
+        params = dataclasses.replace(f.params, lam={"location:ncs(agee)": 1e6})
+        with pytest.raises(SpecificationError,
+                           match=r"^unknown term 'location:ncs\(agee\)'; the design has "
+                                 r"\['dispersion:psp\(age\)', 'location:ncs\(age\)'\]$"):
+            penalized_loglik(spec, logsym_table, params)
+
     @pytest.mark.parametrize("evaluate", [penalized_loglik], ids=["loglik"])
     def test_wrong_parameter_lengths(self, evaluate, logsym_table):
         params = FitParams(location=np.zeros(2), dispersion=np.zeros(20), lam={})

@@ -1,6 +1,6 @@
 """The Python files themselves: each parses under the 3.10 floor of
-``requires-python``, and each demo runs to the end with a RuntimeWarning
-as an error."""
+``requires-python``, each demo runs to the end with a RuntimeWarning as an
+error, and a range rule's message is written in ``errors.py`` alone."""
 
 import ast
 import shutil
@@ -68,6 +68,20 @@ def test_no_scipy_module_is_imported_at_import_time():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
             body.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
+def test_range_rules_are_written_only_in_errors_py():
+    # a range rule written out at its site drifts from the others, in its
+    # test and in its words; errors.py holds one of each
+    found = []
+    for path in sorted((ROOT / "src" / "logsymrate").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for text in ("must be positive and finite", "must be >= ", "must be a finite number"):
+                if text in line:
+                    found.append(f"{path.name}:{lineno}: {text}")
     assert found == []
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,95 @@ def test_file_and_library_refuse_a_model_field_alike(mutate, build):
         build()
     assert type(from_file.value) is type(from_library.value)
     assert str(from_file.value) == str(from_library.value)
+
+
+@pytest.mark.parametrize("mutate, build, message", [
+    (lambda d: d["convergence"].update(tol_loglik=0), lambda: _model_spec(tol_loglik=0),
+     "tol_loglik must be positive and finite, got 0"),
+    (lambda d: d["convergence"].update(tol_param=math.inf),
+     lambda: _model_spec(tol_param=math.inf), "tol_param must be positive and finite, got inf"),
+    (lambda d: d["convergence"].update(max_outer=0), lambda: _model_spec(max_outer=0),
+     "max_outer must be >= 1, got 0"),
+    (lambda d: d["convergence"].update(max_halvings=-1.0),
+     lambda: _model_spec(max_halvings=-1.0), "max_halvings must be >= 0, got -1"),
+    (lambda d: d.update(lambda_grid=[1.0, -1.0]), lambda: _model_spec(lambda_grid=(1.0, -1.0)),
+     "lambda_grid must be positive and finite, got -1.0"),
+    (lambda d: d["location"]["terms"][0].update({"lambda": -1}),
+     lambda: SplineTerm(kind="ncs", covariate="age", lam=-1),
+     "term lambda must be positive and finite, got -1"),
+    (lambda d: d["dispersion"]["terms"][0].update(diff_order=0),
+     lambda: SplineTerm(kind="psp", covariate="age", basis_dim=8, diff_order=0),
+     "diff_order must be >= 1, got 0"),
+    (lambda d: d["family"].update(nu=0), lambda: GeneratorSpec("student", nu=0),
+     "family nu must be positive and finite, got 0"),
+    (lambda d: d.update(family={"name": "contnormal", "nu1": 0.1, "nu2": -2.0}),
+     lambda: GeneratorSpec("contnormal", nu1=0.1, nu2=-2.0),
+     "family nu2 must be positive and finite, got -2.0"),
+    (lambda d: d.update(family={"name": "powerexp", "zeta": math.nan}),
+     lambda: GeneratorSpec("powerexp", zeta=math.nan),
+     "family zeta must be a finite number, got nan"),
+], ids=["tol_loglik-zero", "tol_param-inf", "max_outer-zero", "max_halvings-negative",
+        "lambda_grid-negative", "term-lambda-negative", "diff_order-zero", "nu-zero",
+        "nu2-negative", "zeta-nan"])
+def test_file_and_library_refuse_an_out_of_range_model_field_alike(mutate, build, message):
+    # one range rule, in errors.py, meets the field whichever way it comes in
+    with pytest.raises(SpecificationError) as from_file:
+        parse_model_spec(_changed(FULL_LOGSYM_DOC, mutate))
+    with pytest.raises(SpecificationError) as from_library:
+        build()
+    assert str(from_file.value) == str(from_library.value) == message
+
+
+_TRUTH_GRIDS = dict(ages=(40.0, 45.0, 50.0), periods=(2000.0, 2005.0))
+
+
+@pytest.mark.parametrize("mutate, field, value, message", [
+    (lambda d: d.update(ages=[40.0, math.nan, 50.0]), "ages", (40.0, math.nan, 50.0),
+     "ages must be a finite number, got nan"),
+    (lambda d: d.update(periods=[2000.0, math.inf]), "periods", (2000.0, math.inf),
+     "periods must be a finite number, got inf"),
+    (lambda d: d["log_rate"].update(beta0=math.inf), "beta0", math.inf,
+     "beta0 must be a finite number, got inf"),
+    (lambda d: d["log_rate"].update(beta_age=math.nan), "beta_age", math.nan,
+     "beta_age must be a finite number, got nan"),
+    (lambda d: d["log_rate"].update(beta_period=-math.inf), "beta_period", -math.inf,
+     "beta_period must be a finite number, got -inf"),
+    (lambda d: d["noise"].update(phi=math.inf), "phi", math.inf,
+     "phi must be positive and finite, got inf"),
+], ids=["ages-nan", "periods-inf", "beta0-inf", "beta_age-nan", "beta_period-minus-inf",
+        "phi-inf"])
+def test_truth_refuses_a_non_finite_grid_or_coefficient(mutate, field, value, message):
+    # each used to construct, and simulate_table refused it only later, as a
+    # log-rate surface that is not finite
+    with pytest.raises(SpecificationError) as from_file:
+        parse_truth_spec(_changed(TRUTH_DOC, mutate))
+    with pytest.raises(SpecificationError) as from_library:
+        TruthSpec(**dict(_TRUTH_GRIDS, **{field: value}))
+    assert str(from_file.value) == str(from_library.value) == message
+
+
+@pytest.mark.parametrize("parse, doc, key, form, message", [
+    (parse_model_spec, FULL_LOGSYM_DOC, "lambda_grid", {"lo": -1, "hi": 10, "num": 5},
+     "lambda_grid lo must be positive and finite, got -1"),
+    (parse_model_spec, FULL_LOGSYM_DOC, "lambda_grid", {"lo": 0, "hi": 10, "num": 5},
+     "lambda_grid lo must be positive and finite, got 0"),
+    (parse_model_spec, FULL_LOGSYM_DOC, "lambda_grid", {"lo": 1, "hi": math.inf, "num": 5},
+     "lambda_grid hi must be positive and finite, got inf"),
+    (parse_model_spec, FULL_LOGSYM_DOC, "lambda_grid", {"lo": 1, "hi": 10, "num": 0},
+     "lambda_grid num must be >= 1, got 0"),
+    (parse_truth_spec, TRUTH_DOC, "ages", {"min": 40, "max": 50, "count": -1},
+     "ages count must be >= 1, got -1"),
+    (parse_truth_spec, TRUTH_DOC, "ages", {"min": math.inf, "max": 50, "count": 3},
+     "ages min must be a finite number, got inf"),
+], ids=["grid-lo-negative", "grid-lo-zero", "grid-hi-inf", "grid-num-zero",
+        "truth-count-negative", "truth-min-inf"])
+def test_a_grid_form_is_refused_before_numpy_sees_it(parse, doc, key, form, message):
+    # geomspace and linspace used to warn, raise their own ValueError, or
+    # return NaN for these
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            parse(dict(doc, **{key: form}))
 
 
 def test_file_and_library_refuse_a_truth_field_alike():

@@ -17,19 +17,26 @@ from .fresh import BLAS, run_fresh
 from .test_cli import BREAST_DOC, POISSON_DOC, TRUTH_DOC
 from .test_cli_pool import DOCS as POOL_DOCS
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_benchmark_hooks_resolve():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     assert len(tracer.resolve_hooks()) == len(tracer.HOOKS)
+
+
+def test_benchmark_probe_sites_resolve():
+    # the probe wraps these by name to record each job's converged list
+    for modname, attr in load_perfbench("reference").Probe.SITES:
+        module = importlib.import_module(f"logsymrate.{modname}")
+        assert callable(getattr(module, attr)), (modname, attr)
 
 
 def test_star_import_gives_exactly_all():
