@@ -162,7 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             fits.append(_run_model(spec, table))
         except ModelError as exc:
             raise type(exc)(f"model {idx} ({path}): {exc}") from None
-    report = diagnostics.compare_models(*fits, table)
+    report = diagnostics.compare_models(fits, table)
     texts = {"comparison.json": specio.dump_json(report.to_dict())}
     for idx, f in enumerate(fits, start=1):
         fitted = diagnostics.model_fitted_log_rate(f, table)

@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DataFormatError, DataValidationError, _positive_problem
+from .errors import DataFormatError, DataValidationError, _is_positive, _positive_problem
 
 SEXES = ("female", "male")
 ZERO_POLICIES = ("drop", "add_half", "add_one")
@@ -117,7 +117,7 @@ class MortalityColumns:
              lambda i: f"year {y[i]} outside admissible range {YEAR_RANGE}"),
             (lo > hi, lambda i: f"age_lo {lo[i]} exceeds age_hi {hi[i]}"),
             (self.deaths < 0, lambda i: f"negative death count {self.deaths[i]}"),
-            (~((self.population > 0) & (self.population < math.inf)),
+            (~_is_positive(self.population),
              lambda i: _positive_problem("population", self.population[i])),
         )
         wrong = np.zeros(n, dtype=bool)
@@ -157,17 +157,21 @@ _COLUMNS = ("age", "period", "deaths", "t_value", "population")
 def _check_entries(age, period, deaths, t_value, population) -> None:
     """The rules every cell obeys, on float columns: raise DataValidationError
     at the first entry that breaks one."""
-    for name, col, ok, what in (
-            ("age_mid", age, np.isfinite(age), "finite"),
-            ("period_mid", period, np.isfinite(period), "finite"),
-            ("deaths", deaths, (deaths >= 0) & (deaths < math.inf) & (np.floor(deaths) == deaths),
-             "a nonnegative integer"),
-            ("population", population, (population > 0) & (population < math.inf),
-             "positive and finite"),
-            ("t_value", t_value, (t_value >= 0) & (t_value < math.inf), "nonnegative and finite")):
+    def rule(name, what):
+        return lambda value: f"{name} must be {what}, got {value}"
+
+    for col, ok, problem in (
+            (age, np.isfinite(age), rule("age_mid", "finite")),
+            (period, np.isfinite(period), rule("period_mid", "finite")),
+            (deaths, (deaths >= 0) & (deaths < math.inf) & (np.floor(deaths) == deaths),
+             rule("deaths", "a nonnegative integer")),
+            (population, _is_positive(population),
+             lambda value: _positive_problem("population", value)),
+            (t_value, (t_value >= 0) & (t_value < math.inf),
+             rule("t_value", "nonnegative and finite"))):
         bad = np.flatnonzero(~ok)
         if bad.size:
-            raise DataValidationError(f"{name} must be {what}, got {col[bad[0]]}")
+            raise DataValidationError(problem(col[bad[0]]))
 
 
 def _logs(values: np.ndarray) -> np.ndarray:

@@ -232,31 +232,27 @@ def _summarize(f, table: ObservationTable, label: str) -> ModelSummary:
     )
 
 
-def compare_models(fit_a, fit_b, table: ObservationTable) -> ComparisonReport:
-    """Side-by-side report: AIC, rho, coefficient tables, per-term
-    lambda/edf, the preferred (lower AIC) model, and a scale caveat when
-    a log-scale density AIC meets a count-mass AIC without the Jacobian
-    adjustment."""
-    for f in (fit_a, fit_b):
+def compare_models(fits, table: ObservationTable) -> ComparisonReport:
+    """Side-by-side report of two or more fits of ``table``: AIC, rho,
+    coefficient tables, per-term lambda/edf, the preferred (lowest AIC) model,
+    and a scale caveat when a Poisson fit meets an unadjusted log-symmetric
+    fit. A label that repeats gets the fit's 1-based position. A NaN AIC is
+    never preferred ("none" if all are NaN); the best two within 1e-9 "tie"."""
+    if len(fits) < 2:
+        raise SpecificationError(f"compare_models needs at least 2 fits, got {len(fits)}")
+    for f in fits:
         _check_fitted_on(f, table)
-    label_a, label_b = fit_a.label, fit_b.label
-    if label_a == label_b:
-        label_a, label_b = f"{label_a}-1", f"{label_b}-2"
-    sum_a = _summarize(fit_a, table, label_a)
-    sum_b = _summarize(fit_b, table, label_b)
-    if abs(sum_a.aic - sum_b.aic) <= 1e-9:
+    labels = [f.label for f in fits]
+    models = tuple(_summarize(f, table, lab if labels.count(lab) == 1 else f"{lab}-{i}")
+                   for i, (f, lab) in enumerate(zip(fits, labels), start=1))
+    ranked = sorted((m for m in models if not np.isnan(m.aic)), key=lambda m: m.aic)
+    if len(ranked) > 1 and abs(ranked[0].aic - ranked[1].aic) <= 1e-9:
         preferred = "tie"
     else:
-        preferred = sum_a.label if sum_a.aic < sum_b.aic else sum_b.label
-
-    def density_scale_unadjusted(f):
-        return isinstance(f, LogSymFit) and not f.spec.jacobian_adjust
-
-    kinds = {type(fit_a), type(fit_b)}
-    caveat = (kinds == {LogSymFit, PoissonFit}) and (
-        density_scale_unadjusted(fit_a) or density_scale_unadjusted(fit_b)
-    )
-    return ComparisonReport(models=(sum_a, sum_b), preferred=preferred,
+        preferred = ranked[0].label if ranked else "none"
+    caveat = any(isinstance(f, PoissonFit) for f in fits) and any(
+        isinstance(f, LogSymFit) and not f.spec.jacobian_adjust for f in fits)
+    return ComparisonReport(models=models, preferred=preferred,
                             scale_caveat=caveat, n_cells=len(table))
 
 

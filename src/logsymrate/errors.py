@@ -76,10 +76,15 @@ def _whole(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A number as float: JSON true is not 1, and "1e5" is not a number."""
+    """A number as float: JSON true is not 1, "1e5" is not a number, and an
+    int that no float can hold is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SpecificationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecificationError(f"{what} must be a number a float can hold, "
+                                 f"got one beyond 1.8e308 in magnitude") from None
 
 
 def _list(value, what: str) -> tuple:
@@ -98,10 +103,15 @@ def _finite(value, what: str) -> float:
     return number
 
 
+def _is_positive(values):
+    """``_positive``'s rule, entry by entry on an array or on one number."""
+    return (values > 0) & (values < math.inf)
+
+
 def _positive_problem(what: str, value):
     """Why a number is not positive and finite, or None: ``_positive``'s
-    message, which a record's population check reads row by row."""
-    if not 0 < value < math.inf:
+    message, which the record and cell population checks read."""
+    if not _is_positive(value):
         return f"{what} must be positive and finite, got {value}"
     return None
 

@@ -144,12 +144,16 @@ def _solve_equilibrated(H: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 
 def _equilibrated_inverse(H: np.ndarray) -> np.ndarray:
-    """H^-1 through the Jacobi-scaled matrix; all NaN when LAPACK meets an exactly zero pivot."""
+    """H^-1 through the Jacobi-scaled matrix Hs; all NaN when Hs is singular
+    to working precision, its 1-norm condition number above 1/eps."""
     Hs, d = _jacobi_scale(H)
     try:
-        return np.linalg.inv(Hs) / d[:, None] / d[None, :]
+        inv = np.linalg.inv(Hs)
     except np.linalg.LinAlgError:
         return np.full(H.shape, np.nan)
+    if np.linalg.norm(Hs, 1) * np.linalg.norm(inv, 1) > 1.0 / np.finfo(float).eps:
+        return np.full(H.shape, np.nan)
+    return inv / d[:, None] / d[None, :]
 
 
 def _span_vanishing_on(B: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -222,9 +226,14 @@ class PoissonFit:
         return "poisson"
 
 
-def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+def _unit_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson unit deviance 2 (y log(y / mu) - (y - mu)), with 0 log 0 = 0."""
     from scipy import special
-    return float(2.0 * np.sum(special.xlogy(y, y / mu) - (y - mu)))
+    return 2.0 * (special.xlogy(y, y / mu) - (y - mu))
+
+
+def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+    return float(np.sum(_unit_deviance(y, mu)))
 
 
 def fit_poisson(table: ObservationTable, covariates=("intercept", "age", "period")) -> PoissonFit:
@@ -289,11 +298,8 @@ def irls(X: np.ndarray, offset: np.ndarray, y: np.ndarray, covariates, cell_keys
 
 def deviance_residuals(fit: PoissonFit) -> np.ndarray:
     """Deviance residuals of the counts the fit was made on."""
-    from scipy import special
-    y = fit.y
-    mu = fit.mu_hat
-    inner = 2.0 * (special.xlogy(y, y / mu) - (y - mu))
-    return np.sign(y - mu) * np.sqrt(np.maximum(inner, 0.0))
+    y, mu = fit.y, fit.mu_hat
+    return np.sign(y - mu) * np.sqrt(np.maximum(_unit_deviance(y, mu), 0.0))
 
 
 def fitted_log_rate_poisson(fit: PoissonFit, table: ObservationTable) -> np.ndarray:

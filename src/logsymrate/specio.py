@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_ingest import _zero_policy_problem
-from .errors import DataFormatError, SpecificationError, _at_least, _finite, _list, _number, \
-    _positive
+from .errors import DataFormatError, SpecificationError, _at_least, _finite, _list, _positive
 from .logsym_family import FAMILY_PARAMS, GeneratorSpec
 from .logsym_fit import LogSymFit, ModelSpec, SubmodelSpec
 from .poisson_glm import PoissonFit
@@ -228,10 +227,10 @@ def _parse_grid(doc, what: str):
                              _at_least(doc["count"], f"{what} count", 1)))
 
 
-def _tabulated(doc, what: str):
+def _tabulated(doc, what: str, y_rule=_finite):
     _check_keys(doc, {"x", "y"}, what)
-    x, y = (np.array([_number(v, f"{what} {key}") for v in _list(doc[key], f"{what} {key}")])
-            for key in ("x", "y"))
+    x, y = (np.array([rule(v, f"{what} {key}") for v in _list(doc[key], f"{what} {key}")])
+            for key, rule in (("x", _finite), ("y", y_rule)))
     if x.shape != y.shape or len(x) < 2:
         raise SpecificationError(f"{what} needs matching x and y vectors (length >= 2)")
     if np.any(np.diff(x) <= 0):
@@ -265,7 +264,7 @@ def parse_truth_spec(doc) -> TruthSpec:
         kwargs = _present(noise, ("phi", "round_counts"))
         kwargs["generator"] = _parse_family(noise["family"])
         if isinstance(kwargs.get("phi"), dict):
-            phi_of_age = _tabulated(kwargs["phi"], "phi")
+            phi_of_age = _tabulated(kwargs["phi"], "phi", _positive)
             kwargs["phi"] = lambda a, p: phi_of_age(a)
     return TruthSpec(
         ages=_parse_grid(doc["ages"], "ages"),

@@ -292,6 +292,17 @@ class TestFit:
             assert "line 4: population must be positive and finite" in \
                 capsys.readouterr().err
 
+    def test_two_strata_exit_2(self, workspace, capsys, tmp_path):
+        lines = open(workspace["input"], encoding="utf-8").read().split("\n")
+        lines[-2] = lines[-2].replace("female", "male")
+        bad = tmp_path / "two_strata.csv"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["fit", "--input", str(bad), "--spec", workspace["poisson"],
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: input holds 2 (sex, site) strata; provide exactly one\n"
+        assert not (tmp_path / "out").exists()
+
     def test_single_period_table_exits_2(self, workspace, capsys):
         # 21 location columns on 20 rows; the rank check alone would pass it
         truth = write_doc(workspace["root"] / "one_period_truth.json",

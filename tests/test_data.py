@@ -72,6 +72,11 @@ class TestParse:
         with pytest.raises(DataFormatError, match="^unsupported CSV source type StringIO$"):
             parse_mortality_csv(io.StringIO(GOOD_CSV.decode()))
 
+    @pytest.mark.parametrize("source", ["", b"", "\ufeff"], ids=["text", "bytes", "bom"])
+    def test_empty_source_has_no_header(self, source):
+        with pytest.raises(DataFormatError, match="^empty CSV: missing header$"):
+            parse_mortality_csv(source)
+
     def test_header_must_match(self):
         bad = GOOD_CSV.replace(b"sex,site", b"site,sex")
         with pytest.raises(DataFormatError):

@@ -202,14 +202,14 @@ class TestCorrelation:
 class TestCompare:
     def test_identical_specs_tie(self, ltable, lfit):
         f2 = fit(plain_spec(), ltable)
-        report = compare_models(lfit, f2, ltable)
+        report = compare_models([lfit, f2], ltable)
         assert report.preferred == "tie"
         assert report.models[0].label.endswith("-1")
         assert report.models[1].label.endswith("-2")
 
     def test_prefers_lower_aic(self, ltable, lfit):
         pf = fit_poisson(ltable, ("intercept", "age", "period"))
-        report = compare_models(lfit, pf, ltable)
+        report = compare_models([lfit, pf], ltable)
         want = min(report.models, key=lambda m: m.aic).label
         assert report.preferred == want
         by_label = {m.label: m for m in report.models}
@@ -218,11 +218,56 @@ class TestCompare:
 
     def test_scale_caveat_flag(self, ltable, lfit):
         pf = fit_poisson(ltable, ("intercept", "age", "period"))
-        assert compare_models(lfit, pf, ltable).scale_caveat
+        assert compare_models([lfit, pf], ltable).scale_caveat
         fadj = fit(plain_spec(jacobian_adjust=True), ltable)
-        assert not compare_models(fadj, pf, ltable).scale_caveat
+        assert not compare_models([fadj, pf], ltable).scale_caveat
         # two logsym fits never trip the caveat, adjusted or not
-        assert not compare_models(lfit, fadj, ltable).scale_caveat
+        assert not compare_models([lfit, fadj], ltable).scale_caveat
+
+    def test_ranks_four_families_and_poisson(self, ltable, lfit):
+        # the paper's first step: the error families and the Poisson GLM on one table
+        pf = fit_poisson(ltable, ("intercept", "age", "period"))
+        # ALL_GENERATORS holds normal, student, powerexp twice and contnormal
+        families = ALL_GENERATORS[1:3] + ALL_GENERATORS[4:]
+        fits = [lfit, *(fit(plain_spec(generator=g), ltable) for g in families), pf]
+        report = compare_models(fits, ltable)
+        assert [m.label for m in report.models] == [
+            "logsym-normal", "logsym-student", "logsym-powerexp", "logsym-contnormal",
+            "poisson"]
+        assert [m.aic for m in report.models] == [f.aic for f in fits]
+        assert report.preferred == min(report.models, key=lambda m: m.aic).label
+        assert report.scale_caveat and report.n_cells == len(ltable)
+        assert not compare_models(fits[:4], ltable).scale_caveat
+
+    def test_repeated_labels_carry_their_position(self, ltable, lfit):
+        pf = fit_poisson(ltable, ("intercept", "age", "period"))
+        fadj = fit(plain_spec(jacobian_adjust=True), ltable)
+        report = compare_models([lfit, pf, fadj], ltable)
+        assert [m.label for m in report.models] == [
+            "logsym-normal-1", "poisson", "logsym-normal-3"]
+        assert report.preferred == min(report.models, key=lambda m: m.aic).label
+        # one unadjusted log-symmetric fit among any number trips the caveat
+        assert report.scale_caveat
+        assert not compare_models([fadj, pf, fadj], ltable).scale_caveat
+
+    def test_nan_aic_is_never_preferred(self, ltable, lfit, sfit, monkeypatch):
+        # zero weights leave the penalty alone in each term's edf system,
+        # which is singular, so the edf and the AIC are NaN
+        real = logsym_fit._term_edf
+        monkeypatch.setattr(logsym_fit, "_term_edf", lambda ti, w, lam: real(ti, 0 * w, lam))
+        nan_fit = fit(sfit.spec, ltable)
+        monkeypatch.undo()
+        assert math.isnan(nan_fit.aic) and not math.isnan(sfit.aic)
+        for fits in ([nan_fit, lfit], [lfit, nan_fit], [nan_fit, nan_fit, sfit]):
+            report = compare_models(fits, ltable)
+            finite = [m for m in report.models if not math.isnan(m.aic)]
+            assert report.preferred == min(finite, key=lambda m: m.aic).label
+        assert compare_models([nan_fit, nan_fit], ltable).preferred == "none"
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_fits_rejected(self, ltable, lfit, n):
+        with pytest.raises(SpecificationError, match=f"at least 2 fits, got {n}"):
+            compare_models([lfit] * n, ltable)
 
     def test_table_mismatch_rejected(self, lfit, ltable):
         # a fit from a table with different cell keys cannot be compared
@@ -234,7 +279,7 @@ class TestCompare:
             meta=ltable.meta)
         pf = fit_poisson(trimmed, ("intercept", "age", "period"))
         with pytest.raises(ComparisonError, match="cell keys"):
-            compare_models(lfit, pf, ltable)
+            compare_models([lfit, pf], ltable)
 
     def test_other_counts_rejected(self, pfit):
         # same cells, other deaths: the AIC of the seed-13 counts would be
@@ -242,17 +287,17 @@ class TestCompare:
         table = small_poisson_table(seed=14)
         other = fit_poisson(table, ("intercept", "age", "period"))
         with pytest.raises(ComparisonError, match="death counts"):
-            compare_models(pfit, other, table)
+            compare_models([pfit, other], table)
 
     def test_other_responses_rejected(self, lfit):
         table = small_logsym_table(seed=14)
         other = fit(plain_spec(), table)
         with pytest.raises(ComparisonError, match="responses"):
-            compare_models(lfit, other, table)
+            compare_models([lfit, other], table)
 
     def test_report_dict_shape(self, ltable, lfit):
         pf = fit_poisson(ltable, ("intercept", "age", "period"))
-        d = compare_models(lfit, pf, ltable).to_dict()
+        d = compare_models([lfit, pf], ltable).to_dict()
         assert set(d) == {"models", "preferred", "scale_caveat", "n_cells"}
         assert {m["label"] for m in d["models"]} == {"logsym-normal", "poisson"}
         assert all("rho" in m and "aic" in m for m in d["models"])
@@ -694,8 +739,8 @@ class TestArtifactBytes:
 
     def test_comparison_json(self, lfit, sfit, ltable):
         pf = fit_poisson(ltable, ("intercept", "age", "period"))
-        reports = [compare_models(sfit, pf, ltable), compare_models(lfit, lfit, ltable),
-                   compare_models(pf, pf, ltable)]
+        reports = [compare_models([sfit, pf], ltable), compare_models([lfit, lfit], ltable),
+                   compare_models([pf, pf], ltable)]
         assert [m.label for m in reports[1].models] == ["logsym-normal-1", "logsym-normal-2"]
         assert reports[0].models[1].aic_jacobian is None
         coefs = [{"name": f"location:x{i}", "estimate": float(e), "std_err": float(s)}

@@ -22,8 +22,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import hilbert
 
-from logsymrate import logsym_family, logsym_fit, specio
+from logsymrate import logsym_family, logsym_fit, poisson_glm, specio
 from logsymrate import (
     FitParams,
     GeneratorSpec,
@@ -1218,6 +1219,14 @@ class TestReportedNumerics:
             free = dataclasses.replace(ti, block=dataclasses.replace(ti.block, K=K))
             assert math.isnan(logsym_fit._term_edf(free, np.zeros(len(design.y)), lam))
 
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e8])
+    def test_term_edf_of_the_penalty_alone_is_nan(self, lam, logsym_table):
+        # with w = 0 only lambda K is left, singular on the linear functions;
+        # LAPACK meets no exactly zero pivot there at 1e-4 or 1e8
+        design, _ = _design_and_lam(spline_spec(), logsym_table)
+        for ti in design.term_infos:
+            assert math.isnan(logsym_fit._term_edf(ti, np.zeros(len(design.y)), lam))
+
 
 class TestSingularSystems:
     """Each block step solves through one guarded equilibrated solve, and
@@ -1245,10 +1254,18 @@ class TestSingularSystems:
         with pytest.raises(RankDeficiencyError, match="^singular dispersion equations: "):
             logsym_fit._dispersion_step(design, th_loc, th_disp, mu, logphi, lam, L, 4)
 
-    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.ones((2, 2))], ids=["zero", "rank-one"])
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.ones((2, 2)), hilbert(13)],
+                             ids=["zero", "rank-one", "hilbert-13"])
     def test_equilibrated_inverse_of_a_singular_matrix_is_nan(self, H):
         inv = logsym_fit._equilibrated_inverse(H)
         assert inv.shape == H.shape and np.all(np.isnan(inv))
+
+    def test_equilibrated_inverse_of_an_ill_conditioned_matrix_keeps_its_bits(self):
+        # condition number about 6e12, far from 1/eps but far from 1
+        H = hilbert(10) * np.geomspace(1.0, 1e6, 10)[:, None] * np.geomspace(1.0, 1e6, 10)
+        Hs, d = poisson_glm._jacobi_scale(H)
+        expected = np.linalg.inv(Hs) / d[:, None] / d[None, :]
+        assert np.array_equal(logsym_fit._equilibrated_inverse(H), expected)
 
     def test_singular_information_gives_nan_standard_errors(self, logsym_table):
         design, lam, *_ = self.start(logsym_table)

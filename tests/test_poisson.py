@@ -112,6 +112,20 @@ class TestResiduals:
         d = deviance_residuals(fit)
         assert fit.deviance == pytest.approx(float(np.sum(d * d)), rel=1e-10)
 
+    def test_deviance_and_residuals_keep_the_written_out_formula_bits(self, rng):
+        # the unit deviance has one owner; doubling each entry instead of the
+        # sum moves no bit, since scaling by 2 is exact
+        from scipy.special import xlogy
+
+        y = rng.poisson(5.0, size=(200, 500)).astype(float)
+        mu = rng.uniform(0.1, 20.0, size=(200, 500))
+        for yi, mi in zip(y, mu):
+            inner = xlogy(yi, yi / mi) - (yi - mi)
+            assert poisson_glm._poisson_deviance(yi, mi) == float(2.0 * np.sum(inner))
+            fit = mock.Mock(y=yi, mu_hat=mi)
+            expected = np.sign(yi - mi) * np.sqrt(np.maximum(2.0 * inner, 0.0))
+            assert np.array_equal(deviance_residuals(fit), expected)
+
     def test_fitted_log_rate(self):
         table = small_poisson_table()
         fit = fit_poisson(table, ("intercept", "age", "period"))

@@ -477,6 +477,22 @@ class TestTruthSpecs:
         with pytest.raises(SpecificationError, match=f"^{field} must be a number, got "):
             parse_truth_spec(doc)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["log_rate"]["f_age"].update(y=[0.0, math.inf, 0.0]),
+         "f_age y must be a finite number, got inf"),
+        (lambda d: d["log_rate"]["f_age"].update(x=[40.0, math.nan, 70.0]),
+         "f_age x must be a finite number, got nan"),
+        (lambda d: d["noise"].update(phi={"x": [40.0, 70.0], "y": [0.02, -0.01]}),
+         "phi y must be positive and finite, got -0.01"),
+        (lambda d: d["noise"].update(phi={"x": [40.0, 70.0], "y": [0, 0.08]}),
+         "phi y must be positive and finite, got 0"),
+    ], ids=["f_age-y-inf", "f_age-x-nan", "phi-y-negative", "phi-y-zero"])
+    def test_tabulated_values_meet_the_range_rules(self, mutate, message):
+        # each used to parse, and only simulate_table refused it, as a
+        # log-rate or dispersion surface
+        with pytest.raises(SpecificationError, match=f"^{message}$"):
+            parse_truth_spec(_changed(TRUTH_DOC, mutate))
+
     def test_round_counts_flag(self):
         doc = json.loads(json.dumps(TRUTH_DOC))
         assert parse_truth_spec(doc).round_counts is False
@@ -582,11 +598,34 @@ def test_file_and_library_refuse_a_model_field_alike(mutate, build):
     (lambda d: d.update(family={"name": "powerexp", "zeta": math.nan}),
      lambda: GeneratorSpec("powerexp", zeta=math.nan),
      "family zeta must be a finite number, got nan"),
+    (lambda d: d["convergence"].update(tol_loglik=10 ** 400),
+     lambda: _model_spec(tol_loglik=10 ** 400),
+     "tol_loglik must be a number a float can hold, got one beyond 1.8e308 in magnitude"),
+    (lambda d: d.update(lambda_grid=[1.0, -10 ** 400]),
+     lambda: _model_spec(lambda_grid=(1.0, -10 ** 400)),
+     "lambda_grid must be a number a float can hold, got one beyond 1.8e308 in magnitude"),
 ], ids=["tol_loglik-zero", "tol_param-inf", "max_outer-zero", "max_halvings-negative",
         "lambda_grid-negative", "term-lambda-negative", "diff_order-zero", "nu-zero",
-        "nu2-negative", "zeta-nan"])
+        "nu2-negative", "zeta-nan", "tol_loglik-oversized", "lambda_grid-oversized"])
 def test_file_and_library_refuse_an_out_of_range_model_field_alike(mutate, build, message):
     # one range rule, in errors.py, meets the field whichever way it comes in
+    with pytest.raises(SpecificationError) as from_file:
+        parse_model_spec(_changed(FULL_LOGSYM_DOC, mutate))
+    with pytest.raises(SpecificationError) as from_library:
+        build()
+    assert str(from_file.value) == str(from_library.value) == message
+
+
+@pytest.mark.parametrize("mutate, build, message", [
+    (lambda d: d.update(lambda_grid=[]), lambda: _model_spec(lambda_grid=()),
+     "lambda_grid must hold at least one value"),
+    (lambda d: d["location"]["terms"].append({"kind": "psp", "covariate": "age"}),
+     lambda: ModelSpec(generator=normal_spec(), location=SubmodelSpec(
+         ("intercept",), terms=(SplineTerm(kind="ncs", covariate="age"),
+                                SplineTerm(kind="psp", covariate="age")))),
+     "location submodel declares two spline terms on one covariate"),
+], ids=["lambda_grid-empty", "two-terms-on-age"])
+def test_file_and_library_refuse_a_model_shape_alike(mutate, build, message):
     with pytest.raises(SpecificationError) as from_file:
         parse_model_spec(_changed(FULL_LOGSYM_DOC, mutate))
     with pytest.raises(SpecificationError) as from_library:

@@ -97,6 +97,21 @@ class TestSurfaces:
         expected = base[0] + 0.1 * (a0 - 47.5) ** 2 / 100 - 0.02 * (p0 - 2001.0)
         assert lr[0] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("f_age", [lambda a: np.inf, lambda a: np.nan],
+                             ids=["inf", "nan"])
+    def test_callable_log_rate_must_be_finite(self, f_age):
+        # a library callable is checked where the surface is formed; a
+        # spec file's table is checked when it is read
+        with pytest.raises(SpecificationError, match="^log-rate surface must be finite$"):
+            poisson_truth(f_age=f_age).log_rate_surface()
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
+    def test_callable_phi_must_be_positive(self, value):
+        truth = poisson_truth(noise="logsym", generator=normal_spec(),
+                              phi=lambda a, p: value if a == AGES[-1] else 0.04)
+        with pytest.raises(SpecificationError, match="^dispersion surface must be positive$"):
+            truth.phi_surface()
+
     def test_population_grid(self):
         pops = tuple(tuple(1000.0 * (i + 1) + j for j in range(3)) for i in range(4))
         truth = poisson_truth(population=pops)
@@ -202,6 +217,12 @@ class TestRecordsRoundTrip:
         truth = poisson_truth(ages=(40.25, 45.0, 50.0))
         sim = simulate_table(truth, seed=8)
         with pytest.raises(DataValidationError, match="band"):
+            simulated_to_records(sim, band_width=5)
+
+    def test_fractional_period_rejected(self):
+        sim = simulate_table(poisson_truth(periods=(2000.0, 2000.5, 2001.0)), seed=8)
+        with pytest.raises(DataValidationError,
+                           match="^period midpoint 2000.5 is not a whole year$"):
             simulated_to_records(sim, band_width=5)
 
 
