@@ -50,8 +50,8 @@ EXIT_NUMERICAL = 3
 
 
 def _read_text(path: str, what: str) -> str:
-    try:  # utf-8-sig drops the byte-order mark that spreadsheet exports write
-        with open(path, "r", encoding="utf-8-sig") as fh:
+    try:  # the library readers drop a byte-order mark
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise DataValidationError(f"{what} file not found: {path}") from None

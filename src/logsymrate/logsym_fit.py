@@ -6,8 +6,8 @@ mu = [offset +] X beta + sum_j B_j a_j and the dispersion submodel is
 log phi = W gamma + sum_j B_j a_j, each spline block carrying a quadratic
 roughness penalty 0.5 * lambda_j a_j^T K_j a_j.
 
-Fitting alternates two penalized ascent steps until the penalized
-log-likelihood and the coefficients both stabilize:
+Fitting repeats one block sweep (``_sweep``) of two penalized ascent
+steps until the penalized log-likelihood and the coefficients stabilize:
 
 * location: a penalized weighted least-squares step with per-observation
   weights v(z_k) / phi_k (v is the family scoring weight), which is a
@@ -16,10 +16,11 @@ log-likelihood and the coefficients both stabilize:
   (v(z_k) z_k^2 - 1) / 2 and constant expected information kappa per
   observation.
 
-Every step is step-halved so the penalized objective never decreases.
-The objective depends on the coefficients through the two linear
-predictors and the term penalties. A sweep carries both predictors, each
-step handing on the one its accepted trial computed. A location trial
+Every step is step-halved so the penalized objective never decreases, and
+the Newton polish falls back to one sweep when its direction is singular
+or not finite. The objective depends on the coefficients through the two
+linear predictors and the term penalties. A sweep carries both predictors,
+each step handing on the one its accepted trial computed. A location trial
 holds exp(0.5 log phi), 0.5 sum(log phi) and the dispersion penalties; a
 dispersion one holds y - mu and the location penalties. The penalty is
 summed location terms first, so every value is bit for bit the one that
@@ -496,31 +497,32 @@ def _halving_accept(evalf, th, direction, L_cur, pred, max_halvings, near=None):
     return th, L_cur, pred, False
 
 
-def _location_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
-                   max_halvings):
+def _location_weights(design: _Design, mu, logphi) -> tuple:
+    """(z, v(z) / phi): standardized residuals and location working weights."""
     phi = np.exp(logphi)
     z = (design.y - mu) / np.sqrt(phi)
-    v = weight_v(design.generator, _clamped_z(design.generator, z))
-    w = v / phi
+    return z, weight_v(design.generator, _clamped_z(design.generator, z)) / phi
+
+
+def _sweep(design: _Design, th_loc, th_disp, mu, logphi, lam, L, max_halvings):
+    """One block sweep: the location step, then the dispersion step at the
+    location predictor it hands on. Returns (th_loc, th_disp, mu, logphi,
+    objective, whether either step accepted a trial)."""
+    _, w = _location_weights(design, mu, logphi)
     H = _gram(design.loc, w, lam)
     s = design.loc.G.T @ (w * (design.y - mu)) - _pen_grad(design.loc, th_loc, lam)
     step = _solve_equilibrated(H, s, "location")
-    return _halving_accept(_location_objective(design, logphi, th_disp, lam),
-                           th_loc, step, L_cur, mu, max_halvings)
-
-
-def _dispersion_step(design: _Design, th_loc, th_disp, mu, logphi, lam, L_cur,
-                     max_halvings):
-    z = (design.y - mu) / np.exp(0.5 * logphi)
-    zc = _clamped_z(design.generator, z)
-    v = weight_v(design.generator, zc)
-    s_obs = (v * zc * zc - 1.0) / 2.0
+    th_loc, L, mu, moved = _halving_accept(_location_objective(design, logphi, th_disp, lam),
+                                           th_loc, step, L, mu, max_halvings)
+    zc = _clamped_z(design.generator, (design.y - mu) / np.exp(0.5 * logphi))
+    s_obs = (weight_v(design.generator, zc) * zc * zc - 1.0) / 2.0
     H = design.disp_info.copy()
     _add_penalty(H, design.disp, lam)
     s = design.disp.G.T @ s_obs - _pen_grad(design.disp, th_disp, lam)
     step = _solve_equilibrated(H, s, "dispersion")
-    return _halving_accept(_dispersion_objective(design, mu, th_loc, lam),
-                           th_disp, step, L_cur, logphi, max_halvings)
+    th_disp, L, logphi, moved_disp = _halving_accept(
+        _dispersion_objective(design, mu, th_loc, lam), th_disp, step, L, logphi, max_halvings)
+    return th_loc, th_disp, mu, logphi, L, moved or moved_disp
 
 
 def _score_norm(s_loc, s_disp) -> float:
@@ -547,12 +549,9 @@ def _newton_polish_step(design: _Design, th_loc, th_disp, lam, L_cur, max_halvin
     except RankDeficiencyError:
         direction = None
     if direction is None or not np.all(np.isfinite(direction)):
-        mu, logphi = _mu_phi(design, th_loc, th_disp)
-        th_loc, L_cur, mu, ok_l = _location_step(design, th_loc, th_disp, mu, logphi,
-                                                 lam, L_cur, max_halvings)
-        th_disp, L_cur, _, ok_d = _dispersion_step(design, th_loc, th_disp, mu, logphi,
-                                                   lam, L_cur, max_halvings)
-        return th_loc, th_disp, L_cur, ok_l or ok_d
+        th_loc, th_disp, _, _, L_cur, moved = _sweep(
+            design, th_loc, th_disp, *_mu_phi(design, th_loc, th_disp), lam, L_cur, max_halvings)
+        return th_loc, th_disp, L_cur, moved
     noise = 1e-11 * (1.0 + abs(L_cur))
 
     def near(trial, L_new):
@@ -761,10 +760,8 @@ def _optimize(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
         iterations += 1
         prev_L = L
         prev = np.concatenate([th_loc, th_disp])
-        th_loc, L, mu, _ = _location_step(design, th_loc, th_disp, mu, logphi, lam, L,
-                                          halvings)
-        th_disp, L, logphi, _ = _dispersion_step(design, th_loc, th_disp, mu, logphi, lam,
-                                                 L, halvings)
+        th_loc, th_disp, mu, logphi, L, _ = _sweep(design, th_loc, th_disp, mu, logphi,
+                                                   lam, L, halvings)
         trace.append(L)
         d_par = float(np.max(np.abs(np.concatenate([th_loc, th_disp]) - prev)))
         if abs(L - prev_L) <= spec.tol_loglik * (1.0 + abs(prev_L)) \
@@ -795,18 +792,15 @@ def _optimize(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
 
 def _information_criteria(spec: ModelSpec, design: _Design, lam: dict, mu, logphi) -> tuple:
     """(loglik, per-term edf, aic, aic_jacobian) at the given predictors."""
-    gen = spec.generator
-    phi = np.exp(logphi)
-    z = (design.y - mu) / np.sqrt(phi)
-    v = weight_v(gen, _clamped_z(gen, z))
+    z, w_loc = _location_weights(design, mu, logphi)
 
     # effective degrees of freedom with each submodel's final weights
     edf = {}
-    for half, w in ((design.loc, v / phi), (design.disp, np.full(len(z), design.kappa))):
+    for half, w in ((design.loc, w_loc), (design.disp, np.full(len(z), design.kappa))):
         for ti in half.terms:
             edf[ti.label] = _term_edf(ti, w, lam[ti.label])
 
-    ll = float(np.sum(logpdf(gen, z)) - 0.5 * np.sum(logphi))
+    ll = float(np.sum(logpdf(spec.generator, z)) - 0.5 * np.sum(logphi))
     p_par = design.loc.p_par + design.disp.p_par
     aic_unadj = -2.0 * ll + 2.0 * (p_par + sum(edf.values()))
     aic_jacobian = aic_unadj + 2.0 * float(np.sum(design.y))
@@ -912,14 +906,16 @@ def _grid_fit(spec: ModelSpec, design: _Design, lam: dict) -> tuple:
 
 def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> tuple:
     """AIC grid search over one term, others held at their current values
-    (unresolved select terms sit at the geometric grid midpoint): the
-    winning lambda and its grid fit's ``_optimize`` output. Each (lambda,
-    AIC) pair is logged at DEBUG, and a winner at the smallest or largest
-    grid value draws a WARNING naming the term."""
-    mid = float(math.sqrt(spec.lambda_grid[0] * spec.lambda_grid[-1]))
+    (unresolved select terms sit at the geometric midpoint of the grid's
+    smallest and largest values, in any order): the winning lambda and its
+    grid fit's ``_optimize`` output. Each (lambda, AIC) pair is logged at
+    DEBUG, and a winner at the smallest or largest grid value draws a
+    WARNING naming the term."""
+    grid = spec.lambda_grid
+    edges = (min(grid), max(grid))
+    mid = float(math.sqrt(edges[0] * edges[1]))
     base = {lab: fixed.get(lab, mid) for lab in _select_labels(design)}
     base.update(fixed)
-    grid = spec.lambda_grid
 
     def fit_at(k):
         trial = dict(base)
@@ -949,7 +945,6 @@ def _grid_select(spec: ModelSpec, design: _Design, fixed: dict, label: str) -> t
     if best is None:
         raise SelectionError(f"no grid fit succeeded while selecting {label}")
     best_lam = float(grid[best])
-    edges = (min(spec.lambda_grid), max(spec.lambda_grid))
     if edges[0] < edges[1] and best_lam in edges:
         log.warning("select %s: lambda %g is at the edge of the grid [%g, %g]",
                     label, best_lam, *edges)

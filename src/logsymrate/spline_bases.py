@@ -25,7 +25,7 @@ penalty congruent.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -88,7 +88,9 @@ class BasisBlock:
 
     ``transform`` maps raw basis columns to the current (possibly
     centered) columns, so evaluation at new covariate values is
-    ``raw_basis(x) @ transform``.
+    ``raw_basis(x) @ transform``. An ncs block keeps its interpolants'
+    coefficients (``_ncs_coefficients``) in ``coef``, computed from the
+    knots when not given.
     """
 
     kind: str
@@ -99,10 +101,13 @@ class BasisBlock:
     x_max: float
     centered: bool = False
     transform: np.ndarray = field(default=None)  # type: ignore[assignment]
+    coef: Union[np.ndarray, None] = None
 
     def __post_init__(self):
         if self.transform is None:
             object.__setattr__(self, "transform", np.eye(self.B.shape[1]))
+        if self.coef is None and self.kind == "ncs":
+            object.__setattr__(self, "coef", _ncs_coefficients(self.knots))
 
     @property
     def ncols(self) -> int:
@@ -112,7 +117,7 @@ class BasisBlock:
         """Basis rows for new covariate values, in current columns."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "ncs":
-            raw = _ncs_eval_matrix(self.knots, x)
+            raw = _ncs_eval_matrix(self.knots, self.coef, x)
         else:
             if np.any((x < self.x_min) | (x > self.x_max)):
                 warnings.warn(
@@ -217,15 +222,15 @@ def _power_sum(c: np.ndarray, knots: np.ndarray, x: np.ndarray) -> np.ndarray:
     return res
 
 
-def _ncs_eval_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cardinal natural-cubic-spline interpolation matrix.
+def _ncs_eval_matrix(knots: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cardinal natural-cubic-spline interpolation matrix, from the knots'
+    ``_ncs_coefficients`` c.
 
     Row i gives the weights carrying function values at the knots to the
     natural interpolant's value at x[i]. Outside the knot range the
     natural spline continues linearly, so extrapolation uses the value
     and first derivative at the nearest boundary knot.
     """
-    c = _ncs_coefficients(knots)
     out = _power_sum(c, knots, x)
     ends = knots[[0, -1]]
     value = _power_sum(c, knots, ends)
@@ -266,9 +271,9 @@ def ncs_build(x) -> BasisBlock:
     K = Q @ np.linalg.solve(R, Q.T)
     K = (K + K.T) / 2.0
 
-    B = _ncs_eval_matrix(t, t)[idx]
-    return BasisBlock(kind="ncs", B=B, K=K, knots=t,
-                      x_min=float(t[0]), x_max=float(t[-1]))
+    c = _ncs_coefficients(t)
+    return BasisBlock(kind="ncs", B=_ncs_eval_matrix(t, c, t)[idx], K=K, knots=t,
+                      x_min=float(t[0]), x_max=float(t[-1]), coef=c)
 
 
 def psp_build(x, basis_dim: int = 23, diff_order: int = 2) -> BasisBlock:
@@ -302,9 +307,7 @@ def center_block(block: BasisBlock) -> BasisBlock:
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         # Constraint already holds identically; nothing to project out.
-        return BasisBlock(kind=block.kind, B=block.B, K=block.K, knots=block.knots,
-                          x_min=block.x_min, x_max=block.x_max,
-                          centered=True, transform=block.transform)
+        return replace(block, centered=True)
     v = c.copy()
     v[0] += np.copysign(norm, c[0]) if c[0] != 0 else norm
     H = np.eye(len(c)) - 2.0 * np.outer(v, v) / float(v @ v)
@@ -312,9 +315,7 @@ def center_block(block: BasisBlock) -> BasisBlock:
     Bc = block.B @ Z
     Kc = Z.T @ block.K @ Z
     Kc = (Kc + Kc.T) / 2.0
-    return BasisBlock(kind=block.kind, B=Bc, K=Kc, knots=block.knots,
-                      x_min=block.x_min, x_max=block.x_max,
-                      centered=True, transform=block.transform @ Z)
+    return replace(block, B=Bc, K=Kc, centered=True, transform=block.transform @ Z)
 
 
 def build_term_block(term: SplineTerm, x) -> BasisBlock:

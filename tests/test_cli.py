@@ -418,6 +418,25 @@ class TestFit:
         assert (tmp_path / "marked" / "fit.json").read_bytes() == \
             (tmp_path / "plain" / "fit.json").read_bytes()
 
+    @pytest.mark.parametrize("flag, reader, problem", [
+        ("--input", parse_mortality_csv, "^mortality CSV header missing column\\(s\\): sex$"),
+        ("--spec", specio.load_json, "^invalid JSON: Unexpected UTF-8 BOM"),
+    ], ids=["csv", "spec"])
+    def test_two_byte_order_marks_exit_2_as_the_library_refuses_them(
+            self, workspace, capsys, tmp_path, flag, reader, problem):
+        # the CLI leaves the mark to the library readers, which drop one
+        paths = {"--input": workspace["input"], "--spec": workspace["breast"]}
+        with open(paths[flag], "rb") as fh:
+            text = "\ufeff\ufeff" + fh.read().decode("utf-8")
+        paths[flag] = str(tmp_path / "doubled")
+        (tmp_path / "doubled").write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=problem) as refused:
+            reader(text)
+        assert main(["fit", "--input", paths["--input"], "--spec", paths["--spec"],
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_csv_exits_2_naming_the_line(self, workspace, capsys, tmp_path):
         # an unclosed quote on line 2 used to end in a csv.Error traceback
         row = "female,lung,40,44,2000,5,10000\n"

@@ -263,6 +263,29 @@ class TestSmoothing:
                 best_lam = cand
         assert select_lambda(spec, logsym_table, "location:ncs(age)") == best_lam
 
+    def test_selection_does_not_depend_on_the_grid_order(self, monkeypatch):
+        # a term not yet selected is held at the geometric midpoint of the
+        # grid's smallest and largest values, 100 here, in any order; held at
+        # the first and last values listed, the second order selected 100
+        truth = TruthSpec(ages=tuple(range(40, 70, 3)), periods=tuple(range(2000, 2008)),
+                          beta0=-9.0, beta_age=0.07,
+                          f_age=lambda a: 0.3 * math.exp(-((a - 55.0) / 5.0) ** 2),
+                          noise="logsym", generator=normal_spec(), phi=0.03, population=1e5)
+        table = apply_zero_policy(simulate_table(truth, 1).table, "add_half")
+        held = []
+        real = logsym_fit._grid_fit
+        monkeypatch.setattr(logsym_fit, "_grid_fit", lambda spec, design, lam: held.append(
+            lam["dispersion:psp(age)"]) or real(spec, design, lam))
+        monkeypatch.setattr(logsym_fit, "_cpu_count", lambda: 1)
+        got = []
+        for grid in ((1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8), (1.0, 1e-4, 1e-2, 1e2, 1e4, 1e6, 1e8)):
+            held.clear()
+            f = fit(dataclasses.replace(spline_spec(None, None), lambda_grid=grid), table)
+            assert held[:len(grid)] == [100.0] * len(grid)
+            got.append((f.lam, f.aic))
+        assert got[0] == got[1]
+        assert got[0][0] == {"location:ncs(age)": 1e4, "dispersion:psp(age)": 1e-2}
+
     def test_only_the_final_fit_gets_verdict_and_standard_errors(self, logsym_table,
                                                                  monkeypatch):
         calls = {"_fd_grad_norm": 0, "_block_se": 0}
@@ -616,43 +639,57 @@ def _fresh_predictors(design, th_loc, th_disp):
     return design.offset + design.loc.G @ th_loc, design.disp.G @ th_disp
 
 
-def _halving_search(step, design, th_loc, th_disp, lam, L_cur, max_halvings):
-    """The objective and ascent direction that ``step`` hands to its
-    halving search, captured without running the search, with the
-    predictors recomputed from the coefficients."""
-    seen = {}
+_SWEEP, _HALVING_ACCEPT = logsym_fit._sweep, logsym_fit._halving_accept
+
+
+def _searches(design, th_loc, th_disp, mu, logphi, lam, L_cur, max_halvings):
+    """The output of one ``_sweep`` call and the (objective, start,
+    direction) of each of its halving searches, location first, captured
+    as they run."""
+    seen = []
+
+    def record(evalf, th, direction, *args):
+        seen.append((evalf, th, direction))
+        return _HALVING_ACCEPT(evalf, th, direction, *args)
+
+    with mock.patch.object(logsym_fit, "_halving_accept", record):
+        out = _SWEEP(design, th_loc, th_disp, mu, logphi, lam, L_cur, max_halvings)
+    return out, seen
+
+
+def _directions(design, th_loc, th_disp, lam, L_cur, max_halvings):
+    """The ascent directions that ``_sweep`` hands to its two halving
+    searches, captured without running them (so the dispersion one is at
+    ``th_loc``), with the predictors recomputed from the coefficients."""
+    seen = []
 
     def capture(evalf, th, direction, L_cur, pred, max_halvings):
-        seen.update(evalf=evalf, direction=direction)
+        seen.append(direction)
         return th, L_cur, pred, False
 
     with mock.patch.object(logsym_fit, "_halving_accept", capture):
-        step(design, th_loc, th_disp, *_fresh_predictors(design, th_loc, th_disp), lam,
-             L_cur, max_halvings)
-    return seen["evalf"], seen["direction"]
+        _SWEEP(design, th_loc, th_disp, *_fresh_predictors(design, th_loc, th_disp), lam,
+               L_cur, max_halvings)
+    return seen
 
 
-def _reference_step(step, moves_location):
-    """``step`` with its predictors recomputed from the coefficients, its
-    halving search run on ``_reference_objective``, and the predictor it
-    returns recomputed from the point it returns."""
-    def reference(design, th_loc, th_disp, mu, logphi, lam, L_cur, max_halvings):
-        _, direction = _halving_search(step, design, th_loc, th_disp, lam, L_cur,
-                                       max_halvings)
-        if moves_location:
-            def f(th):
-                return _reference_objective(design, th, th_disp, lam), None
-            start = th_loc
-        else:
-            def f(th):
-                return _reference_objective(design, th_loc, th, lam), None
-            start = th_disp
-        th, L, _, ok = logsym_fit._halving_accept(f, start, direction, L_cur, None,
-                                                  max_halvings)
-        if moves_location:
-            return th, L, _fresh_predictors(design, th, th_disp)[0], ok
-        return th, L, _fresh_predictors(design, th_loc, th)[1], ok
-    return reference
+def _reference_sweep(design, th_loc, th_disp, mu, logphi, lam, L_cur, max_halvings):
+    """``_sweep`` with each half's direction taken from ``_directions`` at
+    the point reached so far, its halving search run on
+    ``_reference_objective``, and the predictors it hands on recomputed
+    from the point it returns."""
+    point, moved = [th_loc, th_disp], False
+    for half in range(2):
+        direction = _directions(design, *point, lam, L_cur, max_halvings)[half]
+
+        def f(trial, half=half):
+            at = list(point)
+            at[half] = trial
+            return _reference_objective(design, *at, lam), None
+        point[half], L_cur, _, ok = _HALVING_ACCEPT(f, point[half], direction, L_cur, None,
+                                                    max_halvings)
+        moved = moved or ok
+    return (*point, *_fresh_predictors(design, *point), L_cur, moved)
 
 
 FOUR_FAMILIES = [
@@ -674,8 +711,7 @@ class TestObjectiveAtPredictors:
         for name, reference in (
                 ("_eval_objective", _reference_objective),
                 ("_fd_grad_norm", _reference_fd_grad_norm),
-                ("_location_step", _reference_step(logsym_fit._location_step, True)),
-                ("_dispersion_step", _reference_step(logsym_fit._dispersion_step, False))):
+                ("_sweep", _reference_sweep)):
             monkeypatch.setattr(logsym_fit, name, reference)
         ref = fit(spec, table)
         assert f.trace == ref.trace
@@ -688,8 +724,8 @@ class TestObjectiveAtPredictors:
                              ids=["one-term", "two-term"])
     @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
     def test_steps_match_reference_bit_for_bit(self, gen, make_spec):
-        # every trial point of each halving search, accepted or not, and
-        # each step's outcome, at the start and after a few sweeps
+        # every trial point of both halving searches of a sweep, accepted or
+        # not, and each sweep's outcome, at the start and after a few sweeps
         table = small_logsym_table(seed=32, phi=0.04, generator=gen)
         spec = make_spec(generator=gen)
         design = logsym_fit._build_design(spec, table)
@@ -700,27 +736,22 @@ class TestObjectiveAtPredictors:
         assert L == _reference_objective(design, th_loc, th_disp, lam)
         mu, logphi = _fresh_predictors(design, th_loc, th_disp)
         for _ in range(4):
-            for step, moves_location in ((logsym_fit._location_step, True),
-                                         (logsym_fit._dispersion_step, False)):
-                evalf, direction = _halving_search(step, design, th_loc, th_disp, lam, L,
-                                                   halvings)
-                start = th_loc if moves_location else th_disp
+            args = (design, th_loc, th_disp, mu, logphi, lam, L, halvings)
+            out, searches = _searches(*args)
+            assert len(searches) == 2
+            # the location search holds th_disp, and the dispersion search
+            # the location point the sweep accepted
+            for half, (evalf, start, direction) in enumerate(searches):
                 for k in range(halvings + 1):
-                    trial = start + 0.5 ** k * direction
-                    point = (trial, th_disp) if moves_location else (th_loc, trial)
-                    value, pred = evalf(trial)
+                    point = [out[0], th_disp]
+                    point[half] = start + 0.5 ** k * direction
+                    value, pred = evalf(point[half])
                     assert value == _reference_objective(design, *point, lam)
-                    assert np.array_equal(
-                        pred, _fresh_predictors(design, *point)[0 if moves_location else 1])
-                args = (design, th_loc, th_disp, mu, logphi, lam, L, halvings)
-                out = step(*args)
-                ref = _reference_step(step, moves_location)(*args)
-                assert np.array_equal(out[0], ref[0]) and np.array_equal(out[2], ref[2])
-                assert (out[1], out[3]) == (ref[1], ref[3])
-                if moves_location:
-                    th_loc, L, mu = out[:3]
-                else:
-                    th_disp, L, logphi = out[:3]
+                    assert np.array_equal(pred, _fresh_predictors(design, *point)[half])
+            ref = _reference_sweep(*args)
+            assert all(np.array_equal(got, want) for got, want in zip(out[:4], ref[:4]))
+            assert out[4:] == ref[4:]
+            th_loc, th_disp, mu, logphi, L = out[:5]
 
     @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
     def test_grad_norm_matches_reference_away_from_optimum(self, gen, logsym_table):
@@ -1157,18 +1188,16 @@ class TestPolishStep:
     @pytest.mark.parametrize("fill", [np.nan, 0.0], ids=["non-finite-direction", "singular"])
     def test_unusable_direction_falls_back_to_one_sweep(self, fill, logsym_table, monkeypatch):
         # a NaN Hessian gives a NaN direction, a zero one a LinAlgError; either
-        # way the step is one location step and one dispersion step from here
+        # way the step is one sweep from here, in which both searches accept
         spec = plain_spec(generator=GeneratorSpec(family="student", nu=5.0))
         design, lam = _design_and_lam(spec, logsym_table)
         th_loc, th_disp = logsym_fit._initial_params(design)
         L = logsym_fit._eval_objective(design, th_loc, th_disp, lam)
         s_loc, s_disp = logsym_fit._analytic_scores(design, th_loc, th_disp, lam)
-        mu, logphi = logsym_fit._mu_phi(design, th_loc, th_disp)
-        loc, L_loc, mu, ok_l = logsym_fit._location_step(design, th_loc, th_disp, mu, logphi,
-                                                         lam, L, 4)
-        disp, L_disp, _, ok_d = logsym_fit._dispersion_step(design, loc, th_disp, mu, logphi,
-                                                            lam, L_loc, 4)
-        assert L_disp > L and (ok_l, ok_d) == (True, True)
+        loc, disp, _, _, L_disp, moved = logsym_fit._sweep(
+            design, th_loc, th_disp, *logsym_fit._mu_phi(design, th_loc, th_disp), lam, L, 4)
+        assert L_disp > L and moved
+        assert not np.array_equal(loc, th_loc) and not np.array_equal(disp, th_disp)
         n = len(s_loc) + len(s_disp)
         monkeypatch.setattr(logsym_fit, "_observed_hessian", lambda *args: np.full((n, n), fill))
         got = logsym_fit._newton_polish_step(design, th_loc, th_disp, lam, L, 4, s_loc, s_disp)
@@ -1244,7 +1273,7 @@ class TestSingularSystems:
         monkeypatch.setattr(logsym_fit, "_gram",
                             lambda half, w, lam: np.zeros((half.G.shape[1],) * 2))
         with pytest.raises(RankDeficiencyError, match="^singular location equations: "):
-            logsym_fit._location_step(design, th_loc, th_disp, mu, logphi, lam, L, 4)
+            logsym_fit._sweep(design, th_loc, th_disp, mu, logphi, lam, L, 4)
 
     def test_singular_dispersion_equations(self, logsym_table):
         # plain_spec's dispersion half has no penalty to add to its information
@@ -1252,7 +1281,7 @@ class TestSingularSystems:
         design = dataclasses.replace(design, disp_info=np.zeros_like(design.disp_info))
         mu, logphi = logsym_fit._mu_phi(design, th_loc, th_disp)
         with pytest.raises(RankDeficiencyError, match="^singular dispersion equations: "):
-            logsym_fit._dispersion_step(design, th_loc, th_disp, mu, logphi, lam, L, 4)
+            logsym_fit._sweep(design, th_loc, th_disp, mu, logphi, lam, L, 4)
 
     @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.ones((2, 2)), hilbert(13)],
                              ids=["zero", "rank-one", "hilbert-13"])

@@ -1,6 +1,7 @@
 """The Python files themselves: each parses under the 3.10 floor of
 ``requires-python``, each demo runs to the end with a RuntimeWarning as an
-error, and a range rule's message is written in ``errors.py`` alone."""
+error, a range rule's message is written in ``errors.py`` alone, and every
+private module-level name is used by the package itself."""
 
 import ast
 import shutil
@@ -83,6 +84,38 @@ def test_range_rules_are_written_only_in_errors_py():
                 if text in line:
                     found.append(f"{path.name}:{lineno}: {text}")
     assert found == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a private helper that only tests call is a second copy of the code
+    # the package runs; each module-level _name is read somewhere in src/
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted((ROOT / "src" / "logsymrate").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    # a name imported under another name is read as that name
+    read |= {alias.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.asname in read}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target)
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert unused == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])

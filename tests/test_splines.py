@@ -24,11 +24,17 @@ from logsymrate.spline_bases import (
     BasisBlock,
     _bspline_matrix,
     _gtsv,
+    _ncs_coefficients,
     _ncs_eval_matrix,
     ncs_build,
     psp_build,
     term_label,
 )
+
+
+def ncs_rows(knots, x):
+    """The package's cardinal natural-cubic-spline rows at x."""
+    return _ncs_eval_matrix(knots, _ncs_coefficients(knots), x)
 
 
 def scipy_ncs_rows(knots, x):
@@ -128,6 +134,27 @@ class TestNcsBasis:
     def test_needs_three_distinct(self):
         with pytest.raises(SpecificationError):
             ncs_build(np.array([1.0, 1.0, 2.0]))
+
+    def test_interpolant_coefficients_computed_once_per_build(self):
+        # the centered block carries ncs_build's coefficients, and evaluating
+        # it computes none, bit for bit the rows from fresh ones
+        x = np.repeat(np.arange(40.0, 70.0, 3.0), 4)
+        probe = np.array([38.0, 40.0, 50.5, 67.0, 71.0])
+        with mock.patch.object(spline_bases, "_ncs_coefficients",
+                               wraps=spline_bases._ncs_coefficients) as spy:
+            blk = build_term_block(SplineTerm("ncs", "age", 1.0), x)
+            assert spy.call_count == 1
+            rows = [blk.evaluate(probe) for _ in range(3)]
+            assert spy.call_count == 1
+        for got in rows:
+            assert same_bits(got, ncs_rows(blk.knots, probe) @ blk.transform)
+        # a block built by hand computes them from its knots
+        with mock.patch.object(spline_bases, "_ncs_coefficients",
+                               wraps=spline_bases._ncs_coefficients) as spy:
+            hand = BasisBlock(kind="ncs", B=blk.B, K=blk.K, knots=blk.knots, x_min=blk.x_min,
+                              x_max=blk.x_max, centered=True, transform=blk.transform)
+            assert same_bits(hand.evaluate(probe), rows[0])
+        assert spy.call_count == 1
 
 
 class TestPspBasis:
@@ -336,7 +363,7 @@ class TestEvaluatorsMatchScipy:
         else:
             knots = np.unique(np.random.default_rng(q).uniform(0.0, 90.0, q))
         x = probes(knots[0], knots[-1], knots)
-        assert same_bits(_ncs_eval_matrix(knots, x), scipy_ncs_rows(knots, x))
+        assert same_bits(ncs_rows(knots, x), scipy_ncs_rows(knots, x))
 
 
 class TestTridiagonalSolve:
@@ -372,7 +399,7 @@ class TestTridiagonalSolve:
             knots = 1940.0 + np.concatenate([[0.0], np.cumsum(gaps)])
             x = probes(knots[0], knots[-1], knots)
             with mock.patch.object(spline_bases, "_gtsv", wraps=_gtsv) as spy:
-                rows = _ncs_eval_matrix(knots, x)
+                rows = ncs_rows(knots, x)
             assert same_bits(rows, scipy_ncs_rows(knots, x))
             swapped += bool(np.any(spy.call_args.args[0][:-1]))
         assert swapped > 0
@@ -390,7 +417,7 @@ def test_natural_cubic_rows_match_scipy_property(vals, xs):
     if np.min(np.diff(knots)) < 1e-6:
         return
     x = np.concatenate([np.asarray(xs), knots])
-    assert same_bits(_ncs_eval_matrix(knots, x), scipy_ncs_rows(knots, x))
+    assert same_bits(ncs_rows(knots, x), scipy_ncs_rows(knots, x))
 
 
 @settings(max_examples=60, deadline=None)
