@@ -75,6 +75,13 @@ def _whole(value, what: str) -> int:
     raise SpecificationError(f"{what} must be a whole number, got {value!r}")
 
 
+def _flag(value, what: str) -> bool:
+    """True or false as a bool: JSON true is not 1, and "false" is not false."""
+    if not isinstance(value, bool):
+        raise SpecificationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _number(value, what: str) -> float:
     """A number as float: JSON true is not 1, "1e5" is not a number, and an
     int that no float can hold is refused."""

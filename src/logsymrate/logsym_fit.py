@@ -53,7 +53,7 @@ import logging
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .errors import (
     SelectionError,
     SpecificationError,
     _at_least,
+    _flag,
     _list,
     _positive,
 )
@@ -137,19 +138,14 @@ class ModelSpec:
             _positive(v, "lambda_grid") for v in _list(self.lambda_grid, "lambda_grid")))
         if not self.lambda_grid:
             raise SpecificationError("lambda_grid must hold at least one value")
-        # JSON true is not the number 1, and "false" is not false
-        if not isinstance(self.jacobian_adjust, bool):
-            raise SpecificationError("logsym spec jacobian_adjust must be true or false, "
-                                     f"got {self.jacobian_adjust!r}")
+        _flag(self.jacobian_adjust, "logsym spec jacobian_adjust")
         for name in ("tol_loglik", "tol_param"):
             # kept as given, so that fit.json echoes the spec's text
             _positive(getattr(self, name), name)
         for name, low in (("max_outer", 1), ("max_halvings", 0)):
             object.__setattr__(self, name, _at_least(getattr(self, name), name, low))
         for name, sub in (("location", self.location), ("dispersion", self.dispersion)):
-            if not isinstance(sub.use_offset, bool):
-                raise SpecificationError(f"{name} submodel use_offset must be true or false, "
-                                         f"got {sub.use_offset!r}")
+            _flag(sub.use_offset, f"{name} submodel use_offset")
             if name == "dispersion" and sub.use_offset:
                 raise SpecificationError("the dispersion submodel takes no offset")
             if "intercept" not in sub.covariates:
@@ -281,19 +277,17 @@ class _Design:
 
 
 def _build_half(name: str, sub: SubmodelSpec, table: ObservationTable) -> _Half:
+    """The half's design G = [X, B_1, ...], each term's block holding its
+    basis as a view of its own columns of G, so the half keeps it once."""
     X = parametric_design(table, sub.covariates)
-    cols = [X]
-    terms = []
-    pos = X.shape[1]
-    for t in sub.terms:
-        x = table.age if t.covariate == "age" else table.period
-        block = build_term_block(t, x)
-        q = block.ncols
-        terms.append(_TermInfo(label=term_label(name, t), term=t, block=block,
-                               sl=slice(pos, pos + q)))
-        cols.append(block.B)
-        pos += q
-    G = np.column_stack(cols)
+    blocks = [build_term_block(t, getattr(table, t.covariate)) for t in sub.terms]
+    G = np.column_stack([X] + [block.B for block in blocks])
+    terms, pos = [], X.shape[1]
+    for t, block in zip(sub.terms, blocks):
+        sl = slice(pos, pos + block.ncols)
+        terms.append(_TermInfo(label=term_label(name, t), term=t,
+                               block=replace(block, B=G[:, sl]), sl=sl))
+        pos = sl.stop
     col_scale = np.max(np.abs(G), axis=0)
     col_scale[col_scale == 0] = 1.0
     return _Half(G=G, p_par=X.shape[1], par_names=tuple(sub.covariates),
@@ -324,7 +318,7 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
         check_full_rank(half.G, names, getattr(table, used.pop()) if len(used) == 1 else None)
     offset = table.log_pop if spec.location.use_offset else np.zeros(len(table))
     kappa = dispersion_info_const(spec.generator)
-    return _Design(y=table.log_t.copy(), offset=offset, loc=loc, disp=disp,
+    return _Design(y=table.log_t, offset=offset, loc=loc, disp=disp,
                    generator=spec.generator, kappa=kappa,
                    disp_info=kappa * (disp.G.T @ disp.G), cell_keys=table.cell_keys)
 

@@ -258,7 +258,9 @@ def parse_truth_spec(doc) -> TruthSpec:
     _check_keys(noise, {"kind", "family", "phi", "round_counts"}, "noise")
     kind = noise.get("kind")
     kwargs = {}
-    if kind == "logsym":
+    if kind == "poisson_counts":
+        _check_keys(noise, {"kind"}, "poisson_counts noise")
+    elif kind == "logsym":
         if "family" not in noise:
             raise SpecificationError("logsym noise needs a family")
         kwargs = _present(noise, ("phi", "round_counts"))

@@ -21,7 +21,8 @@ import numpy as np
 
 from .data_ingest import MortalityColumns, ObservationTable, TableMeta, _WHOLE_LIMIT, \
     _stratum_problem
-from .errors import DataValidationError, SpecificationError, _at_least, _finite, _list, _positive
+from .errors import DataValidationError, SpecificationError, _at_least, _finite, _flag, _list, \
+    _positive
 from .logsym_family import GeneratorSpec, sample_with_rng
 
 NOISE_KINDS = ("poisson_counts", "logsym")
@@ -62,13 +63,14 @@ class TruthSpec:
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not callable(self.phi):  # a callable phi is checked where it is used
             object.__setattr__(self, "phi", _positive(self.phi, "phi"))
-        if not isinstance(self.round_counts, bool):
-            raise SpecificationError("noise round_counts must be true or false, "
-                                     f"got {self.round_counts!r}")
+        _flag(self.round_counts, "noise round_counts")
         if self.noise not in NOISE_KINDS:
             raise SpecificationError(
                 f"unknown noise kind {self.noise!r}; expected one of {NOISE_KINDS}"
             )
+        if self.noise == "poisson_counts" and (self.generator is not None or self.round_counts):
+            raise SpecificationError("poisson_counts noise takes no generator and no "
+                                     "round_counts; only logsym noise reads them")
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
         problem = _stratum_problem(self.sex, self.site)
@@ -183,6 +185,7 @@ def simulated_to_records(sim: SimulatedTable, band_width: int = 5) -> MortalityC
     width, and periods must be whole years. Continuous t_values are
     dropped; the records carry the rounded counts.
     """
+    band_width = _at_least(band_width, "band_width", 1)
     table = sim.table
     lo = table.age - (band_width - 1) / 2.0
     off_band = np.abs(lo - np.round(lo)) > 1e-9

@@ -629,6 +629,9 @@ INPUT_ERRORS = [
      "ages count must be >= 1, got -1"),
     ("simulate", dict(TRUTH_DOC, ages={"min": float("inf"), "max": 50, "count": 3}), [],
      "ages min must be a finite number, got inf"),
+    ("simulate", dict(TRUTH_DOC, noise={"kind": "poisson_counts", "phi": -5,
+                                        "round_counts": "yes", "family": {"name": "bogus"}}),
+     [], "unknown key(s) in poisson_counts noise: family, phi, round_counts"),
 ]
 
 
@@ -637,7 +640,7 @@ INPUT_ERRORS = [
     "envelope-seed-logsym", "population-2x2", "population-ragged", "overflow-logsym",
     "overflow-poisson", "lambda-too-large-poisson", "population-string",
     "poisson-covariates-string", "grid-lo-negative", "grid-lo-zero", "grid-hi-inf",
-    "grid-num-zero", "truth-count-negative", "truth-min-inf"])
+    "grid-num-zero", "truth-count-negative", "truth-min-inf", "poisson-noise-keys"])
 def test_input_error_exits_2_naming_it(workspace, capsys, tmp_path, command, doc, flags,
                                        message):
     # each of these used to raise a bare ValueError, warn, or go on quietly;

@@ -24,7 +24,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import hilbert
 
-from logsymrate import logsym_family, logsym_fit, poisson_glm, specio
+from logsymrate import logsym_family, logsym_fit, poisson_glm, specio, spline_bases
 from logsymrate import (
     FitParams,
     GeneratorSpec,
@@ -33,6 +33,7 @@ from logsymrate import (
     SubmodelSpec,
     TruthSpec,
     apply_zero_policy,
+    build_term_block,
     fit,
     fit_poisson,
     fitted_log_rate,
@@ -1203,6 +1204,33 @@ class TestPolishStep:
         got = logsym_fit._newton_polish_step(design, th_loc, th_disp, lam, L, 4, s_loc, s_disp)
         assert np.array_equal(got[0], loc) and np.array_equal(got[1], disp)
         assert got[2:] == (L_disp, True)
+
+
+class TestDesignAssembly:
+    def test_each_term_block_reads_its_own_columns_of_the_half(self, logsym_table):
+        # a half keeps each basis once: a term's B is a view of its columns
+        # of G, bit for bit a fresh block's, and the edf reads the same bits
+        spec = dataclasses.replace(
+            two_term_spec(),
+            location=SubmodelSpec(covariates=("intercept",), use_offset=True,
+                                  terms=(SplineTerm(kind="ncs", covariate="age", lam=10.0),
+                                         SplineTerm(kind="psp", covariate="period",
+                                                    basis_dim=6, lam=30.0))))
+        with mock.patch.object(spline_bases, "_ncs_coefficients",
+                               wraps=spline_bases._ncs_coefficients) as spy:
+            design = logsym_fit._build_design(spec, logsym_table)
+        assert spy.call_count == 2  # one per ncs build
+        w = np.linspace(0.5, 2.0, len(design.y))
+        for half in (design.loc, design.disp):
+            assert {ti.term.kind for ti in half.terms} == {"ncs", "psp"}
+            for ti in half.terms:
+                fresh = build_term_block(ti.term, getattr(logsym_table, ti.term.covariate))
+                assert np.shares_memory(ti.block.B, half.G)
+                assert np.array_equal(ti.block.B, half.G[:, ti.sl])
+                assert ti.block.B.tobytes() == fresh.B.tobytes()
+                own = dataclasses.replace(ti, block=fresh)
+                assert logsym_fit._term_edf(ti, w, 3.0) == logsym_fit._term_edf(own, w, 3.0)
+        assert design.y is logsym_table.log_t  # read-only, so not copied
 
 
 class TestReportedNumerics:

@@ -80,7 +80,8 @@ def test_range_rules_are_written_only_in_errors_py():
         if path.name == "errors.py":
             continue
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            for text in ("must be positive and finite", "must be >= ", "must be a finite number"):
+            for text in ("must be positive and finite", "must be >= ", "must be a finite number",
+                         "must be true or false"):
                 if text in line:
                     found.append(f"{path.name}:{lineno}: {text}")
     assert found == []

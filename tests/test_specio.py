@@ -387,6 +387,19 @@ class TestTruthSpecs:
         truth = parse_truth_spec(doc)
         assert truth.noise == "poisson_counts"
 
+    @pytest.mark.parametrize("extra", [
+        {"phi": -5, "round_counts": "yes", "family": {"name": "bogus"}},
+        {"phi": 0.05}, {"round_counts": False}, {"family": {"name": "normal"}},
+    ], ids=["invalid-values", "phi", "round_counts", "family"])
+    def test_poisson_noise_takes_its_kind_only(self, extra):
+        # Poisson counts read none of these, and each used to be dropped
+        # unchecked, an invalid one included
+        doc = {"ages": [40, 45, 50], "periods": [2000, 2001], "log_rate": {"beta0": -9.0},
+               "noise": dict(kind="poisson_counts", **extra)}
+        with pytest.raises(SpecificationError, match=r"^unknown key\(s\) in poisson_counts "
+                                                     f"noise: {', '.join(sorted(extra))}$"):
+            parse_truth_spec(doc)
+
     def test_population_grid(self):
         doc = json.loads(json.dumps(TRUTH_DOC))
         doc["population"] = [[1e5] * 3] * 7

@@ -197,6 +197,16 @@ class TestSurfaces:
                            match="^noise round_counts must be true or false, got "):
             poisson_truth(noise="logsym", generator=normal_spec(), round_counts=flag)
 
+    @pytest.mark.parametrize("kw", [
+        dict(generator=normal_spec()), dict(round_counts=True),
+        dict(generator=normal_spec(), round_counts=True),
+    ], ids=["generator", "round_counts", "both"])
+    def test_poisson_noise_refuses_what_only_logsym_noise_reads(self, kw):
+        # each used to be dropped unread
+        with pytest.raises(SpecificationError, match="^poisson_counts noise takes no "
+                                                     "generator and no round_counts"):
+            poisson_truth(**kw)
+
 
 class TestRecordsRoundTrip:
     def test_csv_pipeline_recovers_table(self):
@@ -212,6 +222,25 @@ class TestRecordsRoundTrip:
         recs = simulated_to_records(sim, band_width=5)
         assert recs.age_lo[0] == 38 and recs.age_hi[0] == 42
         assert np.array_equal(recs.age_hi - recs.age_lo, np.full(len(recs), 4))
+
+    @pytest.mark.parametrize("band_width, message", [
+        (True, "must be a whole number, got True"),
+        ("5", "must be a whole number, got '5'"),
+        (2.5, "must be a whole number, got 2.5"),
+        (0, "must be >= 1, got 0"),
+        (-1, "must be >= 1, got -1"),
+    ], ids=["bool", "string", "fraction", "zero", "negative"])
+    def test_band_width_is_a_whole_number_of_at_least_one(self, band_width, message):
+        # a bool used to write 1-year bands, and the others failed on the
+        # band, age_lo or dtype rules or as a bare TypeError
+        sim = simulate_table(poisson_truth(), seed=8)
+        with pytest.raises(SpecificationError, match=f"^band_width {message}$"):
+            simulated_to_records(sim, band_width=band_width)
+
+    def test_whole_float_band_width_is_the_int(self):
+        sim = simulate_table(poisson_truth(), seed=8)
+        assert records_to_csv(simulated_to_records(sim, 5.0)) == \
+            records_to_csv(simulated_to_records(sim, 5))
 
     def test_fractional_midpoint_rejected(self):
         truth = poisson_truth(ages=(40.25, 45.0, 50.0))
