@@ -180,9 +180,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
+    kinds = (diagnostics.POISSON_RESIDUAL_KINDS if isinstance(spec, PoissonSpec)
+             else diagnostics.LOGSYM_RESIDUAL_KINDS)
+    kind = args.kind or kinds[0]
+    # a bad setting is refused before the table is read or fitted
+    diagnostics._envelope_settings(kinds, kind, args.m_sims, args.level, args.seed)
     table = _load_table(args.input, spec.zero_policy)
     result = _run_model(spec, table)
-    kind = args.kind or ("deviance" if isinstance(spec, PoissonSpec) else "location")
     env = diagnostics.simulated_envelope(result, table, kind,
                                          m_sims=args.m_sims, level=args.level,
                                          seed=args.seed)
@@ -266,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_env = sub.add_parser("envelope", help="simulated residual envelope")
     add_common(p_env, seeded=True)
-    p_env.add_argument("--kind", choices=["location", "dispersion", "deviance"])
+    p_env.add_argument("--kind", choices=diagnostics.LOGSYM_RESIDUAL_KINDS
+                       + diagnostics.POISSON_RESIDUAL_KINDS)
     p_env.add_argument("--m-sims", type=int, default=100)
     p_env.add_argument("--level", type=float, default=0.95)
 

@@ -65,22 +65,20 @@ def reference_quantiles(n: int) -> np.ndarray:
     return special.ndtri((k - 0.375) / (n + 0.25))
 
 
-def _fit_residuals(fit_result, kind) -> np.ndarray:
-    if isinstance(fit_result, LogSymFit):
-        if kind not in LOGSYM_RESIDUAL_KINDS:
-            raise SpecificationError(
-                f"residual kind {kind!r} invalid for a log-symmetric fit; "
-                f"expected one of {LOGSYM_RESIDUAL_KINDS}"
-            )
-        return residuals(fit_result, kind)
-    if isinstance(fit_result, PoissonFit):
-        if kind not in POISSON_RESIDUAL_KINDS:
-            raise SpecificationError(
-                f"residual kind {kind!r} invalid for a Poisson fit; "
-                f"expected one of {POISSON_RESIDUAL_KINDS}"
-            )
-        return deviance_residuals(fit_result)
-    raise SpecificationError(f"unsupported fit object {type(fit_result).__name__}")
+def _envelope_settings(kinds: tuple, kind, m_sims, level, seed) -> tuple:
+    """An envelope's checked (m_sims, level, seed), for a model whose
+    residual kinds are ``kinds``; needs no table and no fit, so the command
+    line checks them before it reads or fits anything."""
+    level = _number(level, "level")
+    if not (0.0 < level < 1.0):
+        raise SpecificationError(f"level must be in (0, 1), got {level}")
+    m_sims = _at_least(m_sims, "m_sims", 1)
+    seed = _at_least(seed, "seed", 0)
+    if kind not in kinds:
+        model = "log-symmetric" if kinds == LOGSYM_RESIDUAL_KINDS else "Poisson"
+        raise SpecificationError(f"residual kind {kind!r} invalid for a {model} fit; "
+                                 f"expected one of {kinds}")
+    return m_sims, level, seed
 
 
 def _check_fitted_on(fit_result, table: ObservationTable) -> None:
@@ -126,13 +124,13 @@ def simulated_envelope(fit_result, table: ObservationTable, kind: str,
     error. ``table`` must be the one the fit was made on. Replicates run
     on forked worker processes, one per usable CPU (see ``_map_in_order``).
     """
-    level = _number(level, "level")
-    if not (0.0 < level < 1.0):
-        raise SpecificationError(f"level must be in (0, 1), got {level}")
-    m_sims = _at_least(m_sims, "m_sims", 1)
-    seed = _at_least(seed, "seed", 0)
+    logsym = isinstance(fit_result, LogSymFit)
+    if not logsym and not isinstance(fit_result, PoissonFit):
+        raise SpecificationError(f"unsupported fit object {type(fit_result).__name__}")
+    m_sims, level, seed = _envelope_settings(
+        LOGSYM_RESIDUAL_KINDS if logsym else POISSON_RESIDUAL_KINDS, kind, m_sims, level, seed)
     _check_fitted_on(fit_result, table)
-    observed = np.sort(_fit_residuals(fit_result, kind))
+    observed = np.sort(residuals(fit_result, kind) if logsym else deviance_residuals(fit_result))
     n = len(observed)
 
     def replicate(i):

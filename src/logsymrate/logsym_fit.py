@@ -41,10 +41,11 @@ iterations and convergence verdict (a final fit's rule; the stencil runs
 only when the stopping rules fired, and stops at the first failing
 coefficient): no standard errors or AIC.
 
-A term's grid fits run on forked workers (``_map_in_order``). The parent
-reads their results in order, so every value, log line and warning is the
-serial one. The last term's winning grid fit ran at the final lambdas, so
-the final fit takes its optimum instead of running the optimizer again.
+A term's grid fits run on forked workers, each a fixed stride of the grid
+(``_map_in_order``). The parent reads their results in order, so every
+value, log line and warning is the serial one. The last term's winning
+grid fit ran at the final lambdas, so the final fit takes its optimum
+instead of running the optimizer again.
 """
 
 from __future__ import annotations
@@ -592,18 +593,15 @@ def _fork_map(fn, m: int, workers: int) -> list:
     traceback. A child that dies raises ChildProcessError naming its exit
     status. Every child is reaped before this returns or raises."""
     import signal
-    from multiprocessing import get_context
-    from multiprocessing.connection import wait
-    ctx = get_context("fork")
-    lock, taken = ctx.Lock(), ctx.RawValue("q", 0)
+    from multiprocessing.connection import Pipe, wait
     children = {}  # the read end of each live child's pipe: its pid
     results, errors = {}, {}
     try:
-        for _ in range(workers):
-            read, write = ctx.Pipe(duplex=False)
+        for k in range(workers):
+            read, write = Pipe(duplex=False)
             pid = os.fork()
             if pid == 0:
-                _fork_worker(fn, m, lock, taken, write)
+                _fork_worker(fn, range(k, m, workers), write)
             write.close()
             children[read] = pid
         while children:
@@ -631,30 +629,24 @@ def _fork_map(fn, m: int, workers: int) -> list:
     return [results[i] for i in range(m)]
 
 
-def _fork_worker(fn, m: int, lock, taken, out) -> None:
-    """A forked child: take the next index from the shared counter until
-    none is left, then send the (index, ok, result or exception) triples
-    in one message, so the parent does not wake, and take a CPU from the
-    workers, once per task. A task that raises ends the handing out; every
-    lower index is taken already. Leave by ``os._exit``, never returning
-    into the parent's stack: status 0 once the results are sent, 1 if
-    anything but a task raised (a result that does not pickle, say)."""
+def _fork_worker(fn, tasks: range, out) -> None:
+    """A forked child: run ``tasks`` (child k of w runs k, k + w, ...) in
+    order up to the first that raises, so the map's lowest failing index,
+    some child's first failure, always reaches the parent. Send the
+    (index, ok, result or exception) triples in one message, so the parent
+    wakes once per child, not per task. Leave by ``os._exit``, never
+    returning into the parent's stack: status 0 once the results are sent,
+    1 if anything but a task raised (an unpicklable result, say)."""
     status = 1
     try:
         batch = []
-        while True:
-            with lock:
-                i = taken.value
-                taken.value = i + 1
-            if i >= m:
-                break
+        for i in tasks:
             try:
                 batch.append((i, True, fn(i)))
             except Exception as exc:
                 import traceback
                 batch.append((i, False, (exc, traceback.format_exc())))
-                with lock:
-                    taken.value = m
+                break
         out.send(batch)
         status = 0
     finally:

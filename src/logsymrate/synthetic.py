@@ -40,7 +40,7 @@ class TruthSpec:
     population: Union[float, tuple] = 1e5
     noise: str = "poisson_counts"
     generator: Union[GeneratorSpec, None] = None
-    phi: Union[float, Callable] = 0.05
+    phi: Union[float, Callable, None] = None  # 0.05 under logsym noise
     round_counts: bool = False
     sex: str = "female"
     site: str = "synthetic"
@@ -61,18 +61,22 @@ class TruthSpec:
             raise SpecificationError("age and period grids must be non-empty")
         for name in ("beta0", "beta_age", "beta_period"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
-        if not callable(self.phi):  # a callable phi is checked where it is used
+        # a callable phi is checked where it is used
+        if self.phi is not None and not callable(self.phi):
             object.__setattr__(self, "phi", _positive(self.phi, "phi"))
         _flag(self.round_counts, "noise round_counts")
         if self.noise not in NOISE_KINDS:
             raise SpecificationError(
                 f"unknown noise kind {self.noise!r}; expected one of {NOISE_KINDS}"
             )
-        if self.noise == "poisson_counts" and (self.generator is not None or self.round_counts):
+        if self.noise == "poisson_counts" and (self.generator is not None or self.round_counts
+                                               or self.phi is not None):
             raise SpecificationError("poisson_counts noise takes no generator and no "
-                                     "round_counts; only logsym noise reads them")
+                                     "round_counts or phi; only logsym noise reads them")
         if self.noise == "logsym" and self.generator is None:
             raise SpecificationError("logsym noise needs a generator")
+        if self.noise == "logsym" and self.phi is None:
+            object.__setattr__(self, "phi", 0.05)
         problem = _stratum_problem(self.sex, self.site)
         if problem:
             raise SpecificationError(problem)

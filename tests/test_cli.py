@@ -700,6 +700,34 @@ class TestEnvelope:
         assert code == 3
         assert "envelope refits failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, flags, message", [
+        ("select", ["--kind", "deviance"], "residual kind 'deviance' invalid for a "
+                                           "log-symmetric fit; expected one of "
+                                           "('location', 'dispersion')"),
+        ("poisson", ["--kind", "dispersion"], "residual kind 'dispersion' invalid for a "
+                                              "Poisson fit; expected one of ('deviance',)"),
+        ("select", ["--level", "1.5"], "level must be in (0, 1), got 1.5"),
+        ("select", ["--m-sims", "0"], "m_sims must be >= 1, got 0"),
+        ("poisson", ["--seed", "-3"], "seed must be >= 0, got -3"),
+    ], ids=["logsym-kind", "poisson-kind", "level", "m-sims", "seed"])
+    def test_bad_setting_exits_2_before_any_read_or_fit(self, workspace, monkeypatch, capsys,
+                                                        spec, flags, message):
+        # the select spec's fit runs a 30-lambda grid, none of which a refused
+        # setting may cost
+        select = dict(LOGSYM_DOC, location={
+            "covariates": ["intercept", "period"], "use_offset": True,
+            "terms": [{"kind": "ncs", "covariate": "age", "lambda": "select"}]})
+        specs = {"select": write_doc(workspace["root"] / "select.json", select),
+                 "poisson": workspace["poisson"]}
+        calls = []
+        monkeypatch.setattr(cli, "_load_table", lambda *args: calls.append("read"))
+        monkeypatch.setattr(cli, "_run_model", lambda *args: calls.append("fit"))
+        code = main(["envelope", "--input", workspace["input"], "--spec", specs[spec],
+                     *flags, "--out", str(workspace["root"] / "env_refused")])
+        assert (code, calls) == (2, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace["root"] / "env_refused").exists()
+
 
 class TestCurves:
     def test_poisson_spec_rejected(self, workspace, capsys):

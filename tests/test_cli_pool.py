@@ -81,6 +81,11 @@ assert main(sys.argv[1:]) == 0
 print(json.dumps([forked, logsym_fit._THREADED, logsym_fit._cpu_count()]))
 """
 
+# RECORD where multiprocessing.synchronize cannot be imported, as on a host
+# without a working shared semaphore: the maps must fork all the same
+NO_SEMAPHORE = 'import sys\nsys.modules["multiprocessing.synchronize"] = None\n' + RECORD
+NO_SEMAPHORE_CASES = ("normal-envelope", "small-select-fit")
+
 
 def expected_forks(case, threaded, cpus):
     """Whether each map of a case's run forks: every map of two or more
@@ -104,9 +109,9 @@ def selection_log(stderr):
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """{(case, blas, where): (artifact bytes, selection log, fork record or
-    None), or the run's failure} of every run, "pool" runs recorded and
-    "cpu0" ones pinned by taskset where it exists; two at a time, since
-    most of a run is its single-threaded start."""
+    None), or the run's failure} of every run, "pool" and "no-semaphore"
+    runs recorded and "cpu0" ones pinned by taskset where it exists; two at
+    a time, since most of a run is its single-threaded start."""
     root = tmp_path_factory.mktemp("pool")
     for name, doc in DOCS.items():
         (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -115,6 +120,7 @@ def runs(tmp_path_factory):
                      "--out", str(root / table)]) == 0
     keys = [(case, blas, "pool") for case, (_, _, settings) in CASES.items()
             for blas in settings]
+    keys += [(case, "one", "no-semaphore") for case in NO_SEMAPHORE_CASES]
     if shutil.which("taskset") is not None:
         keys += [(case, "one", "cpu0") for case in CASES]
 
@@ -129,7 +135,8 @@ def runs(tmp_path_factory):
                 done = python("-m", "logsymrate.cli", *argv, env=BLAS[blas], cpu0=True)
                 record = None
             else:
-                done = python("-c", RECORD, *argv, env=BLAS[blas])
+                script = NO_SEMAPHORE if where == "no-semaphore" else RECORD
+                done = python("-c", script, *argv, env=BLAS[blas])
                 record = json.loads(done.stdout.splitlines()[-1])
         except AssertionError as exc:  # fails only the tests that read this run
             return exc
@@ -168,6 +175,19 @@ def test_pooled_runs_write_the_bytes_of_one_cpu(runs, case):
 def test_maps_fork_by_the_rule(runs, case, blas):
     forked, threaded, cpus = outcome(runs, (case, blas, "pool"))[2]
     assert forked == expected_forks(case, threaded, cpus)
+
+
+@pytest.mark.parametrize("case", NO_SEMAPHORE_CASES)
+def test_maps_fork_where_no_semaphore_can_be_made(runs, case):
+    # the workers share no lock or counter, so the map needs nothing of
+    # multiprocessing.synchronize
+    if shutil.which("taskset") is None:
+        pytest.skip("taskset is missing: no run can be pinned to one CPU")
+    if _cpu_count() < 2:
+        pytest.skip("fewer than 2 usable CPUs: no map forks")
+    *pooled, (forked, threaded, _) = outcome(runs, (case, "one", "no-semaphore"))
+    assert (forked, threaded) == (expected_forks(case, False, 2), False)
+    assert pooled == list(outcome(runs, (case, "one", "cpu0"))[:2])
 
 
 def test_default_environment_forks_a_782_cell_grid(tmp_path):

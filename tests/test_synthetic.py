@@ -199,13 +199,19 @@ class TestSurfaces:
 
     @pytest.mark.parametrize("kw", [
         dict(generator=normal_spec()), dict(round_counts=True),
-        dict(generator=normal_spec(), round_counts=True),
-    ], ids=["generator", "round_counts", "both"])
+        dict(generator=normal_spec(), round_counts=True), dict(phi=0.5),
+    ], ids=["generator", "round_counts", "both", "phi"])
     def test_poisson_noise_refuses_what_only_logsym_noise_reads(self, kw):
         # each used to be dropped unread
         with pytest.raises(SpecificationError, match="^poisson_counts noise takes no "
                                                      "generator and no round_counts"):
             poisson_truth(**kw)
+
+    def test_phi_defaults_to_0_05_under_logsym_noise_only(self):
+        assert poisson_truth().phi is None
+        truth = poisson_truth(noise="logsym", generator=normal_spec())
+        assert truth.phi == 0.05
+        assert simulate_table(truth, seed=3).phi.tolist() == [0.05] * len(truth.grid())
 
 
 class TestRecordsRoundTrip:
