@@ -29,8 +29,10 @@ polish steps run until the analytic penalized score is far below the
 stationarity bound, and the reported grad_norm is an independent
 fourth-order finite-difference check of the objective at the solution,
 which evaluates a coefficient's four points as one block, in this
-process. A large design moves each point's predictor along the
-coefficient's column instead of recomputing it (``_COLUMN_STENCIL_WORK``).
+process. A large design (``_LARGE_DESIGN_WORK``) moves each point's
+predictor along the coefficient's column instead of recomputing it, and
+bins the weights of every Gram product by distinct age and period
+(``_product``, the array arithmetic of Currie, Durban and Eilers 2006).
 
 A "select" term is resolved by refitting at each lambda of the grid and
 keeping the lowest AIC. Grid fits are scored by AIC alone: ``converged``,
@@ -89,18 +91,22 @@ GRAD_NORM_BOUND = 1e-4
 _POWEREXP_Z_FLOOR = 1e-6
 _CDF_CLAMP = 1e-12
 _MAX_POLISH_SWEEPS = 50
-# From this many cell-coefficients, a stencil point's predictor is the fitted one
-# moved along the coefficient's design column, O(n) in place of an O(n p) product.
-# Smaller stencils keep each point's own product, bit for bit: the 782-cell
-# verdicts rest on those bits, and column updates changed a powerexp envelope's
-# n_failures there.
-_COLUMN_STENCIL_WORK = 300_000
+# From this many cells x coefficients a design is large: a stencil point's predictor
+# is the fitted one moved along the coefficient's column, O(n) in place of O(n p),
+# and a Gram product bins its weights by distinct age and period (``_product``).
+# Smaller designs keep the dense products, bit for bit: the 782-cell verdicts rest
+# on those bits, and column updates or binned products changed a powerexp
+# envelope's n_failures there.
+_LARGE_DESIGN_WORK = 300_000
 # Other threads, such as a threaded BLAS's helpers, at import (numpy loads its
 # BLAS first, and no pool has run yet); False off Linux, where the OS does not say.
 _THREADED = os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1
 # the errstate of a halving search, a stencil or a single evaluation
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _Replicate = namedtuple("_Replicate", "location dispersion mu phi converged iterations")
+# a half's or term's columns on one covariate, and their rows U at its distinct
+# values, which each cell's index inv picks: G[:, cols] == U[inv]
+_Part = namedtuple("_Part", "covariate cols inv U")
 
 log = logging.getLogger("logsymrate")
 
@@ -250,6 +256,11 @@ class _TermInfo:
     term: SplineTerm
     block: "object"
     sl: slice
+    parts: tuple = ()  # a large design's binned columns (``_Part``), else empty
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.block.B
 
 
 @dataclass
@@ -259,6 +270,7 @@ class _Half:
     par_names: tuple
     terms: list
     col_scale: np.ndarray
+    parts: tuple = ()  # a large design's binned columns (``_Part``), else empty
 
 
 @dataclass
@@ -271,6 +283,7 @@ class _Design:
     kappa: float
     disp_info: np.ndarray  # kappa * W^T W, the unpenalized dispersion information
     cell_keys: tuple
+    large: bool  # n (p_loc + p_disp) >= _LARGE_DESIGN_WORK
 
     @property
     def term_infos(self):
@@ -309,19 +322,36 @@ def _build_design(spec: ModelSpec, table: ObservationTable) -> _Design:
         check_covariates_vary(table, sub.covariates + tuple(t.covariate for t in sub.terms))
     loc = _build_half("location", spec.location, table)
     disp = _build_half("dispersion", spec.dispersion, table)
+    large = len(table) * (loc.G.shape[1] + disp.G.shape[1]) >= _LARGE_DESIGN_WORK
+    index = {c: np.unique(getattr(table, c), return_index=True, return_inverse=True)[1:]
+             for c in ("age", "period")} if large else {}
     for half, sub in ((loc, spec.location), (disp, spec.dispersion)):
         names = list(half.par_names)
+        owners = ["age" if c == "intercept" else c for c in sub.covariates]
         for ti in half.terms:
-            names += [f"{ti.label}[{i}]" for i in range(ti.sl.stop - ti.sl.start)]
+            q = ti.sl.stop - ti.sl.start
+            names += [f"{ti.label}[{i}]" for i in range(q)]
+            owners += [ti.term.covariate] * q
+            ti.parts = _parts(ti.G, [ti.term.covariate] * q, index)
+        half.parts = _parts(half.G, owners, index)
         used = {c for c in sub.covariates if c != "intercept"} | {t.covariate for t in sub.terms}
         # a row of G is a function of the covariates it uses, and the table's
         # (age, period) keys are unique, so only a one-covariate half repeats rows
         check_full_rank(half.G, names, getattr(table, used.pop()) if len(used) == 1 else None)
     offset = table.log_pop if spec.location.use_offset else np.zeros(len(table))
     kappa = dispersion_info_const(spec.generator)
-    return _Design(y=table.log_t, offset=offset, loc=loc, disp=disp,
-                   generator=spec.generator, kappa=kappa,
-                   disp_info=kappa * (disp.G.T @ disp.G), cell_keys=table.cell_keys)
+    return _Design(y=table.log_t, offset=offset, loc=loc, disp=disp, generator=spec.generator,
+                   kappa=kappa, disp_info=kappa * _product(disp, None, disp),
+                   cell_keys=table.cell_keys, large=large)
+
+
+def _parts(G: np.ndarray, owners: list, index: dict) -> tuple:
+    """A ``_Part`` of G per covariate owning a column (``owners`` names each
+    column's), from its (first cells, inverse) in ``index``; none if it is empty."""
+    owners = np.array(owners)
+    return tuple(_Part(c, cols, inv, G[np.ix_(first, cols)])
+                 for c, (first, inv) in index.items()
+                 for cols in [np.flatnonzero(owners == c)] if len(cols))
 
 
 def _resolve_lambdas(lam: dict, design: _Design) -> dict:
@@ -434,9 +464,28 @@ def _add_penalty(H: np.ndarray, half: _Half, lam) -> None:
         H[ti.sl, ti.sl] += lam[ti.label] * ti.block.K
 
 
+def _product(a, w, b) -> np.ndarray:
+    """G_a^T diag(w) G_b (w None: G_a^T G_b) of two halves or terms of one
+    design, dense without parts. With them, a block on one covariate is
+    U_a^T (bincount(inv, w) * U_b), and one across age and period U_a^T M U_b,
+    M the weights binned by (age, period) pair (zero for a pair with no cell)."""
+    if not a.parts:
+        return a.G.T @ (b.G if w is None else w[:, None] * b.G)
+    out = np.empty((a.G.shape[1], b.G.shape[1]))
+    for pa in a.parts:
+        for pb in b.parts:
+            na, nb = len(pa.U), len(pb.U)
+            if pa.covariate == pb.covariate:
+                wb = np.bincount(pa.inv, w, na)[:, None] * pb.U
+            else:
+                wb = np.bincount(pa.inv * nb + pb.inv, w, na * nb).reshape(na, nb) @ pb.U
+            out[np.ix_(pa.cols, pb.cols)] = pa.U.T @ wb
+    return out
+
+
 def _gram(half: _Half, w: np.ndarray, lam) -> np.ndarray:
     """Penalized weighted Gram product G^T diag(w) G + sum_j lambda_j K_j."""
-    H = half.G.T @ (w[:, None] * half.G)
+    H = _product(half, w, half)
     _add_penalty(H, half, lam)
     return H
 
@@ -469,10 +518,10 @@ def _observed_hessian(design: _Design, th_loc, th_disp, lam) -> np.ndarray:
     """Stacked penalized observed information (negated Hessian) over both
     submodels, cross block included."""
     d_ll, d_ld, d_dd = _observed_weights(design, *_mu_phi(design, th_loc, th_disp))
-    X, W = design.loc.G, design.disp.G
+    loc, disp = design.loc, design.disp
     return np.block([
-        [_gram(design.loc, d_ll, lam), X.T @ (d_ld[:, None] * W)],
-        [W.T @ (d_ld[:, None] * X), _gram(design.disp, d_dd, lam)],
+        [_gram(loc, d_ll, lam), _product(loc, d_ld, disp)],
+        [_product(disp, d_ld, loc), _gram(disp, d_dd, lam)],
     ])
 
 
@@ -662,13 +711,12 @@ def _fd_partials(design: _Design, th_loc, th_disp, lam):
     roundoff-safe range for these likelihoods.
 
     A coefficient's four points are one (4, n) block of predictors, for one
-    ``_loglik`` call; only the owning term's penalty is recomputed. Below
-    ``_COLUMN_STENCIL_WORK`` each point's predictor is its own
-    matrix-vector product, bit for bit the closures' value; from there it
-    is the fitted predictor moved along the coefficient's design column."""
+    ``_loglik`` call; only the owning term's penalty is recomputed. In a
+    design below ``_LARGE_DESIGN_WORK`` each point's predictor is its own
+    matrix-vector product, bit for bit the closures' value; in a large one
+    it is the fitted predictor moved along the coefficient's design column."""
     mu, logphi = _mu_phi(design, th_loc, th_disp)
     zstep = 1e-4 * float(np.exp(0.5 * np.median(logphi)))
-    columns = len(design.y) * (len(th_loc) + len(th_disp)) >= _COLUMN_STENCIL_WORK
     with np.errstate(**_QUIET):
         resid, sphi, half_sum = design.y - mu, np.exp(0.5 * logphi), 0.5 * np.add.reduce(logphi)
         held = _penalties(design.loc, th_loc, lam) + _penalties(design.disp, th_disp, lam)
@@ -683,7 +731,7 @@ def _fd_partials(design: _Design, th_loc, th_disp, lam):
                 trials = [th.copy() for _ in steps]
                 for trial, d in zip(trials, steps):
                     trial[i] += d
-                if columns:
+                if design.large:
                     pred = pred0 + np.multiply.outer(steps, half.G[:, i])
                 else:
                     pred = np.stack([half.G @ trial for trial in trials])
@@ -837,7 +885,7 @@ def _block_se(half: _Half, w_obs: np.ndarray, lam) -> np.ndarray:
 
 def _term_edf(ti: _TermInfo, w: np.ndarray, lam_j: float) -> float:
     """tr((A + lambda K)^-1 A) with A = B^T diag(w) B; NaN where the inverse is."""
-    A = ti.block.B.T @ (w[:, None] * ti.block.B)
+    A = _product(ti, w, ti)
     return float(np.trace(_equilibrated_inverse(A + lam_j * ti.block.K) @ A))
 
 

@@ -825,7 +825,7 @@ def big_table():
 
 def big_spec(generator):
     """The CLI pool tests' select spec at a fixed lambda, with 219 coefficients:
-    on ``big_table`` its stencil is above ``_COLUMN_STENCIL_WORK``."""
+    on ``big_table`` its design is above ``_LARGE_DESIGN_WORK``."""
     doc = copy.deepcopy(POOL_DOCS["select"])
     doc["location"]["terms"][0]["lambda"] = 1.0
     return dataclasses.replace(specio.parse_model_spec(doc), generator=generator)
@@ -874,7 +874,8 @@ class TestBatchedStencil:
         f = fit(spec, big_table)
         design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion
         assert len(design.y) * (len(th_loc) + len(th_disp)) >= \
-            logsym_fit._COLUMN_STENCIL_WORK
+            logsym_fit._LARGE_DESIGN_WORK
+        assert design.large
         got = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
         ref = _reference_fd_partials(design, th_loc, th_disp, f.lam)
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-5
@@ -937,6 +938,116 @@ def _check_replicate_verdict(spec, table, converges, monkeypatch):
     assert np.array_equal(rep.location, th_loc) and np.array_equal(rep.dispersion, th_disp)
 
 
+def _dense_gram(G, w, half, lam):
+    """The literal dense penalized Gram product of a half."""
+    H = G.T @ (w[:, None] * G)
+    for ti in half.terms:
+        H[ti.sl, ti.sl] += lam[ti.label] * ti.block.K
+    return H
+
+
+def _dense_products(design, th_loc, th_disp, lam):
+    """(observed information, location Gram, dispersion information, each
+    term's edf at the location weights and lambda 3), each from literal
+    dense products over every cell."""
+    mu, logphi = logsym_fit._mu_phi(design, th_loc, th_disp)
+    w_loc = logsym_fit._location_weights(design, mu, logphi)[1]
+    d_ll, d_ld, d_dd = logsym_fit._observed_weights(design, mu, logphi)
+    X, W = design.loc.G, design.disp.G
+    hessian = np.block([[_dense_gram(X, d_ll, design.loc, lam), X.T @ (d_ld[:, None] * W)],
+                        [W.T @ (d_ld[:, None] * X), _dense_gram(W, d_dd, design.disp, lam)]])
+    edf = []
+    for ti in design.term_infos:
+        B = ti.block.B
+        A = B.T @ (w_loc[:, None] * B)
+        edf.append(float(np.trace(poisson_glm._equilibrated_inverse(A + 3.0 * ti.block.K) @ A)))
+    return hessian, _dense_gram(X, w_loc, design.loc, lam), design.kappa * (W.T @ W), edf
+
+
+def _binned_products(design, th_loc, th_disp, lam):
+    """``_dense_products`` from the package's own functions."""
+    w_loc = logsym_fit._location_weights(design, *logsym_fit._mu_phi(design, th_loc, th_disp))[1]
+    return (logsym_fit._observed_hessian(design, th_loc, th_disp, lam),
+            logsym_fit._gram(design.loc, w_loc, lam), design.disp_info,
+            [logsym_fit._term_edf(ti, w_loc, 3.0) for ti in design.term_infos])
+
+
+def _scattered_gaps(table):
+    """``table`` without a scattered tenth of its cells, as ``drop`` leaves
+    it: (age, period) pairs go missing, but every age and period stays."""
+    gone = np.random.default_rng(3).choice(len(table), len(table) // 10, replace=False)
+    keep = np.ones(len(table), dtype=bool)
+    keep[gone] = False
+    return dataclasses.replace(table, **{name: getattr(table, name)[keep] for name in (
+        "age", "period", "deaths", "t_value", "population")})
+
+
+def _parametric_pair_spec(generator):
+    """Parametric age and period in location, parametric age and ncs(period)
+    in dispersion (one half may not hold period both ways)."""
+    return ModelSpec(
+        generator=generator,
+        location=SubmodelSpec(covariates=("intercept", "age", "period"), use_offset=True),
+        dispersion=SubmodelSpec(covariates=("intercept", "age"),
+                                terms=(SplineTerm(kind="ncs", covariate="period", lam=100.0),)))
+
+
+class TestBinnedProducts:
+    @pytest.mark.parametrize("case", ["two-covariate location", "scattered gaps",
+                                      "intercept-only dispersion", "parametric age and period"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_binned_products_match_the_dense_ones(self, gen, case, big_table, monkeypatch):
+        # binning sums the weights before the products, which moves entries by
+        # roundoff: 5.3e-15 of the largest and edf by 1.6e-15 at most, measured
+        table, spec = big_table, big_spec(gen)
+        if case == "scattered gaps":
+            table = _scattered_gaps(big_table)
+            assert len(table) == 1800
+            assert len(np.unique(table.age)) * len(np.unique(table.period)) == 2000
+        elif case == "intercept-only dispersion":
+            spec = dataclasses.replace(spec, dispersion=SubmodelSpec())
+        elif case == "parametric age and period":
+            spec = _parametric_pair_spec(gen)
+        # any design is binned at a zero bound, where the rule leaves some of these dense
+        monkeypatch.setattr(logsym_fit, "_LARGE_DESIGN_WORK", 0)
+        design, lam = _design_and_lam(spec, table)
+        assert design.large
+        halves = (design.loc, design.disp) + tuple(design.term_infos)
+        for half in halves:
+            # a part's rows at the distinct values give its columns, bit for bit
+            for part in half.parts:
+                assert np.array_equal(half.G[:, part.cols], part.U[part.inv])
+            cols = np.sort(np.concatenate([part.cols for part in half.parts]))
+            assert np.array_equal(cols, np.arange(half.G.shape[1]))
+        assert {p.covariate for p in design.loc.parts} == {"age", "period"}
+        if case == "intercept-only dispersion":
+            assert design.disp.G.shape[1] == 1 and len(design.disp.parts) == 1
+        th_loc, th_disp, *_ = logsym_fit._optimize(dataclasses.replace(spec, max_outer=2),
+                                                   design, lam)
+        got = _binned_products(design, th_loc, th_disp, lam)
+        ref = _dense_products(design, th_loc, th_disp, lam)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+        assert got[3] == pytest.approx(ref[3], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("make_spec", [spline_spec, two_term_spec],
+                             ids=["one-term", "two-term"])
+    @pytest.mark.parametrize("gen", FOUR_FAMILIES, ids=lambda g: g.label())
+    def test_products_below_the_rule_are_the_dense_ones_bit_for_bit(self, gen, make_spec):
+        # the 782-cell verdicts (select exit codes, envelope failures) rest on these bits
+        spec = make_spec(generator=gen)
+        design, lam = _design_and_lam(spec, mid_logsym_table(41, gen))
+        assert len(design.y) == 782 and not design.large
+        assert all(not half.parts for half in (design.loc, design.disp, *design.term_infos))
+        th_loc, th_disp, *_ = logsym_fit._optimize(dataclasses.replace(spec, max_outer=3),
+                                                   design, lam)
+        got = _binned_products(design, th_loc, th_disp, lam)
+        ref = _dense_products(design, th_loc, th_disp, lam)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.array_equal(g, r)
+        assert got[3] == ref[3]
+
+
 def _recorded_maps(monkeypatch):
     """Record, for each ``_map_in_order`` call, whether forked workers ran
     its tasks."""
@@ -985,13 +1096,15 @@ class TestPooledLoops:
     def test_stencil_matches_serial(self, gen, columns, point, monkeypatch):
         # a pool that would take any map does not take the stencil: grad_norm
         # is the in-order fold of the partials, NaN if one is, on each path
+        if columns:
+            # every design is large, so the stencil moves points along columns
+            monkeypatch.setattr(logsym_fit, "_LARGE_DESIGN_WORK", 0)
         f = fit(spline_spec(generator=gen), small_logsym_table(seed=33, generator=gen))
         design, th_loc, th_disp = f.design, f.params.location, f.params.dispersion.copy()
+        assert design.large == columns
         if point == "nan partials":
             # exp(0.5 log phi) overflows at some stencil points and not others
             th_disp[design.disp.par_names.index("intercept")] = 1416.0
-        if columns:
-            monkeypatch.setattr(logsym_fit, "_COLUMN_STENCIL_WORK", 0)
         serial = list(logsym_fit._fd_partials(design, th_loc, th_disp, f.lam))
         assert np.isnan(serial).any() == (point == "nan partials")
         # the max in coefficient order, as one serial loop takes it
